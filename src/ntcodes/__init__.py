@@ -23,6 +23,7 @@ from .enumerators import (
     Enumerator,
     argmax_cardinality,
     blc_hamming,
+    compute,
     full_space_enumerator,
     lc_hamming,
     oracle_extended,

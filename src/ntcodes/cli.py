@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -26,13 +27,14 @@ from .codes import (
     OMEGA,
     SIGMA,
     FAMILIES,
+    VARIANT_STATS,
     enumerate_codewords,
-    linear_weights,
     make_family,
-    spec_to_dict,
 )
 from .enumerators import (
+    METHODS,
     Enumerator,
+    compute,
     enumerator_to_dict,
     lc_hamming,
     oracle_extended,
@@ -44,39 +46,15 @@ from .enumerators import (
 from .exactalg import IntegralityError
 from .macwilliams import build_code, verify_macwilliams
 
-VARIANTS = (">", ">=", "<", "<=")
+VARIANTS = tuple(VARIANT_STATS)
 
-#: families whose single linear congruence has a closed-form Hamming enumerator
-LINEAR_FAMILIES = (
-    "binary_vt",
-    "levenshtein",
-    "helberg",
-    "le_nguyen",
-    "ternary_integer",
-    "odd_coefficient",
-    "an_code",
-    "exponential_coefficient",
-    "lc",
-    "blc",
-)
-
+#: each family's constructor parameters, in signature order
 _FAMILY_PARAMS = {
-    "binary_vt": ("n", "a"),
-    "levenshtein": ("n", "m", "a"),
-    "tenengolts": ("n", "r", "a1", "a2", "variant"),
-    "shifted_vt": ("n", "m", "a", "parity"),
-    "han_vinck_morita": ("n", "a", "b"),
-    "nonbinary_svt": ("n", "r", "m", "a", "b", "c"),
-    "helberg": ("n", "t", "a"),
-    "le_nguyen": ("n", "r", "t", "a"),
-    "ternary_integer": ("n", "a"),
-    "odd_coefficient": ("n", "m", "a"),
-    "an_code": ("p", "a"),
-    "exponential_coefficient": ("n", "m", "a"),
-    "lc": ("n", "m", "r", "h", "a"),
-    "blc": ("n", "m", "h", "a"),
-    "linear_code": ("r", "H"),
+    name: tuple(inspect.signature(builder).parameters) for name, builder in FAMILIES.items()
 }
+
+#: CLI flag of each constructor parameter whose flag is not named after it
+_PARAM_FLAGS = {"rows": "H"}
 
 _OPTIONAL_PARAMS = {"variant": ">", "a": 0}
 
@@ -88,23 +66,22 @@ def _parse_matrix(text: str) -> list[tuple[int, ...]]:
     return [_parse_int_list(row) for row in text.split(";") if row.strip() != ""]
 
 
+_PARAM_PARSERS = {"h": _parse_int_list, "rows": _parse_matrix}
+
+
 def _family_params(args) -> dict:
-    family = args.family
-    if family not in FAMILIES:
-        raise ValueError(f"unknown code family {family!r}")
     params = {}
-    for name in _FAMILY_PARAMS[family]:
-        value = getattr(args, name if name != "H" else "H_rows")
+    for name in _FAMILY_PARAMS[args.family]:
+        flag = _PARAM_FLAGS.get(name, name)
+        value = getattr(args, flag)
         if value is None:
             if name in _OPTIONAL_PARAMS:
                 value = _OPTIONAL_PARAMS[name]
             else:
-                raise ValueError(f"family {family} requires --{name}")
-        if name == "h":
-            value = _parse_int_list(value)
-        elif name == "H":
-            value = _parse_matrix(value)
-        params["rows" if name == "H" else name] = value
+                raise ValueError(f"family {args.family} requires --{flag}")
+        elif name in _PARAM_PARSERS:
+            value = _PARAM_PARSERS[name](value)
+        params[name] = value
     return params
 
 
@@ -118,20 +95,6 @@ def _budget(args):
     env = os.environ.get("CODES_BUDGET")
     if env:
         return int(env)
-    return None
-
-
-def _closed_enumerator(args, params) -> Enumerator | None:
-    if args.kind != "hamming":
-        return None
-    if args.family == "tenengolts":
-        return tenengolts_hamming(
-            params["n"], params["r"], params["a1"], params["a2"], params["variant"]
-        )
-    if args.family in LINEAR_FAMILIES:
-        spec = make_family(args.family, **params)
-        con = spec.constraints[0]
-        return lc_hamming(spec.n, con.m, spec.r, linear_weights(con.stat, spec.n), con.a)
     return None
 
 
@@ -150,45 +113,13 @@ def _emit_enumerator(enum: Enumerator, fmt: str) -> None:
 
 
 def _cmd_enum(args) -> int:
-    params = _family_params(args)
-    budget = _budget(args)
-    enum = None
-    if args.method in ("auto", "closed"):
-        enum = _closed_enumerator(args, params)
-        if enum is None and args.method == "closed":
-            raise ValueError(
-                f"no closed form for family {args.family} at kind {args.kind}"
-            )
-    if enum is None:
-        spec = make_family(args.family, **params)
-        if args.method == "oracle":
-            base = oracle_extended(spec, budget)
-        else:
-            base = theorem1_extended(spec, budget)
-        enum = specialize(base, args.kind)
+    enum = compute(_build_spec(args), args.kind, args.method, _budget(args))
     _emit_enumerator(enum, args.format)
     return 0
 
 
 def _cmd_card(args) -> int:
-    params = _family_params(args)
-    budget = _budget(args)
-    if args.method in ("auto", "closed") and args.family == "tenengolts":
-        value = tenengolts_cardinality(
-            params["n"], params["r"], params["a1"], params["a2"], params["variant"]
-        )
-    elif args.method in ("auto", "closed") and args.family in LINEAR_FAMILIES:
-        spec = make_family(args.family, **params)
-        con = spec.constraints[0]
-        value = lc_hamming(
-            spec.n, con.m, spec.r, linear_weights(con.stat, spec.n), con.a
-        ).cardinality()
-    elif args.method == "closed":
-        raise ValueError(f"no closed form for family {args.family}")
-    else:
-        spec = make_family(args.family, **params)
-        base = oracle_extended(spec, budget) if args.method == "oracle" else theorem1_extended(spec, budget)
-        value = base.cardinality()
+    value = compute(_build_spec(args), "cardinality", args.method, _budget(args))
     if args.format == "json":
         print(json.dumps({"cardinality": str(value)}))
     elif args.format == "csv":
@@ -207,7 +138,7 @@ def _hamming_counts_by_parameters(n, r, variant, budget):
     """One pass over [0, r)^n: Hamming-weight histograms per (a1, a2)."""
     import itertools
 
-    from .codes import VARIANT_STATS, Statistic, evaluate_statistic
+    from .codes import Statistic, evaluate_statistic
 
     limit = DEFAULT_BUDGET if budget is None else budget
     if r**n > limit:
@@ -307,7 +238,7 @@ def _cmd_verify(args) -> int:
     if family in ("macwilliams", "all"):
         _verify_macwilliams(checks, rng, args.count, args.max_n)
     if not checks:
-        raise ValueError(f"unknown verify family {family!r}")
+        raise ValueError(f"verify --family {family} selected no checks: its sweep bounds are empty")
     mismatches = sum(1 for _, ok in checks if not ok)
     if args.format == "json":
         print(
@@ -395,7 +326,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_macwilliams(args) -> int:
-    rows = _parse_matrix(args.H_rows)
+    rows = _parse_matrix(args.H)
     code = build_code(args.r, rows, _budget(args))
     report = verify_macwilliams(code)
     payload = {
@@ -440,7 +371,7 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--parity", type=int)
     parser.add_argument("--variant", choices=VARIANTS)
     parser.add_argument("--h", help="comma-separated weight vector, e.g. 1,2,3,4")
-    parser.add_argument("--H", dest="H_rows", help="semicolon-separated matrix rows, e.g. 1,1;0,1")
+    parser.add_argument("--H", help="semicolon-separated matrix rows, e.g. 1,1;0,1")
 
 
 def _add_common_flags(parser) -> None:
@@ -458,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enum", help="compute a weight enumerator")
     _add_family_flags(p_enum)
     p_enum.add_argument("--kind", choices=("extended", "complete", "hamming"), default="hamming")
-    p_enum.add_argument("--method", choices=("auto", "closed", "theorem1", "oracle"), default="auto")
+    p_enum.add_argument("--method", choices=METHODS, default="auto")
     _add_common_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_enum)
 
     p_card = sub.add_parser("card", help="compute a cardinality")
     _add_family_flags(p_card)
-    p_card.add_argument("--method", choices=("auto", "closed", "theorem1", "oracle"), default="auto")
+    p_card.add_argument("--method", choices=METHODS, default="auto")
     _add_common_flags(p_card)
     p_card.set_defaults(handler=_cmd_card)
 
@@ -489,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mac = sub.add_parser("macwilliams", help="duality report for a linear code over Z_r")
     p_mac.add_argument("--r", type=int, required=True)
-    p_mac.add_argument("--H", dest="H_rows", required=True, help="matrix rows, e.g. 1,1;0,1")
+    p_mac.add_argument("--H", required=True, help="matrix rows, e.g. 1,1;0,1")
     _add_common_flags(p_mac)
     p_mac.set_defaults(handler=_cmd_macwilliams)
 

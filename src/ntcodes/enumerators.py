@@ -19,6 +19,8 @@ from math import comb, gcd, lcm
 from typing import Optional
 
 from .codes import (
+    SIGMA,
+    VARIANT_STATS,
     CodeSpec,
     Statistic,
     enumerate_codewords,
@@ -39,6 +41,10 @@ from .numtheory import divisors, ramanujan_sum
 from .qcalc import compositions, q_multinomial
 
 KINDS = ("extended", "complete", "hamming")
+METHODS = ("auto", "closed", "theorem1", "oracle")
+
+#: descent/sum variant keyed by the statistic kind of its first constraint
+_VARIANT_OF_STAT = {stat: variant for variant, stat in VARIANT_STATS.items()}
 
 
 def z_variables(s: int) -> tuple[str, ...]:
@@ -397,6 +403,69 @@ def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, in
     }
     best = max(grid.values())
     return sorted(pair for pair, value in grid.items() if value == best)
+
+
+# ---------------------------------------------------------------------------
+# route choice
+
+
+def _closed_form(spec: CodeSpec, kind: str):
+    """The closed-form result the spec's congruences admit at this kind,
+    or None when they admit none."""
+    if kind not in ("hamming", "cardinality"):
+        return None
+    cons = spec.constraints
+    if (
+        len(cons) == 2
+        and cons[0].stat.kind in _VARIANT_OF_STAT
+        and cons[0].m == spec.n
+        and cons[1].stat == SIGMA
+        and cons[1].m == spec.r
+    ):
+        variant = _VARIANT_OF_STAT[cons[0].stat.kind]
+        args = (spec.n, spec.r, cons[0].a, cons[1].a, variant)
+        if kind == "cardinality":
+            return tenengolts_cardinality(*args)
+        return tenengolts_hamming(*args)
+    if len(cons) == 1:
+        con = cons[0]
+        h = linear_weights(con.stat, spec.n)
+        if h is not None:
+            enum = lc_hamming(spec.n, con.m, spec.r, h, con.a)
+            return enum.cardinality() if kind == "cardinality" else enum
+    return None
+
+
+def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None = None):
+    """The spec's enumerator of the given kind, or its cardinality (an int)
+    when `kind` is "cardinality".
+
+    The route is read off the spec's congruences, whatever family built
+    it.  At kinds "hamming" and "cardinality", a descent/sum code (a
+    descent statistic mod n, then the symbol sum mod r) takes the divisor
+    sums of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
+    linear congruence takes `lc_hamming`.  Method "auto" uses these closed
+    forms when they apply and theorem 1 otherwise; "closed" raises
+    ValueError when none applies; "theorem1" and "oracle" force the
+    character-sum engine and brute force.  `budget` bounds the scans of
+    the last two routes.
+    """
+    if kind != "cardinality" and kind not in KINDS:
+        raise ValueError(f"unknown enumerator kind {kind!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
+    if method in ("auto", "closed"):
+        result = _closed_form(spec, kind)
+        if result is not None:
+            return result
+        if method == "closed":
+            stats = ", ".join(c.stat.kind for c in spec.constraints)
+            raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
+    if method == "oracle":
+        base = oracle_extended(spec, budget)
+    else:
+        base = theorem1_extended(spec, budget)
+    return specialize(base, kind)
 
 
 # ---------------------------------------------------------------------------

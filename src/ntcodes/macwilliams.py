@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, type_vector
+from .codes import DEFAULT_BUDGET, BudgetExceededError, linear_code, type_vector
 from .enumerators import w_variables
 from .exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
 
@@ -34,15 +34,9 @@ class ZrLinearCode:
 
 def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
     """Materialize the kernel of the parity-check matrix and the row span."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    rows = [tuple(int(x) % r for x in row) for row in rows]
-    if not rows:
-        raise ValueError("the parity-check matrix needs at least one row")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValueError("parity-check rows have inconsistent lengths")
-    s = len(rows)
+    spec = linear_code(r, rows)
+    rows = [c.stat.h for c in spec.constraints]
+    n, s = spec.n, spec.s
     limit = DEFAULT_BUDGET if budget is None else budget
     if r**n > limit or r**s > limit:
         raise BudgetExceededError(

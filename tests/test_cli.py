@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from ntcodes.cli import main
+from ntcodes.cli import _family_params, build_parser, main
+from ntcodes.codes import FAMILIES
 from ntcodes.enumerators import enumerator_from_dict, tenengolts_hamming
 
 
@@ -111,6 +113,19 @@ def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "tenengolts", "--max-n", "0"),
+        ("verify", "--family", "lc", "--count", "0"),
+    ],
+)
+def test_verify_empty_sweep_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "selected no checks" in err and "unknown" not in err
+
+
 def test_verify_deterministic_given_seed(capsys):
     _, first, _ = run(capsys, "verify", "--family", "sc", "--count", "3", "--seed", "42")
     _, second, _ = run(capsys, "verify", "--family", "sc", "--count", "3", "--seed", "42")
@@ -194,7 +209,7 @@ def test_integrality_violation_exit_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NonDivisibleError("simulated kernel bug")
 
-    monkeypatch.setattr("ntcodes.cli.tenengolts_cardinality", explode)
+    monkeypatch.setattr("ntcodes.enumerators.tenengolts_cardinality", explode)
     code, _, err = run(capsys, "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
     assert code == 4
     assert "integrality" in err
@@ -207,3 +222,15 @@ def test_closed_method_rejected_when_no_closed_form(capsys):
         "--method", "closed",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("command", ["enum", "card"])
+def test_every_constructor_parameter_has_a_flag(command, family):
+    params = tuple(inspect.signature(FAMILIES[family]).parameters)
+    argv = [command, family]
+    for name in params:
+        flag = "H" if name == "rows" else name
+        argv += [f"--{flag}", ">" if name == "variant" else "1"]
+    args = build_parser().parse_args(argv)
+    assert tuple(_family_params(args)) == params

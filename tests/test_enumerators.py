@@ -9,6 +9,7 @@ from ntcodes.codes import (
     DELTA,
     GAMMA_GT,
     OMEGA,
+    FAMILIES,
     SIGMA,
     enumerate_codewords,
     make_family,
@@ -17,6 +18,7 @@ from ntcodes.enumerators import (
     Enumerator,
     argmax_cardinality,
     blc_hamming,
+    compute,
     enumerator_from_dict,
     enumerator_to_dict,
     full_space_enumerator,
@@ -418,3 +420,62 @@ def test_theorem1_on_nonbinary_svt():
         oracle = oracle_extended(spec)
         assert theorem1_extended(spec).poly == oracle.poly
         assert theorem1_extended(spec, force_character_sum=True).poly == oracle.poly
+
+
+#: (family, small parameters, whether a closed form applies at kinds
+#: hamming and cardinality), covering every entry of FAMILIES
+ROUTE_CASES = [
+    *(
+        ("tenengolts", dict(n=4, r=3, a1=1, a2=2, variant=v), True)
+        for v in (">", ">=", "<", "<=")
+    ),
+    ("binary_vt", dict(n=5, a=2), True),
+    ("levenshtein", dict(n=5, m=4, a=1), True),
+    ("helberg", dict(n=5, t=2, a=3), True),
+    ("le_nguyen", dict(n=4, r=3, t=1, a=2), True),
+    ("ternary_integer", dict(n=3, a=4), True),
+    ("odd_coefficient", dict(n=5, m=3, a=1), True),
+    ("an_code", dict(p=5, a=2), True),
+    ("exponential_coefficient", dict(n=4, m=3, a=2), True),
+    ("lc", dict(n=4, m=5, r=3, h=(1, 2, 3, 4), a=1), True),
+    ("blc", dict(n=5, m=4, h=(1, 1, 2, 3, 3), a=2), True),
+    ("linear_code", dict(r=3, rows=[(1, 2, 0, 1)]), True),
+    ("linear_code", dict(r=3, rows=[(1, 2, 0, 1), (0, 1, 1, 2)]), False),
+    ("shifted_vt", dict(n=5, m=3, a=1, parity=0), False),
+    ("han_vinck_morita", dict(n=4, a=2, b=1), False),
+    ("nonbinary_svt", dict(n=4, r=3, m=4, a=1, b=0, c=2), False),
+]
+
+
+def test_route_cases_cover_every_family():
+    assert {family for family, _, _ in ROUTE_CASES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "family,params,closed",
+    ROUTE_CASES,
+    ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(ROUTE_CASES)],
+)
+def test_compute_routes_agree_with_oracle(family, params, closed):
+    spec = make_family(family, **params)
+    auto = compute(spec, "hamming")
+    assert auto.poly == compute(spec, "hamming", "oracle").poly
+    assert (auto.method == "closed_form") == closed
+    assert compute(spec, "cardinality") == compute(spec, "cardinality", "oracle")
+    for kind in ("hamming", "cardinality"):
+        if closed:
+            assert compute(spec, kind, "closed") == compute(spec, kind)
+        else:
+            with pytest.raises(ValueError, match="no closed form"):
+                compute(spec, kind, "closed")
+    for kind in ("extended", "complete"):
+        with pytest.raises(ValueError, match=f"at kind {kind}"):
+            compute(spec, kind, "closed")
+
+
+def test_compute_rejects_unknown_kind_and_method():
+    spec = make_family("binary_vt", n=3)
+    with pytest.raises(ValueError, match="kind"):
+        compute(spec, "weight")
+    with pytest.raises(ValueError, match="method"):
+        compute(spec, "hamming", "fast")
