@@ -200,7 +200,7 @@ def _verify_sc(checks, rng, count, max_n, max_m, budget):
             m = rng.randint(1, min(max_m, 6))
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec, budget, force_character_sum=True)
+        engine = theorem1_extended(spec, budget)
         oracle = oracle_extended(spec, budget)
         ok = engine.poly == oracle.poly
         kinds = ",".join(st.kind for st in stats)

@@ -3,24 +3,28 @@ the closed forms for linear-congruence and descent/sum codes.
 
 The extended enumerator of a code tracks every constrained statistic in a
 z-variable exponent and every symbol count in a w-variable exponent.  The
-character-sum engine recovers a code's enumerator from the full-space
-enumerator by summing the full space at root-of-unity twists of the
-z-variables; everything stays in exact cyclotomic arithmetic and the final
-coefficients are checked to be non-negative integers divisible by the
-product of the moduli.
+character-sum engine (theorem 1) recovers a code's enumerator from the
+full-space enumerator W_full as a sum over residue tuples u of
+W_full(e(u_i/m_i) z_i, w), each weighted by e(-sum_i u_i a_i/m_i), divided
+by prod m_i.  On an expanded full-space polynomial the orthogonality of
+characters, sum_{u mod m} e(uk/m) = m [m | k], reduces that sum to a
+residue filter: a term is kept exactly when each statistic exponent is
+congruent to its residue.  The filter is pure integer arithmetic and
+checks that every full-space coefficient is non-negative.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd, prod
 from typing import Optional
 
 from .codes import (
+    DEFAULT_BUDGET,
     SIGMA,
     VARIANT_STATS,
+    BudgetExceededError,
     CodeSpec,
     Statistic,
     enumerate_codewords,
@@ -130,22 +134,39 @@ def _product_form(n: int, r: int, weights) -> dict:
     return cur
 
 
+def _check_budget(bound: int, budget: int | None, work: str) -> None:
+    """Refuse `work`, whose size is at most `bound`, when that is over the
+    budget (default DEFAULT_BUDGET)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if bound > limit:
+        raise BudgetExceededError(f"{work} exceeds the budget {limit}")
+
+
 def _full_space(n: int, r: int, stats, budget: int | None):
     """Full-space extended enumerator and the form that produced it:
     "product" (all statistics linear), "descent_sum" (descent statistic
-    paired with the symbol sum), or "enumeration" (brute force)."""
+    paired with the symbol sum), or "enumeration" (brute force).
+
+    Each form bounds its work (terms of the expansion, words of the scan)
+    before it starts and raises BudgetExceededError when the bound is over
+    `budget`."""
     stats = list(stats)
     variables = z_variables(len(stats)) + w_variables(r)
+    types = comb(n + r - 1, r - 1)
     weights = [linear_weights(st, n) for st in stats]
     if all(w is not None for w in weights):
         if any(x < 0 for w in weights for x in w):
             raise ValueError("closed-form enumerators need non-negative weights")
+        bound = min(r**n, prod(1 + (r - 1) * sum(w) for w in weights) * types)
+        _check_budget(bound, budget, f"full-space product expansion of up to {bound} terms")
         return MultiPoly(variables, _product_form(n, r, weights)), "product"
     if (
         len(stats) == 2
         and stats[0].kind == "gamma_gt"
         and stats[1].kind == "sigma"
     ):
+        bound = (1 + n * (n - 1) // 2) * types
+        _check_budget(bound, budget, f"full-space descent/sum expansion of up to {bound} terms")
         terms: dict = {}
         for t in compositions(n, r):
             sigma = sum(j * tj for j, tj in enumerate(t))
@@ -153,13 +174,7 @@ def _full_space(n: int, r: int, stats, budget: int | None):
                 key = (g, sigma) + t
                 terms[key] = terms.get(key, 0) + c
         return MultiPoly(variables, terms), "descent_sum"
-    from .codes import DEFAULT_BUDGET, BudgetExceededError
-
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if r**n > limit:
-        raise BudgetExceededError(
-            f"full-space scan of {r}^{n} words exceeds the budget {limit}"
-        )
+    _check_budget(r**n, budget, f"full-space scan of {r}^{n} words")
     terms = {}
     for word in itertools.product(range(r), repeat=n):
         rho = tuple(evaluate_statistic(st, word) for st in stats)
@@ -185,72 +200,29 @@ def full_space_enumerator(
 # the character-sum engine
 
 
-def theorem1_extended(
-    spec: CodeSpec, budget: int | None = None, force_character_sum: bool = False
-) -> Enumerator:
+def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     """Extended enumerator of a congruence code from the full-space
-    enumerator.
+    enumerator, by theorem 1:
+    (1/prod m_i) sum_u e(-sum_i u_i a_i/m_i) W_full(e(u_i/m_i) z_i, w).
 
-    When the full-space polynomial comes from a closed form, the code's
-    enumerator is extracted by the character sum over all residue tuples
-    u, twisting z_i by e(u_i/m_i), with exact cyclotomic accumulation at
-    order lcm(m_i) and an exact final division by the product of moduli.
-    When the full-space polynomial was itself built by brute force, plain
-    residue filtering is equivalent and is used instead (unless
-    `force_character_sum` asks for the long way).
+    A full-space term with statistic exponents k_i picks up the factor
+    prod_i e(u_i (k_i - a_i)/m_i), and sum_{u mod m} e(u(k - a)/m) is m
+    when m | k - a and 0 otherwise.  So the sum keeps exactly the terms
+    with k_i = a_i (mod m_i) for every constraint, with their coefficients,
+    and is evaluated as that residue filter whichever form built the full
+    space.  A negative full-space coefficient raises IntegralityError.
     """
     cons = spec.constraints
-    stats = [c.stat for c in cons]
-    poly, form = _full_space(spec.n, spec.r, stats, budget)
-    s = len(cons)
-    if form == "enumeration" and not force_character_sum:
-        kept = {
-            exps: c
-            for exps, c in poly.terms.items()
-            if all((exps[i] - cons[i].a) % cons[i].m == 0 for i in range(s))
-        }
-        return Enumerator("extended", MultiPoly(poly.variables, kept), "oracle", spec)
-
-    moduli = [c.m for c in cons]
-    order = lcm(*moduli)
-    denom = math.prod(moduli)
-    steps = [order // m for m in moduli]
-    # terms whose statistics land in the same residue pattern share one
-    # character sum, so each pattern's sum is evaluated exactly once
-    pattern_cache: dict = {}
-    out: dict = {}
+    poly, _ = _full_space(spec.n, spec.r, [c.stat for c in cons], budget)
+    residues = [(c.m, c.a) for c in cons]
+    kept: dict = {}
     for exps, coeff in poly.terms.items():
-        key = tuple(
-            (steps[i] * ((exps[i] - cons[i].a) % cons[i].m)) % order for i in range(s)
-        )
-        value = pattern_cache.get(key)
-        if value is None:
-            # accumulate sum over u of e(sum_i k_i u_i / order), one
-            # constraint at a time, in the group-ring basis
-            cur = {0: 1}
-            for k, m in zip(key, moduli):
-                nxt: dict = {}
-                for p, c in cur.items():
-                    for u in range(m):
-                        q = (p + k * u) % order
-                        nxt[q] = nxt.get(q, 0) + c
-                cur = nxt
-            vec = [0] * order
-            for p, c in cur.items():
-                vec[p] = c
-            value = CycElement(order, vec).to_integer()
-            pattern_cache[key] = value
-        total = coeff * value
-        q, rem = divmod(total, denom)
-        if rem:
-            raise NonDivisibleError(
-                f"character sum for {exps} gave {total}, not divisible by {denom}"
-            )
-        if q < 0:
-            raise IntegralityError(f"negative coefficient {q} for {exps}")
-        if q:
-            out[exps] = q
-    return Enumerator("extended", MultiPoly(poly.variables, out), "character_sum", spec)
+        if coeff < 0:
+            raise IntegralityError(f"negative full-space coefficient {coeff} for {exps}")
+        # the statistic exponents come first, one per constraint
+        if all((k - a) % m == 0 for k, (m, a) in zip(exps, residues)):
+            kept[exps] = coeff
+    return Enumerator("extended", MultiPoly(poly.variables, kept), "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------

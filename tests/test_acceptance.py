@@ -182,7 +182,7 @@ def test_criterion_3_oracle_equivalence_sweep():
         assert lc_hamming(n, m, r, h, a).poly == oracle.poly
         checks += 1
 
-    # 20 random simultaneous-congruence specs through the forced character sum
+    # 20 random simultaneous-congruence specs through the character sum
     pool = (OMEGA, SIGMA, DELTA, GAMMA_GT)
     for _ in range(20):
         s = rng.randint(2, 3)
@@ -194,7 +194,7 @@ def test_criterion_3_oracle_equivalence_sweep():
             m = rng.randint(1, 6)
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec, force_character_sum=True)
+        engine = theorem1_extended(spec)
         assert engine.method == "character_sum"
         assert engine.poly == oracle_extended(spec).poly
         checks += 1
@@ -308,7 +308,7 @@ def test_criterion_7_integrality_sentinel():
                     (SIGMA, rng.randint(1, 5), 1),
                 ),
             )
-            theorem1_extended(spec, force_character_sum=True)
+            theorem1_extended(spec)
         for _ in range(10):
             r, s = rng.randint(2, 5), rng.randint(1, 2)
             n = rng.randint(s, 5)

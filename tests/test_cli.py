@@ -192,6 +192,16 @@ def test_budget_exceeded_exit_three(capsys):
     assert "budget" in err
 
 
+def test_theorem1_budget_exceeded_before_expansion(capsys):
+    code, _, err = run(
+        capsys,
+        "enum", "ternary_integer", "--n", "10", "--a", "5",
+        "--method", "theorem1", "--budget", "1000",
+    )
+    assert code == 3
+    assert "budget" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CODES_BUDGET", "100")
     code, _, err = run(

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from ntcodes.codes import (
+    BudgetExceededError,
     CodeSpec,
     DELTA,
     GAMMA_GT,
@@ -30,7 +31,7 @@ from ntcodes.enumerators import (
     tenengolts_variant_transform,
     theorem1_extended,
 )
-from ntcodes.exactalg import MultiPoly, cyc_root
+from ntcodes.exactalg import IntegralityError, MultiPoly, cyc_root
 
 T33_VARS = ("z1", "z2", "w0", "w1", "w2")
 T33_EXTENDED = MultiPoly(
@@ -147,13 +148,49 @@ def test_theorem1_cardinality_example():
 
 
 def test_theorem1_fast_path_and_forced_character_sum_agree():
-    # mixed statistics fall back to an enumeration-built full space
+    # mixed statistics fall back to an enumeration-built full space, which
+    # goes through the same residue filter and keeps the theorem-1 label
     spec = CodeSpec(4, 3, ((GAMMA_GT, 3, 1), (DELTA, 2, 1), (SIGMA, 3, 0)))
     fast = theorem1_extended(spec)
-    assert fast.method == "oracle"
-    forced = theorem1_extended(spec, force_character_sum=True)
-    assert forced.method == "character_sum"
-    assert fast.poly == forced.poly == oracle_extended(spec).poly
+    assert fast.method == "character_sum"
+    assert fast.poly == oracle_extended(spec).poly
+
+
+def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
+    spec = make_family("binary_vt", n=2, a=0)
+    poly = MultiPoly(("z1", "w0", "w1"), {(0, 2, 0): -1})
+    monkeypatch.setattr("ntcodes.enumerators._full_space", lambda *args: (poly, "product"))
+    with pytest.raises(IntegralityError, match="negative"):
+        theorem1_extended(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_family("ternary_integer", n=10, a=5),
+        make_family("tenengolts", n=12, r=4, a1=0, a2=0),
+    ],
+    ids=["product", "descent_sum"],
+)
+def test_theorem1_budget_checked_before_expansion(spec):
+    with pytest.raises(BudgetExceededError, match="budget 1000"):
+        theorem1_extended(spec, budget=1000)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("ternary_integer", dict(n=8, a=0)),
+        ("ternary_integer", dict(n=8, a=100)),
+        ("exponential_coefficient", dict(n=9, m=9, a=0)),
+        ("exponential_coefficient", dict(n=9, m=9, a=37)),
+    ],
+)
+def test_theorem1_matches_oracle_at_order_513(family, params):
+    spec = make_family(family, **params)
+    for kind in ("extended", "complete", "hamming"):
+        assert compute(spec, kind, "theorem1").poly == compute(spec, kind, "oracle").poly
+    assert compute(spec, "cardinality", "theorem1") == compute(spec, "cardinality", "oracle")
 
 
 def test_theorem1_random_simultaneous_specs():
@@ -169,7 +206,7 @@ def test_theorem1_random_simultaneous_specs():
             m = rng.randint(1, 6)
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec, force_character_sum=True)
+        engine = theorem1_extended(spec)
         assert engine.poly == oracle_extended(spec).poly
 
 
@@ -419,7 +456,6 @@ def test_theorem1_on_nonbinary_svt():
         )
         oracle = oracle_extended(spec)
         assert theorem1_extended(spec).poly == oracle.poly
-        assert theorem1_extended(spec, force_character_sum=True).poly == oracle.poly
 
 
 #: (family, small parameters, whether a closed form applies at kinds
@@ -459,8 +495,11 @@ def test_route_cases_cover_every_family():
 def test_compute_routes_agree_with_oracle(family, params, closed):
     spec = make_family(family, **params)
     auto = compute(spec, "hamming")
-    assert auto.poly == compute(spec, "hamming", "oracle").poly
-    assert (auto.method == "closed_form") == closed
+    oracle = compute(spec, "hamming", "oracle")
+    assert auto.poly == oracle.poly
+    # only a forced oracle says "oracle", even where theorem 1 scans
+    assert auto.method == ("closed_form" if closed else "character_sum")
+    assert oracle.method == "oracle"
     assert compute(spec, "cardinality") == compute(spec, "cardinality", "oracle")
     for kind in ("hamming", "cardinality"):
         if closed:

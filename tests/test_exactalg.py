@@ -67,13 +67,19 @@ def test_root_products_and_sums():
 
 
 def test_geometric_sum_lemma():
-    # sum over j in [m] of e(A j / m) equals m when m | A and 0 otherwise
-    for m in range(1, 25):
+    # sum over j in [m] of e(A j / m) equals m when m | A and 0 otherwise;
+    # theorem 1's residue filter rests on this identity
+    for m in range(1, 31):
         for A in range(-m, 2 * m + 1):
+            expected = m if A % m == 0 else 0
             total = CycElement.integer(0, m)
+            vec = [0] * m
             for j in range(m):
                 total = total + cyc_root(m, A * j)
-            assert total.to_integer() == (m if A % m == 0 else 0)
+                vec[A * j % m] += 1
+            assert total.to_integer() == expected
+            # the same sum built directly in the group-ring basis
+            assert CycElement(m, vec).to_integer() == expected
 
 
 def test_embed_examples():
