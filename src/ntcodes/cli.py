@@ -134,38 +134,19 @@ def _cmd_card(args) -> int:
 # verify sweeps
 
 
-def _hamming_counts_by_parameters(n, r, variant, budget):
-    """One pass over [0, r)^n: Hamming-weight histograms per (a1, a2)."""
-    import itertools
-
-    from .codes import Statistic, evaluate_statistic
-
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if r**n > limit:
-        raise BudgetExceededError(f"sweep over {r}^{n} words exceeds the budget {limit}")
-    stat = Statistic(VARIANT_STATS[variant])
-    buckets: dict = {}
-    for word in itertools.product(range(r), repeat=n):
-        key = (evaluate_statistic(stat, word) % n, sum(word) % r)
-        hwt = sum(1 for x in word if x)
-        hist = buckets.setdefault(key, {})
-        hist[hwt] = hist.get(hwt, 0) + 1
-    return buckets
-
-
 def _verify_tenengolts(checks, max_n, max_r, budget):
     for n in range(1, max_n + 1):
         for r in range(2, max_r + 1):
             for variant in VARIANTS:
-                buckets = _hamming_counts_by_parameters(n, r, variant, budget)
                 for a1 in range(n):
                     for a2 in range(r):
                         closed = tenengolts_hamming(n, r, a1, a2, variant)
-                        got = {(d,): c for d, c in buckets.get((a1, a2), {}).items()}
-                        size = sum(buckets.get((a1, a2), {}).values())
+                        spec = make_family("tenengolts", n=n, r=r, a1=a1, a2=a2, variant=variant)
+                        oracle = compute(spec, "hamming", "oracle", budget)
                         ok = (
-                            closed.poly.terms == got
-                            and tenengolts_cardinality(n, r, a1, a2, variant) == size
+                            closed.poly == oracle.poly
+                            and tenengolts_cardinality(n, r, a1, a2, variant)
+                            == oracle.cardinality()
                         )
                         checks.append(
                             (f"tenengolts n={n} r={r} a1={a1} a2={a2} variant={variant}", ok)

@@ -11,13 +11,18 @@ characters, sum_{u mod m} e(uk/m) = m [m | k], reduces that sum to a
 residue filter: a term is kept exactly when each statistic exponent is
 congruent to its residue.  The filter is pure integer arithmetic and
 checks that every full-space coefficient is non-negative.
+
+W_full itself comes from one transfer pass over the positions (the
+transfer-matrix method), since every built-in statistic adds an increment
+that depends only on the position, the symbol and the symbol before it.
+Only a custom statistic makes the full space a scan of [0, r)^n.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import Optional
 
 from .codes import (
@@ -42,7 +47,6 @@ from .exactalg import (
     cyc_root,
 )
 from .numtheory import divisors, ramanujan_sum
-from .qcalc import compositions, q_multinomial
 
 KINDS = ("extended", "complete", "hamming")
 METHODS = ("auto", "closed", "theorem1", "oracle")
@@ -114,77 +118,86 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _product_form(n: int, r: int, weights) -> dict:
-    """Expand prod_j sum_k w_k prod_i z_i^(h_ij * k) as a terms dict."""
-    s = len(weights)
-    width = s + r
-    cur = {(0,) * width: 1}
-    for j in range(n):
-        options = []
-        for k in range(r):
-            zpart = tuple(w[j] * k for w in weights)
-            wpart = tuple(1 if t == k else 0 for t in range(r))
-            options.append(zpart + wpart)
-        nxt: dict = {}
-        for exps, c in cur.items():
-            for opt in options:
-                key = tuple(a + b for a, b in zip(exps, opt))
-                nxt[key] = nxt.get(key, 0) + c
-        cur = nxt
-    return cur
-
-
-def _check_budget(bound: int, budget: int | None, work: str) -> None:
-    """Refuse `work`, whose size is at most `bound`, when that is over the
-    budget (default DEFAULT_BUDGET)."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if bound > limit:
-        raise BudgetExceededError(f"{work} exceeds the budget {limit}")
+#: comparison of (previous symbol, symbol) that each descent-type statistic
+#: counts; gamma/lambda variants add the position, delta adds 1
+_COMPARISONS = {
+    "gamma_gt": operator.gt,
+    "gamma_ge": operator.ge,
+    "lambda_lt": operator.lt,
+    "lambda_le": operator.le,
+    "delta": operator.gt,
+}
 
 
 def _full_space(n: int, r: int, stats, budget: int | None):
-    """Full-space extended enumerator and the form that produced it:
-    "product" (all statistics linear), "descent_sum" (descent statistic
-    paired with the symbol sum), or "enumeration" (brute force).
+    """Full-space extended enumerator and the form that produced it.
 
-    Each form bounds its work (terms of the expansion, words of the scan)
-    before it starts and raises BudgetExceededError when the bound is over
-    `budget`."""
+    Every built-in statistic is a sum of per-position increments that
+    depend only on the position j, the symbol x and the symbol before it:
+    h_j x for omega, sigma and linear statistics, and j (1 for delta) when
+    the statistic's comparison of (previous, x) holds.  So one transfer pass
+    over the positions builds the enumerator ("transfer"), keeping one
+    terms dict per last symbol when some statistic reads it and a single
+    dict otherwise.  Before the pass starts, the term count is bounded by
+    min(r^n, prod_i (1 + max_i) C(n+r-1, r-1)), where max_i is statistic
+    i's largest total (sigma, fixed by the type vector, adds no factor);
+    a bound over `budget` raises BudgetExceededError.  A custom statistic
+    has no increments, and its full space is the oracle's scan of the code
+    that every word satisfies ("enumeration")."""
     stats = list(stats)
-    variables = z_variables(len(stats)) + w_variables(r)
-    types = comb(n + r - 1, r - 1)
+    if any(st.kind == "custom" for st in stats):
+        spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
+        return oracle_extended(spec, budget).poly, "enumeration"
     weights = [linear_weights(st, n) for st in stats]
-    if all(w is not None for w in weights):
-        if any(x < 0 for w in weights for x in w):
-            raise ValueError("closed-form enumerators need non-negative weights")
-        bound = min(r**n, prod(1 + (r - 1) * sum(w) for w in weights) * types)
-        _check_budget(bound, budget, f"full-space product expansion of up to {bound} terms")
-        return MultiPoly(variables, _product_form(n, r, weights)), "product"
-    if (
-        len(stats) == 2
-        and stats[0].kind == "gamma_gt"
-        and stats[1].kind == "sigma"
-    ):
-        bound = (1 + n * (n - 1) // 2) * types
-        _check_budget(bound, budget, f"full-space descent/sum expansion of up to {bound} terms")
-        terms: dict = {}
-        for t in compositions(n, r):
-            sigma = sum(j * tj for j, tj in enumerate(t))
-            for (g,), c in q_multinomial(t).terms.items():
-                key = (g, sigma) + t
-                terms[key] = terms.get(key, 0) + c
-        return MultiPoly(variables, terms), "descent_sum"
-    _check_budget(r**n, budget, f"full-space scan of {r}^{n} words")
-    terms = {}
-    for word in itertools.product(range(r), repeat=n):
-        rho = tuple(evaluate_statistic(st, word) for st in stats)
-        if any(v < 0 for v in rho):
-            raise ValueError(
-                "a statistic took a negative value; enumerator exponents must be non-negative"
-            )
-        key = rho + type_vector(word, r)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(variables, terms), "enumeration"
+    if any(x < 0 for w in weights if w is not None for x in w):
+        raise ValueError("full-space enumerators need non-negative weights")
+    bound = comb(n + r - 1, r - 1)
+    for st, w in zip(stats, weights):
+        if w is not None and st.kind != "sigma":
+            bound *= 1 + (r - 1) * sum(w)
+        elif st.kind == "delta":
+            bound *= max(n, 1)
+        elif w is None:
+            bound *= 1 + n * (n - 1) // 2
+    bound = min(r**n, bound)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if bound > limit:
+        raise BudgetExceededError(
+            f"full-space transfer pass of up to {bound} terms exceeds the budget {limit}"
+        )
+    compares = [_COMPARISONS.get(st.kind) for st in stats]
+    reads_previous = any(cmp is not None for cmp in compares)
+    symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
+
+    def step(j: int, previous, x: int) -> tuple:
+        """Exponent increment of symbol x at position j after `previous`."""
+        inc = []
+        for st, w, cmp in zip(stats, weights, compares):
+            if w is not None:
+                inc.append(w[j] * x)
+            elif j and cmp(previous, x):
+                inc.append(1 if st.kind == "delta" else j)
+            else:
+                inc.append(0)
+        return tuple(inc) + symbol[x]
+
+    # {last symbol (None when no statistic reads it): {exponents: count}}
+    states = {None: {(0,) * (len(stats) + r): 1}}
+    for j in range(n):
+        nxt: dict = {}
+        for previous, terms in states.items():
+            for x in range(r):
+                inc = step(j, previous, x)
+                dest = nxt.setdefault(x if reads_previous else None, {})
+                for exps, count in terms.items():
+                    key = tuple(map(operator.add, exps, inc))
+                    dest[key] = dest.get(key, 0) + count
+        states = nxt
+    total: dict = {}
+    for terms in states.values():
+        for exps, count in terms.items():
+            total[exps] = total.get(exps, 0) + count
+    return MultiPoly(z_variables(len(stats)) + w_variables(r), total), "transfer"
 
 
 def full_space_enumerator(

@@ -1,10 +1,10 @@
 """Linear codes over Z_r and the complete-weight-enumerator duality check.
 
-A code is materialized from its parity-check matrix by kernel enumeration;
-its dual is the row span.  Verification substitutes v_i = sum_k w_k e(ik/r)
-into the dual's complete weight enumerator, expands exactly over
-root-of-unity coefficients, divides by r^s, and compares with the primal
-enumerator coefficient by coefficient.
+A code is materialized from its parity-check matrix by the codeword scan
+of `codes.enumerate_codewords`; its dual is the row span.  Verification
+substitutes v_i = sum_k w_k e(ik/r) into the dual's complete weight
+enumerator, expands exactly over root-of-unity coefficients, divides by
+r^s, and compares with the primal enumerator coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, linear_code, type_vector
+from .codes import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    enumerate_codewords,
+    linear_code,
+    type_vector,
+)
 from .enumerators import w_variables
 from .exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
 
@@ -38,15 +44,9 @@ def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
     rows = [c.stat.h for c in spec.constraints]
     n, s = spec.n, spec.s
     limit = DEFAULT_BUDGET if budget is None else budget
-    if r**n > limit or r**s > limit:
-        raise BudgetExceededError(
-            f"enumerating Z_{r}^{max(n, s)} exceeds the budget {limit}"
-        )
-    code = tuple(
-        x
-        for x in itertools.product(range(r), repeat=n)
-        if all(sum(hi * xi for hi, xi in zip(row, x)) % r == 0 for row in rows)
-    )
+    if r**s > limit:
+        raise BudgetExceededError(f"spanning Z_{r}^{s} exceeds the budget {limit}")
+    code = tuple(enumerate_codewords(spec, budget))
     span = {
         tuple(sum(ui * row[j] for ui, row in zip(u, rows)) % r for j in range(n))
         for u in itertools.product(range(r), repeat=s)

@@ -132,6 +132,32 @@ def test_verify_deterministic_given_seed(capsys):
     assert first == second
 
 
+def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
+    from ntcodes import enumerators
+
+    forms = []
+    full_space = enumerators._full_space
+
+    def recording(*args):
+        poly, form = full_space(*args)
+        forms.append(form)
+        return poly, form
+
+    monkeypatch.setattr(enumerators, "_full_space", recording)
+    code, out, _ = run(capsys, "verify", "--family", "sc")
+    assert code == 0 and "summary: 10 checks, 0 mismatches" in out
+    assert forms == ["transfer"] * 10
+
+
+def test_card_nonbinary_svt_past_the_brute_force_budget(capsys):
+    argv = ("card", "nonbinary_svt", "--r", "3", "--m", "13", "--a", "0", "--b", "0", "--c", "0")
+    code, out, _ = run(capsys, *argv, "--n", "13")
+    assert code == 0 and out.strip() == "26125"
+    # 3^16 words are over the default budget; the transfer pass's bound is not
+    code, _, _ = run(capsys, *argv, "--n", "16")
+    assert code == 0
+
+
 def test_table_t33(capsys):
     code, out, _ = run(capsys, "table", "t33")
     assert code == 0

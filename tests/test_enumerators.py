@@ -3,20 +3,28 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ntcodes.codes import (
     BudgetExceededError,
     CodeSpec,
     DELTA,
+    GAMMA_GE,
     GAMMA_GT,
+    LAMBDA_LE,
+    LAMBDA_LT,
     OMEGA,
     FAMILIES,
     SIGMA,
+    custom,
     enumerate_codewords,
+    linear,
     make_family,
 )
 from ntcodes.enumerators import (
     Enumerator,
+    _full_space,
     argmax_cardinality,
     blc_hamming,
     compute,
@@ -30,8 +38,11 @@ from ntcodes.enumerators import (
     tenengolts_hamming,
     tenengolts_variant_transform,
     theorem1_extended,
+    w_variables,
+    z_variables,
 )
 from ntcodes.exactalg import IntegralityError, MultiPoly, cyc_root
+from ntcodes.qcalc import compositions, q_multinomial
 
 T33_VARS = ("z1", "z2", "w0", "w1", "w2")
 T33_EXTENDED = MultiPoly(
@@ -117,6 +128,50 @@ def test_full_space_descent_sum_matches_brute_force():
         assert closed.terms == terms
 
 
+@pytest.mark.parametrize("n,r", [(12, 3), (8, 4)])
+def test_full_space_descent_sum_matches_q_multinomial(n, r):
+    # MacMahon: the descent statistic over the words of type t is counted by
+    # the q-multinomial [n; t]_q, and the symbol sum is fixed by t
+    terms = {}
+    for t in compositions(n, r):
+        sigma = sum(j * tj for j, tj in enumerate(t))
+        for (g,), c in q_multinomial(t).terms.items():
+            terms[(g, sigma) + t] = c
+    reference = MultiPoly(z_variables(2) + w_variables(r), terms)
+    assert full_space_enumerator(n, r, (GAMMA_GT, SIGMA)) == reference
+
+
+BUILTIN_STATS = (OMEGA, SIGMA, GAMMA_GT, GAMMA_GE, LAMBDA_LT, LAMBDA_LE, DELTA)
+
+
+@st.composite
+def full_space_cases(draw):
+    n = draw(st.integers(0, 5))
+    r = draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(linear)
+    stats = draw(st.lists(st.sampled_from(BUILTIN_STATS) | weights, min_size=1, max_size=3))
+    return n, r, stats
+
+
+@given(full_space_cases())
+def test_transfer_full_space_matches_oracle_for_every_statistic(case):
+    n, r, stats = case
+    poly, form = _full_space(n, r, stats, None)
+    assert form == "transfer"
+    whole_space = CodeSpec(n, r, tuple((stat, 1, 0) for stat in stats))
+    assert poly == oracle_extended(whole_space).poly
+
+
+def test_custom_statistic_full_space_is_enumerated():
+    repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
+    _, form = _full_space(4, 3, (repeats, SIGMA), None)
+    assert form == "enumeration"
+    spec = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
+    engine = theorem1_extended(spec)
+    assert engine.method == "character_sum"
+    assert engine.poly == oracle_extended(spec).poly
+
+
 def test_full_space_descent_sum_w0w1w2_coefficient():
     poly = full_space_enumerator(3, 3, (GAMMA_GT, SIGMA))
     got = {
@@ -148,8 +203,8 @@ def test_theorem1_cardinality_example():
 
 
 def test_theorem1_fast_path_and_forced_character_sum_agree():
-    # mixed statistics fall back to an enumeration-built full space, which
-    # goes through the same residue filter and keeps the theorem-1 label
+    # mixed statistics take the transfer-built full space through the
+    # residue filter and keep the theorem-1 label
     spec = CodeSpec(4, 3, ((GAMMA_GT, 3, 1), (DELTA, 2, 1), (SIGMA, 3, 0)))
     fast = theorem1_extended(spec)
     assert fast.method == "character_sum"
@@ -169,8 +224,9 @@ def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
     [
         make_family("ternary_integer", n=10, a=5),
         make_family("tenengolts", n=12, r=4, a1=0, a2=0),
+        make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0),
     ],
-    ids=["product", "descent_sum"],
+    ids=["product", "descent_sum", "nonbinary_svt"],
 )
 def test_theorem1_budget_checked_before_expansion(spec):
     with pytest.raises(BudgetExceededError, match="budget 1000"):
