@@ -154,8 +154,6 @@ def _verify_tenengolts(checks, max_n, max_r, budget):
 
 
 def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
-    from .codes import lc as lc_spec
-
     label = "blc" if binary else "lc"
     for i in range(count):
         r = 2 if binary else rng.randint(2, 4)
@@ -163,8 +161,8 @@ def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
         m = rng.randint(1, max_m)
         h = tuple(rng.randrange(max(m, 2)) for _ in range(n))
         a = rng.randrange(m)
-        closed = lc_hamming(n, m, r, h, a)
-        oracle = specialize(oracle_extended(lc_spec(n, m, r, h, a), budget), "hamming")
+        closed = lc_hamming(n, m, r, h, a, budget)
+        oracle = compute(make_family("lc", n=n, m=m, r=r, h=h, a=a), "hamming", "oracle", budget)
         ok = closed.poly == oracle.poly
         checks.append((f"{label} i={i} n={n} m={m} r={r} a={a}", ok))
 

@@ -10,6 +10,7 @@ constructors for the classic congruence-defined code families.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,9 +38,27 @@ VARIANT_STATS = {
     "<=": "lambda_le",
 }
 
+#: comparison of (previous symbol, symbol) that each descent-type statistic
+#: counts at a position i >= 1: the gamma/lambda variants add i, delta adds 1
+DESCENT_COMPARISONS = {
+    "gamma_gt": operator.gt,
+    "gamma_ge": operator.ge,
+    "lambda_lt": operator.lt,
+    "lambda_le": operator.le,
+    "delta": operator.gt,
+}
+
 
 class BudgetExceededError(Exception):
     """Exhaustive enumeration would visit more words than the budget allows."""
+
+
+def check_budget(work: int, budget: int | None, what: str) -> None:
+    """Refuse `work` units of work (words, terms, span elements) above the
+    budget, DEFAULT_BUDGET when `budget` is None; `what` names the work."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if work > limit:
+        raise BudgetExceededError(f"{what} exceeds the budget {limit}")
 
 
 @dataclass(frozen=True)
@@ -83,27 +102,22 @@ def custom(fn) -> Statistic:
 
 def evaluate_statistic(stat: Statistic, word) -> int:
     """Exact value of a statistic on a word; the empty word gives 0."""
-    kind = stat.kind
-    n = len(word)
-    if kind == "omega":
-        return sum(i * x for i, x in enumerate(word, start=1))
-    if kind == "sigma":
-        return sum(word)
-    if kind == "gamma_gt":
-        return sum(i for i in range(1, n) if word[i - 1] > word[i])
-    if kind == "gamma_ge":
-        return sum(i for i in range(1, n) if word[i - 1] >= word[i])
-    if kind == "lambda_lt":
-        return sum(i for i in range(1, n) if word[i - 1] < word[i])
-    if kind == "lambda_le":
-        return sum(i for i in range(1, n) if word[i - 1] <= word[i])
-    if kind == "delta":
-        return sum(1 for i in range(1, n) if word[i - 1] > word[i])
-    if kind == "linear":
-        if len(stat.h) != n:
-            raise ValueError(f"weight vector of length {len(stat.h)} on a word of length {n}")
-        return sum(h * x for h, x in zip(stat.h, word))
-    return stat.fn(word)
+    return statistic_evaluator(stat, len(word))(word)
+
+
+def statistic_evaluator(stat: Statistic, n: int) -> Callable:
+    """The statistic as a function of words of length n.  A scan binds it
+    once per constraint, so no word pays the dispatch on the kind."""
+    h = linear_weights(stat, n)
+    if h is not None:
+        return lambda word: sum(map(operator.mul, h, word))
+    cmp = DESCENT_COMPARISONS.get(stat.kind)
+    if cmp is None:
+        return stat.fn
+    if stat.kind == "delta":
+        return lambda word: sum(map(cmp, word, word[1:]))
+    positions = range(1, n)
+    return lambda word: sum(itertools.compress(positions, map(cmp, word, word[1:])))
 
 
 def linear_weights(stat: Statistic, n: int):
@@ -165,10 +179,18 @@ class CodeSpec:
         return len(self.constraints)
 
 
-def _satisfies(spec: CodeSpec, word) -> bool:
-    return all(
-        (evaluate_statistic(c.stat, word) - c.a) % c.m == 0 for c in spec.constraints
-    )
+def _membership_test(spec: CodeSpec) -> Callable:
+    """Whether a length-n word satisfies every congruence of the spec, with
+    each constraint's evaluator bound once."""
+    checks = [(statistic_evaluator(c.stat, spec.n), c.m, c.a) for c in spec.constraints]
+
+    def test(word) -> bool:
+        for value, m, a in checks:
+            if (value(word) - a) % m:
+                return False
+        return True
+
+    return test
 
 
 def is_member(spec: CodeSpec, word) -> bool:
@@ -177,7 +199,7 @@ def is_member(spec: CodeSpec, word) -> bool:
         raise ValueError(f"word of length {len(word)} against a length-{spec.n} spec")
     if any(not 0 <= x < spec.r for x in word):
         raise ValueError(f"word {word} leaves the alphabet [0, {spec.r})")
-    return _satisfies(spec, word)
+    return _membership_test(spec)(word)
 
 
 def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
@@ -185,19 +207,10 @@ def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
 
     Refuses to scan more than `budget` words (default 10**7).
     """
-    limit = DEFAULT_BUDGET if budget is None else budget
     total = spec.r**spec.n
-    if total > limit:
-        raise BudgetExceededError(
-            f"enumerating {spec.r}^{spec.n} = {total} words exceeds the budget {limit}"
-        )
-
-    def generate():
-        for word in itertools.product(range(spec.r), repeat=spec.n):
-            if _satisfies(spec, word):
-                yield word
-
-    return generate()
+    check_budget(total, budget, f"enumerating {spec.r}^{spec.n} = {total} words")
+    test = _membership_test(spec)
+    return (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
 
 
 def weight_sequence(t: int, r: int, length: int) -> list[int]:

@@ -14,8 +14,11 @@ checks that every full-space coefficient is non-negative.
 
 W_full itself comes from one transfer pass over the positions (the
 transfer-matrix method), since every built-in statistic adds an increment
-that depends only on the position, the symbol and the symbol before it.
-Only a custom statistic makes the full space a scan of [0, r)^n.
+that depends only on the position, the symbol and the symbol before it;
+only a custom statistic makes the full space a scan of [0, r)^n.  Keyed by
+residues mod m instead of exact values, the same pass evaluates the
+linear-congruence character sum of `lc_hamming`, which orthogonality turns
+into the coefficient of x^a in a product taken in Z[x]/(x^m - 1).
 """
 
 from __future__ import annotations
@@ -26,26 +29,20 @@ from math import comb, gcd
 from typing import Optional
 
 from .codes import (
-    DEFAULT_BUDGET,
+    DESCENT_COMPARISONS,
     SIGMA,
     VARIANT_STATS,
-    BudgetExceededError,
     CodeSpec,
-    Statistic,
+    check_budget,
     enumerate_codewords,
-    evaluate_statistic,
+    linear,
     linear_weights,
+    statistic_evaluator,
     tenengolts as tenengolts_spec,
     lc as lc_spec,
     type_vector,
 )
-from .exactalg import (
-    CycElement,
-    IntegralityError,
-    MultiPoly,
-    NonDivisibleError,
-    cyc_root,
-)
+from .exactalg import IntegralityError, MultiPoly, NonDivisibleError
 from .numtheory import divisors, ramanujan_sum
 
 KINDS = ("extended", "complete", "hamming")
@@ -80,9 +77,10 @@ class Enumerator:
 def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     """Extended weight enumerator by summing one monomial per codeword."""
     variables = z_variables(spec.s) + w_variables(spec.r)
+    evaluators = [statistic_evaluator(c.stat, spec.n) for c in spec.constraints]
     terms: dict = {}
     for word in enumerate_codewords(spec, budget):
-        rho = tuple(evaluate_statistic(c.stat, word) for c in spec.constraints)
+        rho = tuple(value(word) for value in evaluators)
         if any(v < 0 for v in rho):
             raise ValueError(
                 "a statistic took a negative value; enumerator exponents must be non-negative"
@@ -118,59 +116,56 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-#: comparison of (previous symbol, symbol) that each descent-type statistic
-#: counts; gamma/lambda variants add the position, delta adds 1
-_COMPARISONS = {
-    "gamma_gt": operator.gt,
-    "gamma_ge": operator.ge,
-    "lambda_lt": operator.lt,
-    "lambda_le": operator.le,
-    "delta": operator.gt,
-}
-
-
-def _full_space(n: int, r: int, stats, budget: int | None):
-    """Full-space extended enumerator and the form that produced it.
+def _transfer(n: int, r: int, stats, moduli, carry: str, budget: int | None) -> dict:
+    """Counts of the words of [0, r)^n by their statistic keys followed by
+    their carry, from one transfer pass over the positions.
 
     Every built-in statistic is a sum of per-position increments that
     depend only on the position j, the symbol x and the symbol before it:
     h_j x for omega, sigma and linear statistics, and j (1 for delta) when
-    the statistic's comparison of (previous, x) holds.  So one transfer pass
-    over the positions builds the enumerator ("transfer"), keeping one
-    terms dict per last symbol when some statistic reads it and a single
-    dict otherwise.  Before the pass starts, the term count is bounded by
-    min(r^n, prod_i (1 + max_i) C(n+r-1, r-1)), where max_i is statistic
-    i's largest total (sigma, fixed by the type vector, adds no factor);
-    a bound over `budget` raises BudgetExceededError.  A custom statistic
-    has no increments, and its full space is the oracle's scan of the code
-    that every word satisfies ("enumeration")."""
-    stats = list(stats)
-    if any(st.kind == "custom" for st in stats):
-        spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
-        return oracle_extended(spec, budget).poly, "enumeration"
+    the statistic's comparison of (previous, x) holds.  So the pass keeps
+    one {key: count} dict per last symbol when some statistic reads it and
+    a single dict otherwise.
+
+    Key map: statistic i is kept mod its range, moduli[i] for residue keys
+    (any integer weights), or 1 + max_i for exact keys (`moduli` None;
+    negative weights refused), which no value reaches, so exact keys are
+    never reduced.  Carry map: symbol x adds its type vector ("complete")
+    or (x != 0,) ("hamming").  Before the pass, the key count is bounded by
+    min(r^n, C(n+r-1, r-1) type vectors or n+1 Hamming weights, times
+    prod_i range_i), sigma adding no factor beside the type vector that
+    fixes it; a bound over `budget` raises BudgetExceededError."""
     weights = [linear_weights(st, n) for st in stats]
-    if any(x < 0 for w in weights if w is not None for x in w):
-        raise ValueError("full-space enumerators need non-negative weights")
-    bound = comb(n + r - 1, r - 1)
-    for st, w in zip(stats, weights):
-        if w is not None and st.kind != "sigma":
-            bound *= 1 + (r - 1) * sum(w)
-        elif st.kind == "delta":
-            bound *= max(n, 1)
-        elif w is None:
-            bound *= 1 + n * (n - 1) // 2
+    if moduli is None:
+        if any(x < 0 for w in weights if w is not None for x in w):
+            raise ValueError("full-space enumerators need non-negative weights")
+        ranges = [
+            1 + (r - 1) * sum(w) if w is not None
+            else max(n, 1) if st.kind == "delta"
+            else 1 + n * (n - 1) // 2
+            for st, w in zip(stats, weights)
+        ]
+    else:
+        ranges = list(moduli)
+    complete = carry == "complete"
+    if complete:
+        symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
+        bound = comb(n + r - 1, r - 1)
+    else:
+        symbol = [(int(x != 0),) for x in range(r)]
+        bound = n + 1
+    for st, size in zip(stats, ranges):
+        if not (complete and st.kind == "sigma"):
+            bound *= size
     bound = min(r**n, bound)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if bound > limit:
-        raise BudgetExceededError(
-            f"full-space transfer pass of up to {bound} terms exceeds the budget {limit}"
-        )
-    compares = [_COMPARISONS.get(st.kind) for st in stats]
+    check_budget(bound, budget, f"full-space transfer pass of up to {bound} terms")
+    # residue keys are reduced after each position; no carry reaches n + 1
+    reduce_by = None if moduli is None else tuple(ranges) + (n + 1,) * len(symbol[0])
+    compares = [DESCENT_COMPARISONS.get(st.kind) for st in stats]
     reads_previous = any(cmp is not None for cmp in compares)
-    symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
 
     def step(j: int, previous, x: int) -> tuple:
-        """Exponent increment of symbol x at position j after `previous`."""
+        """Key increment of symbol x at position j after `previous`."""
         inc = []
         for st, w, cmp in zip(stats, weights, compares):
             if w is not None:
@@ -181,8 +176,8 @@ def _full_space(n: int, r: int, stats, budget: int | None):
                 inc.append(0)
         return tuple(inc) + symbol[x]
 
-    # {last symbol (None when no statistic reads it): {exponents: count}}
-    states = {None: {(0,) * (len(stats) + r): 1}}
+    # {last symbol (None when no statistic reads it): {key: count}}
+    states = {None: {(0,) * (len(stats) + len(symbol[0])): 1}}
     for j in range(n):
         nxt: dict = {}
         for previous, terms in states.items():
@@ -192,12 +187,31 @@ def _full_space(n: int, r: int, stats, budget: int | None):
                 for exps, count in terms.items():
                     key = tuple(map(operator.add, exps, inc))
                     dest[key] = dest.get(key, 0) + count
+        if reduce_by is not None:
+            for last, terms in list(nxt.items()):
+                nxt[last] = dest = {}
+                for exps, count in terms.items():
+                    key = tuple(map(operator.mod, exps, reduce_by))
+                    dest[key] = dest.get(key, 0) + count
         states = nxt
     total: dict = {}
     for terms in states.values():
         for exps, count in terms.items():
             total[exps] = total.get(exps, 0) + count
-    return MultiPoly(z_variables(len(stats)) + w_variables(r), total), "transfer"
+    return total
+
+
+def _full_space(n: int, r: int, stats, budget: int | None):
+    """Full-space extended enumerator and the form that produced it: the
+    exact-key transfer pass with the type vector carried ("transfer"), or,
+    for a custom statistic, which has no increments, the oracle's scan of
+    the code that every word satisfies ("enumeration")."""
+    stats = list(stats)
+    if any(st.kind == "custom" for st in stats):
+        spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
+        return oracle_extended(spec, budget).poly, "enumeration"
+    terms = _transfer(n, r, stats, None, "complete", budget)
+    return MultiPoly(z_variables(len(stats)) + w_variables(r), terms), "transfer"
 
 
 def full_space_enumerator(
@@ -242,9 +256,17 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 # closed forms for linear congruence codes
 
 
-def lc_hamming(n: int, m: int, r: int, h, a: int) -> Enumerator:
-    """Hamming weight enumerator of the r-ary linear congruence code, by
-    the character sum (1/m) sum_u e(-au/m) prod_j (1 + w sum_k e(h_j k u / m))."""
+def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> Enumerator:
+    """Hamming weight enumerator of the r-ary linear congruence code.
+
+    The paper's character sum (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1}
+    e(h_j k u/m)) is, by orthogonality, the coefficient of x^a in
+    prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  One
+    transfer pass with the weighted sum kept mod m and the Hamming weight
+    carried computes that coefficient in integer arithmetic, for any
+    integer weights: there are no twisted points and no division by m, so
+    no integrality sentinel can fire.  The pass's bound min(r^n, (n+1) m)
+    is checked against `budget` before it starts."""
     if n < 0 or m < 1 or r < 1:
         raise ValueError("need n >= 0, m >= 1, r >= 1")
     h = tuple(int(x) for x in h)
@@ -252,34 +274,8 @@ def lc_hamming(n: int, m: int, r: int, h, a: int) -> Enumerator:
         raise ValueError(f"weight vector of length {len(h)} for n={n}")
     if not 0 <= a < m:
         raise ValueError(f"a must lie in [0, {m}), got {a}")
-    zero = CycElement.integer(0, m)
-    totals = [zero] * (n + 1)
-    for u in range(m):
-        cur = [cyc_root(m, 0)]
-        for j in range(n):
-            inner = zero
-            for k in range(1, r):
-                inner = inner + cyc_root(m, h[j] * k * u)
-            nxt = []
-            for d in range(len(cur) + 1):
-                val = cur[d] if d < len(cur) else zero
-                if d:
-                    val = val + cur[d - 1] * inner
-                nxt.append(val)
-            cur = nxt
-        pref = cyc_root(m, -a * u)
-        for d in range(n + 1):
-            totals[d] = totals[d] + pref * cur[d]
-    terms: dict = {}
-    for d, val in enumerate(totals):
-        value = val.to_integer()
-        q, rem = divmod(value, m)
-        if rem:
-            raise NonDivisibleError(f"weight-{d} character sum {value} not divisible by {m}")
-        if q < 0:
-            raise IntegralityError(f"negative weight-{d} coefficient {q}")
-        if q:
-            terms[(d,)] = q
+    counts = _transfer(n, r, [linear(h)], (m,), "hamming", budget)
+    terms = {(weight,): c for (residue, weight), c in counts.items() if residue == a}
     spec = lc_spec(n, m, r, h, a) if n >= 1 else None
     return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
 
@@ -394,7 +390,7 @@ def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, in
 # route choice
 
 
-def _closed_form(spec: CodeSpec, kind: str):
+def _closed_form(spec: CodeSpec, kind: str, budget: int | None):
     """The closed-form result the spec's congruences admit at this kind,
     or None when they admit none."""
     if kind not in ("hamming", "cardinality"):
@@ -416,7 +412,7 @@ def _closed_form(spec: CodeSpec, kind: str):
         con = cons[0]
         h = linear_weights(con.stat, spec.n)
         if h is not None:
-            enum = lc_hamming(spec.n, con.m, spec.r, h, con.a)
+            enum = lc_hamming(spec.n, con.m, spec.r, h, con.a, budget)
             return enum.cardinality() if kind == "cardinality" else enum
     return None
 
@@ -432,15 +428,15 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     linear congruence takes `lc_hamming`.  Method "auto" uses these closed
     forms when they apply and theorem 1 otherwise; "closed" raises
     ValueError when none applies; "theorem1" and "oracle" force the
-    character-sum engine and brute force.  `budget` bounds the scans of
-    the last two routes.
+    character-sum engine and brute force.  `budget` bounds every route
+    but the descent/sum divisor sums, before its work starts.
     """
     if kind != "cardinality" and kind not in KINDS:
         raise ValueError(f"unknown enumerator kind {kind!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
     if method in ("auto", "closed"):
-        result = _closed_form(spec, kind)
+        result = _closed_form(spec, kind, budget)
         if result is not None:
             return result
         if method == "closed":

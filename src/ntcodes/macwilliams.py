@@ -15,13 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    enumerate_codewords,
-    linear_code,
-    type_vector,
-)
+from .codes import check_budget, enumerate_codewords, linear_code, type_vector
 from .enumerators import w_variables
 from .exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
 
@@ -43,9 +37,7 @@ def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
     spec = linear_code(r, rows)
     rows = [c.stat.h for c in spec.constraints]
     n, s = spec.n, spec.s
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if r**s > limit:
-        raise BudgetExceededError(f"spanning Z_{r}^{s} exceeds the budget {limit}")
+    check_budget(r**s, budget, f"spanning Z_{r}^{s}")
     code = tuple(enumerate_codewords(spec, budget))
     span = {
         tuple(sum(ui * row[j] for ui, row in zip(u, rows)) % r for j in range(n))

@@ -228,6 +228,21 @@ def test_theorem1_budget_exceeded_before_expansion(capsys):
     assert "budget" in err
 
 
+def test_card_ternary_integer_auto_matches_theorem1(capsys):
+    argv = ("card", "ternary_integer", "--n", "9", "--a", "5")
+    code, auto, _ = run(capsys, *argv)
+    assert code == 0
+    code, theorem1, _ = run(capsys, *argv, "--method", "theorem1")
+    assert code == 0 and auto == theorem1
+
+
+def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
+    # modulus 2^31 + 1: the pass's bound (n + 1) m is checked, not built
+    code, out, err = run(capsys, "card", "ternary_integer", "--n", "30", "--a", "5")
+    assert code == 3 and out == ""
+    assert f"up to {31 * (2**31 + 1)} terms exceeds the budget" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CODES_BUDGET", "100")
     code, _, err = run(

@@ -41,7 +41,8 @@ from ntcodes.enumerators import (
     w_variables,
     z_variables,
 )
-from ntcodes.exactalg import IntegralityError, MultiPoly, cyc_root
+from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly, cyc_root
+from ntcodes.numtheory import divisors
 from ntcodes.qcalc import compositions, q_multinomial
 
 T33_VARS = ("z1", "z2", "w0", "w1", "w2")
@@ -316,6 +317,75 @@ def test_lc_hamming_random_against_oracle():
         assert lc_hamming(n, m, r, h, a).poly == hamming_oracle(spec)
 
 
+def twisted_point_lc_hamming(n, m, r, h, a):
+    """The paper's character sum for the linear congruence code,
+    (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), evaluated
+    at the twisted points in Z[x]/(x^m - 1) and divided exactly by m."""
+    zero = CycElement.integer(0, m)
+    totals = [zero] * (n + 1)
+    for u in range(m):
+        cur = [cyc_root(m, 0)]
+        for j in range(n):
+            inner = zero
+            for k in range(1, r):
+                inner = inner + cyc_root(m, h[j] * k * u)
+            cur = [
+                (cur[d] if d < len(cur) else zero) + (cur[d - 1] * inner if d else zero)
+                for d in range(len(cur) + 1)
+            ]
+        pref = cyc_root(m, -a * u)
+        for d in range(n + 1):
+            totals[d] = totals[d] + pref * cur[d]
+    terms = {}
+    for d, total in enumerate(totals):
+        q, rem = divmod(total.to_integer(), m)
+        assert rem == 0 and q >= 0
+        if q:
+            terms[(d,)] = q
+    return MultiPoly(("w",), terms)
+
+
+@st.composite
+def lc_cases(draw):
+    """(n, m, r, h, a) with moduli rich in divisors, negative weights and
+    weights that are multiples of a divisor of m."""
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(1, 4))
+    m = draw(st.sampled_from((12, 24, 30)) | st.integers(1, 31))
+    d = draw(st.sampled_from(divisors(m)))
+    weight = st.integers(-2 * m, 2 * m) | st.integers(-3, 3).map(lambda k: k * d)
+    h = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    return n, m, r, h, draw(st.integers(0, m - 1))
+
+
+@given(lc_cases())
+def test_lc_hamming_matches_oracle(case):
+    n, m, r, h, a = case
+    spec = CodeSpec(n, r, ((linear(h), m, a),))
+    assert lc_hamming(n, m, r, h, a).poly == hamming_oracle(spec)
+
+
+def test_lc_hamming_equals_twisted_point_sum():
+    rng = random.Random(2024)
+    for _ in range(30):
+        n, r = rng.randint(0, 5), rng.randint(1, 4)
+        m = rng.choice((12, 24, 30, rng.randint(1, 20)))
+        d = rng.choice(divisors(m))
+        h = tuple(rng.choice((rng.randint(-m, 2 * m), d * rng.randint(-2, 2))) for _ in range(n))
+        a = rng.randrange(m)
+        assert lc_hamming(n, m, r, h, a).poly == twisted_point_lc_hamming(n, m, r, h, a)
+
+
+def test_lc_hamming_budget_checked_before_the_pass():
+    # bound min(r^n, (n + 1) m): min(3^6, 7 * 24) = 168
+    with pytest.raises(BudgetExceededError, match="up to 168 terms exceeds the budget 100"):
+        lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0, budget=100)
+    spec = make_family("lc", n=6, m=24, r=3, h=(1, 2, 3, 4, 5, 6), a=0)
+    with pytest.raises(BudgetExceededError):
+        compute(spec, "cardinality", budget=100)
+    assert compute(spec, "cardinality", budget=168) == lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0).cardinality()
+
+
 def test_tenengolts_hamming_paper_example():
     enum = tenengolts_hamming(3, 3, 0, 0)
     assert str(enum.poly) == "1 + 2*w^2 + 2*w^3"
@@ -574,3 +644,20 @@ def test_compute_rejects_unknown_kind_and_method():
         compute(spec, "weight")
     with pytest.raises(ValueError, match="method"):
         compute(spec, "hamming", "fast")
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [(f, p) for f, p, closed in ROUTE_CASES if closed and f != "tenengolts"],
+)
+def test_linear_congruence_route_does_no_cyclotomic_arithmetic(family, params, monkeypatch):
+    spec = make_family(family, **params)
+    expected = {kind: compute(spec, kind, "oracle") for kind in ("hamming", "cardinality")}
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic arithmetic on a linear-congruence route")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "to_integer"):
+        monkeypatch.setattr(CycElement, name, refuse)
+    assert compute(spec, "hamming").poly == expected["hamming"].poly
+    assert compute(spec, "cardinality") == expected["cardinality"]
