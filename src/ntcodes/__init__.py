@@ -23,6 +23,7 @@ from .enumerators import (
     Enumerator,
     argmax_cardinality,
     blc_hamming,
+    complete_weight_enumerator,
     compute,
     full_space_enumerator,
     lc_hamming,
@@ -46,7 +47,6 @@ from .macwilliams import (
     MacWilliamsReport,
     ZrLinearCode,
     build_code,
-    complete_weight_enumerator,
     verify_macwilliams,
 )
 from .numtheory import divisors, euler_phi, factorize, gcd, mobius, ramanujan_sum

@@ -159,7 +159,8 @@ def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
         r = 2 if binary else rng.randint(2, 4)
         n = rng.randint(1, max_n)
         m = rng.randint(1, max_m)
-        h = tuple(rng.randrange(max(m, 2)) for _ in range(n))
+        bound = max(m, 2)
+        h = tuple(rng.randrange(1 - bound, bound) for _ in range(n))
         a = rng.randrange(m)
         closed = lc_hamming(n, m, r, h, a, budget)
         oracle = compute(make_family("lc", n=n, m=m, r=r, h=h, a=a), "hamming", "oracle", budget)
@@ -186,14 +187,14 @@ def _verify_sc(checks, rng, count, max_n, max_m, budget):
         checks.append((f"sc i={i} n={n} r={r} stats={kinds}", ok))
 
 
-def _verify_macwilliams(checks, rng, count, max_n):
+def _verify_macwilliams(checks, rng, count, max_n, budget):
     made = 0
     while made < count:
         r = rng.randint(2, 6)
         s = rng.randint(1, 3)
         n = rng.randint(s, max(s, max_n))
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
-        code = build_code(r, rows)
+        code = build_code(r, rows, budget)
         if len(code.dual) != r**s:
             continue
         report = verify_macwilliams(code)
@@ -215,7 +216,7 @@ def _cmd_verify(args) -> int:
     if family in ("sc", "all"):
         _verify_sc(checks, rng, args.count, args.max_n, args.max_m, budget)
     if family in ("macwilliams", "all"):
-        _verify_macwilliams(checks, rng, args.count, args.max_n)
+        _verify_macwilliams(checks, rng, args.count, args.max_n, budget)
     if not checks:
         raise ValueError(f"verify --family {family} selected no checks: its sweep bounds are empty")
     mismatches = sum(1 for _, ok in checks if not ok)

@@ -24,6 +24,7 @@ into the coefficient of x^a in a product taken in Z[x]/(x^m - 1).
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional
@@ -88,6 +89,11 @@ def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
         key = rho + type_vector(word, spec.r)
         terms[key] = terms.get(key, 0) + 1
     return Enumerator("extended", MultiPoly(variables, terms), "oracle", spec)
+
+
+def complete_weight_enumerator(words, r: int) -> MultiPoly:
+    """Sum over words of the monomial prod_j w_j^(count of symbol j)."""
+    return MultiPoly(w_variables(r), Counter(type_vector(word, r) for word in words))
 
 
 def specialize(enum: Enumerator, target: str):
@@ -428,8 +434,11 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     linear congruence takes `lc_hamming`.  Method "auto" uses these closed
     forms when they apply and theorem 1 otherwise; "closed" raises
     ValueError when none applies; "theorem1" and "oracle" force the
-    character-sum engine and brute force.  `budget` bounds every route
-    but the descent/sum divisor sums, before its work starts.
+    character-sum engine and brute force.  Below kind "extended" the
+    oracle counts the type vectors of the scanned codewords and evaluates
+    no statistic, so negative statistic values are no obstacle there.
+    `budget` bounds every route but the descent/sum divisor sums, before
+    its work starts.
     """
     if kind != "cardinality" and kind not in KINDS:
         raise ValueError(f"unknown enumerator kind {kind!r}")
@@ -442,7 +451,10 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         if method == "closed":
             stats = ", ".join(c.stat.kind for c in spec.constraints)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
-    if method == "oracle":
+    if method == "oracle" and kind != "extended":
+        words = enumerate_codewords(spec, budget)
+        base = Enumerator("complete", complete_weight_enumerator(words, spec.r), "oracle", spec)
+    elif method == "oracle":
         base = oracle_extended(spec, budget)
     else:
         base = theorem1_extended(spec, budget)

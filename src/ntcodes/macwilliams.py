@@ -2,21 +2,25 @@
 
 A code is materialized from its parity-check matrix by the codeword scan
 of `codes.enumerate_codewords`; its dual is the row span.  Verification
-substitutes v_i = sum_k w_k e(ik/r) into the dual's complete weight
-enumerator, expands exactly over root-of-unity coefficients, divides by
-r^s, and compares with the primal enumerator coefficient by coefficient.
+evaluates the dual's complete weight enumerator at v_i = sum_k w_k X^(ik),
+with coefficients in the group ring Z[X]/(X^r - 1) (X standing for
+e(1/r)), by one Horner pass over the trie of the dual's type vectors; it
+then reduces each coefficient to an integer, divides by r^s and compares
+with the primal enumerator coefficient by coefficient.  The right side is
+built from the dual's type counts alone, so the identity is an independent
+check of the codeword scan.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .codes import check_budget, enumerate_codewords, linear_code, type_vector
-from .enumerators import w_variables
+from .enumerators import complete_weight_enumerator, w_variables
 from .exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
 
 
@@ -39,43 +43,86 @@ def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
     n, s = spec.n, spec.s
     check_budget(r**s, budget, f"spanning Z_{r}^{s}")
     code = tuple(enumerate_codewords(spec, budget))
-    span = {
-        tuple(sum(ui * row[j] for ui, row in zip(u, rows)) % r for j in range(n))
-        for u in itertools.product(range(r), repeat=s)
-    }
+    # the row span, one row at a time: the span so far plus each multiple
+    span = {(0,) * n}
+    for row in rows:
+        multiples = {tuple([c * h % r for h in row]) for c in range(r)}
+        span = {
+            tuple([(x + y) % r for x, y in zip(word, multiple)])
+            for word in span
+            for multiple in multiples
+        }
     return ZrLinearCode(r, n, s, tuple(rows), code, tuple(sorted(span)))
 
 
-def complete_weight_enumerator(words, r: int) -> MultiPoly:
-    """Sum over words of the monomial prod_j w_j^(count of symbol j)."""
-    terms: dict = {}
-    for word in words:
-        key = type_vector(word, r)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(w_variables(r), terms)
+def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
+    """sum_tau counts[tau] prod_i v_i^(tau_i), v_i = sum_k w_k X^(ik), over
+    type vectors tau of length-n words: a map from w-exponent vectors to
+    length-r coefficient vectors in Z[X]/(X^r - 1).
 
+    Horner's rule on the trie of the type vectors: at depth i the type
+    vectors sharing tau_0..tau_(i-1) are grouped by tau_i, and for
+    t_1 < t_2 < ... the group's sum is sum_t v_i^t F_t =
+    v_i^(t_1) (F_(t_1) + v_i^(t_2 - t_1) (F_(t_2) + ...)), so every
+    product by v_0..v_(i-1) is shared by the whole group; a group of one
+    type vector is expanded directly.  Keys and coefficients are packed
+    integers: a w-exponent vector e is sum_k e_k (n+1)^k, and a group-ring
+    element is sum_p c_p 2^(p*width), on which X^j is a cyclic rotation by
+    j digits.  Every coefficient is non-negative and all of them sum to
+    sum(counts) * r^n, so no digit carries into the next."""
+    base = n + 1
+    strides = [base**k for k in range(r)]
+    width = (sum(counts.values()) * r**n).bit_length()
+    mask = (1 << (r * width)) - 1
 
-@functools.lru_cache(maxsize=None)
-def _dual_term_expansion(r: int, tau: tuple):
-    """Expansion of prod_i (sum_k w_k e(ik/r))^(tau_i): a map from
-    w-exponent vectors to length-r root-of-unity coefficient vectors."""
-    poly = {(0,) * r: [1] + [0] * (r - 1)}
-    for i, t in enumerate(tau):
-        for _ in range(t):
+    # factors[i]: per k, the stride of w_k in a key and the rotation by X^(ik)
+    factors = [
+        [(stride, i * k % r * width, (r - i * k % r) * width) for k, stride in enumerate(strides)]
+        for i in range(r)
+    ]
+
+    def times_v(poly: dict, i: int, times: int) -> dict:
+        factor = factors[i]
+        for _ in range(times):
             nxt: dict = {}
-            for exps, vec in poly.items():
-                for k in range(r):
-                    shift = (i * k) % r
-                    key = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
-                    acc = nxt.get(key)
-                    if acc is None:
-                        acc = [0] * r
-                        nxt[key] = acc
-                    for p, c in enumerate(vec):
-                        if c:
-                            acc[(p + shift) % r] += c
+            get = nxt.get
+            for key, vec in poly.items():
+                for stride, up, down in factor:
+                    dest = key + stride
+                    nxt[dest] = get(dest, 0) + (((vec << up) & mask) | (vec >> down))
             poly = nxt
-    return {exps: tuple(vec) for exps, vec in poly.items()}
+        return poly
+
+    def horner(group: list, i: int) -> dict:
+        """Sum over the group's entries (tau_0, ..., tau_(r-1), count),
+        which share tau_0..tau_(i-1) and come in descending order, of
+        count * prod_(j >= i) v_j^(tau_j)."""
+        if len(group) == 1:
+            entry = group[0]
+            poly = {0: entry[r]}
+            for j in range(i, r):
+                if entry[j]:
+                    poly = times_v(poly, j, entry[j])
+            return poly
+        runs = itertools.groupby(group, operator.itemgetter(i))
+        higher, run = next(runs)
+        acc = horner(list(run), i + 1)
+        for t, run in runs:
+            acc = times_v(acc, i, higher - t)
+            for key, vec in horner(list(run), i + 1).items():
+                acc[key] = acc.get(key, 0) + vec
+            higher = t
+        return times_v(acc, i, higher)
+
+    entries = sorted((tau + (cnt,) for tau, cnt in counts.items()), reverse=True)
+    shifts = [p * width for p in range(r)]
+    digit = (1 << width) - 1
+    return {
+        tuple([key // stride % base for stride in strides]): tuple(
+            [vec >> shift & digit for shift in shifts]
+        )
+        for key, vec in horner(entries, 0).items()
+    }
 
 
 @dataclass
@@ -102,19 +149,9 @@ def verify_macwilliams(code: ZrLinearCode) -> MacWilliamsReport:
     if dual_size != r**s:
         return MacWilliamsReport(left, None, False, False, dual_size)
     counts = Counter(type_vector(y, r) for y in code.dual)
-    acc: dict = {}
-    for tau, cnt in counts.items():
-        for exps, vec in _dual_term_expansion(r, tau).items():
-            dest = acc.get(exps)
-            if dest is None:
-                dest = [0] * r
-                acc[exps] = dest
-            for p, c in enumerate(vec):
-                if c:
-                    dest[p] += cnt * c
     denom = r**s
     terms: dict = {}
-    for exps, vec in acc.items():
+    for exps, vec in _dual_at_characters(r, code.n, counts).items():
         value = CycElement(r, vec).to_integer()
         q, rem = divmod(value, denom)
         if rem:

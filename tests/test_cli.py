@@ -1,11 +1,15 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ntcodes.cli import _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
-from ntcodes.enumerators import enumerator_from_dict, tenengolts_hamming
+from ntcodes.enumerators import enumerator_from_dict, lc_hamming, tenengolts_hamming
 
 
 def run(capsys, *argv):
@@ -252,6 +256,59 @@ def test_budget_env_override(capsys, monkeypatch):
         "--method", "oracle",
     )
     assert code == 3
+
+
+def test_verify_macwilliams_respects_the_budget(capsys, monkeypatch):
+    argv = ("verify", "--family", "macwilliams", "--count", "2", "--max-n", "12")
+    code, _, err = run(capsys, *argv, "--budget", "10")
+    assert code == 3 and "budget" in err
+    monkeypatch.setenv("CODES_BUDGET", "10")
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err
+
+
+LC_NEGATIVE = ("lc", "--n", "3", "--m", "5", "--r", "2", "--h=-5,2,3", "--a", "0")
+
+
+def test_oracle_agrees_with_auto_on_negative_weights(capsys):
+    code, out, _ = run(capsys, "enum", *LC_NEGATIVE, "--method", "oracle")
+    assert code == 0 and out.strip() == "1 + w + w^2 + w^3"
+    for command, extra in (("enum", ("--kind", "hamming")), ("card", ())):
+        auto, oracle = (run(capsys, command, *LC_NEGATIVE, *extra, "--method", m) for m in ("auto", "oracle"))
+        assert auto == oracle and auto[0] == 0
+    # -5 = 0 (mod 5): the codewords are 000, 100, 011 and 111
+    code, out, _ = run(capsys, "enum", *LC_NEGATIVE, "--kind", "complete", "--method", "oracle")
+    assert code == 0 and out.strip() == "w0^3 + w0^2*w1 + w0*w1^2 + w1^3"
+    # the extended enumerator carries the statistic as an exponent
+    code, _, err = run(capsys, "enum", *LC_NEGATIVE, "--kind", "extended", "--method", "oracle")
+    assert code == 2 and "negative" in err
+
+
+def test_verify_lc_draws_negative_weights(capsys, monkeypatch):
+    import ntcodes.cli
+
+    drawn = []
+
+    def recording(n, m, r, h, a, budget=None):
+        drawn.extend(h)
+        return lc_hamming(n, m, r, h, a, budget)
+
+    monkeypatch.setattr(ntcodes.cli, "lc_hamming", recording)
+    for family in ("lc", "blc"):
+        code, out, _ = run(capsys, "verify", "--family", family, "--count", "20", "--max-n", "5")
+        assert code == 0 and out.strip().endswith("20 checks, 0 mismatches")
+    assert min(drawn) < 0 < max(drawn)
+
+
+def test_python_dash_m_ntcodes():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ntcodes", "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "5"
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):

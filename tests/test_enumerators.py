@@ -27,6 +27,7 @@ from ntcodes.enumerators import (
     _full_space,
     argmax_cardinality,
     blc_hamming,
+    complete_weight_enumerator,
     compute,
     enumerator_from_dict,
     enumerator_to_dict,
@@ -636,6 +637,22 @@ def test_compute_routes_agree_with_oracle(family, params, closed):
     for kind in ("extended", "complete"):
         with pytest.raises(ValueError, match=f"at kind {kind}"):
             compute(spec, kind, "closed")
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [(f, p) for f, p, _ in ROUTE_CASES],
+    ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(ROUTE_CASES)],
+)
+def test_oracle_below_extended_is_the_scan_complete_enumerator(family, params):
+    spec = make_family(family, **params)
+    extended = oracle_extended(spec)
+    complete = compute(spec, "complete", "oracle")
+    assert complete.kind == "complete" and complete.method == "oracle"
+    assert complete.poly == specialize(extended, "complete").poly
+    assert complete.poly == complete_weight_enumerator(enumerate_codewords(spec), spec.r)
+    assert compute(spec, "hamming", "oracle").poly == specialize(extended, "hamming").poly
+    assert compute(spec, "cardinality", "oracle") == extended.cardinality()
 
 
 def test_compute_rejects_unknown_kind_and_method():

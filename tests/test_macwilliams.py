@@ -1,12 +1,19 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ntcodes.codes import make_family
+import ntcodes
+import ntcodes.enumerators
+import ntcodes.macwilliams
+from ntcodes.codes import make_family, type_vector
 from ntcodes.enumerators import specialize, theorem1_extended, w_variables
 from ntcodes.exactalg import MultiPoly
 from ntcodes.macwilliams import (
+    _dual_at_characters,
     build_code,
     complete_weight_enumerator,
     verify_macwilliams,
@@ -119,3 +126,98 @@ def test_build_code_validation():
 
     with pytest.raises(BudgetExceededError):
         build_code(4, [[1] * 20], budget=1000)
+
+
+def dual_term_expansion(r, tau):
+    """Reference for one dual type vector: prod_i (sum_k w_k X^(ik))^(tau_i)
+    expanded from scratch, as a map from w-exponent vectors to length-r
+    coefficient vectors in Z[X]/(X^r - 1) (the right side's former
+    per-type-vector expansion)."""
+    poly = {(0,) * r: [1] + [0] * (r - 1)}
+    for i, t in enumerate(tau):
+        for _ in range(t):
+            nxt = {}
+            for exps, vec in poly.items():
+                for k in range(r):
+                    shift = (i * k) % r
+                    key = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
+                    acc = nxt.setdefault(key, [0] * r)
+                    for p, c in enumerate(vec):
+                        if c:
+                            acc[(p + shift) % r] += c
+            poly = nxt
+    return {exps: tuple(vec) for exps, vec in poly.items()}
+
+
+def per_type_vector_sum(r, counts):
+    """sum_tau counts[tau] * dual_term_expansion(r, tau), one type vector at
+    a time."""
+    acc = {}
+    for tau, cnt in counts.items():
+        for exps, vec in dual_term_expansion(r, tau).items():
+            dest = acc.setdefault(exps, [0] * r)
+            for p, c in enumerate(vec):
+                dest[p] += cnt * c
+    return {exps: tuple(vec) for exps, vec in acc.items()}
+
+
+def dual_counts(code):
+    return Counter(type_vector(y, code.r) for y in code.dual)
+
+
+@st.composite
+def parity_check_matrices(draw):
+    r = draw(st.integers(1, 6))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(s, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, r - 1), min_size=n, max_size=n), min_size=s, max_size=s
+        )
+    )
+    return r, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(parity_check_matrices())
+def test_horner_right_side_equals_per_type_vector_sum(case):
+    r, rows = case
+    code = build_code(r, rows)
+    counts = dual_counts(code)
+    assert _dual_at_characters(r, code.n, counts) == per_type_vector_sum(r, counts)
+
+
+@pytest.mark.parametrize(
+    "r,rows",
+    [
+        (2, [[0, 0, 0]]),  # the dual is the zero word alone: one type vector
+        (1, [[0, 0, 0, 0]]),  # r = 1: one type vector, no rotation
+        (2, [[1, 1, 0], [0, 1, 1]]),
+        (2, [[1, 0, 1, 1, 0, 1]]),
+        (6, [[1, 2, 3, 4, 5, 0], [0, 1, 1, 2, 3, 5], [2, 0, 5, 1, 1, 3]]),
+    ],
+)
+def test_horner_right_side_edge_cases(r, rows):
+    code = build_code(r, rows)
+    counts = dual_counts(code)
+    assert _dual_at_characters(r, code.n, counts) == per_type_vector_sum(r, counts)
+
+
+def test_single_type_vector_counts():
+    # a lone type vector is expanded directly, scaled by its count
+    for r, tau, cnt in ((2, (2, 1), 3), (4, (0, 2, 0, 1), 5), (6, (1, 0, 0, 1, 0, 2), 1)):
+        expected = {
+            exps: tuple(cnt * c for c in vec) for exps, vec in dual_term_expansion(r, tau).items()
+        }
+        assert _dual_at_characters(r, sum(tau), {tau: cnt}) == expected
+
+
+def test_right_side_keeps_no_cache():
+    for name, value in vars(ntcodes.macwilliams).items():
+        assert not hasattr(value, "cache_info"), f"ntcodes.macwilliams.{name} is cached"
+
+
+def test_complete_weight_enumerator_has_one_home():
+    func = ntcodes.enumerators.complete_weight_enumerator
+    assert ntcodes.macwilliams.complete_weight_enumerator is func
+    assert ntcodes.complete_weight_enumerator is func
