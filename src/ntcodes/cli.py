@@ -44,7 +44,7 @@ from .enumerators import (
     theorem1_extended,
 )
 from .exactalg import IntegralityError
-from .macwilliams import build_code, verify_macwilliams
+from .macwilliams import build_code, row_span, verify_macwilliams
 
 VARIANTS = tuple(VARIANT_STATS)
 
@@ -194,10 +194,11 @@ def _verify_macwilliams(checks, rng, count, max_n, budget):
         s = rng.randint(1, 3)
         n = rng.randint(s, max(s, max_n))
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
-        code = build_code(r, rows, budget)
-        if len(code.dual) != r**s:
+        # a rank-deficient draw is skipped before its kernel is scanned
+        dual = row_span(r, rows, budget)
+        if len(dual) != r**s:
             continue
-        report = verify_macwilliams(code)
+        report = verify_macwilliams(build_code(r, rows, budget, dual))
         checks.append((f"macwilliams i={made} r={r} n={n} s={s}", report.verified))
         made += 1
 

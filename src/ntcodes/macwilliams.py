@@ -1,14 +1,16 @@
 """Linear codes over Z_r and the complete-weight-enumerator duality check.
 
 A code is materialized from its parity-check matrix by the codeword scan
-of `codes.enumerate_codewords`; its dual is the row span.  Verification
-evaluates the dual's complete weight enumerator at v_i = sum_k w_k X^(ik),
-with coefficients in the group ring Z[X]/(X^r - 1) (X standing for
-e(1/r)), by one Horner pass over the trie of the dual's type vectors; it
-then reduces each coefficient to an integer, divides by r^s and compares
-with the primal enumerator coefficient by coefficient.  The right side is
-built from the dual's type counts alone, so the identity is an independent
-check of the codeword scan.
+of `codes.enumerate_codewords`; its dual is the row span (`row_span`),
+which has at most r^s elements and so can rule out a rank-deficient
+matrix before the kernel is scanned.  Verification evaluates the dual's
+complete weight enumerator at v_i = sum_k w_k X^(ik), with coefficients
+in the group ring Z[X]/(X^r - 1) (X standing for e(1/r)), by one Horner
+pass over the trie of the dual's type vectors; it then reduces each
+coefficient to an integer, divides by r^s and compares with the primal
+enumerator coefficient by coefficient.  The right side is built from the
+dual's type counts alone, so the identity is an independent check of the
+codeword scan.
 """
 
 from __future__ import annotations
@@ -36,15 +38,13 @@ class ZrLinearCode:
     dual: tuple
 
 
-def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
-    """Materialize the kernel of the parity-check matrix and the row span."""
-    spec = linear_code(r, rows)
-    rows = [c.stat.h for c in spec.constraints]
-    n, s = spec.n, spec.s
+def row_span(r: int, rows, budget: int | None = None) -> tuple:
+    """The sorted row span over Z_r of s equal-length rows.  Refuses when
+    its bound r^s exceeds the budget, before any work."""
+    s = len(rows)
     check_budget(r**s, budget, f"spanning Z_{r}^{s}")
-    code = tuple(enumerate_codewords(spec, budget))
-    # the row span, one row at a time: the span so far plus each multiple
-    span = {(0,) * n}
+    # the span one row at a time: the span so far plus each multiple
+    span = {(0,) * len(rows[0])}
     for row in rows:
         multiples = {tuple([c * h % r for h in row]) for c in range(r)}
         span = {
@@ -52,7 +52,18 @@ def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
             for word in span
             for multiple in multiples
         }
-    return ZrLinearCode(r, n, s, tuple(rows), code, tuple(sorted(span)))
+    return tuple(sorted(span))
+
+
+def build_code(r: int, rows, budget: int | None = None, dual=None) -> ZrLinearCode:
+    """Materialize the kernel of the parity-check matrix and the row span;
+    `dual` passes in a span the caller already has from `row_span`."""
+    spec = linear_code(r, rows)
+    rows = tuple(c.stat.h for c in spec.constraints)
+    if dual is None:
+        dual = row_span(r, rows, budget)
+    code = tuple(enumerate_codewords(spec, budget))
+    return ZrLinearCode(r, spec.n, spec.s, rows, code, dual)
 
 
 def _dual_at_characters(r: int, n: int, counts: dict) -> dict:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ntcodes.macwilliams
 from ntcodes.cli import _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
 from ntcodes.enumerators import enumerator_from_dict, lc_hamming, tenengolts_hamming
@@ -182,6 +183,55 @@ def test_table_t33enum(capsys):
     assert "cardinality: 5" in out
 
 
+# the tables list codewords in scan order; this is their text before the
+# meet-in-the-middle scan
+T33_TEXT = (
+    "codewords of the ternary descent/sum code, n=3 r=3:\n"
+    "  a1=0 a2=0: {000, 012, 111, 210, 222}\n"
+    "  a1=0 a2=1: {001, 022, 112}\n"
+    "  a1=0 a2=2: {002, 011, 122}\n"
+    "  a1=1 a2=0: {102, 201}\n"
+    "  a1=1 a2=1: {100, 202, 211}\n"
+    "  a1=1 a2=2: {101, 200, 212}\n"
+    "  a1=2 a2=0: {021, 120}\n"
+    "  a1=2 a2=1: {010, 121, 220}\n"
+    "  a1=2 a2=2: {020, 110, 221}\n"
+    "cardinality grid (closed form):\n"
+    "       a2=0    a2=1    a2=2    \n"
+    "  a1=0 5       3       3       \n"
+    "  a1=1 2       3       3       \n"
+    "  a1=2 2       3       3       \n"
+)
+T23_TEXT = (
+    "codewords of the descent/sum code variants, n=2 r=3:\n"
+    "  (a1,a2)   >               >=              <               <=              \n"
+    "  (0,0)    {00, 12}        {12}            {00, 21}        {21}            \n"
+    "  (0,1)    {01, 22}        {01}            {10, 22}        {10}            \n"
+    "  (0,2)    {02, 11}        {02}            {11, 20}        {20}            \n"
+    "  (1,0)    {21}            {00, 21}        {12}            {00, 12}        \n"
+    "  (1,1)    {10}            {10, 22}        {01}            {01, 22}        \n"
+    "  (1,2)    {20}            {11, 20}        {02}            {02, 11}        \n"
+)
+T33ENUM_TEXT = (
+    "codeword table for the ternary descent/sum code at a1=0 a2=0:\n"
+    "  x     gamma  sigma  tau0  tau1  tau2  \n"
+    "  000   0      0      3     0     0     \n"
+    "  012   0      3      1     1     1     \n"
+    "  111   0      3      0     3     0     \n"
+    "  210   3      3      1     1     1     \n"
+    "  222   0      6      0     0     3     \n"
+    "extended: w0^3 + z2^3*w0*w1*w2 + z2^3*w1^3 + z1^3*z2^3*w0*w1*w2 + z2^6*w2^3\n"
+    "complete: w0^3 + 2*w0*w1*w2 + w1^3 + w2^3\n"
+    "hamming:  1 + 2*w^2 + 2*w^3\n"
+    "cardinality: 5\n"
+)
+
+
+def test_tables_print_the_same_text_in_scan_order(capsys):
+    for name, text in (("t33", T33_TEXT), ("t23", T23_TEXT), ("t33enum", T33ENUM_TEXT)):
+        assert run(capsys, "table", name) == (0, text, "")
+
+
 def test_macwilliams_report(capsys):
     code, out, _ = run(capsys, "macwilliams", "--r", "2", "--H", "1,1", "--format", "json")
     assert code == 0
@@ -265,6 +315,29 @@ def test_verify_macwilliams_respects_the_budget(capsys, monkeypatch):
     monkeypatch.setenv("CODES_BUDGET", "10")
     code, _, err = run(capsys, *argv)
     assert code == 3 and "budget" in err
+
+
+def test_verify_macwilliams_scans_only_full_rank_draws(capsys, monkeypatch):
+    built = []
+
+    def build_code(r, rows, budget=None, dual=None):
+        code = ntcodes.macwilliams.build_code(r, rows, budget, dual)
+        built.append(len(code.dual) == r ** len(rows))
+        return code
+
+    monkeypatch.setattr("ntcodes.cli.build_code", build_code)
+    for seed in range(4):
+        code, out, _ = run(capsys, "verify", "--family", "macwilliams", "--count", "12", "--max-n", "3", "--seed", str(seed))
+        assert code == 0 and "summary: 12 checks, 0 mismatches" in out
+    assert built == [True] * 48
+
+
+def test_oracle_refuses_on_all_words_not_on_the_split(capsys):
+    # 2^24 words are over the default budget although the split scan would
+    # visit only 2 * 2^12 of them
+    h = ",".join(str(i) for i in range(1, 25))
+    code, out, err = run(capsys, "card", "lc", "--n", "24", "--m", "13", "--r", "2", "--h", h, "--a", "0", "--method", "oracle")
+    assert (code, out) == (3, "") and "2^24" in err
 
 
 LC_NEGATIVE = ("lc", "--n", "3", "--m", "5", "--r", "2", "--h=-5,2,3", "--a", "0")

@@ -1,10 +1,17 @@
+import ast
+import inspect
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ntcodes.codes
+import ntcodes.macwilliams
+from ntcodes.cli import main
 from ntcodes.codes import (
+    STAT_KINDS,
     BudgetExceededError,
     CodeSpec,
     Constraint,
@@ -23,6 +30,8 @@ from ntcodes.codes import (
     spec_to_dict,
     weight_sequence,
 )
+from ntcodes.codes import _membership_test, check_budget
+from ntcodes.exactalg import IntegralityError
 
 # desk-reference codeword sets for the ternary descent/sum code, n=3 r=3
 T33_SETS = {
@@ -148,11 +157,19 @@ def test_trivial_modulus_keeps_everything():
     assert words_of(spec) == {"00", "01", "10", "11"}
 
 
-def test_enumeration_budget():
+def refuse_split_scan(*_args):
+    raise AssertionError("the split scan was entered")
+
+
+def test_enumeration_budget(monkeypatch):
     spec = CodeSpec(8, 3, ((SIGMA, 1, 0),))
     with pytest.raises(BudgetExceededError):
         enumerate_codewords(spec, budget=100)
     assert len(list(enumerate_codewords(spec, budget=3**8))) == 3**8
+    # the call itself refuses, on all r^n words, before any table is built
+    monkeypatch.setattr(ntcodes.codes, "_split_scan", refuse_split_scan)
+    with pytest.raises(BudgetExceededError, match="3\\^8"):
+        enumerate_codewords(spec, budget=3**8 - 1)
 
 
 def test_binary_vt_codewords():
@@ -330,3 +347,120 @@ def test_descent_ascent_complementarity(n, data):
     assert gamma + lam_le == n * (n - 1) // 2
     lam_lt_rev = evaluate_statistic(Statistic("lambda_lt"), word[::-1])
     assert (lam_lt_rev + gamma) % n == 0
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle scan against the plain scan it replaced
+
+
+def plain_scan(spec, budget=None):
+    """Reference: the codeword scan before the split, every word of
+    [0, r)^n in lexicographic order filtered by the membership test."""
+    total = spec.r**spec.n
+    check_budget(total, budget, f"enumerating {spec.r}^{spec.n} = {total} words")
+    test = _membership_test(spec)
+    return [word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word)]
+
+
+BUILTIN_KINDS = tuple(kind for kind in STAT_KINDS if kind != "custom")
+
+
+def builtin_statistic(kind, h):
+    return linear(h) if kind == "linear" else Statistic(kind)
+
+
+@st.composite
+def split_specs(draw):
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(1, 4 if n <= 6 else 3))
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(BUILTIN_KINDS))
+        h = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        m = draw(st.integers(1, 9))
+        constraints.append((builtin_statistic(kind, h), m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(constraints))
+
+
+@settings(max_examples=300)
+@given(split_specs())
+def test_split_scan_equals_plain_scan(spec):
+    assert list(enumerate_codewords(spec)) == plain_scan(spec)
+
+
+def test_split_scan_every_kind_and_length():
+    for kind in BUILTIN_KINDS:
+        for n in range(9):
+            # zero and negative weights
+            h = tuple((-1) ** i * i for i in range(n))
+            stat = builtin_statistic(kind, h)
+            for r, m in ((1, 2), (3, 1), (3, n + 2), (2, 2 * n + 1)):
+                for a in {0, m // 2, m - 1}:
+                    spec = CodeSpec(n, r, ((stat, m, a),))
+                    assert list(enumerate_codewords(spec)) == plain_scan(spec), (kind, n, r, m, a)
+    svt = make_family("nonbinary_svt", n=8, r=3, m=5, a=2, b=1, c=0)
+    assert list(enumerate_codewords(svt)) == plain_scan(svt)
+
+
+def test_custom_statistic_takes_the_plain_scan(monkeypatch):
+    monkeypatch.setattr(ntcodes.codes, "_split_scan", refuse_split_scan)
+    spec = CodeSpec(4, 3, ((custom(lambda w: w[0] * w[-1]), 3, 1), (SIGMA, 2, 0)))
+    assert list(enumerate_codewords(spec)) == plain_scan(spec)
+    # so do words too short to split
+    assert list(enumerate_codewords(CodeSpec(1, 3, ((SIGMA, 2, 0),)))) == [(0,), (2,)]
+    with pytest.raises(AssertionError, match="split scan"):
+        enumerate_codewords(CodeSpec(2, 3, ((SIGMA, 2, 0),)))
+
+
+def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
+    split = ntcodes.codes._split_statistic
+
+    def off_by_one(stat, n, k, r):
+        prefix, suffix, boundary = split(stat, n, k, r)
+        return (lambda word: prefix(word) + 1), suffix, boundary
+
+    monkeypatch.setattr(ntcodes.codes, "_split_statistic", off_by_one)
+    with pytest.raises(IntegralityError, match="non-codeword"):
+        list(enumerate_codewords(CodeSpec(4, 3, ((SIGMA, 3, 0),))))
+    argv = ["card", "tenengolts", "--n", "4", "--r", "3", "--a1", "0", "--a2", "0", "--method", "oracle"]
+    assert main(argv) == 4
+    assert "non-codeword" in capsys.readouterr().err
+
+
+def test_codes_imports_nothing_from_enumerators():
+    # the oracle must share no code with the transfer kernel it checks
+    source = inspect.getsource(ntcodes.codes)
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not any("enumerators" in name for name in modules), modules
+    assert "_transfer" not in source
+
+
+def test_macwilliams_cli_unchanged_under_the_plain_scan(capsys, monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for _ in range(50):
+        r = rng.randint(2, 6)
+        s = rng.randint(1, 3)
+        n = rng.randint(s, 7)
+        rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
+        if s > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x % r for x in rows[0]]
+        matrix = ";".join(",".join(map(str, row)) for row in rows)
+        cases.append(["macwilliams", "--r", str(r), "--H", matrix])
+
+    def outputs():
+        results = []
+        for argv in cases:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    split = outputs()
+    monkeypatch.setattr(ntcodes.macwilliams, "enumerate_codewords", plain_scan)
+    assert outputs() == split
+    assert any("rank deficient" in out for _, out in split)

@@ -16,6 +16,7 @@ from ntcodes.macwilliams import (
     _dual_at_characters,
     build_code,
     complete_weight_enumerator,
+    row_span,
     verify_macwilliams,
 )
 
@@ -126,6 +127,17 @@ def test_build_code_validation():
 
     with pytest.raises(BudgetExceededError):
         build_code(4, [[1] * 20], budget=1000)
+
+
+def test_row_span_is_the_dual_and_checks_its_budget():
+    for r, rows in ((3, [[1, 2], [2, 1]]), (4, [[1, 2, 3], [0, 2, 2]]), (2, [[0, 0]])):
+        assert row_span(r, rows) == build_code(r, rows).dual
+    assert row_span(3, [[1, 2], [2, 1]]) == ((0, 0), (1, 2), (2, 1))
+    from ntcodes.codes import BudgetExceededError
+
+    # 4^6 span elements are refused although the kernel scan's 4^2 are not
+    with pytest.raises(BudgetExceededError, match="Z_4\\^6"):
+        build_code(4, [[1, 3]] * 6, budget=1000)
 
 
 def dual_term_expansion(r, tau):
