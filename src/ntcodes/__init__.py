@@ -47,7 +47,6 @@ from .macwilliams import (
     MacWilliamsReport,
     ZrLinearCode,
     build_code,
-    row_span,
     verify_macwilliams,
 )
 from .numtheory import divisors, euler_phi, factorize, gcd, mobius, ramanujan_sum

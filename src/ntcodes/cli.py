@@ -195,10 +195,9 @@ def _verify_macwilliams(checks, rng, count, max_n, budget):
         n = rng.randint(s, max(s, max_n))
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
         # a rank-deficient draw is skipped before its kernel is scanned
-        dual = row_span(r, rows, budget)
-        if len(dual) != r**s:
+        if len(row_span(r, rows, budget)) != r**s:
             continue
-        report = verify_macwilliams(build_code(r, rows, budget, dual))
+        report = verify_macwilliams(build_code(r, rows, budget))
         checks.append((f"macwilliams i={made} r={r} n={n} s={s}", report.verified))
         made += 1
 

@@ -39,8 +39,10 @@ class ZrLinearCode:
 
 
 def row_span(r: int, rows, budget: int | None = None) -> tuple:
-    """The sorted row span over Z_r of s equal-length rows.  Refuses when
-    its bound r^s exceeds the budget, before any work."""
+    """The sorted row span over Z_r of s equal-length rows, validated as a
+    parity-check matrix by `linear_code`.  Refuses when its bound r^s
+    exceeds the budget, before any work."""
+    rows = [c.stat.h for c in linear_code(r, rows).constraints]
     s = len(rows)
     check_budget(r**s, budget, f"spanning Z_{r}^{s}")
     # the span one row at a time: the span so far plus each multiple
@@ -55,13 +57,11 @@ def row_span(r: int, rows, budget: int | None = None) -> tuple:
     return tuple(sorted(span))
 
 
-def build_code(r: int, rows, budget: int | None = None, dual=None) -> ZrLinearCode:
-    """Materialize the kernel of the parity-check matrix and the row span;
-    `dual` passes in a span the caller already has from `row_span`."""
+def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
+    """Materialize the kernel of the parity-check matrix and the row span."""
     spec = linear_code(r, rows)
     rows = tuple(c.stat.h for c in spec.constraints)
-    if dual is None:
-        dual = row_span(r, rows, budget)
+    dual = row_span(r, rows, budget)
     code = tuple(enumerate_codewords(spec, budget))
     return ZrLinearCode(r, spec.n, spec.s, rows, code, dual)
 

@@ -320,8 +320,8 @@ def test_verify_macwilliams_respects_the_budget(capsys, monkeypatch):
 def test_verify_macwilliams_scans_only_full_rank_draws(capsys, monkeypatch):
     built = []
 
-    def build_code(r, rows, budget=None, dual=None):
-        code = ntcodes.macwilliams.build_code(r, rows, budget, dual)
+    def build_code(r, rows, budget=None):
+        code = ntcodes.macwilliams.build_code(r, rows, budget)
         built.append(len(code.dual) == r ** len(rows))
         return code
 

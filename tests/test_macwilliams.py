@@ -138,6 +138,19 @@ def test_row_span_is_the_dual_and_checks_its_budget():
     # 4^6 span elements are refused although the kernel scan's 4^2 are not
     with pytest.raises(BudgetExceededError, match="Z_4\\^6"):
         build_code(4, [[1, 3]] * 6, budget=1000)
+    with pytest.raises(BudgetExceededError, match="Z_4\\^6"):
+        row_span(4, [[1, 3]] * 6, budget=1000)
+
+
+def test_row_span_validates_its_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        row_span(2, [])
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        row_span(2, [[1, 0], [1]])
+    with pytest.raises(ValueError, match="positive"):
+        row_span(0, [[1]])
+    # entries are reduced mod r, as in the parity-check matrix
+    assert row_span(3, [[4, -1]]) == row_span(3, [[1, 2]])
 
 
 def dual_term_expansion(r, tau):
