@@ -4,8 +4,7 @@ The package constructs codes defined by simultaneous congruences on
 codeword statistics, computes their extended, complete, and Hamming weight
 enumerators and cardinalities both by brute-force enumeration and by
 closed-form character sums, and verifies the two routes agree bit-exactly.
-All arithmetic is exact: arbitrary-precision integers and cyclotomic
-integers, no floating point.
+All arithmetic is exact: arbitrary-precision integers, no floating point.
 """
 
 from .codes import (
@@ -22,7 +21,6 @@ from .codes import (
 from .enumerators import (
     Enumerator,
     argmax_cardinality,
-    blc_hamming,
     complete_weight_enumerator,
     compute,
     full_space_enumerator,
@@ -40,7 +38,6 @@ from .exactalg import (
     MultiPoly,
     NonDivisibleError,
     NotAnIntegerError,
-    cyc_root,
     cyclotomic_polynomial,
 )
 from .macwilliams import (

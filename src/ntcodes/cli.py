@@ -29,7 +29,9 @@ from .codes import (
     FAMILIES,
     VARIANT_STATS,
     enumerate_codewords,
+    evaluate_statistic,
     make_family,
+    type_vector,
 )
 from .enumerators import (
     METHODS,
@@ -286,8 +288,6 @@ def _cmd_table(args) -> int:
         spec = make_family("tenengolts", n=3, r=3, a1=0, a2=0)
         print("codeword table for the ternary descent/sum code at a1=0 a2=0:")
         print(f"  {'x':<6}{'gamma':<7}{'sigma':<7}{'tau0':<6}{'tau1':<6}{'tau2':<6}")
-        from .codes import evaluate_statistic, type_vector
-
         for word in enumerate_codewords(spec, budget):
             g = evaluate_statistic(spec.constraints[0].stat, word)
             sg = evaluate_statistic(spec.constraints[1].stat, word)

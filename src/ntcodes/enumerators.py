@@ -34,6 +34,7 @@ from .codes import (
     SIGMA,
     VARIANT_STATS,
     CodeSpec,
+    Constraint,
     check_budget,
     enumerate_codewords,
     linear,
@@ -97,25 +98,32 @@ def complete_weight_enumerator(words, r: int) -> MultiPoly:
 
 
 def specialize(enum: Enumerator, target: str):
-    """Walk the extended -> complete -> hamming -> cardinality chain."""
+    """Walk the extended -> complete -> hamming -> cardinality chain by
+    projecting exponent vectors: "complete" keeps the type vector tau (the
+    w-exponents) and drops the z-exponents, "hamming" maps tau to the one
+    exponent sum_{j>=1} tau_j.  Coefficients of equal images add up."""
     if target == "cardinality":
         return enum.cardinality()
     if target not in KINDS:
         raise ValueError(f"unknown enumerator kind {target!r}")
     if KINDS.index(target) < KINDS.index(enum.kind):
         raise ValueError(f"cannot specialize {enum.kind} to {target}")
-    kind, poly = enum.kind, enum.poly
-    if kind == "extended" and target != "extended":
-        zmap = {v: 1 for v in poly.variables if v.startswith("z")}
-        if zmap:
-            poly = poly.substitute(zmap)
-        kind = "complete"
-    if kind == "complete" and target == "hamming":
-        w = MultiPoly(("w",), {(1,): 1})
-        mapping = {v: (1 if v == "w0" else w) for v in poly.variables}
-        poly = poly.substitute(mapping, variables=("w",))
-        kind = "hamming"
-    return Enumerator(kind, poly, enum.method, enum.spec)
+    if target == enum.kind:
+        return enum
+    # positions of the type vector: every variable but the z's of an extended enumerator
+    variables = enum.poly.variables
+    tau = [i for i, v in enumerate(variables) if enum.kind != "extended" or not v.startswith("z")]
+    if target == "complete":
+        variables = tuple(variables[i] for i in tau)
+    else:
+        # the Hamming weight counts every symbol but 0
+        tau = [i for i in tau if variables[i] != "w0"]
+        variables = ("w",)
+    terms: dict = {}
+    for exps, coeff in enum.poly.terms.items():
+        key = tuple(exps[i] for i in tau) if target == "complete" else (sum(exps[i] for i in tau),)
+        terms[key] = terms.get(key, 0) + coeff
+    return Enumerator(target, MultiPoly(variables, terms), enum.method, enum.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +294,6 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
 
 
-def blc_hamming(n: int, m: int, h, a: int) -> Enumerator:
-    """Binary specialization of lc_hamming."""
-    return lc_hamming(n, m, 2, h, a)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for descent/sum codes
 
@@ -423,6 +426,19 @@ def _closed_form(spec: CodeSpec, kind: str, budget: int | None):
     return None
 
 
+def _nonnegative_weights(spec: CodeSpec) -> CodeSpec:
+    """The same code with each linear statistic that has a negative weight
+    given its weights reduced mod the modulus.  The congruences are
+    unchanged; only the z-exponents differ."""
+    cons = tuple(
+        Constraint(linear([x % c.m for x in c.stat.h]), c.m, c.a)
+        if c.stat.kind == "linear" and min(c.stat.h, default=0) < 0
+        else c
+        for c in spec.constraints
+    )
+    return CodeSpec(spec.n, spec.r, cons)
+
+
 def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None = None):
     """The spec's enumerator of the given kind, or its cardinality (an int)
     when `kind` is "cardinality".
@@ -436,7 +452,9 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     ValueError when none applies; "theorem1" and "oracle" force the
     character-sum engine and brute force.  Below kind "extended" the
     oracle counts the type vectors of the scanned codewords and evaluates
-    no statistic, so negative statistic values are no obstacle there.
+    no statistic, and theorem 1 gets the spec with its negative linear
+    weights reduced mod their moduli (the kind drops the z-exponents they
+    change), so negative weights are no obstacle there.
     `budget` bounds every route but the descent/sum divisor sums, before
     its work starts.
     """
@@ -456,8 +474,11 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         base = Enumerator("complete", complete_weight_enumerator(words, spec.r), "oracle", spec)
     elif method == "oracle":
         base = oracle_extended(spec, budget)
-    else:
+    elif kind == "extended":
         base = theorem1_extended(spec, budget)
+    else:
+        base = theorem1_extended(_nonnegative_weights(spec), budget)
+        base.spec = spec
     return specialize(base, kind)
 
 

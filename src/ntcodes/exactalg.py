@@ -1,23 +1,20 @@
 """Exact algebra substrate.
 
-Two value types carry every computation in this package:
+* ``MultiPoly`` - a sparse multivariate polynomial with integer
+  coefficients, keyed by exponent vectors; every enumerator is one.
+* ``CycElement`` - a length-L vector of the group ring Z[x]/(x^L - 1),
+  which ``to_integer`` reduces modulo the L-th cyclotomic polynomial to
+  the rational integer it equals (or raises).  The MacWilliams check
+  builds its right side in that ring and reduces each coefficient once.
 
-* ``CycElement`` - an integer combination of the L-th roots of unity, stored
-  in the group ring Z[x]/(x^L - 1) as a length-L coefficient vector.
-  Elements stay in that basis during arithmetic and are reduced modulo the
-  L-th cyclotomic polynomial only for equality tests and integer extraction.
-* ``MultiPoly`` - a sparse multivariate polynomial with integer (or
-  CycElement) coefficients, keyed by exponent vectors.
-
-There is no floating point anywhere; character sums, enumerators, and
-cardinalities are all exact.
+There is no floating point anywhere; enumerators and cardinalities are
+all exact.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from math import lcm
 
 from .numtheory import divisors
 
@@ -92,11 +89,11 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 class CycElement:
-    """An integer combination of the order-th roots of unity.
+    """An integer combination of the order-th roots of unity, kept only to
+    be reduced to the rational integer it equals.
 
-    ``coeffs[j]`` is the coefficient of zeta^j, where zeta = e(1/order).
-    Mixed-order arithmetic embeds both operands into their lcm order, so
-    callers never manage embeddings by hand.
+    ``coeffs[j]`` is the coefficient of zeta^j, where zeta = e(1/order):
+    a vector of the group ring Z[x]/(x^order - 1).
     """
 
     __slots__ = ("order", "coeffs")
@@ -109,92 +106,6 @@ class CycElement:
             raise ValueError(f"need {order} coefficients, got {len(coeffs)}")
         self.order = order
         self.coeffs = coeffs
-
-    # -- construction helpers
-
-    @staticmethod
-    def integer(value: int, order: int = 1) -> "CycElement":
-        return CycElement(order, (value,) + (0,) * (order - 1))
-
-    def embed(self, order: int) -> "CycElement":
-        """The same cyclotomic integer represented at a multiple order."""
-        if order % self.order:
-            raise ValueError(f"{order} is not a multiple of order {self.order}")
-        if order == self.order:
-            return self
-        stride = order // self.order
-        out = [0] * order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[j * stride] = c
-        return CycElement(order, out)
-
-    def _pair(self, other):
-        if isinstance(other, int):
-            other = CycElement.integer(other)
-        elif not isinstance(other, CycElement):
-            return None
-        common = lcm(self.order, other.order)
-        return self.embed(common), other.embed(common)
-
-    # -- ring operations
-
-    def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycElement(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycElement(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycElement(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 1:
-                return self
-            return CycElement(self.order, tuple(other * c for c in self.coeffs))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        n = a.order
-        out = [0] * n
-        bn = [(j, c) for j, c in enumerate(b.coeffs) if c]
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in bn:
-                    out[(i + j) % n] += ca * cb
-        return CycElement(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the group ring")
-        result = CycElement.integer(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # -- reduction and predicates
 
     def _reduced(self) -> tuple[int, ...]:
         """Coordinates in the power basis of Z[zeta], i.e. the remainder of
@@ -211,18 +122,6 @@ class CycElement:
                         rem[i - deg + k] -= c * phi[k]
         return tuple(rem[:deg])
 
-    def is_zero(self) -> bool:
-        c = self.coeffs
-        if not any(c):
-            return True
-        # all-equal vectors are multiples of the full root sum, which vanishes
-        if self.order > 1 and all(v == c[0] for v in c):
-            return True
-        return not any(self._reduced())
-
-    def is_integer(self) -> bool:
-        return not any(self._reduced()[1:])
-
     def to_integer(self) -> int:
         """The rational-integer value of this element.
 
@@ -237,35 +136,12 @@ class CycElement:
             )
         return rem[0] if rem else 0
 
-    def __eq__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycElement(
-            a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-        ).is_zero()
-
     def __repr__(self):
         nz = [(j, c) for j, c in enumerate(self.coeffs) if c]
         if not nz:
             return f"CycElement({self.order}, 0)"
         body = " + ".join(f"{c}*z^{j}" if j else str(c) for j, c in nz)
         return f"CycElement({self.order}, {body})"
-
-
-def cyc_root(order: int, numerator: int = 1) -> CycElement:
-    """The root of unity e(numerator / order) as a CycElement."""
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    idx = numerator % order
-    return CycElement(order, tuple(1 if j == idx else 0 for j in range(order)))
-
-
-def _coeff_is_zero(coeff) -> bool:
-    if isinstance(coeff, CycElement):
-        return coeff.is_zero()
-    return coeff == 0
 
 
 def _term_sort_key(exps):
@@ -278,10 +154,10 @@ _COEFF_RE = re.compile(r"-?\d+\Z")
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact coefficients.
+    """Sparse multivariate polynomial with integer coefficients.
 
     Terms map exponent tuples (one non-negative entry per declared
-    variable) to nonzero integer or CycElement coefficients.  Instances are
+    variable) to nonzero integer coefficients.  Instances are
     treated as immutable; every operation returns a fresh polynomial.
     """
 
@@ -300,7 +176,7 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                if not _coeff_is_zero(coeff):
+                if coeff:
                     clean[exps] = coeff
         self.variables = variables
         self.terms = clean
@@ -315,10 +191,6 @@ class MultiPoly:
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def monomial(cls, variables, exps, coeff=1) -> "MultiPoly":
-        return cls(variables, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, variables, name) -> "MultiPoly":
@@ -358,7 +230,7 @@ class MultiPoly:
     # -- ring operations
 
     def __add__(self, other):
-        if isinstance(other, (int, CycElement)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -375,7 +247,7 @@ class MultiPoly:
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, CycElement)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -385,9 +257,7 @@ class MultiPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, CycElement)):
-            if _coeff_is_zero(other):
-                return MultiPoly.zero(self.variables)
+        if isinstance(other, int):
             return MultiPoly(
                 self.variables, {e: c * other for e, c in self.terms.items()}
             )
@@ -420,91 +290,10 @@ class MultiPoly:
             e >>= 1
         return result
 
-    def divide_exact(self, k: int) -> "MultiPoly":
-        """Coefficient-wise division by k, which must divide exactly.
-
-        CycElement coefficients are divided in the power basis of Z[zeta]
-        (an integral basis, so exactness there is exactness in the ring).
-        """
-        if k == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        out = {}
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, CycElement):
-                rem = coeff._reduced()
-                if any(c % k for c in rem):
-                    raise NonDivisibleError(
-                        f"coefficient {coeff!r} of {exps} not divisible by {k}"
-                    )
-                reduced = tuple(c // k for c in rem)
-                out[exps] = CycElement(
-                    coeff.order, reduced + (0,) * (coeff.order - len(reduced))
-                )
-            else:
-                q, r = divmod(coeff, k)
-                if r:
-                    raise NonDivisibleError(
-                        f"coefficient {coeff} of {exps} not divisible by {k}"
-                    )
-                out[exps] = q
-        return MultiPoly(self.variables, out)
-
-    # -- substitution and evaluation
-
-    def substitute(self, mapping: dict, variables=None) -> "MultiPoly":
-        """Replace variables by integers, CycElements, or other polynomials.
-
-        The result's variable list defaults to the unmapped variables
-        followed by any new variables brought in by polynomial values.
-        """
-        unknown = set(mapping) - set(self.variables)
-        if unknown:
-            raise ValueError(f"substituting unknown variables: {sorted(unknown)}")
-        if variables is None:
-            merged = [v for v in self.variables if v not in mapping]
-            for v in self.variables:
-                value = mapping.get(v)
-                if isinstance(value, MultiPoly):
-                    for w in value.variables:
-                        if w not in merged:
-                            merged.append(w)
-            variables = tuple(merged)
-        else:
-            variables = tuple(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        width = len(variables)
-        power_memo: dict = {}
-        acc: dict = {}
-        for exps, coeff in self.terms.items():
-            kept = [0] * width
-            scalar = coeff
-            poly_factor = None
-            for var, e in zip(self.variables, exps):
-                if not e:
-                    continue
-                if var in mapping:
-                    value = mapping[var]
-                    if isinstance(value, MultiPoly):
-                        key = (var, e)
-                        power = power_memo.get(key)
-                        if power is None:
-                            power = MultiPoly(variables, value._expand_to(variables)) ** e
-                            power_memo[key] = power
-                        poly_factor = power if poly_factor is None else poly_factor * power
-                    else:
-                        scalar = scalar * value**e
-                else:
-                    kept[pos[var]] = e
-            piece = MultiPoly(variables, {tuple(kept): scalar})
-            if poly_factor is not None:
-                piece = piece * poly_factor
-            for key, c in piece.terms.items():
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return MultiPoly(variables, acc)
+    # -- evaluation
 
     def evaluate(self, values: dict):
-        """Fully evaluate; every variable must be bound to an int or CycElement."""
+        """Fully evaluate; every variable must be bound to an int."""
         missing = set(self.variables) - set(values)
         if missing:
             raise ValueError(f"unbound variables: {sorted(missing)}")
@@ -517,9 +306,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: fn(c) for e, c in self.terms.items()})
-
     # -- canonical form
 
     def sorted_terms(self) -> list:
@@ -528,7 +314,7 @@ class MultiPoly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_sort_key)]
 
     def __eq__(self, other):
-        if isinstance(other, (int, CycElement)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -546,9 +332,7 @@ class MultiPoly:
                     factors.append(var)
                 elif e:
                     factors.append(f"{var}^{e}")
-            if isinstance(coeff, CycElement):
-                head = f"({coeff!r})"
-            elif coeff == 1 and factors:
+            if coeff == 1 and factors:
                 head = None
             else:
                 head = str(coeff)
@@ -560,7 +344,7 @@ class MultiPoly:
 
     @classmethod
     def parse(cls, text: str, variables) -> "MultiPoly":
-        """Inverse of str() for integer-coefficient polynomials."""
+        """Inverse of str()."""
         variables = tuple(variables)
         pos = {v: i for i, v in enumerate(variables)}
         text = text.strip()

@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+import cyclotomic_reference as cyc
 from ntcodes.codes import (
     CodeSpec,
     DELTA,
@@ -34,7 +35,7 @@ from ntcodes.enumerators import (
     theorem1_extended,
     w_variables,
 )
-from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly, cyc_root
+from ntcodes.exactalg import IntegralityError, MultiPoly
 from ntcodes.macwilliams import (
     build_code,
     complete_weight_enumerator,
@@ -97,11 +98,7 @@ def words_of(spec):
 
 
 def exponential_ramanujan(d, a):
-    total = CycElement.integer(0, d)
-    for j in range(1, d + 1):
-        if gcd(j, d) == 1:
-            total = total + cyc_root(d, a * j)
-    return total.to_integer()
+    return cyc.value(cyc.fold(d, ((a * j, 1) for j in range(1, d + 1) if gcd(j, d) == 1)))
 
 
 def hamming_histograms(n, r, variant):
@@ -251,8 +248,7 @@ def test_criterion_5_q_calculus():
             for t in compositions(total, r):
                 poly = q_multinomial(t)
                 for d in divisors(total):
-                    value = poly.evaluate({"q": cyc_root(d, 1)})
-                    value = value if isinstance(value, int) else value.to_integer()
+                    value = cyc.value(cyc.fold(d, ((e, c) for (e,), c in poly.terms.items())))
                     assert value == q_multinomial_at_root(t, d)
 
     elapsed = watch.check("criterion 5")

@@ -346,15 +346,22 @@ LC_NEGATIVE = ("lc", "--n", "3", "--m", "5", "--r", "2", "--h=-5,2,3", "--a", "0
 def test_oracle_agrees_with_auto_on_negative_weights(capsys):
     code, out, _ = run(capsys, "enum", *LC_NEGATIVE, "--method", "oracle")
     assert code == 0 and out.strip() == "1 + w + w^2 + w^3"
-    for command, extra in (("enum", ("--kind", "hamming")), ("card", ())):
-        auto, oracle = (run(capsys, command, *LC_NEGATIVE, *extra, "--method", m) for m in ("auto", "oracle"))
-        assert auto == oracle and auto[0] == 0
+    # below kind extended theorem 1 gets the weights reduced mod m
+    ternary = ("lc", "--n", "3", "--m", "5", "--r", "3", "--h=-1,2,3", "--a", "1")
+    cases = (("enum", ("--kind", "complete")), ("enum", ("--kind", "hamming")), ("card", ()))
+    for spec in (LC_NEGATIVE, ternary):
+        for command, extra in cases:
+            oracle = run(capsys, command, *spec, *extra, "--method", "oracle")
+            assert oracle[0] == 0
+            for method in ("auto", "theorem1"):
+                assert run(capsys, command, *spec, *extra, "--method", method) == oracle
     # -5 = 0 (mod 5): the codewords are 000, 100, 011 and 111
     code, out, _ = run(capsys, "enum", *LC_NEGATIVE, "--kind", "complete", "--method", "oracle")
     assert code == 0 and out.strip() == "w0^3 + w0^2*w1 + w0*w1^2 + w1^3"
     # the extended enumerator carries the statistic as an exponent
-    code, _, err = run(capsys, "enum", *LC_NEGATIVE, "--kind", "extended", "--method", "oracle")
-    assert code == 2 and "negative" in err
+    for method in ("oracle", "theorem1"):
+        code, _, err = run(capsys, "enum", *LC_NEGATIVE, "--kind", "extended", "--method", method)
+        assert code == 2 and "negative" in err
 
 
 def test_verify_lc_draws_negative_weights(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cyclotomic_reference as cyc
 from ntcodes.codes import (
     BudgetExceededError,
     CodeSpec,
@@ -23,10 +24,10 @@ from ntcodes.codes import (
     make_family,
 )
 from ntcodes.enumerators import (
+    KINDS,
     Enumerator,
     _full_space,
     argmax_cardinality,
-    blc_hamming,
     complete_weight_enumerator,
     compute,
     enumerator_from_dict,
@@ -42,7 +43,7 @@ from ntcodes.enumerators import (
     w_variables,
     z_variables,
 )
-from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly, cyc_root
+from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly
 from ntcodes.numtheory import divisors
 from ntcodes.qcalc import compositions, q_multinomial
 
@@ -97,6 +98,38 @@ def test_specialize_chain():
     assert enum.cardinality() == 5
     with pytest.raises(ValueError):
         specialize(hamming, "complete")
+
+
+SPECIALIZE_SPECS = [
+    make_family("tenengolts", n=3, r=3, a1=0, a2=0),
+    make_family("nonbinary_svt", n=4, r=3, m=4, a=1, b=0, c=2),
+    CodeSpec(2, 2, ((SIGMA, 4, 3),)),  # empty
+    CodeSpec(3, 1, ((OMEGA, 4, 0),)),  # r = 1: the one word 000
+    CodeSpec(3, 1, ((OMEGA, 4, 1),)),  # r = 1 and empty
+]
+
+
+@pytest.mark.parametrize("target", ["extended", "complete", "hamming", "cardinality"])
+@pytest.mark.parametrize("source", KINDS)
+def test_specialize_every_kind_pair(source, target):
+    for spec in SPECIALIZE_SPECS:
+        enum = oracle_extended(spec) if source == "extended" else compute(spec, source, "oracle")
+        if target == "cardinality":
+            assert specialize(enum, target) == len(list(enumerate_codewords(spec)))
+        elif target == source:
+            # no projection: a Hamming enumerator's one variable is no type vector
+            assert specialize(enum, target) is enum
+        elif KINDS.index(target) < KINDS.index(source):
+            with pytest.raises(ValueError):
+                specialize(enum, target)
+        else:
+            got = specialize(enum, target)
+            expected = compute(spec, target, "oracle").poly
+            assert (got.kind, got.method, got.spec) == (target, "oracle", spec)
+            # variables compared too: the zero polynomial keeps its variables
+            assert (got.poly.variables, got.poly) == (expected.variables, expected)
+            if target == "hamming":
+                assert got.poly == hamming_oracle(spec)
 
 
 def test_full_space_product_form():
@@ -280,6 +313,29 @@ def test_negative_weights_rejected_by_enumerator_paths():
         oracle_extended(member_negative)
 
 
+NEGATIVE_WEIGHT_SPECS = [
+    make_family("lc", n=3, m=5, r=3, h=(-1, 2, 3), a=1),
+    make_family("lc", n=4, m=3, r=2, h=(-3, -7, 2, 5), a=2),
+    # no closed form: theorem 1 under auto too
+    CodeSpec(4, 3, ((linear((-2, 1, -5, 3)), 4, 1), (GAMMA_GT, 3, 0))),
+    CodeSpec(3, 2, ((linear((-1, -1, -1)), 2, 1), (linear((1, -2, 4)), 3, 0))),
+]
+
+
+@pytest.mark.parametrize("method", ["auto", "theorem1"])
+@pytest.mark.parametrize("kind", ["complete", "hamming", "cardinality"])
+def test_negative_linear_weights_below_extended_match_oracle(kind, method):
+    for spec in NEGATIVE_WEIGHT_SPECS:
+        got = compute(spec, kind, method)
+        expected = compute(spec, kind, "oracle")
+        if kind == "cardinality":
+            assert got == expected
+        else:
+            assert got.poly == expected.poly and got.kind == kind and got.spec == spec
+        with pytest.raises(ValueError, match="negative"):
+            compute(spec, "extended", method)
+
+
 def test_lc_hamming_examples():
     enum = lc_hamming(4, 5, 2, (1, 2, 3, 4), 0)
     assert enum.poly == hamming_oracle(make_family("binary_vt", n=4, a=0))
@@ -290,7 +346,9 @@ def test_lc_hamming_examples():
     assert whole.poly == (1 + 2 * w) ** 3
     # single position fixed to zero
     assert lc_hamming(1, 2, 2, (1,), 0).poly == MultiPoly.constant(("w",), 1)
-    assert blc_hamming(4, 5, (1, 2, 3, 4), 0).poly == enum.poly
+    # the binary code is r = 2
+    blc = make_family("blc", n=5, m=4, h=(1, 1, 2, 3, 3), a=2)
+    assert lc_hamming(5, 4, 2, (1, 1, 2, 3, 3), 2).poly == hamming_oracle(blc)
 
 
 def test_lc_hamming_negative_weights():
@@ -322,24 +380,20 @@ def twisted_point_lc_hamming(n, m, r, h, a):
     """The paper's character sum for the linear congruence code,
     (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), evaluated
     at the twisted points in Z[x]/(x^m - 1) and divided exactly by m."""
-    zero = CycElement.integer(0, m)
+    zero = [0] * m
     totals = [zero] * (n + 1)
     for u in range(m):
-        cur = [cyc_root(m, 0)]
+        cur = [cyc.fold(m, [(0, 1)])]
         for j in range(n):
-            inner = zero
-            for k in range(1, r):
-                inner = inner + cyc_root(m, h[j] * k * u)
-            cur = [
-                (cur[d] if d < len(cur) else zero) + (cur[d - 1] * inner if d else zero)
-                for d in range(len(cur) + 1)
-            ]
-        pref = cyc_root(m, -a * u)
+            inner = cyc.fold(m, ((h[j] * k * u, 1) for k in range(1, r)))
+            shifted = [zero] + [cyc.convolve(c, inner) for c in cur]
+            cur = [cyc.add(c, s) for c, s in zip(cur + [zero], shifted)]
+        pref = cyc.fold(m, [(-a * u, 1)])
         for d in range(n + 1):
-            totals[d] = totals[d] + pref * cur[d]
+            totals[d] = cyc.add(totals[d], cyc.convolve(pref, cur[d]))
     terms = {}
     for d, total in enumerate(totals):
-        q, rem = divmod(total.to_integer(), m)
+        q, rem = divmod(cyc.value(total), m)
         assert rem == 0 and q >= 0
         if q:
             terms[(d,)] = q
@@ -515,17 +569,17 @@ def test_full_space_evaluation_closed_form():
     for n in range(1, 7):
         for r in (2, 3, 4):
             poly = full_space_enumerator(n, r, (GAMMA_GT, SIGMA))
+            order = n * r
             for u1 in range(n):
                 for u2 in range(r):
-                    twisted = poly.substitute(
-                        {"z1": cyc_root(n, u1), "z2": cyc_root(r, u2)}
-                    )
-                    mapping = {
-                        v: (1 if v == "w0" else w) for v in twisted.variables
-                    }
-                    hv = twisted.substitute(mapping, variables=("w",))
-                    lhs = hv.map_coefficients(
-                        lambda c: c if isinstance(c, int) else c.to_integer()
+                    # z1 = e(u1/n), z2 = e(u2/r), w0 = 1 and every other w_j = w
+                    by_weight = {}
+                    for (k1, k2, _, *tau), c in poly.terms.items():
+                        twist = (k1 * u1 * r + k2 * u2 * n, c)
+                        by_weight.setdefault(sum(tau), []).append(twist)
+                    lhs = MultiPoly(
+                        ("w",),
+                        {(d,): cyc.value(cyc.fold(order, t)) for d, t in by_weight.items()},
                     )
                     g = gcd(n, u1)
                     d = n // g
@@ -674,7 +728,6 @@ def test_linear_congruence_route_does_no_cyclotomic_arithmetic(family, params, m
     def refuse(*args):
         raise AssertionError("cyclotomic arithmetic on a linear-congruence route")
 
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "to_integer"):
-        monkeypatch.setattr(CycElement, name, refuse)
+    monkeypatch.setattr(CycElement, "to_integer", refuse)
     assert compute(spec, "hamming").poly == expected["hamming"].poly
     assert compute(spec, "cardinality") == expected["cardinality"]

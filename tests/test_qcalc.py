@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from ntcodes.exactalg import MultiPoly, cyc_root
+import cyclotomic_reference as cyc
+from ntcodes.exactalg import MultiPoly
 from ntcodes.numtheory import divisors
 from ntcodes.qcalc import (
     compositions,
@@ -135,8 +136,7 @@ def test_at_root_matches_polynomial_evaluation():
             for t in compositions(total, r):
                 poly = q_multinomial(t)
                 for d in divisors(total):
-                    value = poly.evaluate({"q": cyc_root(d, 1)})
-                    value = value if isinstance(value, int) else value.to_integer()
+                    value = cyc.value(cyc.fold(d, ((e, c) for (e,), c in poly.terms.items())))
                     assert value == q_multinomial_at_root(t, d)
 
 
