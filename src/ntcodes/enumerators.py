@@ -16,9 +16,11 @@ W_full itself comes from one transfer pass over the positions (the
 transfer-matrix method), since every built-in statistic adds an increment
 that depends only on the position, the symbol and the symbol before it;
 only a custom statistic makes the full space a scan of [0, r)^n.  Keyed by
-residues mod m instead of exact values, the same pass evaluates the
-linear-congruence character sum of `lc_hamming`, which orthogonality turns
-into the coefficient of x^a in a product taken in Z[x]/(x^m - 1).
+residues mod m_i instead of exact values, the same pass counts the code
+itself: it evaluates the linear-congruence character sum of `lc_hamming`,
+which orthogonality turns into the coefficient of x^a in a product taken
+in Z[x]/(x^m - 1), and answers every spec without a closed form below
+kind "extended".
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .codes import (
     linear_weights,
     statistic_evaluator,
     tenengolts as tenengolts_spec,
-    lc as lc_spec,
     type_vector,
 )
 from .exactalg import IntegralityError, MultiPoly, NonDivisibleError
@@ -130,7 +131,9 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _transfer(n: int, r: int, stats, moduli, carry: str, budget: int | None) -> dict:
+def _transfer(
+    n: int, r: int, stats, moduli, carry: str, budget: int | None, keep=None
+) -> dict:
     """Counts of the words of [0, r)^n by their statistic keys followed by
     their carry, from one transfer pass over the positions.
 
@@ -142,13 +145,26 @@ def _transfer(n: int, r: int, stats, moduli, carry: str, budget: int | None) -> 
     a single dict otherwise.
 
     Key map: statistic i is kept mod its range, moduli[i] for residue keys
-    (any integer weights), or 1 + max_i for exact keys (`moduli` None;
-    negative weights refused), which no value reaches, so exact keys are
-    never reduced.  Carry map: symbol x adds its type vector ("complete")
-    or (x != 0,) ("hamming").  Before the pass, the key count is bounded by
-    min(r^n, C(n+r-1, r-1) type vectors or n+1 Hamming weights, times
-    prod_i range_i), sigma adding no factor beside the type vector that
-    fixes it; a bound over `budget` raises BudgetExceededError."""
+    (any integer weights), reduced as each key is built, or 1 + max_i for
+    exact keys (`moduli` None; negative weights refused; type-vector carry
+    only), which no value reaches, so exact keys are never reduced.
+    `keep`, a tuple of residues, keeps only the words whose statistic keys
+    equal it.
+
+    Carry map: "complete" appends the type vector to the key, "none"
+    carries nothing (the count is a cardinality), and "hamming" packs the
+    Hamming-weight histogram into the count as Kronecker digits, w^k
+    standing for 2^(width k) with width = bit_length(r^n).  A nonzero
+    symbol then shifts the count left by `width`, one shift-add per key
+    however many weights it holds.  No digit ever carries into the next:
+    every count is non-negative and the counts of a key sum to at most
+    r^n < 2^width.  The result unpacks the digits into a trailing weight.
+
+    Before the pass, the key count is bounded by min(r^n, C(n+r-1, r-1)
+    type vectors, n+1 Hamming weights or 1, times prod_i range_i), sigma
+    adding no factor beside the type vector that fixes it, and residue
+    keys by a further factor r when they are kept per last symbol; a
+    bound over `budget` raises BudgetExceededError."""
     weights = [linear_weights(st, n) for st in stats]
     if moduli is None:
         if any(x < 0 for w in weights if w is not None for x in w):
@@ -161,22 +177,27 @@ def _transfer(n: int, r: int, stats, moduli, carry: str, budget: int | None) -> 
         ]
     else:
         ranges = list(moduli)
+    compares = [DESCENT_COMPARISONS.get(st.kind) for st in stats]
+    reads_previous = any(cmp is not None for cmp in compares)
     complete = carry == "complete"
     if complete:
         symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
         bound = comb(n + r - 1, r - 1)
     else:
-        symbol = [(int(x != 0),) for x in range(r)]
-        bound = n + 1
+        symbol = [()] * r
+        bound = n + 1 if carry == "hamming" else 1
     for st, size in zip(stats, ranges):
         if not (complete and st.kind == "sigma"):
             bound *= size
+    if moduli is not None and reads_previous:
+        bound *= r
     bound = min(r**n, bound)
-    check_budget(bound, budget, f"full-space transfer pass of up to {bound} terms")
-    # residue keys are reduced after each position; no carry reaches n + 1
+    what = "full-space" if moduli is None else "residue"
+    check_budget(bound, budget, f"{what} transfer pass of up to {bound} terms")
+    width = (r**n).bit_length()
+    shifts = [width if carry == "hamming" and x else 0 for x in range(r)]
+    # a type-vector entry never reaches n + 1, so reducing it changes nothing
     reduce_by = None if moduli is None else tuple(ranges) + (n + 1,) * len(symbol[0])
-    compares = [DESCENT_COMPARISONS.get(st.kind) for st in stats]
-    reads_previous = any(cmp is not None for cmp in compares)
 
     def step(j: int, previous, x: int) -> tuple:
         """Key increment of symbol x at position j after `previous`."""
@@ -196,23 +217,32 @@ def _transfer(n: int, r: int, stats, moduli, carry: str, budget: int | None) -> 
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc = step(j, previous, x)
+                inc, shift = step(j, previous, x), shifts[x]
                 dest = nxt.setdefault(x if reads_previous else None, {})
-                for exps, count in terms.items():
-                    key = tuple(map(operator.add, exps, inc))
-                    dest[key] = dest.get(key, 0) + count
-        if reduce_by is not None:
-            for last, terms in list(nxt.items()):
-                nxt[last] = dest = {}
-                for exps, count in terms.items():
-                    key = tuple(map(operator.mod, exps, reduce_by))
-                    dest[key] = dest.get(key, 0) + count
+                if reduce_by is None:
+                    for exps, count in terms.items():
+                        key = tuple(map(operator.add, exps, inc))
+                        dest[key] = dest.get(key, 0) + count
+                else:
+                    for exps, count in terms.items():
+                        key = tuple(map(operator.mod, map(operator.add, exps, inc), reduce_by))
+                        dest[key] = dest.get(key, 0) + (count << shift)
         states = nxt
     total: dict = {}
     for terms in states.values():
         for exps, count in terms.items():
-            total[exps] = total.get(exps, 0) + count
-    return total
+            if keep is None or exps[: len(stats)] == keep:
+                total[exps] = total.get(exps, 0) + count
+    if carry != "hamming":
+        return total
+    mask = (1 << width) - 1
+    unpacked: dict = {}
+    for exps, count in total.items():
+        for k in range(n + 1):
+            digit = (count >> (width * k)) & mask
+            if digit:
+                unpacked[exps + (k,)] = digit
+    return unpacked
 
 
 def _full_space(n: int, r: int, stats, budget: int | None):
@@ -267,7 +297,25 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for linear congruence codes
+# the residue-keyed pass and the closed form for linear congruence codes
+
+
+def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
+    """The spec's enumerator of kind "complete" or "hamming", or its
+    cardinality, from one transfer pass keyed by the statistics' residues
+    mod m_i that reads only the state of the code's residues a_i.  Built-in
+    statistics only; negative weights need no rewrite, since every key is a
+    residue.  Labelled "transfer"."""
+    cons = spec.constraints
+    target = tuple(c.a for c in cons)
+    carry = "none" if kind == "cardinality" else kind
+    stats, moduli = [c.stat for c in cons], [c.m for c in cons]
+    counts = _transfer(spec.n, spec.r, stats, moduli, carry, budget, keep=target)
+    if kind == "cardinality":
+        return counts.get(target, 0)
+    variables = ("w",) if kind == "hamming" else w_variables(spec.r)
+    terms = {exps[len(cons):]: count for exps, count in counts.items()}
+    return Enumerator(kind, MultiPoly(variables, terms), "transfer", spec)
 
 
 def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> Enumerator:
@@ -275,12 +323,13 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
 
     The paper's character sum (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1}
     e(h_j k u/m)) is, by orthogonality, the coefficient of x^a in
-    prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  One
-    transfer pass with the weighted sum kept mod m and the Hamming weight
-    carried computes that coefficient in integer arithmetic, for any
-    integer weights: there are no twisted points and no division by m, so
-    no integrality sentinel can fire.  The pass's bound min(r^n, (n+1) m)
-    is checked against `budget` before it starts."""
+    prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
+    coefficient is the residue pass of `compute` on this one congruence:
+    the weighted sum kept mod m and the Hamming weight packed into each
+    count, in integer arithmetic, for any integer weights.  There are no
+    twisted points and no division by m, so no integrality sentinel can
+    fire.  The pass's bound min(r^n, (n+1) m) is checked against `budget`
+    before it starts.  The result keeps the label "closed_form"."""
     if n < 0 or m < 1 or r < 1:
         raise ValueError("need n >= 0, m >= 1, r >= 1")
     h = tuple(int(x) for x in h)
@@ -288,10 +337,9 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
         raise ValueError(f"weight vector of length {len(h)} for n={n}")
     if not 0 <= a < m:
         raise ValueError(f"a must lie in [0, {m}), got {a}")
-    counts = _transfer(n, r, [linear(h)], (m,), "hamming", budget)
-    terms = {(weight,): c for (residue, weight), c in counts.items() if residue == a}
-    spec = lc_spec(n, m, r, h, a) if n >= 1 else None
-    return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
+    spec = CodeSpec(n, r, ((linear(h), m, a),))
+    enum = _residue_pass(spec, "hamming", budget)
+    return Enumerator("hamming", enum.poly, "closed_form", spec if n else None)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +496,18 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     descent statistic mod n, then the symbol sum mod r) takes the divisor
     sums of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
     linear congruence takes `lc_hamming`.  Method "auto" uses these closed
-    forms when they apply and theorem 1 otherwise; "closed" raises
-    ValueError when none applies; "theorem1" and "oracle" force the
-    character-sum engine and brute force.  Below kind "extended" the
-    oracle counts the type vectors of the scanned codewords and evaluates
-    no statistic, and theorem 1 gets the spec with its negative linear
-    weights reduced mod their moduli (the kind drops the z-exponents they
-    change), so negative weights are no obstacle there.
-    `budget` bounds every route but the descent/sum divisor sums, before
-    its work starts.
+    forms when they apply.  Otherwise, below kind "extended" and without a
+    custom statistic, it takes the residue-keyed transfer pass (method
+    label "transfer"), which carries only what the kind needs: the type
+    vector, the Hamming weight or nothing; at "extended" or with a custom
+    statistic it takes theorem 1.  "closed" raises ValueError when no
+    closed form applies; "theorem1" and "oracle" force the character-sum
+    engine and brute force.  Below kind "extended" the oracle counts the
+    type vectors of the scanned codewords and evaluates no statistic, and
+    theorem 1 gets the spec with its negative linear weights reduced mod
+    their moduli (the kind drops the z-exponents they change), so negative
+    weights are no obstacle there.  `budget` bounds every route but the
+    descent/sum divisor sums, before its work starts.
     """
     if kind != "cardinality" and kind not in KINDS:
         raise ValueError(f"unknown enumerator kind {kind!r}")
@@ -469,6 +520,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         if method == "closed":
             stats = ", ".join(c.stat.kind for c in spec.constraints)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
+        if kind != "extended" and all(c.stat.kind != "custom" for c in spec.constraints):
+            return _residue_pass(spec, kind, budget)
     if method == "oracle" and kind != "extended":
         words = enumerate_codewords(spec, budget)
         base = Enumerator("complete", complete_weight_enumerator(words, spec.r), "oracle", spec)

@@ -318,8 +318,8 @@ class MultiPoly:
             other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        variables = self._union_vars(self, other)
-        return self._expand_to(variables) == other._expand_to(variables)
+        # the same polynomial over another variable list is another value
+        return self.variables == other.variables and self.terms == other.terms
 
     def __str__(self):
         if not self.terms:

@@ -163,6 +163,19 @@ def test_card_nonbinary_svt_past_the_brute_force_budget(capsys):
     assert code == 0
 
 
+def test_card_nonbinary_svt_n40_by_the_residue_pass(capsys):
+    argv = ("nonbinary_svt", "--n", "40", "--r", "3", "--m", "13", "--a", "0", "--b", "0", "--c", "0")
+    code, out, _ = run(capsys, "card", *argv)
+    assert code == 0
+    code, enum, _ = run(capsys, "enum", *argv, "--format", "json")
+    assert code == 0 and json.loads(enum)["cardinality"] == out.strip()
+    assert json.loads(enum)["method"] == "transfer"
+    # 3 last symbols x 78 residue keys: refused before the pass starts
+    code, out, err = run(capsys, "card", *argv, "--budget", "100")
+    assert code == 3 and out == ""
+    assert err == "error: residue transfer pass of up to 234 terms exceeds the budget 100\n"
+
+
 def test_table_t33(capsys):
     code, out, _ = run(capsys, "table", "t33")
     assert code == 0

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -316,7 +316,7 @@ def test_negative_weights_rejected_by_enumerator_paths():
 NEGATIVE_WEIGHT_SPECS = [
     make_family("lc", n=3, m=5, r=3, h=(-1, 2, 3), a=1),
     make_family("lc", n=4, m=3, r=2, h=(-3, -7, 2, 5), a=2),
-    # no closed form: theorem 1 under auto too
+    # no closed form: the residue-keyed transfer pass under auto
     CodeSpec(4, 3, ((linear((-2, 1, -5, 3)), 4, 1), (GAMMA_GT, 3, 0))),
     CodeSpec(3, 2, ((linear((-1, -1, -1)), 2, 1), (linear((1, -2, 4)), 3, 0))),
 ]
@@ -439,6 +439,74 @@ def test_lc_hamming_budget_checked_before_the_pass():
     with pytest.raises(BudgetExceededError):
         compute(spec, "cardinality", budget=100)
     assert compute(spec, "cardinality", budget=168) == lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0).cardinality()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_lc_hamming_packed_digits_at_their_widest(r):
+    # modulus 1: the one residue holds all r^n words, so each packed
+    # Hamming digit reaches its largest count C(n, k) (r - 1)^k
+    rng = random.Random(r)
+    for n in range(65):
+        h = tuple(rng.randint(-9, 9) for _ in range(n))
+        enum = lc_hamming(n, 1, r, h, 0)
+        expected = {(k,): comb(n, k) * (r - 1) ** k for k in range(n + 1)}
+        assert enum.poly == MultiPoly(("w",), expected)
+        assert enum.cardinality() == r**n
+
+
+@st.composite
+def residue_pass_cases(draw):
+    """Specs over every built-in statistic, linear weights negative and
+    zero included, with 1-3 constraints, moduli down to 1 and r down to 1."""
+    n = draw(st.integers(0, 5))
+    r = draw(st.integers(1, 3))
+    weights = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(linear)
+    stat = st.sampled_from(BUILTIN_STATS) | weights
+    cons = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 7))
+        cons.append((draw(stat), m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(cons))
+
+
+@given(residue_pass_cases(), st.sampled_from(["complete", "hamming", "cardinality"]))
+def test_auto_below_extended_matches_oracle(spec, kind):
+    got = compute(spec, kind)
+    expected = compute(spec, kind, "oracle")
+    if kind == "cardinality":
+        assert got == expected
+        return
+    assert got.poly.variables == expected.poly.variables
+    assert got.poly == expected.poly
+    assert (got.kind, got.spec) == (kind, spec)
+    try:
+        compute(spec, kind, "closed")
+    except ValueError:
+        assert got.method == "transfer"
+    else:
+        assert got.method == "closed_form"
+
+
+def test_custom_statistic_and_extended_kind_keep_theorem1():
+    repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
+    with_custom = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
+    for kind in ("complete", "hamming"):
+        assert compute(with_custom, kind).method == "character_sum"
+        assert compute(with_custom, kind).poly == compute(with_custom, kind, "oracle").poly
+    no_closed_form = make_family("nonbinary_svt", n=4, r=3, m=4, a=1, b=0, c=2)
+    assert compute(no_closed_form, "extended").method == "character_sum"
+    assert compute(no_closed_form, "complete").method == "transfer"
+
+
+def test_residue_pass_budget_counts_states_per_last_symbol():
+    # nonbinary_svt n=40 r=3 m=13: residue keys 13 * 2 * 3, kept per last
+    # symbol (3), times the carry: 1, n + 1 = 41, or C(42, 2) = 861 with
+    # the symbol sum's residue fixed by the type vector
+    spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
+    for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 861 * 78)]:
+        with pytest.raises(BudgetExceededError, match=f"up to {bound} terms exceeds"):
+            compute(spec, kind, budget=bound - 1)
+    assert compute(spec, "cardinality", budget=234) == compute(spec, "hamming").cardinality()
 
 
 def test_tenengolts_hamming_paper_example():
@@ -678,8 +746,9 @@ def test_compute_routes_agree_with_oracle(family, params, closed):
     auto = compute(spec, "hamming")
     oracle = compute(spec, "hamming", "oracle")
     assert auto.poly == oracle.poly
-    # only a forced oracle says "oracle", even where theorem 1 scans
-    assert auto.method == ("closed_form" if closed else "character_sum")
+    # only a forced oracle says "oracle"; without a closed form the
+    # residue-keyed transfer pass answers
+    assert auto.method == ("closed_form" if closed else "transfer")
     assert oracle.method == "oracle"
     assert compute(spec, "cardinality") == compute(spec, "cardinality", "oracle")
     for kind in ("hamming", "cardinality"):

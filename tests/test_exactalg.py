@@ -162,6 +162,18 @@ def test_variable_union_alignment():
     assert both.evaluate({"x": 2, "y": 3}) == 5
 
 
+def test_equality_compares_variable_lists():
+    # polynomials over different variable lists differ even when the extra
+    # variables never appear; `+` and `*` still align them
+    assert MultiPoly.zero(("w0", "w1")) != MultiPoly.zero(("w",))
+    assert MultiPoly(("w",), {(0,): 1}) != MultiPoly(("z",), {(0,): 1})
+    assert MultiPoly(("x", "y"), {(1, 0): 1}) != MultiPoly(("x",), {(1,): 1})
+    assert MultiPoly(("w",), {(2,): 3}) == MultiPoly(("w",), {(2,): 3, (1,): 0})
+    assert MultiPoly.constant(("w",), 4) == 4
+    x, y = MultiPoly.variable(("x",), "x"), MultiPoly.variable(("y",), "y")
+    assert x + y == MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 1})
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MultiPoly(("w",), {(-1,): 1})
