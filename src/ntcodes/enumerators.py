@@ -12,15 +12,17 @@ residue filter: a term is kept exactly when each statistic exponent is
 congruent to its residue.  The filter is pure integer arithmetic and
 checks that every full-space coefficient is non-negative.
 
-W_full itself comes from one transfer pass over the positions (the
-transfer-matrix method), since every built-in statistic adds an increment
-that depends only on the position, the symbol and the symbol before it;
-only a custom statistic makes the full space a scan of [0, r)^n.  Keyed by
-residues mod m_i instead of exact values, the same pass counts the code
-itself: it evaluates the linear-congruence character sum of `lc_hamming`,
-which orthogonality turns into the coefficient of x^a in a product taken
-in Z[x]/(x^m - 1), and answers every spec without a closed form below
-kind "extended".
+Every built-in statistic adds an increment that depends only on the
+position, the symbol and the symbol before it (`_stepper`), so two
+transfer passes over the positions (the transfer-matrix method) never
+list the words.  The exact pass builds W_full keyed by exact statistic
+values and the type vector; only a custom statistic makes the full space
+a scan of [0, r)^n.  The residue pass counts the code itself: keyed by
+residues mod m_i, with the type vector or the Hamming weight packed into
+each count as Kronecker digits, it evaluates the linear-congruence
+character sum of `lc_hamming`, which orthogonality turns into the
+coefficient of x^a in a product taken in Z[x]/(x^m - 1), and answers
+every spec without a closed form below kind "extended".
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Optional
 
 from .codes import (
@@ -131,76 +133,18 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _transfer(
-    n: int, r: int, stats, moduli, carry: str, budget: int | None, keep=None
-) -> dict:
-    """Counts of the words of [0, r)^n by their statistic keys followed by
-    their carry, from one transfer pass over the positions.
-
-    Every built-in statistic is a sum of per-position increments that
-    depend only on the position j, the symbol x and the symbol before it:
-    h_j x for omega, sigma and linear statistics, and j (1 for delta) when
-    the statistic's comparison of (previous, x) holds.  So the pass keeps
-    one {key: count} dict per last symbol when some statistic reads it and
-    a single dict otherwise.
-
-    Key map: statistic i is kept mod its range, moduli[i] for residue keys
-    (any integer weights), reduced as each key is built, or 1 + max_i for
-    exact keys (`moduli` None; negative weights refused; type-vector carry
-    only), which no value reaches, so exact keys are never reduced.
-    `keep`, a tuple of residues, keeps only the words whose statistic keys
-    equal it.
-
-    Carry map: "complete" appends the type vector to the key, "none"
-    carries nothing (the count is a cardinality), and "hamming" packs the
-    Hamming-weight histogram into the count as Kronecker digits, w^k
-    standing for 2^(width k) with width = bit_length(r^n).  A nonzero
-    symbol then shifts the count left by `width`, one shift-add per key
-    however many weights it holds.  No digit ever carries into the next:
-    every count is non-negative and the counts of a key sum to at most
-    r^n < 2^width.  The result unpacks the digits into a trailing weight.
-
-    Before the pass, the key count is bounded by min(r^n, C(n+r-1, r-1)
-    type vectors, n+1 Hamming weights or 1, times prod_i range_i), sigma
-    adding no factor beside the type vector that fixes it, and residue
-    keys by a further factor r when they are kept per last symbol; a
-    bound over `budget` raises BudgetExceededError."""
+def _stepper(n: int, stats):
+    """The statistics' linear weights (None for a descent statistic),
+    `step(j, previous, x)`, their increments for symbol x at position j
+    after `previous`, and whether any of them reads `previous`.  Every
+    built-in statistic is a sum of such increments: h_j x for omega, sigma
+    and linear statistics, and j (1 for delta) when the statistic's
+    comparison of (previous, x) holds.  So a pass keeps one {key: count}
+    dict per last symbol when some statistic reads it, else a single one."""
     weights = [linear_weights(st, n) for st in stats]
-    if moduli is None:
-        if any(x < 0 for w in weights if w is not None for x in w):
-            raise ValueError("full-space enumerators need non-negative weights")
-        ranges = [
-            1 + (r - 1) * sum(w) if w is not None
-            else max(n, 1) if st.kind == "delta"
-            else 1 + n * (n - 1) // 2
-            for st, w in zip(stats, weights)
-        ]
-    else:
-        ranges = list(moduli)
     compares = [DESCENT_COMPARISONS.get(st.kind) for st in stats]
-    reads_previous = any(cmp is not None for cmp in compares)
-    complete = carry == "complete"
-    if complete:
-        symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
-        bound = comb(n + r - 1, r - 1)
-    else:
-        symbol = [()] * r
-        bound = n + 1 if carry == "hamming" else 1
-    for st, size in zip(stats, ranges):
-        if not (complete and st.kind == "sigma"):
-            bound *= size
-    if moduli is not None and reads_previous:
-        bound *= r
-    bound = min(r**n, bound)
-    what = "full-space" if moduli is None else "residue"
-    check_budget(bound, budget, f"{what} transfer pass of up to {bound} terms")
-    width = (r**n).bit_length()
-    shifts = [width if carry == "hamming" and x else 0 for x in range(r)]
-    # a type-vector entry never reaches n + 1, so reducing it changes nothing
-    reduce_by = None if moduli is None else tuple(ranges) + (n + 1,) * len(symbol[0])
 
     def step(j: int, previous, x: int) -> tuple:
-        """Key increment of symbol x at position j after `previous`."""
         inc = []
         for st, w, cmp in zip(stats, weights, compares):
             if w is not None:
@@ -209,52 +153,64 @@ def _transfer(
                 inc.append(1 if st.kind == "delta" else j)
             else:
                 inc.append(0)
-        return tuple(inc) + symbol[x]
+        return tuple(inc)
 
+    return weights, step, any(cmp is not None for cmp in compares)
+
+
+def _exact_pass(n: int, r: int, stats, budget: int | None) -> dict:
+    """Counts of the words of [0, r)^n by their exact statistic values
+    followed by their type vector, from one transfer pass over the
+    positions.  Negative weights are refused, so no key is ever reduced.
+
+    Before the pass, the key count is bounded by min(r^n, C(n+r-1, r-1)
+    type vectors times the range 1 + max_i of each statistic), sigma adding
+    no factor beside the type vector that fixes it; a bound over `budget`
+    raises BudgetExceededError."""
+    weights, step, reads_previous = _stepper(n, stats)
+    if any(x < 0 for w in weights if w is not None for x in w):
+        raise ValueError("full-space enumerators need non-negative weights")
+    ranges = [
+        1 + (r - 1) * sum(w) if w is not None
+        else max(n, 1) if st.kind == "delta"
+        else 1 + n * (n - 1) // 2
+        for st, w in zip(stats, weights)
+    ]
+    bound = comb(n + r - 1, r - 1)
+    for st, size in zip(stats, ranges):
+        if st.kind != "sigma":
+            bound *= size
+    bound = min(r**n, bound)
+    check_budget(bound, budget, f"full-space transfer pass of up to {bound} terms")
+    symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
     # {last symbol (None when no statistic reads it): {key: count}}
-    states = {None: {(0,) * (len(stats) + len(symbol[0])): 1}}
+    states = {None: {(0,) * (len(stats) + r): 1}}
     for j in range(n):
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc, shift = step(j, previous, x), shifts[x]
+                inc = step(j, previous, x) + symbol[x]
                 dest = nxt.setdefault(x if reads_previous else None, {})
-                if reduce_by is None:
-                    for exps, count in terms.items():
-                        key = tuple(map(operator.add, exps, inc))
-                        dest[key] = dest.get(key, 0) + count
-                else:
-                    for exps, count in terms.items():
-                        key = tuple(map(operator.mod, map(operator.add, exps, inc), reduce_by))
-                        dest[key] = dest.get(key, 0) + (count << shift)
+                for exps, count in terms.items():
+                    key = tuple(map(operator.add, exps, inc))
+                    dest[key] = dest.get(key, 0) + count
         states = nxt
-    total: dict = {}
+    total: Counter = Counter()
     for terms in states.values():
-        for exps, count in terms.items():
-            if keep is None or exps[: len(stats)] == keep:
-                total[exps] = total.get(exps, 0) + count
-    if carry != "hamming":
-        return total
-    mask = (1 << width) - 1
-    unpacked: dict = {}
-    for exps, count in total.items():
-        for k in range(n + 1):
-            digit = (count >> (width * k)) & mask
-            if digit:
-                unpacked[exps + (k,)] = digit
-    return unpacked
+        total.update(terms)
+    return total
 
 
 def _full_space(n: int, r: int, stats, budget: int | None):
     """Full-space extended enumerator and the form that produced it: the
-    exact-key transfer pass with the type vector carried ("transfer"), or,
-    for a custom statistic, which has no increments, the oracle's scan of
-    the code that every word satisfies ("enumeration")."""
+    exact pass ("transfer"), or, for a custom statistic, which has no
+    increments, the oracle's scan of the code every word satisfies
+    ("enumeration")."""
     stats = list(stats)
     if any(st.kind == "custom" for st in stats):
         spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
         return oracle_extended(spec, budget).poly, "enumeration"
-    terms = _transfer(n, r, stats, None, "complete", budget)
+    terms = _exact_pass(n, r, stats, budget)
     return MultiPoly(z_variables(len(stats)) + w_variables(r), terms), "transfer"
 
 
@@ -303,18 +259,55 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
     cardinality, from one transfer pass keyed by the statistics' residues
-    mod m_i that reads only the state of the code's residues a_i.  Built-in
-    statistics only; negative weights need no rewrite, since every key is a
-    residue.  Labelled "transfer"."""
-    cons = spec.constraints
+    mod m_i (built-in statistics, any integer weights) that reads only the
+    state of the code's residues a_i.  Labelled "transfer".
+
+    The kind's carry is packed into each count as Kronecker digits, width
+    bit_length(r^n) rounded up to whole bytes: "complete" counts tau at
+    digit sum_{x>=1} tau_x (n+1)^(x-1), so symbol x >= 1 shifts a count by
+    width (n+1)^(x-1); "hamming" has the one axis of the weight; a
+    cardinality has none.  Digits never carry, since a key's counts are
+    non-negative and sum to at most r^n < 2^width.  Before the pass,
+    min(r^n, prod_i m_i, times r when keys are kept per last symbol) times
+    (n+1)^axes digits is checked against `budget`."""
+    n, r, cons = spec.n, spec.r, spec.constraints
+    moduli = [c.m for c in cons]
+    _, step, reads_previous = _stepper(n, [c.stat for c in cons])
+    axes = {"complete": r - 1, "hamming": 1}.get(kind, 0)
+    keys = prod(moduli) * (r if reads_previous else 1)
+    bound = min(r**n, keys) * (n + 1) ** axes
+    check_budget(bound, budget, f"residue transfer pass of up to {bound} terms")
+    size = -(-(r**n).bit_length() // 8)
+    # digit index a symbol adds to: tau_x's place, the Hamming weight's 1, or none
+    places = [(n + 1) ** (x - 1) if kind == "complete" else axes for x in range(1, r)]
+    shifts = [0] + [8 * size * place for place in places]
+    states = {None: {(0,) * len(cons): 1}}
+    for j in range(n):
+        nxt: dict = {}
+        for previous, terms in states.items():
+            for x in range(r):
+                inc, shift = step(j, previous, x), shifts[x]
+                dest = nxt.setdefault(x if reads_previous else None, {})
+                for exps, count in terms.items():
+                    key = tuple(map(operator.mod, map(operator.add, exps, inc), moduli))
+                    dest[key] = dest.get(key, 0) + (count << shift)
+        states = nxt
     target = tuple(c.a for c in cons)
-    carry = "none" if kind == "cardinality" else kind
-    stats, moduli = [c.stat for c in cons], [c.m for c in cons]
-    counts = _transfer(spec.n, spec.r, stats, moduli, carry, budget, keep=target)
+    packed = sum(terms.get(target, 0) for terms in states.values())
     if kind == "cardinality":
-        return counts.get(target, 0)
-    variables = ("w",) if kind == "hamming" else w_variables(spec.r)
-    terms = {exps[len(cons):]: count for exps, count in counts.items()}
+        return packed
+    raw = packed.to_bytes(size * (n + 1) ** axes, "little")
+    cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
+    for axis in range(axes):
+        cells = [
+            (i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))
+        ]
+    terms = {}
+    for i, exps in cells:
+        count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
+        if count:
+            terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
+    variables = ("w",) if kind == "hamming" else w_variables(r)
     return Enumerator(kind, MultiPoly(variables, terms), "transfer", spec)
 
 
@@ -328,7 +321,7 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     the weighted sum kept mod m and the Hamming weight packed into each
     count, in integer arithmetic, for any integer weights.  There are no
     twisted points and no division by m, so no integrality sentinel can
-    fire.  The pass's bound min(r^n, (n+1) m) is checked against `budget`
+    fire.  The pass's bound min(r^n, m) (n+1) is checked against `budget`
     before it starts.  The result keeps the label "closed_form"."""
     if n < 0 or m < 1 or r < 1:
         raise ValueError("need n >= 0, m >= 1, r >= 1")
@@ -339,7 +332,7 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
         raise ValueError(f"a must lie in [0, {m}), got {a}")
     spec = CodeSpec(n, r, ((linear(h), m, a),))
     enum = _residue_pass(spec, "hamming", budget)
-    return Enumerator("hamming", enum.poly, "closed_form", spec if n else None)
+    return Enumerator("hamming", enum.poly, "closed_form", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +462,11 @@ def _closed_form(spec: CodeSpec, kind: str, budget: int | None):
         con = cons[0]
         h = linear_weights(con.stat, spec.n)
         if h is not None:
+            if kind == "cardinality":
+                return _residue_pass(spec, kind, budget)
             enum = lc_hamming(spec.n, con.m, spec.r, h, con.a, budget)
-            return enum.cardinality() if kind == "cardinality" else enum
+            enum.spec = spec
+            return enum
     return None
 
 
@@ -495,12 +491,13 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     it.  At kinds "hamming" and "cardinality", a descent/sum code (a
     descent statistic mod n, then the symbol sum mod r) takes the divisor
     sums of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
-    linear congruence takes `lc_hamming`.  Method "auto" uses these closed
-    forms when they apply.  Otherwise, below kind "extended" and without a
-    custom statistic, it takes the residue-keyed transfer pass (method
-    label "transfer"), which carries only what the kind needs: the type
-    vector, the Hamming weight or nothing; at "extended" or with a custom
-    statistic it takes theorem 1.  "closed" raises ValueError when no
+    linear congruence takes `lc_hamming`, or the residue pass with nothing
+    packed for its cardinality.  Method "auto" uses these closed forms when
+    they apply.  Otherwise, below kind "extended" and without a custom
+    statistic, it takes the residue-keyed transfer pass (method label
+    "transfer"), which packs only what the kind needs into its counts: the
+    type vector, the Hamming weight or nothing; at "extended" or with a
+    custom statistic it takes theorem 1.  "closed" raises ValueError when no
     closed form applies; "theorem1" and "oracle" force the character-sum
     engine and brute force.  Below kind "extended" the oracle counts the
     type vectors of the scanned codewords and evaluates no statistic, and

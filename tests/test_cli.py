@@ -304,10 +304,10 @@ def test_card_ternary_integer_auto_matches_theorem1(capsys):
 
 
 def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
-    # modulus 2^31 + 1: the pass's bound (n + 1) m is checked, not built
+    # modulus 2^31 + 1: the no-carry pass's bound min(3^30, m) is checked, not built
     code, out, err = run(capsys, "card", "ternary_integer", "--n", "30", "--a", "5")
     assert code == 3 and out == ""
-    assert f"up to {31 * (2**31 + 1)} terms exceeds the budget" in err
+    assert f"up to {2**31 + 1} terms exceeds the budget" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 import itertools
 import random
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
@@ -432,13 +432,14 @@ def test_lc_hamming_equals_twisted_point_sum():
 
 
 def test_lc_hamming_budget_checked_before_the_pass():
-    # bound min(r^n, (n + 1) m): min(3^6, 7 * 24) = 168
+    # bound min(r^n, m) (n + 1): min(3^6, 24) * 7 = 168
     with pytest.raises(BudgetExceededError, match="up to 168 terms exceeds the budget 100"):
         lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0, budget=100)
+    # the cardinality carries no Hamming weight: min(3^6, 24) = 24
     spec = make_family("lc", n=6, m=24, r=3, h=(1, 2, 3, 4, 5, 6), a=0)
-    with pytest.raises(BudgetExceededError):
-        compute(spec, "cardinality", budget=100)
-    assert compute(spec, "cardinality", budget=168) == lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0).cardinality()
+    with pytest.raises(BudgetExceededError, match="up to 24 terms exceeds the budget 23"):
+        compute(spec, "cardinality", budget=23)
+    assert compute(spec, "cardinality", budget=24) == lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0).cardinality()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -451,15 +452,33 @@ def test_lc_hamming_packed_digits_at_their_widest(r):
         enum = lc_hamming(n, 1, r, h, 0)
         expected = {(k,): comb(n, k) * (r - 1) ** k for k in range(n + 1)}
         assert enum.poly == MultiPoly(("w",), expected)
+        assert enum.spec == CodeSpec(n, r, ((linear(h), 1, 0),))
+        assert enum.cardinality() == r**n
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_residue_pass_packed_type_vectors_at_their_widest(r):
+    # modulus 1: the one residue holds all r^n words, so the digit of each
+    # type vector reaches its largest count, the multinomial n! / prod tau_x!
+    rng = random.Random(r)
+    for n in range(11):
+        spec = CodeSpec(n, r, ((linear([rng.randint(-9, 9) for _ in range(n)]), 1, 0),))
+        enum = compute(spec, "complete")
+        expected = {
+            tau: factorial(n) // prod(map(factorial, tau)) for tau in compositions(n, r)
+        }
+        assert enum.method == "transfer"
+        assert enum.poly == MultiPoly(w_variables(r), expected)
         assert enum.cardinality() == r**n
 
 
 @st.composite
-def residue_pass_cases(draw):
+def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0, 5)):
     """Specs over every built-in statistic, linear weights negative and
-    zero included, with 1-3 constraints, moduli down to 1 and r down to 1."""
-    n = draw(st.integers(0, 5))
-    r = draw(st.integers(1, 3))
+    zero included, with 1-3 constraints, moduli down to 1, and r and n
+    drawn from `alphabets` and `lengths` (by default r down to 1)."""
+    n = draw(lengths)
+    r = draw(alphabets)
     weights = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(linear)
     stat = st.sampled_from(BUILTIN_STATS) | weights
     cons = []
@@ -470,6 +489,8 @@ def residue_pass_cases(draw):
 
 
 @given(residue_pass_cases(), st.sampled_from(["complete", "hamming", "cardinality"]))
+@example(CodeSpec(0, 1, ((OMEGA, 1, 0),)), "hamming")
+@example(CodeSpec(3, 2, ((OMEGA, 4, 1),)), "hamming")
 def test_auto_below_extended_matches_oracle(spec, kind):
     got = compute(spec, kind)
     expected = compute(spec, kind, "oracle")
@@ -487,6 +508,15 @@ def test_auto_below_extended_matches_oracle(spec, kind):
         assert got.method == "closed_form"
 
 
+@given(residue_pass_cases(st.integers(4, 6), st.integers(0, 4)))
+def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
+    got = compute(spec, "complete")
+    expected = compute(spec, "complete", "theorem1")
+    assert got.method == "transfer"
+    assert got.poly.variables == expected.poly.variables
+    assert got.poly == expected.poly
+
+
 def test_custom_statistic_and_extended_kind_keep_theorem1():
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
     with_custom = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
@@ -500,13 +530,18 @@ def test_custom_statistic_and_extended_kind_keep_theorem1():
 
 def test_residue_pass_budget_counts_states_per_last_symbol():
     # nonbinary_svt n=40 r=3 m=13: residue keys 13 * 2 * 3, kept per last
-    # symbol (3), times the carry: 1, n + 1 = 41, or C(42, 2) = 861 with
-    # the symbol sum's residue fixed by the type vector
+    # symbol (3), times the packed digits: 1, n + 1 = 41 Hamming weights, or
+    # 41^2 cells of (tau_1, tau_2)
     spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
-    for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 861 * 78)]:
+    for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 41**2 * 234)]:
         with pytest.raises(BudgetExceededError, match=f"up to {bound} terms exceeds"):
             compute(spec, kind, budget=bound - 1)
     assert compute(spec, "cardinality", budget=234) == compute(spec, "hamming").cardinality()
+    # r^n caps the states, not the digits each holds: min(2^3, 100 * 2) * (3 + 1)
+    small = CodeSpec(3, 2, ((linear((1, 2, 3)), 100, 0), (SIGMA, 2, 0)))
+    with pytest.raises(BudgetExceededError, match="up to 32 terms exceeds"):
+        compute(small, "complete", budget=31)
+    assert compute(small, "complete", budget=32).poly == compute(small, "complete", "oracle").poly
 
 
 def test_tenengolts_hamming_paper_example():
