@@ -18,11 +18,11 @@ transfer passes over the positions (the transfer-matrix method) never
 list the words.  The exact pass builds W_full keyed by exact statistic
 values and the type vector; only a custom statistic makes the full space
 a scan of [0, r)^n.  The residue pass counts the code itself: keyed by
-residues mod m_i, with the type vector or the Hamming weight packed into
-each count as Kronecker digits, it evaluates the linear-congruence
-character sum of `lc_hamming`, which orthogonality turns into the
-coefficient of x^a in a product taken in Z[x]/(x^m - 1), and answers
-every spec without a closed form below kind "extended".
+residues mod m_i, with the Hamming weight, or the type vector where its
+digits stay few, packed into each count as Kronecker digits, it evaluates
+the linear-congruence character sum of `lc_hamming`, which orthogonality
+turns into the coefficient of x^a in a product taken in Z[x]/(x^m - 1),
+and answers every spec without a closed form below kind "extended".
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from math import comb, gcd, prod
 from typing import Optional
 
 from .codes import (
+    DEFAULT_BUDGET,
     DESCENT_COMPARISONS,
     SIGMA,
     VARIANT_STATS,
@@ -52,6 +53,10 @@ from .numtheory import divisors, ramanujan_sum
 
 KINDS = ("extended", "complete", "hamming")
 METHODS = ("auto", "closed", "theorem1", "oracle")
+
+#: the residue pass packs tau while its bound is at most this many times the
+#: bound of tau in the keys: up to here packing measured no more memory
+_PACKED_EXCESS = 16
 
 #: descent/sum variant keyed by the statistic kind of its first constraint
 _VARIANT_OF_STAT = {stat: variant for variant, stat in VARIANT_STATS.items()}
@@ -259,54 +264,66 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
     cardinality, from one transfer pass keyed by the statistics' residues
-    mod m_i (built-in statistics, any integer weights) that reads only the
-    state of the code's residues a_i.  Labelled "transfer".
-
-    The kind's carry is packed into each count as Kronecker digits, width
-    bit_length(r^n) rounded up to whole bytes: "complete" counts tau at
-    digit sum_{x>=1} tau_x (n+1)^(x-1), so symbol x >= 1 shifts a count by
-    width (n+1)^(x-1); "hamming" has the one axis of the weight; a
-    cardinality has none.  Digits never carry, since a key's counts are
-    non-negative and sum to at most r^n < 2^width.  Before the pass,
-    min(r^n, prod_i m_i, times r when keys are kept per last symbol) times
-    (n+1)^axes digits is checked against `budget`."""
+    mod m_i (built-in statistics, any integer weights), read at the code's
+    residues a_i.  Labelled "transfer".  The Hamming weight, or tau with
+    tau_x at digit (n+1)^(x-1), is packed into each count as Kronecker
+    digits bit_length(r^n) rounded up to bytes wide, which never carry.
+    With keys = prod_i m_i, times r when kept per last symbol, the bound
+    checked before the pass is min(r^n, keys), keys times n + 1 at
+    "hamming".  Packed tau stores all (n+1)^(r-1) digits of a state, though
+    only C(n+r-1, r-1) can be nonzero, bounded by min(r^n, keys) (n+1)^(r-1).
+    Past the budget or _PACKED_EXCESS times the bound of tau in the keys,
+    min(r^n, C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
     n, r, cons = spec.n, spec.r, spec.constraints
     moduli = [c.m for c in cons]
     _, step, reads_previous = _stepper(n, [c.stat for c in cons])
-    axes = {"complete": r - 1, "hamming": 1}.get(kind, 0)
     keys = prod(moduli) * (r if reads_previous else 1)
-    bound = min(r**n, keys) * (n + 1) ** axes
+    axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau_x kept in the keys
+    bound = min(r**n, keys * (n + 1) ** axes)
+    if kind == "complete":
+        sigma = prod(c.m for c in cons if c.stat.kind == "sigma")
+        bound = min(r**n, comb(n + r - 1, r - 1) * keys // sigma)
+        packed = min(r**n, keys) * (n + 1) ** (r - 1)
+        if packed <= min(_PACKED_EXCESS * bound, DEFAULT_BUDGET if budget is None else budget):
+            axes, bound = r - 1, packed
+        else:
+            tail = r - 1
     check_budget(bound, budget, f"residue transfer pass of up to {bound} terms")
     size = -(-(r**n).bit_length() // 8)
-    # digit index a symbol adds to: tau_x's place, the Hamming weight's 1, or none
-    places = [(n + 1) ** (x - 1) if kind == "complete" else axes for x in range(1, r)]
+    unit = [tuple(int(t == x) for t in range(1, 1 + tail)) for x in range(r)]
+    # digit place a symbol adds to: tau_x's, the Hamming weight's 1, or none
+    places = [(n + 1) ** (x - 1) if kind == "complete" and axes else axes for x in range(1, r)]
     shifts = [0] + [8 * size * place for place in places]
-    states = {None: {(0,) * len(cons): 1}}
+    key_moduli = moduli + [n + 1] * tail
+    states = {None: {(0,) * len(key_moduli): 1}}
     for j in range(n):
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc, shift = step(j, previous, x), shifts[x]
+                inc, shift = step(j, previous, x) + unit[x], shifts[x]
                 dest = nxt.setdefault(x if reads_previous else None, {})
                 for exps, count in terms.items():
-                    key = tuple(map(operator.mod, map(operator.add, exps, inc), moduli))
+                    key = tuple(map(operator.mod, map(operator.add, exps, inc), key_moduli))
                     dest[key] = dest.get(key, 0) + (count << shift)
         states = nxt
-    target = tuple(c.a for c in cons)
-    packed = sum(terms.get(target, 0) for terms in states.values())
+    s, target, kept = len(cons), tuple(c.a for c in cons), Counter()
+    for terms in states.values():
+        kept.update({key[s:]: count for key, count in terms.items() if key[:s] == target})
     if kind == "cardinality":
-        return packed
-    raw = packed.to_bytes(size * (n + 1) ** axes, "little")
+        return sum(kept.values())
     cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
     for axis in range(axes):
         cells = [
             (i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))
         ]
     terms = {}
-    for i, exps in cells:
-        count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
-        if count:
-            terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
+    for head, packed in kept.items():
+        raw = packed.to_bytes(size * (n + 1) ** axes, "little")
+        for i, exps in cells:
+            count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
+            if count:
+                exps = head + exps
+                terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
     variables = ("w",) if kind == "hamming" else w_variables(r)
     return Enumerator(kind, MultiPoly(variables, terms), "transfer", spec)
 
@@ -321,7 +338,7 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     the weighted sum kept mod m and the Hamming weight packed into each
     count, in integer arithmetic, for any integer weights.  There are no
     twisted points and no division by m, so no integrality sentinel can
-    fire.  The pass's bound min(r^n, m) (n+1) is checked against `budget`
+    fire.  The pass's bound min(r^n, m (n+1)) is checked against `budget`
     before it starts.  The result keeps the label "closed_form"."""
     if n < 0 or m < 1 or r < 1:
         raise ValueError("need n >= 0, m >= 1, r >= 1")
@@ -495,9 +512,9 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     packed for its cardinality.  Method "auto" uses these closed forms when
     they apply.  Otherwise, below kind "extended" and without a custom
     statistic, it takes the residue-keyed transfer pass (method label
-    "transfer"), which packs only what the kind needs into its counts: the
-    type vector, the Hamming weight or nothing; at "extended" or with a
-    custom statistic it takes theorem 1.  "closed" raises ValueError when no
+    "transfer"), which carries only what the kind needs: the type vector
+    (packed, or in the keys), the Hamming weight or nothing; at "extended"
+    or with a custom statistic it takes theorem 1.  "closed" raises ValueError when no
     closed form applies; "theorem1" and "oracle" force the character-sum
     engine and brute force.  Below kind "extended" the oracle counts the
     type vectors of the scanned codewords and evaluates no statistic, and

@@ -1,12 +1,14 @@
 import itertools
 import random
 from math import comb, factorial, gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
+from ntcodes import enumerators
 from ntcodes.codes import (
     BudgetExceededError,
     CodeSpec,
@@ -432,9 +434,13 @@ def test_lc_hamming_equals_twisted_point_sum():
 
 
 def test_lc_hamming_budget_checked_before_the_pass():
-    # bound min(r^n, m) (n + 1): min(3^6, 24) * 7 = 168
+    # bound min(r^n, m (n + 1)): min(3^6, 24 * 7) = 168; the 3^6 words fill
+    # at most 729 (state, weight) digits however large m is
     with pytest.raises(BudgetExceededError, match="up to 168 terms exceeds the budget 100"):
         lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0, budget=100)
+    with pytest.raises(BudgetExceededError, match="up to 729 terms exceeds the budget 728"):
+        lc_hamming(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0, budget=728)
+    assert lc_hamming(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0, budget=729).cardinality() == 1
     # the cardinality carries no Hamming weight: min(3^6, 24) = 24
     spec = make_family("lc", n=6, m=24, r=3, h=(1, 2, 3, 4, 5, 6), a=0)
     with pytest.raises(BudgetExceededError, match="up to 24 terms exceeds the budget 23"):
@@ -456,10 +462,13 @@ def test_lc_hamming_packed_digits_at_their_widest(r):
         assert enum.cardinality() == r**n
 
 
+@pytest.mark.parametrize("excess", [0, 10**9], ids=["keyed", "packed"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
-def test_residue_pass_packed_type_vectors_at_their_widest(r):
+def test_residue_pass_packed_type_vectors_at_their_widest(r, excess, monkeypatch):
     # modulus 1: the one residue holds all r^n words, so the digit of each
-    # type vector reaches its largest count, the multinomial n! / prod tau_x!
+    # type vector reaches its largest count, the multinomial n! / prod tau_x!.
+    # `excess` forces tau into the keys or into the digits
+    monkeypatch.setattr(enumerators, "_PACKED_EXCESS", excess)
     rng = random.Random(r)
     for n in range(11):
         spec = CodeSpec(n, r, ((linear([rng.randint(-9, 9) for _ in range(n)]), 1, 0),))
@@ -510,11 +519,13 @@ def test_auto_below_extended_matches_oracle(spec, kind):
 
 @given(residue_pass_cases(st.integers(4, 6), st.integers(0, 4)))
 def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
-    got = compute(spec, "complete")
     expected = compute(spec, "complete", "theorem1")
-    assert got.method == "transfer"
-    assert got.poly.variables == expected.poly.variables
-    assert got.poly == expected.poly
+    for excess in (0, 10**9):  # tau in the keys, then always packed
+        with mock.patch.object(enumerators, "_PACKED_EXCESS", excess):
+            got = compute(spec, "complete")
+        assert got.method == "transfer"
+        assert got.poly.variables == expected.poly.variables
+        assert got.poly == expected.poly
 
 
 def test_custom_statistic_and_extended_kind_keep_theorem1():
@@ -530,18 +541,49 @@ def test_custom_statistic_and_extended_kind_keep_theorem1():
 
 def test_residue_pass_budget_counts_states_per_last_symbol():
     # nonbinary_svt n=40 r=3 m=13: residue keys 13 * 2 * 3, kept per last
-    # symbol (3), times the packed digits: 1, n + 1 = 41 Hamming weights, or
-    # 41^2 cells of (tau_1, tau_2)
+    # symbol (3), times 1 for the cardinality or n + 1 = 41 Hamming digits.
+    # At "complete" a budget below the 41^2 * 234 packed digits keeps tau in
+    # the keys: C(42, 2) = 861 type vectors times 234 / 3, as tau fixes sigma
     spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
-    for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 41**2 * 234)]:
+    for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 861 * 78)]:
         with pytest.raises(BudgetExceededError, match=f"up to {bound} terms exceeds"):
             compute(spec, kind, budget=bound - 1)
     assert compute(spec, "cardinality", budget=234) == compute(spec, "hamming").cardinality()
     # r^n caps the states, not the digits each holds: min(2^3, 100 * 2) * (3 + 1)
+    # packed, against min(2^3, C(4, 1) * 100) with tau in the keys
     small = CodeSpec(3, 2, ((linear((1, 2, 3)), 100, 0), (SIGMA, 2, 0)))
-    with pytest.raises(BudgetExceededError, match="up to 32 terms exceeds"):
-        compute(small, "complete", budget=31)
-    assert compute(small, "complete", budget=32).poly == compute(small, "complete", "oracle").poly
+    with pytest.raises(BudgetExceededError, match="up to 8 terms exceeds"):
+        compute(small, "complete", budget=7)
+    expected = compute(small, "complete", "oracle").poly
+    assert compute(small, "complete", budget=8).poly == expected
+    assert compute(small, "complete", budget=32).poly == expected
+
+
+def test_residue_pass_packs_tau_up_to_sixteen_times_its_keyed_bound(monkeypatch):
+    # modulus 1, r=6: (n+1)^5 packed digits against C(n+5, 5) type vectors,
+    # 3^5 = 243 <= 16 * 21 packed at n=2, 6^5 = 7776 > 16 * 252 keyed at n=5
+    bounds = []
+    monkeypatch.setattr(enumerators, "check_budget", lambda bound, *_: bounds.append(bound))
+    for n in (2, 5):
+        spec = CodeSpec(n, 6, ((linear((1,) * n), 1, 0),))
+        assert compute(spec, "complete").cardinality() == 6**n
+    assert bounds == [243, 252]
+
+
+@pytest.mark.parametrize("n, r, keyed", [(13, 3, 4_095), (7, 7, 84_084), (6, 8, 82_368)])
+def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, keyed):
+    # tenengolts at "complete", keyed = min(r^n, C(n+r-1, r-1) keys / r).
+    # Packed tau holds (n+1)^(r-1) digits per state: 14^2 * 117 = 22,932 at
+    # n=13 r=3 (packed), but 8^6 * 343 and 7^7 * 384 at r >= 7, past the
+    # default budget, where the type-vector keys answer.  A budget below
+    # the packed digits falls back to the keys, whose bound it then meets
+    spec = make_family("tenengolts", n=n, r=r, a1=0, a2=0)
+    with pytest.raises(BudgetExceededError, match=f"up to {keyed} terms exceeds"):
+        compute(spec, "complete", budget=keyed - 1)
+    enum = compute(spec, "complete")
+    assert enum.method == "transfer"
+    assert enum.cardinality() == tenengolts_cardinality(n, r, 0, 0)
+    assert specialize(enum, "hamming").poly == tenengolts_hamming(n, r, 0, 0).poly
 
 
 def test_tenengolts_hamming_paper_example():
