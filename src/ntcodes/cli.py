@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: enum (weight enumerators), card (cardinalities), verify
-(closed-form vs brute-force sweeps), table (desk-reference parameter
-grids), macwilliams (duality report).  All numeric output is in exact
+(sweeps of the route `compute` picks against brute force), table
+(desk-reference parameter grids), macwilliams (duality report).  Every
+enumerator and cardinality, the sweeps' and tables' included, comes from
+`compute`, which alone picks the route.  All numeric output is in exact
 decimal; exit codes are 0 success, 1 verification mismatch, 2 usage,
 3 budget exceeded, 4 internal integrality violation.
 """
@@ -38,12 +40,7 @@ from .enumerators import (
     Enumerator,
     compute,
     enumerator_to_dict,
-    lc_hamming,
-    oracle_extended,
     specialize,
-    tenengolts_cardinality,
-    tenengolts_hamming,
-    theorem1_extended,
 )
 from .exactalg import IntegralityError
 from .macwilliams import build_code, row_span, verify_macwilliams
@@ -136,23 +133,27 @@ def _cmd_card(args) -> int:
 # verify sweeps
 
 
+def _check(checks, label, spec, kinds, budget):
+    """Compare the route `compute` picks at each kind with one oracle scan
+    at the first kind; a cardinality is read off the oracle's enumerator."""
+    answers = [compute(spec, kind, "auto", budget) for kind in kinds]
+    oracle = compute(spec, kinds[0], "oracle", budget)
+    ok = all(
+        answer == oracle.cardinality() if kind == "cardinality" else answer.poly == oracle.poly
+        for kind, answer in zip(kinds, answers)
+    )
+    checks.append((label, ok))
+
+
 def _verify_tenengolts(checks, max_n, max_r, budget):
     for n in range(1, max_n + 1):
         for r in range(2, max_r + 1):
             for variant in VARIANTS:
                 for a1 in range(n):
                     for a2 in range(r):
-                        closed = tenengolts_hamming(n, r, a1, a2, variant)
                         spec = make_family("tenengolts", n=n, r=r, a1=a1, a2=a2, variant=variant)
-                        oracle = compute(spec, "hamming", "oracle", budget)
-                        ok = (
-                            closed.poly == oracle.poly
-                            and tenengolts_cardinality(n, r, a1, a2, variant)
-                            == oracle.cardinality()
-                        )
-                        checks.append(
-                            (f"tenengolts n={n} r={r} a1={a1} a2={a2} variant={variant}", ok)
-                        )
+                        label = f"tenengolts n={n} r={r} a1={a1} a2={a2} variant={variant}"
+                        _check(checks, label, spec, ("hamming", "cardinality"), budget)
 
 
 def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
@@ -164,10 +165,8 @@ def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
         bound = max(m, 2)
         h = tuple(rng.randrange(1 - bound, bound) for _ in range(n))
         a = rng.randrange(m)
-        closed = lc_hamming(n, m, r, h, a, budget)
-        oracle = compute(make_family("lc", n=n, m=m, r=r, h=h, a=a), "hamming", "oracle", budget)
-        ok = closed.poly == oracle.poly
-        checks.append((f"{label} i={i} n={n} m={m} r={r} a={a}", ok))
+        spec = make_family("lc", n=n, m=m, r=r, h=h, a=a)
+        _check(checks, f"{label} i={i} n={n} m={m} r={r} a={a}", spec, ("hamming",), budget)
 
 
 def _verify_sc(checks, rng, count, max_n, max_m, budget):
@@ -181,12 +180,9 @@ def _verify_sc(checks, rng, count, max_n, max_m, budget):
         for st in stats:
             m = rng.randint(1, min(max_m, 6))
             cons.append((st, m, rng.randrange(m)))
-        spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec, budget)
-        oracle = oracle_extended(spec, budget)
-        ok = engine.poly == oracle.poly
         kinds = ",".join(st.kind for st in stats)
-        checks.append((f"sc i={i} n={n} r={r} stats={kinds}", ok))
+        label = f"sc i={i} n={n} r={r} stats={kinds}"
+        _check(checks, label, CodeSpec(n, r, tuple(cons)), ("extended",), budget)
 
 
 def _verify_macwilliams(checks, rng, count, max_n, budget):
@@ -259,11 +255,13 @@ def _cmd_table(args) -> int:
     status = 0
     if args.name == "t33":
         print("codewords of the ternary descent/sum code, n=3 r=3:")
+        grid = {}
         for a1 in range(3):
             for a2 in range(3):
-                words = list(enumerate_codewords(make_family("tenengolts", n=3, r=3, a1=a1, a2=a2), budget))
-                closed = tenengolts_cardinality(3, 3, a1, a2)
-                marker = "" if closed == len(words) else "  MISMATCH"
+                spec = make_family("tenengolts", n=3, r=3, a1=a1, a2=a2)
+                words = list(enumerate_codewords(spec, budget))
+                grid[a1, a2] = compute(spec, "cardinality", "closed", budget)
+                marker = "" if grid[a1, a2] == len(words) else "  MISMATCH"
                 if marker:
                     status = 1
                 print(f"  a1={a1} a2={a2}: {_cell(words)}{marker}")
@@ -271,7 +269,7 @@ def _cmd_table(args) -> int:
         header = "       " + "".join(f"a2={a2:<5}" for a2 in range(3))
         print(header)
         for a1 in range(3):
-            row = "".join(f"{tenengolts_cardinality(3, 3, a1, a2):<8}" for a2 in range(3))
+            row = "".join(f"{grid[a1, a2]:<8}" for a2 in range(3))
             print(f"  a1={a1} {row}")
     elif args.name == "t23":
         print("codewords of the descent/sum code variants, n=2 r=3:")
@@ -293,7 +291,7 @@ def _cmd_table(args) -> int:
             sg = evaluate_statistic(spec.constraints[1].stat, word)
             tau = type_vector(word, 3)
             print(f"  {_word_str(word):<6}{g:<7}{sg:<7}{tau[0]:<6}{tau[1]:<6}{tau[2]:<6}")
-        extended = theorem1_extended(spec, budget)
+        extended = compute(spec, "extended", "theorem1", budget)
         complete = specialize(extended, "complete")
         hamming = specialize(extended, "hamming")
         print(f"extended: {extended.poly}")
@@ -354,9 +352,13 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--H", help="semicolon-separated matrix rows, e.g. 1,1;0,1")
 
 
+def _add_budget_flag(parser) -> None:
+    parser.add_argument("--budget", type=int, help=f"enumeration budget (default {DEFAULT_BUDGET})")
+
+
 def _add_common_flags(parser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--budget", type=int, help=f"enumeration budget (default {DEFAULT_BUDGET})")
+    _add_budget_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_card)
     p_card.set_defaults(handler=_cmd_card)
 
-    p_verify = sub.add_parser("verify", help="sweep closed forms against brute force")
+    p_verify = sub.add_parser("verify", help="sweep the chosen routes against brute force")
     p_verify.add_argument(
         "--family",
         choices=("tenengolts", "lc", "blc", "sc", "macwilliams", "all"),
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a desk-reference table")
     p_table.add_argument("name", choices=("t33", "t23", "t33enum"))
-    _add_common_flags(p_table)
+    _add_budget_flag(p_table)
     p_table.set_defaults(handler=_cmd_table)
 
     p_mac = sub.add_parser("macwilliams", help="duality report for a linear code over Z_r")

@@ -269,14 +269,14 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     tau_x at digit (n+1)^(x-1), is packed into each count as Kronecker
     digits bit_length(r^n) rounded up to bytes wide, which never carry.
     With keys = prod_i m_i, times r when kept per last symbol, the bound
-    checked before the pass is min(r^n, keys), keys times n + 1 at
-    "hamming".  Packed tau stores all (n+1)^(r-1) digits of a state, though
-    only C(n+r-1, r-1) can be nonzero, bounded by min(r^n, keys) (n+1)^(r-1).
-    Past the budget or _PACKED_EXCESS times the bound of tau in the keys,
+    checked before the pass, and before any weight vector is built, is
+    min(r^n, keys), keys times n + 1 at "hamming".  Packed tau stores all
+    (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be
+    nonzero, bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or _PACKED_EXCESS times the bound of tau in the keys,
     min(r^n, C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
     n, r, cons = spec.n, spec.r, spec.constraints
     moduli = [c.m for c in cons]
-    _, step, reads_previous = _stepper(n, [c.stat for c in cons])
+    reads_previous = any(c.stat.kind in DESCENT_COMPARISONS for c in cons)
     keys = prod(moduli) * (r if reads_previous else 1)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau_x kept in the keys
     bound = min(r**n, keys * (n + 1) ** axes)
@@ -289,6 +289,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
         else:
             tail = r - 1
     check_budget(bound, budget, f"residue transfer pass of up to {bound} terms")
+    _, step, _ = _stepper(n, [c.stat for c in cons])
     size = -(-(r**n).bit_length() // 8)
     unit = [tuple(int(t == x) for t in range(1, 1 + tail)) for x in range(r)]
     # digit place a symbol adds to: tau_x's, the Hamming weight's 1, or none
@@ -334,12 +335,12 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     The paper's character sum (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1}
     e(h_j k u/m)) is, by orthogonality, the coefficient of x^a in
     prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
-    coefficient is the residue pass of `compute` on this one congruence:
-    the weighted sum kept mod m and the Hamming weight packed into each
-    count, in integer arithmetic, for any integer weights.  There are no
-    twisted points and no division by m, so no integrality sentinel can
-    fire.  The pass's bound min(r^n, m (n+1)) is checked against `budget`
-    before it starts.  The result keeps the label "closed_form"."""
+    coefficient is what `compute` returns for this one congruence at
+    method "closed": the residue pass, with the weighted sum kept mod m and
+    the Hamming weight packed into each count, in integer arithmetic, for
+    any integer weights.  There are no twisted points and no division by
+    m, so no integrality sentinel can fire.  The pass's bound
+    min(r^n, m (n+1)) is checked against `budget` before it starts."""
     if n < 0 or m < 1 or r < 1:
         raise ValueError("need n >= 0, m >= 1, r >= 1")
     h = tuple(int(x) for x in h)
@@ -347,9 +348,7 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
         raise ValueError(f"weight vector of length {len(h)} for n={n}")
     if not 0 <= a < m:
         raise ValueError(f"a must lie in [0, {m}), got {a}")
-    spec = CodeSpec(n, r, ((linear(h), m, a),))
-    enum = _residue_pass(spec, "hamming", budget)
-    return Enumerator("hamming", enum.poly, "closed_form", spec)
+    return compute(CodeSpec(n, r, ((linear(h), m, a),)), "hamming", "closed", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +383,7 @@ def tenengolts_variant_transform(variant: str, n: int, a1: int) -> tuple[int, bo
 def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> Enumerator:
     """Hamming weight enumerator of the r-ary descent/sum code, in pure
     integer arithmetic over divisor pairs weighted by Ramanujan sums."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive")
-    if not 0 <= a2 < r:
-        raise ValueError(f"a2 must lie in [0, {r}), got {a2}")
+    spec = tenengolts_spec(n, r, a1, a2, variant)
     base_a1, _ = tenengolts_variant_transform(variant, n, a1)
     coeffs = [0] * (n + 1)
     for d in divisors(n):
@@ -414,17 +410,13 @@ def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> 
             raise IntegralityError(f"negative weight-{deg} coefficient {q}")
         if q:
             terms[(deg,)] = q
-    spec = tenengolts_spec(n, r, a1, a2, variant)
     return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
 
 
 def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
     """Cardinality of the r-ary descent/sum code from the divisor sum
     (1/nr) sum_{d | n} c_d(a1) r^(n/d) (r, d) [ (r, d) | a2 ]."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive")
-    if not 0 <= a2 < r:
-        raise ValueError(f"a2 must lie in [0, {r}), got {a2}")
+    tenengolts_spec(n, r, a1, a2, variant)  # checks the parameters
     base_a1, _ = tenengolts_variant_transform(variant, n, a1)
     total = 0
     for d in divisors(n):
@@ -475,15 +467,12 @@ def _closed_form(spec: CodeSpec, kind: str, budget: int | None):
         if kind == "cardinality":
             return tenengolts_cardinality(*args)
         return tenengolts_hamming(*args)
-    if len(cons) == 1:
-        con = cons[0]
-        h = linear_weights(con.stat, spec.n)
-        if h is not None:
-            if kind == "cardinality":
-                return _residue_pass(spec, kind, budget)
-            enum = lc_hamming(spec.n, con.m, spec.r, h, con.a, budget)
-            enum.spec = spec
-            return enum
+    if len(cons) == 1 and cons[0].stat.kind in ("omega", "sigma", "linear"):
+        # the character sum of a linear congruence, evaluated by the residue pass
+        result = _residue_pass(spec, kind, budget)
+        if kind == "cardinality":
+            return result
+        return Enumerator(kind, result.poly, "closed_form", spec)
     return None
 
 
@@ -504,12 +493,15 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     """The spec's enumerator of the given kind, or its cardinality (an int)
     when `kind` is "cardinality".
 
-    The route is read off the spec's congruences, whatever family built
-    it.  At kinds "hamming" and "cardinality", a descent/sum code (a
-    descent statistic mod n, then the symbol sum mod r) takes the divisor
-    sums of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
-    linear congruence takes `lc_hamming`, or the residue pass with nothing
-    packed for its cardinality.  Method "auto" uses these closed forms when
+    This is the one place a route is chosen; the command line and
+    `lc_hamming` reach every route through it.  The route is read off the
+    spec's congruences, whatever family built it.  At kinds "hamming" and
+    "cardinality", a descent/sum code (a descent statistic mod n, then the
+    symbol sum mod r) takes the divisor sums of `tenengolts_hamming` /
+    `tenengolts_cardinality`, and a single linear congruence (an omega,
+    sigma or linear statistic) takes the residue pass on the spec itself,
+    labelled "closed_form" at "hamming" and with nothing packed for its
+    cardinality.  Method "auto" uses these closed forms when
     they apply.  Otherwise, below kind "extended" and without a custom
     statistic, it takes the residue-keyed transfer pass (method label
     "transfer"), which carries only what the kind needs: the type vector

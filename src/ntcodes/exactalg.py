@@ -110,17 +110,7 @@ class CycElement:
     def _reduced(self) -> tuple[int, ...]:
         """Coordinates in the power basis of Z[zeta], i.e. the remainder of
         the representative modulo Phi_order."""
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, deg - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = 0
-                for k in range(deg):
-                    if phi[k]:
-                        rem[i - deg + k] -= c * phi[k]
-        return tuple(rem[:deg])
+        return _upoly_divmod(self.coeffs, cyclotomic_polynomial(self.order))[1]
 
     def to_integer(self) -> int:
         """The rational-integer value of this element.

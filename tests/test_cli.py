@@ -112,7 +112,7 @@ def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
     def wrong(n, r, a1, a2, variant=">"):
         return Enumerator("hamming", MultiPoly(("w",), {(0,): 999}), "closed_form")
 
-    monkeypatch.setattr("ntcodes.cli.tenengolts_hamming", wrong)
+    monkeypatch.setattr("ntcodes.enumerators.tenengolts_hamming", wrong)
     code, out, _ = run(capsys, "verify", "--family", "tenengolts", "--max-n", "2", "--max-r", "2")
     assert code == 1
     assert "MISMATCH" in out
@@ -129,6 +129,21 @@ def test_verify_empty_sweep_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "selected no checks" in err and "unknown" not in err
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_all_keeps_its_draws_labels_and_order(capsys, seed):
+    # the text of the default sweep before its checks went through `compute`
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_all_seed{seed}.txt"
+    assert run(capsys, "verify", "--family", "all", "--seed", str(seed)) == (0, golden.read_text(), "")
+
+
+def test_cli_binds_no_route_function():
+    # every route is picked by `compute`; the CLI names none of them
+    import ntcodes.cli
+
+    routes = ("lc_hamming", "tenengolts_hamming", "tenengolts_cardinality", "theorem1_extended", "oracle_extended")
+    assert not [name for name in routes if hasattr(ntcodes.cli, name)]
 
 
 def test_verify_deterministic_given_seed(capsys):
@@ -181,6 +196,16 @@ def test_table_t33(capsys):
     assert code == 0
     assert "{000, 012, 111, 210, 222}" in out
     assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_takes_no_format(capsys, fmt):
+    # the tables print text only; a --format flag is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["table", "t33", "--format", fmt])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert run(capsys, "table", "t33", "--budget", "27")[0] == 0
 
 
 def test_table_t23(capsys):
@@ -381,12 +406,13 @@ def test_verify_lc_draws_negative_weights(capsys, monkeypatch):
     import ntcodes.cli
 
     drawn = []
+    compute = ntcodes.cli.compute
 
-    def recording(n, m, r, h, a, budget=None):
-        drawn.extend(h)
-        return lc_hamming(n, m, r, h, a, budget)
+    def recording(spec, kind, method="auto", budget=None):
+        drawn.extend(spec.constraints[0].stat.h)
+        return compute(spec, kind, method, budget)
 
-    monkeypatch.setattr(ntcodes.cli, "lc_hamming", recording)
+    monkeypatch.setattr(ntcodes.cli, "compute", recording)
     for family in ("lc", "blc"):
         code, out, _ = run(capsys, "verify", "--family", family, "--count", "20", "--max-n", "5")
         assert code == 0 and out.strip().endswith("20 checks, 0 mismatches")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb, factorial, gcd, prod
 from unittest import mock
 
@@ -557,6 +558,21 @@ def test_residue_pass_budget_counts_states_per_last_symbol():
     expected = compute(small, "complete", "oracle").poly
     assert compute(small, "complete", budget=8).poly == expected
     assert compute(small, "complete", budget=32).poly == expected
+
+
+@pytest.mark.parametrize("kind", ["cardinality", "hamming", "complete"])
+def test_residue_pass_refuses_before_building_weights(kind):
+    # binary_vt at n = 2 * 10^6 has n + 1 residue keys, over a budget of 10.
+    # The refusal comes before the n weights of omega, about 70 MB, exist
+    spec = make_family("binary_vt", n=2_000_000, a=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exceeds the budget 10"):
+            compute(spec, kind, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_residue_pass_packs_tau_up_to_sixteen_times_its_keyed_bound(monkeypatch):
