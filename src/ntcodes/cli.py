@@ -7,12 +7,17 @@ enumerator and cardinality, the sweeps' and tables' included, comes from
 `compute`, which alone picks the route.  All numeric output is in exact
 decimal; exit codes are 0 success, 1 verification mismatch, 2 usage,
 3 budget exceeded, 4 internal integrality violation.
+
+`main(argv)` may be called repeatedly in one process: it builds its
+parser on the first call and reuses it for every later one.
+`build_parser()` returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -157,6 +162,8 @@ def _verify_tenengolts(checks, max_n, max_r, budget):
 
 
 def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
+    if max_n < 1 or max_m < 1:
+        return
     label = "blc" if binary else "lc"
     for i in range(count):
         r = 2 if binary else rng.randint(2, 4)
@@ -170,11 +177,13 @@ def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
 
 
 def _verify_sc(checks, rng, count, max_n, max_m, budget):
+    if max_n < 2 or max_m < 1:
+        return
     pool = (OMEGA, SIGMA, DELTA, GAMMA_GT)
     for i in range(count):
         s = rng.randint(2, 3)
         stats = rng.sample(pool, s)
-        n = rng.randint(2, max(2, min(max_n, 5)))
+        n = rng.randint(2, min(max_n, 5))
         r = rng.randint(2, 3)
         cons = []
         for st in stats:
@@ -186,11 +195,13 @@ def _verify_sc(checks, rng, count, max_n, max_m, budget):
 
 
 def _verify_macwilliams(checks, rng, count, max_n, budget):
+    if max_n < 1:
+        return
     made = 0
     while made < count:
         r = rng.randint(2, 6)
-        s = rng.randint(1, 3)
-        n = rng.randint(s, max(s, max_n))
+        s = rng.randint(1, min(3, max_n))
+        n = rng.randint(s, max_n)
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
         # a rank-deficient draw is skipped before its kernel is scanned
         if len(row_span(r, rows, budget)) != r**s:
@@ -409,9 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's own parser, kept apart from those build_parser() hands out;
+    # parse_args leaves it unchanged, so one parser serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

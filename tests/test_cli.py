@@ -1,12 +1,15 @@
+import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ntcodes.cli
 import ntcodes.macwilliams
 from ntcodes.cli import _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
@@ -123,12 +126,30 @@ def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
     [
         ("verify", "--family", "tenengolts", "--max-n", "0"),
         ("verify", "--family", "lc", "--count", "0"),
+        ("verify", "--family", "lc", "--max-n", "0"),
+        ("verify", "--family", "lc", "--max-m", "0"),
+        ("verify", "--family", "blc", "--max-n", "0"),
+        ("verify", "--family", "sc", "--max-n", "1"),
+        ("verify", "--family", "sc", "--max-m", "0"),
+        ("verify", "--family", "macwilliams", "--max-n", "0"),
+        ("verify", "--family", "all", "--max-n", "0"),
     ],
 )
 def test_verify_empty_sweep_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "selected no checks" in err and "unknown" not in err
+
+
+@pytest.mark.parametrize("family, max_n", [("lc", 1), ("blc", 1), ("sc", 2), ("macwilliams", 1), ("macwilliams", 2)])
+def test_verify_draws_stay_within_their_bounds(capsys, family, max_n):
+    code, out, _ = run(capsys, "verify", "--family", family, "--max-n", str(max_n), "--max-m", "1", "--count", "5")
+    labels = out.splitlines()[:-1]
+    assert code == 0 and len(labels) == 5
+    for label in labels:
+        assert int(re.search(r" n=(\d+)", label)[1]) <= max_n
+        m = re.search(r" m=(\d+)", label)
+        assert m is None or int(m[1]) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -419,15 +440,104 @@ def test_verify_lc_draws_negative_weights(capsys, monkeypatch):
     assert min(drawn) < 0 < max(drawn)
 
 
-def test_python_dash_m_ntcodes():
+def _run_python(*args):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "ntcodes", "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_ntcodes():
+    done = _run_python("-m", "ntcodes", "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "5"
+
+
+def outcome(capsys, argv):
+    """main's exit code, stdout and stderr, an argparse exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+TENENGOLTS_33 = ("tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
+LC_ORACLE = ("enum", "lc", "--n", "4", "--m", "5", "--r", "2", "--h", "1,2,3,4", "--a", "0", "--method", "oracle")
+
+# (CODES_BUDGET, argv, expected exit code): every flag given in one call is
+# left out of a later one, and each kind of exit is passed through
+REUSE_SEQUENCE = (
+    (None, ("enum", *TENENGOLTS_33, "--kind", "complete", "--method", "theorem1", "--format", "json", "--budget", "1000"), 0),
+    (None, ("enum", "nonsense", "--n", "3"), 2),  # argparse rejects it
+    (None, ("card", "--help"), 0),
+    (None, ("enum", *TENENGOLTS_33[:-2]), 2),  # no --a2: a ValueError
+    (None, (*LC_ORACLE, "--budget", "10"), 3),
+    (None, ("enum", *TENENGOLTS_33), 0),
+    (None, ("card", *TENENGOLTS_33), 0),
+    (None, LC_ORACLE, 0),
+    ("10", LC_ORACLE, 3),
+    (None, LC_ORACLE, 0),
+    (None, ("verify", "--family", "sc", "--count", "2", "--format", "csv"), 0),
+    (None, ("verify", "--family", "sc", "--count", "2"), 0),
+)
+
+
+def test_main_reuses_its_parser_without_carrying_state(capsys, monkeypatch):
+    def run_sequence():
+        outcomes = []
+        for env, argv, _ in REUSE_SEQUENCE:
+            if env is None:
+                monkeypatch.delenv("CODES_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("CODES_BUDGET", env)
+            outcomes.append(outcome(capsys, argv))
+        return outcomes
+
+    reused = run_sequence()
+    with monkeypatch.context() as fresh:
+        fresh.setattr(ntcodes.cli, "_parser", build_parser)
+        expected = run_sequence()
+    assert reused == expected
+    assert [code for code, _, _ in reused] == [code for _, _, code in REUSE_SEQUENCE]
+    assert reused[5][1] == "1 + 2*w^2 + 2*w^3\n"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    argv = ("card", *TENENGOLTS_33)
+    main(list(argv))
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert main(list(argv)) == 0
+    assert outcome(capsys, ("enum", "nonsense"))[0] == 2
+    assert made == []
+    # a parser handed out by build_parser() is not main's
+    parser = build_parser()
+    parser.add_argument("--extra")
+    assert parser.parse_args(["--extra=1", *argv]).extra == "1"
+    code, out, err = outcome(capsys, ("--extra=1", *argv))
+    assert (code, out) == (2, "") and "unrecognized arguments: --extra=1" in err
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = _run_python(
+        "-c",
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import ntcodes.cli\n"
+        "print(len(made))\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):
