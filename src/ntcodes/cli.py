@@ -94,12 +94,15 @@ def _build_spec(args) -> CodeSpec:
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("CODES_BUDGET")
-    if env:
-        return int(env)
-    return None
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get("CODES_BUDGET")
+        if not env:
+            return None
+        budget = int(env)
+    if budget < 0:
+        raise ValueError(f"the budget must be non-negative, got {budget}")
+    return budget
 
 
 def _emit_enumerator(enum: Enumerator, fmt: str) -> None:

@@ -80,8 +80,9 @@ class Enumerator:
     spec: Optional[CodeSpec] = None
 
     def cardinality(self) -> int:
-        """The number of codewords: the polynomial evaluated at all ones."""
-        return self.poly.evaluate({v: 1 for v in self.poly.variables})
+        """The number of codewords: the sum of the coefficients, which is
+        the polynomial evaluated at all ones."""
+        return sum(self.poly.terms.values())
 
 
 def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
@@ -272,8 +273,9 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     checked before the pass, and before any weight vector is built, is
     min(r^n, keys), keys times n + 1 at "hamming".  Packed tau stores all
     (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be
-    nonzero, bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or _PACKED_EXCESS times the bound of tau in the keys,
-    min(r^n, C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
+    nonzero, bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
+    _PACKED_EXCESS times the bound of tau in the keys, min(r^n,
+    C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
     n, r, cons = spec.n, spec.r, spec.constraints
     moduli = [c.m for c in cons]
     reads_previous = any(c.stat.kind in DESCENT_COMPARISONS for c in cons)

@@ -1,7 +1,9 @@
 """Exact algebra substrate.
 
 * ``MultiPoly`` - a sparse multivariate polynomial with integer
-  coefficients, keyed by exponent vectors; every enumerator is one.
+  coefficients, keyed by exponent vectors; every enumerator is one.  It
+  is a plain value: the routes build its term map, and it only checks,
+  prints and compares it.
 * ``CycElement`` - a length-L vector of the group ring Z[x]/(x^L - 1),
   which ``to_integer`` reduces modulo the L-th cyclotomic polynomial to
   the rational integer it equals (or raises).  The MacWilliams check
@@ -14,7 +16,6 @@ all exact.
 from __future__ import annotations
 
 import functools
-import re
 
 from .numtheory import divisors
 
@@ -139,16 +140,12 @@ def _term_sort_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
 
-_FACTOR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?\Z")
-_COEFF_RE = re.compile(r"-?\d+\Z")
-
-
 class MultiPoly:
     """Sparse multivariate polynomial with integer coefficients.
 
     Terms map exponent tuples (one non-negative entry per declared
-    variable) to nonzero integer coefficients.  Instances are
-    treated as immutable; every operation returns a fresh polynomial.
+    variable) to nonzero integer coefficients.  There is no arithmetic:
+    callers build the term map, and an instance is treated as immutable.
     """
 
     __slots__ = ("variables", "terms")
@@ -171,131 +168,6 @@ class MultiPoly:
         self.variables = variables
         self.terms = clean
 
-    # -- constructors
-
-    @classmethod
-    def zero(cls, variables) -> "MultiPoly":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, variables, value) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def variable(cls, variables, name) -> "MultiPoly":
-        variables = tuple(variables)
-        exps = tuple(1 if v == name else 0 for v in variables)
-        if sum(exps) != 1:
-            raise ValueError(f"{name!r} is not among {variables}")
-        return cls(variables, {exps: 1})
-
-    # -- alignment over variable unions
-
-    def _expand_to(self, variables) -> dict:
-        if variables == self.variables:
-            return self.terms
-        pos = []
-        for v in self.variables:
-            pos.append(variables.index(v))
-        width = len(variables)
-        out = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * width
-            for p, e in zip(pos, exps):
-                key[p] = e
-            out[tuple(key)] = coeff
-        return out
-
-    @staticmethod
-    def _union_vars(a, b):
-        if a.variables == b.variables:
-            return a.variables
-        merged = list(a.variables)
-        for v in b.variables:
-            if v not in merged:
-                merged.append(v)
-        return tuple(merged)
-
-    # -- ring operations
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.variables, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        variables = self._union_vars(self, other)
-        terms = dict(self._expand_to(variables))
-        for exps, coeff in other._expand_to(variables).items():
-            cur = terms.get(exps)
-            terms[exps] = coeff if cur is None else cur + coeff
-        return MultiPoly(variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.variables, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiPoly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        variables = self._union_vars(self, other)
-        left = self._expand_to(variables)
-        right = other._expand_to(variables)
-        terms: dict = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                cur = terms.get(key)
-                terms[key] = prod if cur is None else cur + prod
-        return MultiPoly(variables, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not supported")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    # -- evaluation
-
-    def evaluate(self, values: dict):
-        """Fully evaluate; every variable must be bound to an int."""
-        missing = set(self.variables) - set(values)
-        if missing:
-            raise ValueError(f"unbound variables: {sorted(missing)}")
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for var, e in zip(self.variables, exps):
-                if e:
-                    term = term * values[var] ** e
-            total = total + term
-        return total
-
     # -- canonical form
 
     def sorted_terms(self) -> list:
@@ -304,8 +176,6 @@ class MultiPoly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_sort_key)]
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         # the same polynomial over another variable list is another value
@@ -331,28 +201,3 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.variables!r}, '{self}')"
-
-    @classmethod
-    def parse(cls, text: str, variables) -> "MultiPoly":
-        """Inverse of str()."""
-        variables = tuple(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        text = text.strip()
-        if text == "0":
-            return cls.zero(variables)
-        terms: dict = {}
-        for chunk in text.split(" + "):
-            coeff = 1
-            exps = [0] * len(variables)
-            for factor in chunk.strip().split("*"):
-                factor = factor.strip()
-                if _COEFF_RE.match(factor):
-                    coeff *= int(factor)
-                    continue
-                m = _FACTOR_RE.match(factor)
-                if not m or m.group(1) not in pos:
-                    raise ValueError(f"cannot parse polynomial factor {factor!r}")
-                exps[pos[m.group(1)]] += int(m.group(2) or 1)
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(variables, terms)

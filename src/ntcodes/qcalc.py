@@ -33,7 +33,7 @@ def q_binomial(a: int, b: int) -> MultiPoly:
     if a < 0 or b < 0:
         raise ValueError("q_binomial needs non-negative arguments")
     if a == 0 or b == 0:
-        return MultiPoly.constant(Q_VARS, 1)
+        return MultiPoly(Q_VARS, {(0,): 1})
     terms = dict(q_binomial(a - 1, b).terms)
     for (e,), c in q_binomial(a, b - 1).terms.items():
         key = (e + a,)
@@ -67,12 +67,18 @@ def _validated(parts) -> tuple[int, ...]:
 def q_multinomial(parts) -> MultiPoly:
     """q-multinomial [sum(parts); parts]_q via telescoping Gaussian binomials."""
     parts = _validated(parts)
-    result = MultiPoly.constant(Q_VARS, 1)
+    terms = {(0,): 1}
     prefix = 0
     for t in parts:
-        result = result * q_binomial(prefix, t)
+        # one-variable convolution of the running product with the next factor
+        factor = q_binomial(prefix, t).terms
+        product: dict = {}
+        for (d,), b in terms.items():
+            for (e,), c in factor.items():
+                product[(d + e,)] = product.get((d + e,), 0) + b * c
+        terms = product
         prefix += t
-    return result
+    return MultiPoly(Q_VARS, terms)
 
 
 def multinomial(parts) -> int:

@@ -367,6 +367,25 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("card", "tenengolts", "--n", "4", "--r", "2", "--a1", "0", "--a2", "0"),
+        ("card", "binary_vt", "--n", "4"),
+        ("verify", "--family", "sc", "--count", "2"),
+        ("table", "t33"),
+        ("macwilliams", "--r", "3", "--H", "1,2,0"),
+    ],
+    ids=["divisor-sum", "residue-pass", "verify", "table", "macwilliams"],
+)
+def test_negative_budget_exit_two(capsys, monkeypatch, argv):
+    # a divisor sum ignores the budget, so a negative one is refused up front
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: the budget must be non-negative, got -1\n")
+    monkeypatch.setenv("CODES_BUDGET", "-1")
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_verify_macwilliams_respects_the_budget(capsys, monkeypatch):
     argv = ("verify", "--family", "macwilliams", "--count", "2", "--max-n", "12")
     code, _, err = run(capsys, *argv, "--budget", "10")

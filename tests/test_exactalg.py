@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclotomic_reference import add, convolve, fold, value
+from multipoly_reference import parse
 from ntcodes.enumerators import Enumerator, specialize
 from ntcodes.exactalg import (
     CycElement,
@@ -92,15 +93,7 @@ def test_to_integer_examples():
 
 
 def w_poly(text):
-    return MultiPoly.parse(text, ("w",))
-
-
-def test_poly_basic_ops():
-    w = MultiPoly(("w",), {(1,): 1})
-    one = MultiPoly.constant(("w",), 1)
-    assert (one + w) * (one - w) == w_poly("1 + -1*w^2")
-    assert (one + w) ** 0 == one
-    assert (one + w) ** 3 == w_poly("1 + 3*w + 3*w^2 + w^3")
+    return parse(text, ("w",))
 
 
 def test_substitute_paper_example():
@@ -118,13 +111,8 @@ def test_canonical_text_format():
         ws, {(3, 0, 0): 1, (1, 1, 1): 2, (0, 3, 0): 1, (0, 0, 3): 1}
     )
     assert str(poly) == "w0^3 + 2*w0*w1*w2 + w1^3 + w2^3"
-    assert str(MultiPoly.zero(ws)) == "0"
-    assert str(MultiPoly.constant(ws, -2)) == "-2"
-
-
-def test_parse_round_trip_fixed_point():
-    text = "1 + 2*w^2 + 2*w^3"
-    assert str(w_poly(text)) == text
+    assert str(MultiPoly(ws)) == "0"
+    assert str(MultiPoly(ws, {(0, 0, 0): -2})) == "-2"
 
 
 @st.composite
@@ -142,36 +130,19 @@ def random_polys(draw):
 @given(random_polys())
 def test_serialize_parse_serialize_fixed_point(poly):
     text = str(poly)
-    again = MultiPoly.parse(text, poly.variables)
+    again = parse(text, poly.variables)
     assert again == poly
     assert str(again) == text
 
 
-@given(random_polys(), random_polys(), random_polys())
-def test_poly_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-
-
-def test_variable_union_alignment():
-    a = MultiPoly(("x",), {(1,): 1})
-    b = MultiPoly(("y",), {(1,): 1})
-    both = a + b
-    assert set(both.variables) == {"x", "y"}
-    assert both.evaluate({"x": 2, "y": 3}) == 5
-
-
 def test_equality_compares_variable_lists():
     # polynomials over different variable lists differ even when the extra
-    # variables never appear; `+` and `*` still align them
-    assert MultiPoly.zero(("w0", "w1")) != MultiPoly.zero(("w",))
+    # variables never appear, and a polynomial never equals an int
+    assert MultiPoly(("w0", "w1")) != MultiPoly(("w",))
     assert MultiPoly(("w",), {(0,): 1}) != MultiPoly(("z",), {(0,): 1})
     assert MultiPoly(("x", "y"), {(1, 0): 1}) != MultiPoly(("x",), {(1,): 1})
     assert MultiPoly(("w",), {(2,): 3}) == MultiPoly(("w",), {(2,): 3, (1,): 0})
-    assert MultiPoly.constant(("w",), 4) == 4
-    x, y = MultiPoly.variable(("x",), "x"), MultiPoly.variable(("y",), "y")
-    assert x + y == MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 1})
+    assert MultiPoly(("w",), {(0,): 4}) != 4
 
 
 def test_negative_exponent_rejected():
@@ -181,4 +152,10 @@ def test_negative_exponent_rejected():
 
 def test_evaluate_at_ones_counts_terms():
     poly = w_poly("1 + 2*w^2 + 2*w^3")
-    assert poly.evaluate({"w": 1}) == 5
+    assert Enumerator("hamming", poly, "oracle").cardinality() == 5
+
+
+def test_multipoly_is_a_plain_value():
+    # the routes build term maps; no ring arithmetic, evaluation or parser
+    for name in ("__add__", "__mul__", "__pow__", "__sub__", "evaluate", "parse"):
+        assert not hasattr(MultiPoly, name), name

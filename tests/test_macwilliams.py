@@ -86,7 +86,7 @@ def test_complete_weight_enumerator_examples():
     assert complete_weight_enumerator([(0, 0, 0)], 2) == MultiPoly(
         w_variables(2), {(3, 0): 1}
     )
-    assert complete_weight_enumerator([], 2) == MultiPoly.zero(w_variables(2))
+    assert complete_weight_enumerator([], 2) == MultiPoly(w_variables(2))
 
 
 def random_full_rank_code(rng, max_r=6, max_n=6, max_s=3):

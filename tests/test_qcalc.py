@@ -68,7 +68,7 @@ def q_factorial_dense(n):
 def test_q_integer_examples():
     assert dense(q_integer(1)) == [1]
     assert dense(q_integer(3)) == [1, 1, 1]
-    assert q_integer(2).evaluate({"q": -1}) == 0
+    assert sum(c * (-1) ** e for (e,), c in q_integer(2).terms.items()) == 0
     with pytest.raises(ValueError):
         q_integer(0)
 
@@ -76,7 +76,7 @@ def test_q_integer_examples():
 def test_q_binomial_examples():
     assert dense(q_binomial(1, 1)) == [1, 1]
     assert dense(q_binomial(2, 1)) == [1, 1, 1]
-    assert q_binomial(0, 7) == MultiPoly.constant(("q",), 1)
+    assert q_binomial(0, 7) == MultiPoly(("q",), {(0,): 1})
 
 
 def test_q_binomial_recurrence_agrees_with_factorial_division():
@@ -97,13 +97,13 @@ def test_q_binomial_symmetry_and_degree():
             p = q_binomial(a, b)
             assert p == q_binomial(b, a)
             assert max((e for (e,) in p.terms), default=0) == a * b
-            assert p.evaluate({"q": 1}) == comb(a + b, a)
+            assert sum(p.terms.values()) == comb(a + b, a)
 
 
 def test_q_multinomial_examples():
     assert dense(q_multinomial((1, 1, 1))) == [1, 2, 2, 1]
-    assert q_multinomial((5,)) == MultiPoly.constant(("q",), 1)
-    assert q_multinomial((2, 2)).evaluate({"q": 1}) == 6
+    assert q_multinomial((5,)) == MultiPoly(("q",), {(0,): 1})
+    assert sum(q_multinomial((2, 2)).terms.values()) == 6
 
 
 def test_q_multinomial_telescoping_matches_q_binomial():
