@@ -42,7 +42,6 @@ from .codes import (
 )
 from .enumerators import (
     METHODS,
-    Enumerator,
     compute,
     enumerator_to_dict,
     specialize,
@@ -57,40 +56,27 @@ _FAMILY_PARAMS = {
     name: tuple(inspect.signature(builder).parameters) for name, builder in FAMILIES.items()
 }
 
-#: CLI flag of each constructor parameter whose flag is not named after it
-_PARAM_FLAGS = {"rows": "H"}
 
-_OPTIONAL_PARAMS = {"variant": ">", "a": 0}
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
+# parsers of --h and --H; argparse names one in its usage error, as it
+# names int in "invalid int value"
+def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
-def _parse_matrix(text: str) -> list[tuple[int, ...]]:
-    return [_parse_int_list(row) for row in text.split(";") if row.strip() != ""]
+def int_matrix(text: str) -> list[tuple[int, ...]]:
+    return [int_list(row) for row in text.split(";") if row.strip() != ""]
 
 
-_PARAM_PARSERS = {"h": _parse_int_list, "rows": _parse_matrix}
+#: --H, the parity-check matrix of linear_code and macwilliams
+_MATRIX_FLAG = {"dest": "rows", "type": int_matrix, "metavar": "H"}
 
 
 def _family_params(args) -> dict:
-    params = {}
-    for name in _FAMILY_PARAMS[args.family]:
-        flag = _PARAM_FLAGS.get(name, name)
-        value = getattr(args, flag)
+    """The constructor arguments, parsed and defaulted by their flags."""
+    params = {name: getattr(args, name) for name in _FAMILY_PARAMS[args.family]}
+    for name, value in params.items():
         if value is None:
-            if name in _OPTIONAL_PARAMS:
-                value = _OPTIONAL_PARAMS[name]
-            else:
-                raise ValueError(f"family {args.family} requires --{flag}")
-        elif name in _PARAM_PARSERS:
-            value = _PARAM_PARSERS[name](value)
-        params[name] = value
+            raise ValueError(f"family {args.family} requires --{'H' if name == 'rows' else name}")
     return params
-
-
-def _build_spec(args) -> CodeSpec:
-    return make_family(args.family, **_family_params(args))
 
 
 def _budget(args):
@@ -105,35 +91,29 @@ def _budget(args):
     return budget
 
 
-def _emit_enumerator(enum: Enumerator, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(enumerator_to_dict(enum)))
-    elif fmt == "csv":
+def _cmd_compute(args) -> int:
+    """enum and card, which asks `compute` for kind "cardinality", an int."""
+    spec = make_family(args.family, **_family_params(args))
+    result = compute(spec, args.kind, args.method, _budget(args))
+    if isinstance(result, int):
+        if args.format == "json":
+            print(json.dumps({"cardinality": str(result)}))
+        elif args.format == "csv":
+            print("cardinality")
+            print(result)
+        else:
+            print(result)
+    elif args.format == "json":
+        print(json.dumps(enumerator_to_dict(result)))
+    elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(list(enum.poly.variables) + ["coefficient"])
-        for exps, coeff in enum.poly.sorted_terms():
+        writer.writerow(list(result.poly.variables) + ["coefficient"])
+        for exps, coeff in result.poly.sorted_terms():
             writer.writerow(list(exps) + [str(coeff)])
         sys.stdout.write(out.getvalue())
     else:
-        print(enum.poly)
-
-
-def _cmd_enum(args) -> int:
-    enum = compute(_build_spec(args), args.kind, args.method, _budget(args))
-    _emit_enumerator(enum, args.format)
-    return 0
-
-
-def _cmd_card(args) -> int:
-    value = compute(_build_spec(args), "cardinality", args.method, _budget(args))
-    if args.format == "json":
-        print(json.dumps({"cardinality": str(value)}))
-    elif args.format == "csv":
-        print("cardinality")
-        print(value)
-    else:
-        print(value)
+        print(result.poly)
     return 0
 
 
@@ -266,9 +246,10 @@ def _cell(words) -> str:
 
 def _cmd_table(args) -> int:
     budget = _budget(args)
-    status = 0
+    # printed once complete, so a refused table prints nothing
+    lines, status = [], 0
     if args.name == "t33":
-        print("codewords of the ternary descent/sum code, n=3 r=3:")
+        lines.append("codewords of the ternary descent/sum code, n=3 r=3:")
         grid = {}
         for a1 in range(3):
             for a2 in range(3):
@@ -278,48 +259,46 @@ def _cmd_table(args) -> int:
                 marker = "" if grid[a1, a2] == len(words) else "  MISMATCH"
                 if marker:
                     status = 1
-                print(f"  a1={a1} a2={a2}: {_cell(words)}{marker}")
-        print("cardinality grid (closed form):")
-        header = "       " + "".join(f"a2={a2:<5}" for a2 in range(3))
-        print(header)
+                lines.append(f"  a1={a1} a2={a2}: {_cell(words)}{marker}")
+        lines.append("cardinality grid (closed form):")
+        lines.append("       " + "".join(f"a2={a2:<5}" for a2 in range(3)))
         for a1 in range(3):
             row = "".join(f"{grid[a1, a2]:<8}" for a2 in range(3))
-            print(f"  a1={a1} {row}")
+            lines.append(f"  a1={a1} {row}")
     elif args.name == "t23":
-        print("codewords of the descent/sum code variants, n=2 r=3:")
-        header = f"  {'(a1,a2)':<10}" + "".join(f"{v:<16}" for v in VARIANTS)
-        print(header)
+        lines.append("codewords of the descent/sum code variants, n=2 r=3:")
+        lines.append(f"  {'(a1,a2)':<10}" + "".join(f"{v:<16}" for v in VARIANTS))
         for a1 in range(2):
             for a2 in range(3):
                 cells = []
                 for variant in VARIANTS:
                     spec = make_family("tenengolts", n=2, r=3, a1=a1, a2=a2, variant=variant)
                     cells.append(_cell(list(enumerate_codewords(spec, budget))))
-                print(f"  ({a1},{a2})    " + "".join(f"{c:<16}" for c in cells))
+                lines.append(f"  ({a1},{a2})    " + "".join(f"{c:<16}" for c in cells))
     elif args.name == "t33enum":
         spec = make_family("tenengolts", n=3, r=3, a1=0, a2=0)
-        print("codeword table for the ternary descent/sum code at a1=0 a2=0:")
-        print(f"  {'x':<6}{'gamma':<7}{'sigma':<7}{'tau0':<6}{'tau1':<6}{'tau2':<6}")
+        lines.append("codeword table for the ternary descent/sum code at a1=0 a2=0:")
+        lines.append(f"  {'x':<6}{'gamma':<7}{'sigma':<7}{'tau0':<6}{'tau1':<6}{'tau2':<6}")
         for word in enumerate_codewords(spec, budget):
             g = evaluate_statistic(spec.constraints[0].stat, word)
             sg = evaluate_statistic(spec.constraints[1].stat, word)
             tau = type_vector(word, 3)
-            print(f"  {_word_str(word):<6}{g:<7}{sg:<7}{tau[0]:<6}{tau[1]:<6}{tau[2]:<6}")
+            lines.append(f"  {_word_str(word):<6}{g:<7}{sg:<7}{tau[0]:<6}{tau[1]:<6}{tau[2]:<6}")
         extended = compute(spec, "extended", "theorem1", budget)
         complete = specialize(extended, "complete")
         hamming = specialize(extended, "hamming")
-        print(f"extended: {extended.poly}")
-        print(f"complete: {complete.poly}")
-        print(f"hamming:  {hamming.poly}")
-        print(f"cardinality: {extended.cardinality()}")
+        lines.append(f"extended: {extended.poly}")
+        lines.append(f"complete: {complete.poly}")
+        lines.append(f"hamming:  {hamming.poly}")
+        lines.append(f"cardinality: {extended.cardinality()}")
     else:
         raise ValueError(f"unknown table {args.name!r} (choose t33, t23, or t33enum)")
+    print("\n".join(lines))
     return status
 
 
 def _cmd_macwilliams(args) -> int:
-    rows = _parse_matrix(args.H)
-    code = build_code(args.r, rows, _budget(args))
+    code = build_code(args.r, args.rows, _budget(args))
     report = verify_macwilliams(code)
     payload = {
         "left": str(report.left),
@@ -353,7 +332,7 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--n", type=int)
     parser.add_argument("--r", type=int)
     parser.add_argument("--m", type=int)
-    parser.add_argument("--a", type=int)
+    parser.add_argument("--a", type=int, default=0)
     parser.add_argument("--a1", type=int)
     parser.add_argument("--a2", type=int)
     parser.add_argument("--b", type=int)
@@ -361,9 +340,9 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--t", type=int)
     parser.add_argument("--p", type=int)
     parser.add_argument("--parity", type=int)
-    parser.add_argument("--variant", choices=VARIANTS)
-    parser.add_argument("--h", help="comma-separated weight vector, e.g. 1,2,3,4")
-    parser.add_argument("--H", help="semicolon-separated matrix rows, e.g. 1,1;0,1")
+    parser.add_argument("--variant", choices=VARIANTS, default=">")
+    parser.add_argument("--h", type=int_list, help="comma-separated weight vector, e.g. 1,2,3,4")
+    parser.add_argument("--H", **_MATRIX_FLAG, help="semicolon-separated matrix rows, e.g. 1,1;0,1")
 
 
 def _add_budget_flag(parser) -> None:
@@ -387,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--kind", choices=("extended", "complete", "hamming"), default="hamming")
     p_enum.add_argument("--method", choices=METHODS, default="auto")
     _add_common_flags(p_enum)
-    p_enum.set_defaults(handler=_cmd_enum)
+    p_enum.set_defaults(handler=_cmd_compute)
 
     p_card = sub.add_parser("card", help="compute a cardinality")
     _add_family_flags(p_card)
     p_card.add_argument("--method", choices=METHODS, default="auto")
     _add_common_flags(p_card)
-    p_card.set_defaults(handler=_cmd_card)
+    p_card.set_defaults(handler=_cmd_compute, kind="cardinality")
 
     p_verify = sub.add_parser("verify", help="sweep the chosen routes against brute force")
     p_verify.add_argument(
@@ -416,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mac = sub.add_parser("macwilliams", help="duality report for a linear code over Z_r")
     p_mac.add_argument("--r", type=int, required=True)
-    p_mac.add_argument("--H", required=True, help="matrix rows, e.g. 1,1;0,1")
+    p_mac.add_argument("--H", **_MATRIX_FLAG, required=True, help="matrix rows, e.g. 1,1;0,1")
     _add_common_flags(p_mac)
     p_mac.set_defaults(handler=_cmd_macwilliams)
 

@@ -64,12 +64,31 @@ class BudgetExceededError(Exception):
     """Exhaustive enumeration would visit more words than the budget allows."""
 
 
+def budget_limit(budget: int | None) -> int:
+    """The budget in force: DEFAULT_BUDGET when `budget` is None."""
+    return DEFAULT_BUDGET if budget is None else budget
+
+
 def check_budget(work: int, budget: int | None, what: str) -> None:
     """Refuse `work` units of work (words, terms, span elements) above the
     budget, DEFAULT_BUDGET when `budget` is None; `what` names the work."""
-    limit = DEFAULT_BUDGET if budget is None else budget
+    limit = budget_limit(budget)
     if work > limit:
         raise BudgetExceededError(f"{what} exceeds the budget {limit}")
+
+
+def capped_power(r: int, n: int, cap: int) -> int:
+    """min(r^n, cap), with r^n built only when its bit length does not
+    already put it past the cap, so a bound check never pays for r^n."""
+    if r > 1 and n * (r.bit_length() - 1) >= cap.bit_length():
+        return cap
+    return min(r**n, cap)
+
+
+def count_text(count: int) -> str:
+    """A bound for a budget message: exact below 2^64, else the least power
+    of two at or above it, so no message converts thousands of digits."""
+    return str(count) if count.bit_length() <= 64 else f"2^{(count - 1).bit_length()}"
 
 
 @dataclass(frozen=True)
@@ -225,8 +244,8 @@ def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
     spec, and a failed recheck raises IntegralityError.  Custom statistics
     and shorter words take the plain scan of all r^n words.
     """
-    total = spec.r**spec.n
-    check_budget(total, budget, f"enumerating {spec.r}^{spec.n} = {total} words")
+    words = capped_power(spec.r, spec.n, budget_limit(budget) + 1)
+    check_budget(words, budget, f"enumerating {spec.r}^{spec.n} words")
     test = _membership_test(spec)
     if spec.n < 2 or any(c.stat.kind == "custom" for c in spec.constraints):
         return (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
@@ -369,25 +388,20 @@ def le_nguyen(n: int, r: int, t: int, a: int) -> CodeSpec:
     if n < 1 or r < 1 or t < 1:
         raise ValueError("n, r, and t must be positive")
     g = weight_sequence(t, r, n + 1)
-    m = g[n]
-    _check_range(a, m, "a")
-    return CodeSpec(n, r, ((linear(g[:n]), m, a),))
+    return lc(n, g[n], r, g[:n], a)
 
 
 def ternary_integer(n: int, a: int) -> CodeSpec:
     """Ternary code with weights 2^i - 1 modulo 2^(n+1) + 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    m = 2 ** (n + 1) + 1
-    _check_range(a, m, "a")
-    return CodeSpec(n, 3, ((linear(tuple(2**i - 1 for i in range(1, n + 1))), m, a),))
+    return lc(n, 2 ** (n + 1) + 1, 3, (2**i - 1 for i in range(1, n + 1)), a)
 
 
 def odd_coefficient(n: int, m: int, a: int) -> CodeSpec:
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    _check_range(a, 2 * m, "a")
-    return CodeSpec(n, 2, ((linear(tuple(2 * i - 1 for i in range(1, n + 1))), 2 * m, a),))
+    return lc(n, 2 * m, 2, (2 * i - 1 for i in range(1, n + 1)), a)
 
 
 def an_code(p: int, a: int) -> CodeSpec:
@@ -397,22 +411,20 @@ def an_code(p: int, a: int) -> CodeSpec:
     if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p must be prime, got {p}")
     n = 2 ** (p - 2)
-    _check_range(a, p, "a")
-    return CodeSpec(n, 2, ((linear(tuple(range(1, n + 1))), p, a),))
+    return lc(n, p, 2, range(1, n + 1), a)
 
 
 def exponential_coefficient(n: int, m: int, a: int) -> CodeSpec:
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    modulus = 2**m + 1
-    _check_range(a, modulus, "a")
-    return CodeSpec(n, 2, ((linear(tuple(2**i for i in range(n))), modulus, a),))
+    return lc(n, 2**m + 1, 2, (2**i for i in range(n)), a)
 
 
 def lc(n: int, m: int, r: int, h, a: int) -> CodeSpec:
-    """r-ary single linear congruence code with free weight vector."""
-    if n < 1 or m < 1 or r < 1:
-        raise ValueError("n, m, and r must be positive")
+    """r-ary single linear congruence code with free weight vector; the
+    other single-congruence families with linear weights are built by it."""
+    if n < 0 or m < 1 or r < 1:
+        raise ValueError("need n >= 0, m >= 1, r >= 1")
     h = tuple(int(x) for x in h)
     if len(h) != n:
         raise ValueError(f"weight vector of length {len(h)} for n={n}")

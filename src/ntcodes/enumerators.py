@@ -34,14 +34,17 @@ from math import comb, gcd, prod
 from typing import Optional
 
 from .codes import (
-    DEFAULT_BUDGET,
     DESCENT_COMPARISONS,
     SIGMA,
     VARIANT_STATS,
     CodeSpec,
     Constraint,
+    budget_limit,
+    capped_power,
     check_budget,
+    count_text,
     enumerate_codewords,
+    lc,
     linear,
     linear_weights,
     statistic_evaluator,
@@ -140,11 +143,10 @@ def specialize(enum: Enumerator, target: str):
 
 
 def _stepper(n: int, stats):
-    """The statistics' linear weights (None for a descent statistic),
-    `step(j, previous, x)`, their increments for symbol x at position j
-    after `previous`, and whether any of them reads `previous`.  Every
-    built-in statistic is a sum of such increments: h_j x for omega, sigma
-    and linear statistics, and j (1 for delta) when the statistic's
+    """`step(j, previous, x)`, the statistics' increments for symbol x at
+    position j after `previous`, and whether any of them reads `previous`.
+    Every built-in statistic is a sum of such increments: h_j x for omega,
+    sigma and linear statistics, and j (1 for delta) when the statistic's
     comparison of (previous, x) holds.  So a pass keeps one {key: count}
     dict per last symbol when some statistic reads it, else a single one."""
     weights = [linear_weights(st, n) for st in stats]
@@ -161,7 +163,7 @@ def _stepper(n: int, stats):
                 inc.append(0)
         return tuple(inc)
 
-    return weights, step, any(cmp is not None for cmp in compares)
+    return step, any(cmp is not None for cmp in compares)
 
 
 def _exact_pass(n: int, r: int, stats, budget: int | None) -> dict:
@@ -169,25 +171,23 @@ def _exact_pass(n: int, r: int, stats, budget: int | None) -> dict:
     followed by their type vector, from one transfer pass over the
     positions.  Negative weights are refused, so no key is ever reduced.
 
-    Before the pass, the key count is bounded by min(r^n, C(n+r-1, r-1)
-    type vectors times the range 1 + max_i of each statistic), sigma adding
-    no factor beside the type vector that fixes it; a bound over `budget`
-    raises BudgetExceededError."""
-    weights, step, reads_previous = _stepper(n, stats)
-    if any(x < 0 for w in weights if w is not None for x in w):
+    Before the pass, and before any weight vector is built, the key count
+    is bounded by min(r^n, C(n+r-1, r-1) type vectors times the range
+    1 + max_i of each statistic), sigma adding no factor beside the type
+    vector that fixes it; a bound over `budget` raises
+    BudgetExceededError."""
+    if any(x < 0 for st in stats if st.kind == "linear" for x in st.h):
         raise ValueError("full-space enumerators need non-negative weights")
-    ranges = [
-        1 + (r - 1) * sum(w) if w is not None
-        else max(n, 1) if st.kind == "delta"
-        else 1 + n * (n - 1) // 2
-        for st, w in zip(stats, weights)
-    ]
+    # each statistic's largest value, gamma/lambda's by default; the type
+    # vector fixes sigma's, so sigma adds no factor
+    top = {"omega": (r - 1) * n * (n + 1) // 2, "sigma": 0, "delta": max(n - 1, 0)}
     bound = comb(n + r - 1, r - 1)
-    for st, size in zip(stats, ranges):
-        if st.kind != "sigma":
-            bound *= size
-    bound = min(r**n, bound)
-    check_budget(bound, budget, f"full-space transfer pass of up to {bound} terms")
+    for st in stats:
+        most = (r - 1) * sum(st.h) if st.kind == "linear" else top.get(st.kind, n * (n - 1) // 2)
+        bound *= 1 + most
+    bound = capped_power(r, n, bound)
+    check_budget(bound, budget, f"full-space transfer pass of up to {count_text(bound)} terms")
+    step, reads_previous = _stepper(n, stats)
     symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
     # {last symbol (None when no statistic reads it): {key: count}}
     states = {None: {(0,) * (len(stats) + r): 1}}
@@ -281,17 +281,17 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     reads_previous = any(c.stat.kind in DESCENT_COMPARISONS for c in cons)
     keys = prod(moduli) * (r if reads_previous else 1)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau_x kept in the keys
-    bound = min(r**n, keys * (n + 1) ** axes)
+    bound = capped_power(r, n, keys * (n + 1) ** axes)
     if kind == "complete":
         sigma = prod(c.m for c in cons if c.stat.kind == "sigma")
-        bound = min(r**n, comb(n + r - 1, r - 1) * keys // sigma)
-        packed = min(r**n, keys) * (n + 1) ** (r - 1)
-        if packed <= min(_PACKED_EXCESS * bound, DEFAULT_BUDGET if budget is None else budget):
+        bound = capped_power(r, n, comb(n + r - 1, r - 1) * keys // sigma)
+        packed = capped_power(r, n, keys) * (n + 1) ** (r - 1)
+        if packed <= min(_PACKED_EXCESS * bound, budget_limit(budget)):
             axes, bound = r - 1, packed
         else:
             tail = r - 1
-    check_budget(bound, budget, f"residue transfer pass of up to {bound} terms")
-    _, step, _ = _stepper(n, [c.stat for c in cons])
+    check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
+    step, _ = _stepper(n, [c.stat for c in cons])
     size = -(-(r**n).bit_length() // 8)
     unit = [tuple(int(t == x) for t in range(1, 1 + tail)) for x in range(r)]
     # digit place a symbol adds to: tau_x's, the Hamming weight's 1, or none
@@ -343,14 +343,7 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     any integer weights.  There are no twisted points and no division by
     m, so no integrality sentinel can fire.  The pass's bound
     min(r^n, m (n+1)) is checked against `budget` before it starts."""
-    if n < 0 or m < 1 or r < 1:
-        raise ValueError("need n >= 0, m >= 1, r >= 1")
-    h = tuple(int(x) for x in h)
-    if len(h) != n:
-        raise ValueError(f"weight vector of length {len(h)} for n={n}")
-    if not 0 <= a < m:
-        raise ValueError(f"a must lie in [0, {m}), got {a}")
-    return compute(CodeSpec(n, r, ((linear(h), m, a),)), "hamming", "closed", budget)
+    return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
 
 
 # ---------------------------------------------------------------------------

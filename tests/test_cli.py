@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,69 @@ def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
     code, out, err = run(capsys, "card", "ternary_integer", "--n", "30", "--a", "5")
     assert code == 3 and out == ""
     assert f"up to {2**31 + 1} terms exceeds the budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("card", "binary_vt", "--n", "20000", "--method", "oracle"), "enumerating 2^20000 words"),
+        (("card", "ternary_integer", "--n", "20000", "--a", "0"), "up to 2^20002 terms"),
+        (
+            ("enum", "ternary_integer", "--n", "20000", "--a", "0", "--kind", "extended"),
+            "up to 2^20030 terms",
+        ),
+        (("card", "binary_vt", "--n", "1000000000"), "up to 1000000001 terms"),
+        (
+            ("enum", "binary_vt", "--n", "30000000", "--budget", "10", "--method", "theorem1", "--kind", "extended"),
+            "up to 2^74 terms",
+        ),
+        (("table", "t33", "--budget", "1"), "enumerating 3^3 words"),
+    ],
+    ids=["oracle-words", "residue-bound", "exact-bound", "residue-no-power", "exact-no-weights", "table"],
+)
+def test_refusals_exit_three_at_any_size(capsys, argv, text):
+    # a bound past 2^64 prints as a power of two, so no refusal trips the
+    # 4300-digit limit; no r^n or weight vector is built before the check;
+    # a table prints nothing before it is refused
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert f"{text} exceeds the budget" in err
+    if argv[1] == "binary_vt" and "oracle" not in argv:
+        assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("method", ["auto", "theorem1", "oracle"])
+def test_card_lc_of_length_zero(capsys, method):
+    # the one word of length 0 has weighted sum 0
+    argv = ("card", "lc", "--n", "0", "--m", "5", "--r", "2", "--h=", "--method", method)
+    assert run(capsys, *argv, "--a", "0") == (0, "1\n", "")
+    assert run(capsys, *argv, "--a", "3") == (0, "0\n", "")
+
+
+def test_each_flag_parses_and_defaults_itself(capsys):
+    # no table maps a flag to its parser or default, and one handler serves
+    # enum and card
+    gone = ("_PARAM_FLAGS", "_PARAM_PARSERS", "_OPTIONAL_PARAMS", "_build_spec", "_cmd_card", "_emit_enumerator")
+    assert not [name for name in gone if hasattr(ntcodes.cli, name)]
+    parser = build_parser()
+    enum = parser.parse_args(["enum", "lc", "--h", "1,2"])
+    card = parser.parse_args(["card", "linear_code", "--H", "1,2;0,1"])
+    assert enum.handler is card.handler and card.kind == "cardinality"
+    assert (enum.h, enum.a, enum.variant, card.rows) == ((1, 2), 0, ">", [(1, 2), (0, 1)])
+    # a malformed list is an argparse usage error, as a malformed int is
+    for argv in [
+        ("card", "lc", "--n", "x"),
+        ("card", "lc", "--h", "1,x"),
+        ("card", "linear_code", "--r", "2", "--H", "1;x"),
+        ("macwilliams", "--r", "2", "--H", "1;x"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("usage: ntcodes") and f"error: argument {argv[-2]}: invalid" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -20,10 +20,13 @@ from ntcodes.codes import (
     OMEGA,
     SIGMA,
     Statistic,
+    capped_power,
+    count_text,
     custom,
     enumerate_codewords,
     evaluate_statistic,
     is_member,
+    lc,
     linear,
     make_family,
     spec_from_dict,
@@ -198,6 +201,11 @@ def test_lc_and_blc():
     spec = make_family("lc", n=4, m=5, r=2, h=(1, 2, 3, 4), a=0)
     assert words_of(spec) == {"0000", "1001", "0110", "1111"}
     assert words_of(make_family("blc", n=4, m=5, h=(1, 2, 3, 4), a=0)) == words_of(spec)
+    # length 0: the empty word, whose weighted sum is 0
+    assert words_of(lc(0, 5, 2, (), 0)) == {""}
+    assert words_of(make_family("blc", n=0, m=5, h=(), a=1)) == set()
+    with pytest.raises(ValueError, match="need n >= 0"):
+        lc(-1, 5, 2, (), 0)
 
 
 def test_shifted_vt_and_svt_constraints():
@@ -256,6 +264,44 @@ def test_table_one_liner_families():
     assert ec.constraints[0].m == 9
     hv = make_family("han_vinck_morita", n=3, a=0, b=1)
     assert [c.m for c in hv.constraints] == [4, 3]
+
+
+def test_single_linear_congruence_families_are_lc_specs():
+    # each family is `lc` with its own modulus and weights, and keeps its errors
+    assert make_family("le_nguyen", n=3, r=3, t=1, a=2) == lc(3, 15, 3, (1, 3, 7), 2)
+    assert make_family("helberg", n=4, t=2, a=1) == lc(4, 12, 2, (1, 2, 4, 7), 1)
+    assert make_family("ternary_integer", n=3, a=5) == lc(3, 17, 3, (1, 3, 7), 5)
+    assert make_family("odd_coefficient", n=3, m=2, a=3) == lc(3, 4, 2, (1, 3, 5), 3)
+    assert make_family("an_code", p=5, a=4) == lc(8, 5, 2, range(1, 9), 4)
+    assert make_family("exponential_coefficient", n=3, m=2, a=4) == lc(3, 5, 2, (1, 2, 4), 4)
+    for family, params, bound in [
+        ("le_nguyen", {"n": 3, "r": 3, "t": 1}, 15),
+        ("ternary_integer", {"n": 3}, 17),
+        ("odd_coefficient", {"n": 3, "m": 2}, 4),
+        ("an_code", {"p": 5}, 5),
+        ("exponential_coefficient", {"n": 3, "m": 2}, 5),
+    ]:
+        with pytest.raises(ValueError, match=rf"^a must lie in \[0, {bound}\), got {bound}$"):
+            make_family(family, **params, a=bound)
+
+
+@given(st.integers(1, 40), st.integers(0, 300), st.integers(1, 2**400))
+def test_capped_power_is_the_min(r, n, cap):
+    assert capped_power(r, n, cap) == min(r**n, cap)
+
+
+def test_capped_power_never_builds_a_huge_power():
+    # 3^(10^12) has about 2 * 10^11 bytes; only bit lengths are compared
+    assert capped_power(3, 10**12, 10**7) == 10**7
+    assert capped_power(1, 10**12, 5) == 1
+    assert capped_power(2, 24, 2**24) == capped_power(2, 24, 2**24 + 1) == 2**24
+
+
+def test_count_text_exact_below_two_to_the_64():
+    assert count_text(234) == "234" and count_text(2**31 + 1) == "2147483649"
+    assert count_text(2**64 - 1) == str(2**64 - 1)
+    assert count_text(2**64) == "2^64" and count_text(2**64 + 1) == "2^65"
+    assert count_text(2**20000) == "2^20000" and count_text(3**20000) == "2^31700"
 
 
 def test_family_parameter_validation():

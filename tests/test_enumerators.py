@@ -418,6 +418,7 @@ def lc_cases(draw):
 
 
 @given(lc_cases())
+@example((0, 5, 2, (), 0))
 def test_lc_hamming_matches_oracle(case):
     n, m, r, h, a = case
     spec = CodeSpec(n, r, ((linear(h), m, a),))
@@ -570,6 +571,23 @@ def test_residue_pass_refuses_before_building_weights(kind):
     try:
         with pytest.raises(BudgetExceededError, match="exceeds the budget 10"):
             compute(spec, kind, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("kind", ["extended", "hamming"])
+def test_exact_pass_refuses_before_building_weights(kind):
+    # theorem 1 at n = 3 * 10^6: the bound (n + 1)(1 + n(n + 1)/2) is read
+    # off the statistic, before its n weights exist or 2^n is built
+    n = 3_000_000
+    spec = make_family("binary_vt", n=n, a=0)
+    bound = (n + 1) * (1 + n * (n + 1) // 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"up to {bound} terms exceeds the budget 10"):
+            compute(spec, kind, "theorem1", budget=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
