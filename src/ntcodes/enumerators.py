@@ -15,9 +15,13 @@ checks that every full-space coefficient is non-negative.
 Every built-in statistic adds an increment that depends only on the
 position, the symbol and the symbol before it (`_stepper`), so two
 transfer passes over the positions (the transfer-matrix method) never
-list the words.  The exact pass builds W_full keyed by exact statistic
-values and the type vector; only a custom statistic makes the full space
-a scan of [0, r)^n.  The residue pass counts the code itself: keyed by
+list the words.  The exact pass builds W_full keyed by one mixed-radix
+integer per term, whose digits are the exact statistic values and the
+type vector, each radix 1 + the largest value of its digit, so no digit
+carries; a step adds one integer to every key.  The residue filter reads
+the statistic digits off those keys and unpacks only the terms it keeps.
+Only a custom statistic makes the full space a scan of [0, r)^n, packed
+the same way.  The residue pass counts the code itself: keyed by
 residues mod m_i, with the Hamming weight, or the type vector where its
 digits stay few, packed into each count as Kronecker digits, it evaluates
 the linear-congruence character sum of `lc_hamming`, which orthogonality
@@ -27,6 +31,7 @@ and answers every spec without a closed form below kind "extended".
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -88,9 +93,9 @@ class Enumerator:
         return sum(self.poly.terms.values())
 
 
-def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
-    """Extended weight enumerator by summing one monomial per codeword."""
-    variables = z_variables(spec.s) + w_variables(spec.r)
+def _scan_terms(spec: CodeSpec, budget: int | None) -> dict:
+    """Counts of the codewords by their statistic values followed by their
+    type vector, from the oracle's scan."""
     evaluators = [statistic_evaluator(c.stat, spec.n) for c in spec.constraints]
     terms: dict = {}
     for word in enumerate_codewords(spec, budget):
@@ -101,7 +106,13 @@ def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
             )
         key = rho + type_vector(word, spec.r)
         terms[key] = terms.get(key, 0) + 1
-    return Enumerator("extended", MultiPoly(variables, terms), "oracle", spec)
+    return terms
+
+
+def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
+    """Extended weight enumerator by summing one monomial per codeword."""
+    variables = z_variables(spec.s) + w_variables(spec.r)
+    return Enumerator("extended", MultiPoly(variables, _scan_terms(spec, budget)), "oracle", spec)
 
 
 def complete_weight_enumerator(words, r: int) -> MultiPoly:
@@ -166,58 +177,107 @@ def _stepper(n: int, stats):
     return step, any(cmp is not None for cmp in compares)
 
 
-def _exact_pass(n: int, r: int, stats, budget: int | None) -> dict:
+class _PackedSpace:
+    """A full-space enumerator with one mixed-radix integer key per term.
+
+    Exponent i (of `variables`) is digit i of the key, of radix
+    `radices[i]` and place value `strides[i]`, the product of the radices
+    before it: one digit per statistic, then one per tau_x.  Each radix is
+    1 + the largest value its exponent can take, so no digit carries into
+    the next and `unpack` reads the exponents back."""
+
+    __slots__ = ("variables", "radices", "strides", "terms")
+
+    def __init__(self, variables, radices) -> None:
+        self.variables = tuple(variables)
+        self.radices = tuple(radices)
+        self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
+        self.terms: dict = {}  # {key: count}, filled by the pass or scan that builds it
+
+    def pack(self, exps) -> int:
+        return sum(map(operator.mul, exps, self.strides))
+
+    def unpack(self, key: int) -> tuple:
+        """The exponents of a key; anything left past the last digit means
+        a digit carried, and raises IntegralityError."""
+        exps = []
+        for radix in self.radices:
+            key, digit = divmod(key, radix)
+            exps.append(digit)
+        if key:
+            raise IntegralityError(f"packed key carries {key} past its last digit")
+        return tuple(exps)
+
+    def poly(self, keys) -> MultiPoly:
+        """The terms of the given keys, unpacked into one MultiPoly."""
+        return MultiPoly(self.variables, {self.unpack(key): self.terms[key] for key in keys})
+
+
+def _exact_pass(n: int, r: int, stats, budget: int | None) -> _PackedSpace:
     """Counts of the words of [0, r)^n by their exact statistic values
     followed by their type vector, from one transfer pass over the
-    positions.  Negative weights are refused, so no key is ever reduced.
+    positions, each term keyed by one mixed-radix integer.  A statistic's
+    radix is 1 + its largest value (sigma's is (r-1)n), each tau_x's is
+    n + 1.  A step adds one precomputed integer, the statistics'
+    increments times their strides plus tau_x's stride, to every key.
+    Negative weights are refused, so no digit ever leaves its range.
 
     Before the pass, and before any weight vector is built, the key count
-    is bounded by min(r^n, C(n+r-1, r-1) type vectors times the range
-    1 + max_i of each statistic), sigma adding no factor beside the type
-    vector that fixes it; a bound over `budget` raises
-    BudgetExceededError."""
+    is bounded by min(r^n, C(n+r-1, r-1) type vectors times the radix of
+    each statistic), sigma adding no factor beside the type vector that
+    fixes it; a bound over `budget` raises BudgetExceededError."""
     if any(x < 0 for st in stats if st.kind == "linear" for x in st.h):
         raise ValueError("full-space enumerators need non-negative weights")
-    # each statistic's largest value, gamma/lambda's by default; the type
-    # vector fixes sigma's, so sigma adds no factor
-    top = {"omega": (r - 1) * n * (n + 1) // 2, "sigma": 0, "delta": max(n - 1, 0)}
-    bound = comb(n + r - 1, r - 1)
-    for st in stats:
-        most = (r - 1) * sum(st.h) if st.kind == "linear" else top.get(st.kind, n * (n - 1) // 2)
-        bound *= 1 + most
-    bound = capped_power(r, n, bound)
+    # each statistic's largest value, gamma/lambda's by default
+    top = {"omega": (r - 1) * n * (n + 1) // 2, "sigma": (r - 1) * n, "delta": max(n - 1, 0)}
+    radices = [
+        1 + ((r - 1) * sum(st.h) if st.kind == "linear" else top.get(st.kind, n * (n - 1) // 2))
+        for st in stats
+    ]
+    # the type vector fixes sigma, so sigma adds no factor
+    factors = (radix for st, radix in zip(stats, radices) if st.kind != "sigma")
+    bound = capped_power(r, n, comb(n + r - 1, r - 1) * prod(factors))
     check_budget(bound, budget, f"full-space transfer pass of up to {count_text(bound)} terms")
+    s = len(stats)
+    space = _PackedSpace(z_variables(s) + w_variables(r), radices + [n + 1] * r)
+    strides, tau = space.strides[:s], space.strides[s:]
     step, reads_previous = _stepper(n, stats)
-    symbol = [tuple(int(t == x) for t in range(r)) for x in range(r)]
     # {last symbol (None when no statistic reads it): {key: count}}
-    states = {None: {(0,) * (len(stats) + r): 1}}
+    states = {None: {0: 1}}
     for j in range(n):
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc = step(j, previous, x) + symbol[x]
+                inc = sum(map(operator.mul, step(j, previous, x), strides)) + tau[x]
                 dest = nxt.setdefault(x if reads_previous else None, {})
-                for exps, count in terms.items():
-                    key = tuple(map(operator.add, exps, inc))
+                for key, count in terms.items():
+                    key += inc
                     dest[key] = dest.get(key, 0) + count
         states = nxt
-    total: Counter = Counter()
-    for terms in states.values():
-        total.update(terms)
-    return total
+    total, *rest = states.values()
+    for terms in rest:
+        for key, count in terms.items():
+            total[key] = total.get(key, 0) + count
+    space.terms = total
+    return space
 
 
 def _full_space(n: int, r: int, stats, budget: int | None):
-    """Full-space extended enumerator and the form that produced it: the
-    exact pass ("transfer"), or, for a custom statistic, which has no
-    increments, the oracle's scan of the code every word satisfies
-    ("enumeration")."""
+    """Full-space extended enumerator, packed into a `_PackedSpace`, and
+    the form that produced it: the exact pass ("transfer"), or, for a
+    custom statistic, which has no increments, the oracle's scan of the
+    code every word satisfies ("enumeration"), packed with radices 1 + the
+    largest values the scan saw."""
     stats = list(stats)
     if any(st.kind == "custom" for st in stats):
         spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
-        return oracle_extended(spec, budget).poly, "enumeration"
-    terms = _exact_pass(n, r, stats, budget)
-    return MultiPoly(z_variables(len(stats)) + w_variables(r), terms), "transfer"
+        terms = _scan_terms(spec, budget)
+        tops = [max((exps[i] for exps in terms), default=0) for i in range(len(stats))]
+        variables = z_variables(len(stats)) + w_variables(r)
+        space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
+        space.terms = {space.pack(exps): count for exps, count in terms.items()}
+        return space, "enumeration"
+    return _exact_pass(n, r, stats, budget), "transfer"
 
 
 def full_space_enumerator(
@@ -225,8 +285,8 @@ def full_space_enumerator(
 ) -> MultiPoly:
     """Extended enumerator of the whole space [0, r)^n for the given
     statistics, in variables z1..zs, w0..w(r-1)."""
-    poly, _ = _full_space(n, r, stats, budget)
-    return poly
+    space, _ = _full_space(n, r, stats, budget)
+    return space.poly(space.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +303,22 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     when m | k - a and 0 otherwise.  So the sum keeps exactly the terms
     with k_i = a_i (mod m_i) for every constraint, with their coefficients,
     and is evaluated as that residue filter whichever form built the full
-    space.  A negative full-space coefficient raises IntegralityError.
+    space.  The filter reads k_i straight off the packed key, as digit i,
+    key // stride % radix, and only the kept keys are unpacked, into the
+    one MultiPoly returned.  A negative full-space coefficient raises
+    IntegralityError.
     """
     cons = spec.constraints
-    poly, _ = _full_space(spec.n, spec.r, [c.stat for c in cons], budget)
-    residues = [(c.m, c.a) for c in cons]
-    kept: dict = {}
-    for exps, coeff in poly.terms.items():
-        if coeff < 0:
-            raise IntegralityError(f"negative full-space coefficient {coeff} for {exps}")
-        # the statistic exponents come first, one per constraint
-        if all((k - a) % m == 0 for k, (m, a) in zip(exps, residues)):
-            kept[exps] = coeff
-    return Enumerator("extended", MultiPoly(poly.variables, kept), "character_sum", spec)
+    space, _ = _full_space(spec.n, spec.r, [c.stat for c in cons], budget)
+    terms = space.terms
+    if min(terms.values(), default=0) < 0:
+        key, coeff = next((key, coeff) for key, coeff in terms.items() if coeff < 0)
+        raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
+    keys = terms.keys()
+    # the statistic digits come first, one per constraint
+    for stride, radix, c in zip(space.strides, space.radices, cons):
+        keys = [key for key in keys if (key // stride % radix - c.a) % c.m == 0]
+    return Enumerator("extended", space.poly(keys), "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +586,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
         if kind != "extended" and all(c.stat.kind != "custom" for c in spec.constraints):
             return _residue_pass(spec, kind, budget)
+    if method == "oracle" and kind == "cardinality":
+        return sum(1 for _ in enumerate_codewords(spec, budget))
     if method == "oracle" and kind != "extended":
         words = enumerate_codewords(spec, budget)
         base = Enumerator("complete", complete_weight_enumerator(words, spec.r), "oracle", spec)

@@ -23,12 +23,14 @@ from ntcodes.codes import (
     SIGMA,
     custom,
     enumerate_codewords,
+    evaluate_statistic,
     linear,
     make_family,
 )
 from ntcodes.enumerators import (
     KINDS,
     Enumerator,
+    _PackedSpace,
     _full_space,
     argmax_cardinality,
     complete_weight_enumerator,
@@ -195,10 +197,23 @@ def full_space_cases(draw):
 @given(full_space_cases())
 def test_transfer_full_space_matches_oracle_for_every_statistic(case):
     n, r, stats = case
-    poly, form = _full_space(n, r, stats, None)
+    space, form = _full_space(n, r, stats, None)
     assert form == "transfer"
     whole_space = CodeSpec(n, r, tuple((stat, 1, 0) for stat in stats))
-    assert poly == oracle_extended(whole_space).poly
+    expected = oracle_extended(whole_space).poly
+    assert full_space_enumerator(n, r, stats) == expected
+    # one packed key per full-space term
+    assert len(space.terms) == len(expected.terms)
+
+
+def test_packed_key_round_trip_and_carry():
+    space = _PackedSpace(("z1", "w0", "w1"), (3, 2, 2))
+    assert space.strides == (1, 3, 6)
+    for exps in itertools.product(range(3), range(2), range(2)):
+        assert space.unpack(space.pack(exps)) == exps
+    # 3 * 2 * 2, the key of exponents (0, 0, 2), carries past the last digit
+    with pytest.raises(IntegralityError, match="past its last digit"):
+        space.unpack(space.pack((0, 0, 2)))
 
 
 def test_custom_statistic_full_space_is_enumerated():
@@ -252,10 +267,67 @@ def test_theorem1_fast_path_and_forced_character_sum_agree():
 
 def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
     spec = make_family("binary_vt", n=2, a=0)
-    poly = MultiPoly(("z1", "w0", "w1"), {(0, 2, 0): -1})
-    monkeypatch.setattr("ntcodes.enumerators._full_space", lambda *args: (poly, "product"))
-    with pytest.raises(IntegralityError, match="negative"):
+    space = _PackedSpace(("z1", "w0", "w1"), (4, 3, 3))
+    space.terms = {space.pack((0, 2, 0)): -1, space.pack((3, 0, 2)): 1}
+    monkeypatch.setattr("ntcodes.enumerators._full_space", lambda *args: (space, "transfer"))
+    with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 2, 0\)"):
         theorem1_extended(spec)
+
+
+def _top_word_spec(n, r, stats):
+    # each statistic's residue is its value on the word of all r - 1, with a
+    # modulus above it, so the kept terms sit at the top of the digits
+    word = (r - 1,) * n
+    return CodeSpec(n, r, tuple((st, v + 1, v) for st in stats for v in [evaluate_statistic(st, word)]))
+
+
+@st.composite
+def theorem1_specs(draw):
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(linear)
+    stats = draw(st.lists(st.sampled_from(BUILTIN_STATS) | weights, min_size=1, max_size=3))
+    cons = []
+    for stat in stats:
+        m = draw(st.integers(1, 12))
+        cons.append((stat, m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(cons))
+
+
+@given(theorem1_specs())
+@example(CodeSpec(0, 3, ((OMEGA, 4, 0), (GAMMA_GT, 2, 0))))
+@example(CodeSpec(5, 1, ((SIGMA, 3, 0), (LAMBDA_LT, 2, 0), (linear((1, 0, 2, 0, 3)), 5, 0))))
+@example(CodeSpec(4, 3, ((DELTA, 1, 0), (linear((2, 0, 1, 3)), 1, 0))))
+@example(_top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE)))
+@example(_top_word_spec(5, 3, (linear((1, 2, 0, 3, 1)), LAMBDA_LE, DELTA)))
+def test_theorem1_matches_oracle_with_real_moduli(spec):
+    engine = theorem1_extended(spec)
+    assert engine.method == "character_sum"
+    expected = oracle_extended(spec).poly
+    assert (engine.poly.variables, engine.poly) == (expected.variables, expected)
+
+
+def test_theorem1_top_word_is_kept():
+    spec = _top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE))
+    # omega 3 * 10, sigma 3 * 4 and gamma_ge 1 + 2 + 3 of the word 3333
+    assert theorem1_extended(spec).poly.terms == {(30, 12, 6, 0, 0, 0, 4): 1}
+
+
+def test_theorem1_builds_only_the_kept_terms(monkeypatch):
+    # the full space stays packed: the one MultiPoly built holds the kept terms
+    spec = make_family("ternary_integer", n=8, a=5)
+    built = []
+    init = MultiPoly.__init__
+
+    def counting(self, variables, terms=None):
+        built.append(len(terms or ()))
+        init(self, variables, terms)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting)
+    result = compute(spec, "extended", "theorem1")
+    assert built == [len(result.poly.terms)]
+    (con,) = spec.constraints
+    assert result.poly.terms and all((e[0] - con.a) % con.m == 0 for e in result.poly.terms)
 
 
 @pytest.mark.parametrize(
@@ -879,7 +951,7 @@ def test_compute_routes_agree_with_oracle(family, params, closed):
     [(f, p) for f, p, _ in ROUTE_CASES],
     ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(ROUTE_CASES)],
 )
-def test_oracle_below_extended_is_the_scan_complete_enumerator(family, params):
+def test_oracle_below_extended_is_the_scan_complete_enumerator(family, params, monkeypatch):
     spec = make_family(family, **params)
     extended = oracle_extended(spec)
     complete = compute(spec, "complete", "oracle")
@@ -887,6 +959,8 @@ def test_oracle_below_extended_is_the_scan_complete_enumerator(family, params):
     assert complete.poly == specialize(extended, "complete").poly
     assert complete.poly == complete_weight_enumerator(enumerate_codewords(spec), spec.r)
     assert compute(spec, "hamming", "oracle").poly == specialize(extended, "hamming").poly
+    # the oracle's cardinality counts the scanned words and builds no polynomial
+    monkeypatch.setattr(MultiPoly, "__init__", mock.Mock(side_effect=AssertionError))
     assert compute(spec, "cardinality", "oracle") == extended.cardinality()
 
 
