@@ -20,13 +20,21 @@ integer per term, whose digits are the exact statistic values and the
 type vector, each radix 1 + the largest value of its digit, so no digit
 carries; a step adds one integer to every key.  The residue filter reads
 the statistic digits off those keys and unpacks only the terms it keeps.
-Only a custom statistic makes the full space a scan of [0, r)^n, packed
-the same way.  The residue pass counts the code itself: keyed by
-residues mod m_i, with the Hamming weight, or the type vector where its
-digits stay few, packed into each count as Kronecker digits, it evaluates
-the linear-congruence character sum of `lc_hamming`, which orthogonality
-turns into the coefficient of x^a in a product taken in Z[x]/(x^m - 1),
-and answers every spec without a closed form below kind "extended".
+W_full is the product of the enumerators of positions 0..k-1 and k..n-1,
+so the filter is also a join on residues: the exact pass runs on the two
+halves, with the full-length radices so that a left key plus a right key
+is the joined word's key, and a left term of residues rho pairs only with
+the right terms of residues a - rho.  Its work is the two halves plus the
+pairs kept, against the whole full space for the single pass, and the
+split point is read off bounds of the statistics before any pass.  Only
+a custom statistic makes the full space a scan of [0, r)^n, packed the
+same way, and it keeps the single pass.  The residue pass counts the
+code itself: keyed by residues mod m_i, with the Hamming weight, or the
+type vector where its digits stay few, packed into each count as
+Kronecker digits, it evaluates the linear-congruence character sum of
+`lc_hamming`, which orthogonality turns into the coefficient of x^a in a
+product taken in Z[x]/(x^m - 1), and answers every spec without a closed
+form below kind "extended".
 """
 
 from __future__ import annotations
@@ -213,58 +221,107 @@ class _PackedSpace:
         return MultiPoly(self.variables, {self.unpack(key): self.terms[key] for key in keys})
 
 
-def _exact_pass(n: int, r: int, stats, budget: int | None) -> _PackedSpace:
-    """Counts of the words of [0, r)^n by their exact statistic values
-    followed by their type vector, from one transfer pass over the
-    positions, each term keyed by one mixed-radix integer.  A statistic's
-    radix is 1 + its largest value (sigma's is (r-1)n), each tau_x's is
-    n + 1.  A step adds one precomputed integer, the statistics'
-    increments times their strides plus tau_x's stride, to every key.
-    Negative weights are refused, so no digit ever leaves its range.
-
-    Before the pass, and before any weight vector is built, the key count
-    is bounded by min(r^n, C(n+r-1, r-1) type vectors times the radix of
-    each statistic), sigma adding no factor beside the type vector that
-    fixes it; a bound over `budget` raises BudgetExceededError."""
+def _tops(n: int, r: int, stats, lo: int, hi: int) -> list:
+    """Each statistic's largest value over positions lo..hi-1, the sum of
+    its largest increments there: (r-1) h_j for omega, sigma and linear
+    statistics, j (1 for delta) for a descent statistic at j >= 1.
+    Negative weights are refused, so no increment is negative."""
     if any(x < 0 for st in stats if st.kind == "linear" for x in st.h):
         raise ValueError("full-space enumerators need non-negative weights")
-    # each statistic's largest value, gamma/lambda's by default
-    top = {"omega": (r - 1) * n * (n + 1) // 2, "sigma": (r - 1) * n, "delta": max(n - 1, 0)}
-    radices = [
-        1 + ((r - 1) * sum(st.h) if st.kind == "linear" else top.get(st.kind, n * (n - 1) // 2))
-        for st in stats
-    ]
-    # the type vector fixes sigma, so sigma adds no factor
-    factors = (radix for st, radix in zip(stats, radices) if st.kind != "sigma")
-    bound = capped_power(r, n, comb(n + r - 1, r - 1) * prod(factors))
+    tops = []
+    for st in stats:
+        if st.kind == "linear":
+            tops.append((r - 1) * sum(itertools.islice(st.h, lo, hi)))
+        elif st.kind == "omega":
+            tops.append((r - 1) * (hi * (hi + 1) - lo * (lo + 1)) // 2)
+        elif st.kind == "sigma":
+            tops.append((r - 1) * (hi - lo))
+        elif st.kind == "delta":
+            tops.append(max(hi - max(lo, 1), 0))
+        else:
+            tops.append((hi * (hi - 1) - lo * (lo - 1)) // 2)
+    return tops
+
+
+def _pass_bound(r: int, stats, tops, length: int) -> int:
+    """Bound on the keys of an exact pass over `length` positions on which
+    each statistic's largest value is `tops`: min(r^length,
+    C(length+r-1, r-1) type vectors times 1 + each top), sigma adding no
+    factor beside the type vector that fixes it.  Read off the
+    statistics, before any weight vector or r^length is built."""
+    factors = (1 + top for st, top in zip(stats, tops) if st.kind != "sigma")
+    return capped_power(r, length, comb(length + r - 1, r - 1) * prod(factors))
+
+
+def _check_pass(bound: int, budget: int | None) -> None:
     check_budget(bound, budget, f"full-space transfer pass of up to {count_text(bound)} terms")
+
+
+def _exact_pass(n: int, r: int, stats, tops):
+    """The packed layout of the full space [0, r)^n and `run(positions,
+    states)`, the transfer pass over `positions` from `states`, {last
+    symbol (None when no statistic reads it): {key: count}}, which returns
+    the states after the last of them.  A statistic's radix is 1 + its
+    largest value on [0, r)^n, `tops` (sigma's is (r-1)n), each tau_x's is
+    n + 1, whatever the positions, so the keys of passes over disjoint
+    positions add up to the key of the joined words and no digit carries.
+
+    A step adds one integer to every key: the increments of `_stepper`
+    times their statistics' strides, plus tau_x's stride.  For symbol x at
+    position j after `previous` that is x lin[j] + j ups[previous][x] +
+    ones[previous][x] + tau[x]: lin[j] sums the linear statistics' weights
+    at j times their strides, ups the strides of the gamma/lambda
+    statistics whose comparison of (previous, x) holds, ones those of
+    delta.  The caller checks the pass's bound (`_pass_bound`) first: the
+    weight vectors are built here."""
     s = len(stats)
-    space = _PackedSpace(z_variables(s) + w_variables(r), radices + [n + 1] * r)
+    space = _PackedSpace(z_variables(s) + w_variables(r), [1 + top for top in tops] + [n + 1] * r)
     strides, tau = space.strides[:s], space.strides[s:]
-    step, reads_previous = _stepper(n, stats)
-    # {last symbol (None when no statistic reads it): {key: count}}
-    states = {None: {0: 1}}
-    for j in range(n):
-        nxt: dict = {}
-        for previous, terms in states.items():
-            for x in range(r):
-                inc = sum(map(operator.mul, step(j, previous, x), strides)) + tau[x]
-                dest = nxt.setdefault(x if reads_previous else None, {})
-                for key, count in terms.items():
-                    key += inc
-                    dest[key] = dest.get(key, 0) + count
-        states = nxt
+    lin = [0] * n
+    # the rows of None, the previous "symbol" at position 0 or when no
+    # statistic reads it, stay 0
+    ups = {p: [0] * r for p in (None, *range(r))}
+    ones = {p: [0] * r for p in ups}
+    for st, stride in zip(stats, strides):
+        weights = linear_weights(st, n)
+        if weights is not None:
+            lin = [acc + h * stride for acc, h in zip(lin, weights)]
+            continue
+        compare, table = DESCENT_COMPARISONS[st.kind], ones if st.kind == "delta" else ups
+        for p, x in itertools.product(range(r), repeat=2):
+            table[p][x] += stride * compare(p, x)
+    reads_previous = any(st.kind in DESCENT_COMPARISONS for st in stats)
+
+    def run(positions, states: dict) -> dict:
+        for j in positions:
+            nxt: dict = {}
+            for previous, terms in states.items():
+                up, one = ups[previous], ones[previous]
+                for x in range(r):
+                    inc = x * lin[j] + j * up[x] + one[x] + tau[x]
+                    dest = nxt.setdefault(x if reads_previous else None, {})
+                    for key, count in terms.items():
+                        key += inc
+                        dest[key] = dest.get(key, 0) + count
+            states = nxt
+        return states
+
+    return space, run
+
+
+def _merged(states: dict) -> dict:
+    """The {key: count} of every last symbol, added up."""
     total, *rest = states.values()
     for terms in rest:
         for key, count in terms.items():
             total[key] = total.get(key, 0) + count
-    space.terms = total
-    return space
+    return total
 
 
 def _full_space(n: int, r: int, stats, budget: int | None):
     """Full-space extended enumerator, packed into a `_PackedSpace`, and
-    the form that produced it: the exact pass ("transfer"), or, for a
+    the form that produced it: the exact pass over every position
+    ("transfer"), its bound checked against `budget` first, or, for a
     custom statistic, which has no increments, the oracle's scan of the
     code every word satisfies ("enumeration"), packed with radices 1 + the
     largest values the scan saw."""
@@ -277,7 +334,11 @@ def _full_space(n: int, r: int, stats, budget: int | None):
         space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
         space.terms = {space.pack(exps): count for exps, count in terms.items()}
         return space, "enumeration"
-    return _exact_pass(n, r, stats, budget), "transfer"
+    tops = _tops(n, r, stats, 0, n)
+    _check_pass(_pass_bound(r, stats, tops, n), budget)
+    space, run = _exact_pass(n, r, stats, tops)
+    space.terms = _merged(run(range(n), {None: {0: 1}}))
+    return space, "transfer"
 
 
 def full_space_enumerator(
@@ -292,6 +353,112 @@ def full_space_enumerator(
 # ---------------------------------------------------------------------------
 # the character-sum engine
 
+#: theorem 1 splits the positions only where the split's estimated work is
+#: below the single pass's bound by this factor
+_SPLIT_GAIN = 2
+
+#: the fixed cost of one more transfer pass, in terms, charged to the split
+#: for each of its right passes: below about this many terms a pass's own
+#: overhead outweighs what the split saves
+_PASS_TERMS = 64
+
+
+def _split_point(spec: CodeSpec, budget: int | None) -> int:
+    """Where theorem 1 splits the positions: k = n // 2, or k = n (one pass
+    over every position, then the residue filter).  The split is taken
+    when each half's bound fits the budget and its estimated work, left +
+    s (right + _PASS_TERMS) + left right / prod m_i pairs, with s = r
+    right passes when a descent statistic reads the previous symbol and
+    s = 1 otherwise, is below the single pass's bound by _SPLIT_GAIN.  The
+    bounds are read off the statistics, before any pass: each half's from
+    its own largest values, which add up to the whole space's."""
+    n, r, cons = spec.n, spec.r, spec.constraints
+    stats = [c.stat for c in cons]
+    starts = r if any(st.kind in DESCENT_COMPARISONS for st in stats) else 1
+    # the split's work is over s _PASS_TERMS, the single pass's at most r^n
+    least = _SPLIT_GAIN * starts * _PASS_TERMS
+    if capped_power(r, n, least) < least or any(st.kind == "custom" for st in stats):
+        return n
+    k = n // 2
+    tops = _tops(n, r, stats, 0, k), _tops(n, r, stats, k, n)
+    left, right = _pass_bound(r, stats, tops[0], k), _pass_bound(r, stats, tops[1], n - k)
+    single = _pass_bound(r, stats, list(map(operator.add, *tops)), n)
+    work = left + starts * (right + _PASS_TERMS) + left * right // prod(c.m for c in cons)
+    fits = max(left, starts * right) <= budget_limit(budget)
+    return k if fits and _SPLIT_GAIN * work < single else n
+
+
+def _join(space: _PackedSpace, cons, left: dict, right: dict):
+    """The pairs of a left and a right term whose statistic digits add up
+    to the code's residues, a right term pairing only with the left terms
+    of the last symbol p it started from: [(left terms, left keys, right
+    group)], each left key to be paired with each (key, count) of the
+    group, and the number of pairs.  The right keys are grouped by the
+    residues a left key needs, (a_i - key // stride % radix) % m_i, and
+    each left key looks its own residues up.  No pair is formed here."""
+    digits = list(zip(space.strides, space.radices, cons))
+    matched, pairs = [], 0
+    for p, terms in right.items():
+        keys = list(terms)
+        needs = zip(*[[(c.a - key // stride % radix) % c.m for key in keys] for stride, radix, c in digits])
+        groups: dict = {}
+        for need, key in zip(needs, keys):
+            groups.setdefault(need, []).append((key, terms[key]))
+        keys, found = list(left[p]), {}
+        rhos = zip(*[[key // stride % radix % c.m for key in keys] for stride, radix, c in digits])
+        for rho, key in zip(rhos, keys):
+            if rho in groups:
+                found.setdefault(rho, []).append(key)
+        for rho, keys in found.items():
+            pairs += len(keys) * len(groups[rho])
+            matched.append((left[p], keys, groups[rho]))
+    return matched, pairs
+
+
+def _check_counts(space: _PackedSpace, terms: dict) -> None:
+    """IntegralityError on the first negative count, with its exponents."""
+    if min(terms.values(), default=0) < 0:
+        key, coeff = next((key, coeff) for key, coeff in terms.items() if coeff < 0)
+        raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
+
+
+def _theorem1_terms(spec: CodeSpec, budget: int | None, k: int):
+    """The packed space, whose `terms` hold the counts, and the keys of
+    the code's full-space terms, from the exact pass split at position k:
+    the join of the two halves, or, at k = n or where the join's pairs
+    outnumber the single pass's bound or the budget, the residue filter of
+    the whole full space (see `theorem1_extended`)."""
+    n, r, cons = spec.n, spec.r, spec.constraints
+    stats = [c.stat for c in cons]
+    if k == n:
+        space, _ = _full_space(n, r, stats, budget)
+    else:
+        tops = _tops(n, r, stats, 0, n)
+        space, run = _exact_pass(n, r, stats, tops)
+        left = run(range(k), {None: {0: 1}})
+        right = {p: _merged(run(range(k, n), {p: {0: 1}})) for p in left}
+        for half in (*left.values(), *right.values()):
+            _check_counts(space, half)
+        matched, pairs = _join(space, cons, left, right)
+        single = _pass_bound(r, stats, tops, n)
+        if pairs <= min(single, budget_limit(budget)):
+            kept = space.terms
+            for terms, keys, group in matched:
+                for rk, rc in group:
+                    for lk in keys:
+                        kept[lk + rk] = kept.get(lk + rk, 0) + terms[lk] * rc
+            return space, kept.keys()
+        # more pairs than the single pass's bound, or than the budget: the
+        # left half continues over the right's positions if the pass fits
+        _check_pass(single, budget)
+        space.terms = _merged(run(range(k, n), left))
+    _check_counts(space, space.terms)
+    keys = space.terms.keys()
+    # the statistic digits come first, one per constraint
+    for stride, radix, c in zip(space.strides, space.radices, cons):
+        keys = [key for key in keys if (key // stride % radix - c.a) % c.m == 0]
+    return space, keys
+
 
 def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     """Extended enumerator of a congruence code from the full-space
@@ -301,23 +468,26 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     A full-space term with statistic exponents k_i picks up the factor
     prod_i e(u_i (k_i - a_i)/m_i), and sum_{u mod m} e(u(k - a)/m) is m
     when m | k - a and 0 otherwise.  So the sum keeps exactly the terms
-    with k_i = a_i (mod m_i) for every constraint, with their coefficients,
-    and is evaluated as that residue filter whichever form built the full
-    space.  The filter reads k_i straight off the packed key, as digit i,
-    key // stride % radix, and only the kept keys are unpacked, into the
-    one MultiPoly returned.  A negative full-space coefficient raises
-    IntegralityError.
+    with k_i = a_i (mod m_i) for every constraint, with their coefficients.
+
+    Over [0, r)^n, W_full is the product of the enumerators of positions
+    0..k-1 and k..n-1, so that residue filter is a join on residues: a
+    left term of statistic residues rho pairs only with right terms of
+    residues a - rho.  The exact pass runs on each half with the
+    full-length radices, so a left key plus a right key is the joined
+    word's key; when a descent statistic reads the previous symbol, the
+    right half starts once from each last symbol p of the left half and
+    joins only its terms.  `_split_point` picks k from bounds read off the
+    statistics; k = n is the single pass over every position followed by
+    the filter, and a custom statistic keeps its scan there.  The join
+    counts its pairs from the residue groups before it forms any; past
+    the single pass's bound (or the budget) it continues the left half
+    over the remaining positions and filters instead, and refuses with
+    the single pass's message where that does not fit the budget either.
+    A negative count of either half raises IntegralityError.  Only the
+    kept keys are unpacked, into the one MultiPoly returned.
     """
-    cons = spec.constraints
-    space, _ = _full_space(spec.n, spec.r, [c.stat for c in cons], budget)
-    terms = space.terms
-    if min(terms.values(), default=0) < 0:
-        key, coeff = next((key, coeff) for key, coeff in terms.items() if coeff < 0)
-        raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
-    keys = terms.keys()
-    # the statistic digits come first, one per constraint
-    for stride, radix, c in zip(space.strides, space.radices, cons):
-        keys = [key for key in keys if (key // stride % radix - c.a) % c.m == 0]
+    space, keys = _theorem1_terms(spec, budget, _split_point(spec, budget))
     return Enumerator("extended", space.poly(keys), "character_sum", spec)
 
 

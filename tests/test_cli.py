@@ -175,20 +175,27 @@ def test_verify_deterministic_given_seed(capsys):
 
 
 def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
+    # each check's theorem 1 runs one exact pass, over every position or
+    # split in two halves, and no full space is scanned
     from ntcodes import enumerators
 
-    forms = []
-    full_space = enumerators._full_space
+    passes, forms = [], []
+    exact_pass, full_space = enumerators._exact_pass, enumerators._full_space
 
-    def recording(*args):
-        poly, form = full_space(*args)
+    def recording_pass(*args):
+        passes.append(args[:2])
+        return exact_pass(*args)
+
+    def recording_space(*args):
+        space, form = full_space(*args)
         forms.append(form)
-        return poly, form
+        return space, form
 
-    monkeypatch.setattr(enumerators, "_full_space", recording)
+    monkeypatch.setattr(enumerators, "_exact_pass", recording_pass)
+    monkeypatch.setattr(enumerators, "_full_space", recording_space)
     code, out, _ = run(capsys, "verify", "--family", "sc")
     assert code == 0 and "summary: 10 checks, 0 mismatches" in out
-    assert forms == ["transfer"] * 10
+    assert len(passes) == 10 and set(forms) <= {"transfer"}
 
 
 def test_card_nonbinary_svt_past_the_brute_force_budget(capsys):
@@ -333,13 +340,36 @@ def test_budget_exceeded_exit_three(capsys):
 
 
 def test_theorem1_budget_exceeded_before_expansion(capsys):
+    # n=14: halves of 3^7 terms are over the budget as well as the single pass
     code, _, err = run(
         capsys,
-        "enum", "ternary_integer", "--n", "10", "--a", "5",
+        "enum", "ternary_integer", "--n", "14", "--a", "5",
         "--method", "theorem1", "--budget", "1000",
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_theorem1_answers_past_the_single_pass_bound(capsys):
+    # the single pass's bound, 40102677 terms, is over the default budget;
+    # the join of two halves of 3^8 terms is not
+    argv = ("enum", "ternary_integer", "--n", "16", "--a", "5", "--method", "theorem1")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, *argv, "--budget", "1000")
+    assert (code, out) == (3, "")
+    assert err == "error: full-space transfer pass of up to 40102677 terms exceeds the budget 1000\n"
+
+
+def test_theorem1_join_pairs_past_the_budget_exit_three(capsys):
+    # halves of 3^6 terms fit the budget; their 3^12 pairs do not
+    h = ",".join(str(1000 * 3**j) for j in range(12))
+    argv = ("enum", "lc", "--n", "12", "--m", "1000", "--r", "3", "--h", h, "--a", "0")
+    code, out, err = run(capsys, *argv, "--method", "theorem1", "--kind", "extended", "--budget", "10000")
+    assert (code, out) == (3, "")
+    assert err == "error: full-space transfer pass of up to 531441 terms exceeds the budget 10000\n"
 
 
 def test_card_ternary_integer_auto_matches_theorem1(capsys):

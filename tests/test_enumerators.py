@@ -24,6 +24,7 @@ from ntcodes.codes import (
     custom,
     enumerate_codewords,
     evaluate_statistic,
+    lc,
     linear,
     make_family,
 )
@@ -266,11 +267,38 @@ def test_theorem1_fast_path_and_forced_character_sum_agree():
 
 
 def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
+    # binary_vt n=2 takes the single pass, whose full space is injected
     spec = make_family("binary_vt", n=2, a=0)
+    assert enumerators._split_point(spec, None) == spec.n
     space = _PackedSpace(("z1", "w0", "w1"), (4, 3, 3))
     space.terms = {space.pack((0, 2, 0)): -1, space.pack((3, 0, 2)): 1}
     monkeypatch.setattr("ntcodes.enumerators._full_space", lambda *args: (space, "transfer"))
     with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 2, 0\)"):
+        theorem1_extended(spec)
+
+
+def test_theorem1_rejects_negative_half_space_count(monkeypatch):
+    # ternary_integer n=8 splits at k=4; the right half's first term, the
+    # word 0000 of positions 4..7, is given the count -1
+    spec = make_family("ternary_integer", n=8, a=5)
+    assert enumerators._split_point(spec, None) == 4
+    exact_pass = enumerators._exact_pass
+
+    def negating(*args):
+        space, run = exact_pass(*args)
+
+        def run_negated(positions, states):
+            out = run(positions, states)
+            if positions.start:
+                for terms in out.values():
+                    first = next(iter(terms))
+                    terms[first] = -terms[first]
+            return out
+
+        return space, run_negated
+
+    monkeypatch.setattr(enumerators, "_exact_pass", negating)
+    with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 4, 0, 0\)"):
         theorem1_extended(spec)
 
 
@@ -333,7 +361,7 @@ def test_theorem1_builds_only_the_kept_terms(monkeypatch):
 @pytest.mark.parametrize(
     "spec",
     [
-        make_family("ternary_integer", n=10, a=5),
+        make_family("ternary_integer", n=14, a=5),
         make_family("tenengolts", n=12, r=4, a1=0, a2=0),
         make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0),
     ],
@@ -342,6 +370,103 @@ def test_theorem1_builds_only_the_kept_terms(monkeypatch):
 def test_theorem1_budget_checked_before_expansion(spec):
     with pytest.raises(BudgetExceededError, match="budget 1000"):
         theorem1_extended(spec, budget=1000)
+
+
+@st.composite
+def split_specs(draw):
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(1, 4 if n <= 6 else 3))
+    weights = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(linear)
+    stats = draw(st.lists(st.sampled_from(BUILTIN_STATS) | weights, min_size=1, max_size=3))
+    cons = []
+    for stat in stats:
+        m = draw(st.integers(1, 15))
+        cons.append((stat, m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(cons))
+
+
+@given(split_specs())
+@example(CodeSpec(0, 3, ((GAMMA_GT, 4, 0), (OMEGA, 2, 0))))
+@example(CodeSpec(1, 2, ((DELTA, 3, 0), (OMEGA, 2, 1))))
+@example(CodeSpec(5, 1, ((LAMBDA_LE, 2, 0), (SIGMA, 3, 0))))
+@example(CodeSpec(4, 3, ((GAMMA_GE, 1, 0), (linear((2, 0, 1, 3)), 1, 0))))
+@example(_top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE)))
+@example(_top_word_spec(5, 3, (linear((1, 2, 0, 3, 1)), LAMBDA_LT, DELTA)))
+def test_theorem1_join_at_every_split_point(spec):
+    # k = n is the single pass and its residue filter; every other k joins
+    # the two halves, or continues the left one where the pairs outnumber
+    # the single pass's bound
+    def kept(k):
+        space, keys = enumerators._theorem1_terms(spec, None, k)
+        return space, {key: space.terms[key] for key in keys}
+
+    space, single = kept(spec.n)
+    expected = oracle_extended(spec).poly
+    assert (space.variables, space.poly(single)) == (expected.variables, expected)
+    for k in range(spec.n):
+        assert kept(k)[1] == single
+
+
+@pytest.mark.parametrize(
+    "spec, budget, k",
+    [
+        (make_family("levenshtein", n=40, m=3, a=0), None, 40),
+        (make_family("shifted_vt", n=40, m=5, a=0, parity=0), None, 40),
+        (make_family("ternary_integer", n=16, a=5), None, 8),
+        (make_family("exponential_coefficient", n=18, m=18, a=5), None, 9),
+        # a half of 3^8 terms is over the budget: the single pass's refusal
+        (make_family("ternary_integer", n=16, a=5), 1000, 16),
+        (make_family("binary_vt", n=2, a=0), None, 2),
+        (CodeSpec(12, 3, ((custom(sum), 7, 0),)), None, 12),
+    ],
+    ids=["levenshtein", "shifted_vt", "ternary_integer", "exponential_coefficient", "budget", "tiny", "custom"],
+)
+def test_split_point_is_read_off_the_statistics(spec, budget, k):
+    assert enumerators._split_point(spec, budget) == k
+
+
+def test_theorem1_continues_the_left_half_past_the_single_pass_bound():
+    # zero weights put every term at residue 0: the halves' 495 terms each
+    # would make 495^2 = 245025 pairs, over the single pass's bound of
+    # C(20, 4) = 4845 terms, so the left half continues over positions
+    # 8..15 and is filtered instead; no pair is formed
+    spec = lc(16, 1000, 5, [0] * 16, 0)
+    assert enumerators._split_point(spec, None) == 8
+    tracemalloc.start()
+    try:
+        result = theorem1_extended(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert result.poly == full_space_enumerator(16, 5, [linear([0] * 16)])
+    assert result.cardinality() == 5**16
+
+
+def test_theorem1_refuses_join_pairs_past_the_budget():
+    # weights 1000 * 3^j are 0 mod 1000 and keep every sum distinct: halves
+    # of 3^6 terms fit the budget, their 3^12 pairs and the single pass's
+    # 3^12 terms do not, so the single pass's refusal comes before any pair
+    spec = lc(12, 1000, 3, [1000 * 3**j for j in range(12)], 0)
+    assert enumerators._split_point(spec, 10_000) == 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="pass of up to 531441 terms exceeds the budget 10000"):
+            theorem1_extended(spec, budget=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("kind", ["hamming", "complete"])
+def test_theorem1_matches_the_residue_pass_beyond_the_oracle(kind):
+    # ternary_integer n=12 (3^12 words, modulus 2^13 + 1): the join of two
+    # half passes against the residue pass, bit for bit
+    spec = make_family("ternary_integer", n=12, a=5)
+    joined = compute(spec, kind, "theorem1")
+    assert joined.method == "character_sum"
+    assert joined.poly.terms and joined.poly == compute(spec, kind).poly
 
 
 @pytest.mark.parametrize(
