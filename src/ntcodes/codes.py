@@ -381,6 +381,8 @@ def nonbinary_svt(n: int, r: int, m: int, a: int, b: int, c: int) -> CodeSpec:
 
 def helberg(n: int, t: int, a: int) -> CodeSpec:
     """Binary t-insertion/deletion code with recursively defined weights."""
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be positive")
     return le_nguyen(n, 2, t, a)
 
 

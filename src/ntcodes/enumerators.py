@@ -7,34 +7,35 @@ character-sum engine (theorem 1) recovers a code's enumerator from the
 full-space enumerator W_full as a sum over residue tuples u of
 W_full(e(u_i/m_i) z_i, w), each weighted by e(-sum_i u_i a_i/m_i), divided
 by prod m_i.  On an expanded full-space polynomial the orthogonality of
-characters, sum_{u mod m} e(uk/m) = m [m | k], reduces that sum to a
-residue filter: a term is kept exactly when each statistic exponent is
-congruent to its residue.  The filter is pure integer arithmetic and
-checks that every full-space coefficient is non-negative.
+characters, sum_{u mod m} e(uk/m) = m [m | k], reduces that sum to
+keeping a term exactly when each statistic exponent is congruent to its
+residue: pure integer arithmetic, which checks that every full-space
+coefficient is non-negative.
 
 Every built-in statistic adds an increment that depends only on the
 position, the symbol and the symbol before it (`_stepper`), so two
 transfer passes over the positions (the transfer-matrix method) never
-list the words.  The exact pass builds W_full keyed by one mixed-radix
-integer per term, whose digits are the exact statistic values and the
-type vector, each radix 1 + the largest value of its digit, so no digit
-carries; a step adds one integer to every key.  The residue filter reads
-the statistic digits off those keys and unpacks only the terms it keeps.
-W_full is the product of the enumerators of positions 0..k-1 and k..n-1,
-so the filter is also a join on residues: the exact pass runs on the two
-halves, with the full-length radices so that a left key plus a right key
-is the joined word's key, and a left term of residues rho pairs only with
-the right terms of residues a - rho.  Its work is the two halves plus the
-pairs kept, against the whole full space for the single pass, and the
-split point is read off bounds of the statistics before any pass.  Only
-a custom statistic makes the full space a scan of [0, r)^n, packed the
-same way, and it keeps the single pass.  The residue pass counts the
-code itself: keyed by residues mod m_i, with the Hamming weight, or the
-type vector where its digits stay few, packed into each count as
-Kronecker digits, it evaluates the linear-congruence character sum of
-`lc_hamming`, which orthogonality turns into the coefficient of x^a in a
-product taken in Z[x]/(x^m - 1), and answers every spec without a closed
-form below kind "extended".
+list the words.  The exact pass keys each term by one mixed-radix
+integer, whose digits are the exact statistic values and the type
+vector, each radix 1 + the largest value of its digit, so no digit
+carries; a step adds one integer to every key.  W_full is the product of
+the enumerators of positions 0..k-1 and k..n-1, so theorem 1 keeps its
+terms by one join on residues: the exact pass runs on the two halves,
+with the full-length radices so that a left key plus a right key is the
+joined word's key, and a left term of residues rho pairs only with the
+right terms of residues a - rho.  Its work is the two halves plus the
+pairs kept, and the split point is read off bounds of the statistics
+before any pass.  At k = n the right half is empty, its one term the
+empty word; at moduli 1 the join keeps every term, which is
+`full_space_enumerator`.  A custom statistic has no increments: its left
+half is a scan of [0, r)^n, packed the same way.
+
+The residue pass counts the code itself: keyed by residues mod m_i, with
+the Hamming weight, or the type vector where its digits stay few, packed
+into each count as Kronecker digits, it evaluates the linear-congruence
+character sum of `lc_hamming`, which orthogonality turns into the
+coefficient of x^a in a product taken in Z[x]/(x^m - 1), and answers
+every spec without a closed form below kind "extended".
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _stepper(n: int, stats):
 
 
 class _PackedSpace:
-    """A full-space enumerator with one mixed-radix integer key per term.
+    """The layout of a packed full-space enumerator: one mixed-radix
+    integer key per term.
 
     Exponent i (of `variables`) is digit i of the key, of radix
     `radices[i]` and place value `strides[i]`, the product of the radices
@@ -194,13 +196,12 @@ class _PackedSpace:
     1 + the largest value its exponent can take, so no digit carries into
     the next and `unpack` reads the exponents back."""
 
-    __slots__ = ("variables", "radices", "strides", "terms")
+    __slots__ = ("variables", "radices", "strides")
 
     def __init__(self, variables, radices) -> None:
         self.variables = tuple(variables)
         self.radices = tuple(radices)
         self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
-        self.terms: dict = {}  # {key: count}, filled by the pass or scan that builds it
 
     def pack(self, exps) -> int:
         return sum(map(operator.mul, exps, self.strides))
@@ -216,9 +217,9 @@ class _PackedSpace:
             raise IntegralityError(f"packed key carries {key} past its last digit")
         return tuple(exps)
 
-    def poly(self, keys) -> MultiPoly:
-        """The terms of the given keys, unpacked into one MultiPoly."""
-        return MultiPoly(self.variables, {self.unpack(key): self.terms[key] for key in keys})
+    def poly(self, terms: dict) -> MultiPoly:
+        """The {key: count} terms, unpacked into one MultiPoly."""
+        return MultiPoly(self.variables, {self.unpack(key): count for key, count in terms.items()})
 
 
 def _tops(n: int, r: int, stats, lo: int, hi: int) -> list:
@@ -261,7 +262,8 @@ def _exact_pass(n: int, r: int, stats, tops):
     """The packed layout of the full space [0, r)^n and `run(positions,
     states)`, the transfer pass over `positions` from `states`, {last
     symbol (None when no statistic reads it): {key: count}}, which returns
-    the states after the last of them.  A statistic's radix is 1 + its
+    the states after the last of them: one state None after position
+    n - 1, whose symbol nothing reads.  A statistic's radix is 1 + its
     largest value on [0, r)^n, `tops` (sigma's is (r-1)n), each tau_x's is
     n + 1, whatever the positions, so the keys of passes over disjoint
     positions add up to the key of the joined words and no digit carries.
@@ -295,11 +297,12 @@ def _exact_pass(n: int, r: int, stats, tops):
     def run(positions, states: dict) -> dict:
         for j in positions:
             nxt: dict = {}
+            keyed = reads_previous and j < n - 1
             for previous, terms in states.items():
                 up, one = ups[previous], ones[previous]
                 for x in range(r):
                     inc = x * lin[j] + j * up[x] + one[x] + tau[x]
-                    dest = nxt.setdefault(x if reads_previous else None, {})
+                    dest = nxt.setdefault(x if keyed else None, {})
                     for key, count in terms.items():
                         key += inc
                         dest[key] = dest.get(key, 0) + count
@@ -309,45 +312,12 @@ def _exact_pass(n: int, r: int, stats, tops):
     return space, run
 
 
-def _merged(states: dict) -> dict:
-    """The {key: count} of every last symbol, added up."""
-    total, *rest = states.values()
-    for terms in rest:
-        for key, count in terms.items():
-            total[key] = total.get(key, 0) + count
-    return total
-
-
-def _full_space(n: int, r: int, stats, budget: int | None):
-    """Full-space extended enumerator, packed into a `_PackedSpace`, and
-    the form that produced it: the exact pass over every position
-    ("transfer"), its bound checked against `budget` first, or, for a
-    custom statistic, which has no increments, the oracle's scan of the
-    code every word satisfies ("enumeration"), packed with radices 1 + the
-    largest values the scan saw."""
-    stats = list(stats)
-    if any(st.kind == "custom" for st in stats):
-        spec = CodeSpec(n, r, tuple((st, 1, 0) for st in stats))
-        terms = _scan_terms(spec, budget)
-        tops = [max((exps[i] for exps in terms), default=0) for i in range(len(stats))]
-        variables = z_variables(len(stats)) + w_variables(r)
-        space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
-        space.terms = {space.pack(exps): count for exps, count in terms.items()}
-        return space, "enumeration"
-    tops = _tops(n, r, stats, 0, n)
-    _check_pass(_pass_bound(r, stats, tops, n), budget)
-    space, run = _exact_pass(n, r, stats, tops)
-    space.terms = _merged(run(range(n), {None: {0: 1}}))
-    return space, "transfer"
-
-
-def full_space_enumerator(
-    n: int, r: int, stats, budget: int | None = None
-) -> MultiPoly:
+def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> MultiPoly:
     """Extended enumerator of the whole space [0, r)^n for the given
-    statistics, in variables z1..zs, w0..w(r-1)."""
-    space, _ = _full_space(n, r, stats, budget)
-    return space.poly(space.terms)
+    statistics, in variables z1..zs, w0..w(r-1): theorem 1's engine at
+    moduli 1, where every term is kept."""
+    space, kept = _theorem1_terms(n, r, [Constraint(st, 1, 0) for st in stats], budget, n)
+    return space.poly(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +335,9 @@ _PASS_TERMS = 64
 
 def _split_point(spec: CodeSpec, budget: int | None) -> int:
     """Where theorem 1 splits the positions: k = n // 2, or k = n (one pass
-    over every position, then the residue filter).  The split is taken
-    when each half's bound fits the budget and its estimated work, left +
-    s (right + _PASS_TERMS) + left right / prod m_i pairs, with s = r
+    over every position, joined with the empty right half).  The split is
+    taken when each half's bound fits the budget and its estimated work,
+    left + s (right + _PASS_TERMS) + left right / prod m_i pairs, with s = r
     right passes when a descent statistic reads the previous symbol and
     s = 1 otherwise, is below the single pass's bound by _SPLIT_GAIN.  The
     bounds are read off the statistics, before any pass: each half's from
@@ -397,15 +367,20 @@ def _join(space: _PackedSpace, cons, left: dict, right: dict):
     residues a left key needs, (a_i - key // stride % radix) % m_i, and
     each left key looks its own residues up.  No pair is formed here."""
     digits = list(zip(space.strides, space.radices, cons))
+
+    def rows(columns):
+        # without constraints every key's residues are ()
+        return zip(*columns) if digits else itertools.repeat(())
+
     matched, pairs = [], 0
     for p, terms in right.items():
         keys = list(terms)
-        needs = zip(*[[(c.a - key // stride % radix) % c.m for key in keys] for stride, radix, c in digits])
+        needs = rows([[(c.a - key // stride % radix) % c.m for key in keys] for stride, radix, c in digits])
         groups: dict = {}
         for need, key in zip(needs, keys):
             groups.setdefault(need, []).append((key, terms[key]))
         keys, found = list(left[p]), {}
-        rhos = zip(*[[key // stride % radix % c.m for key in keys] for stride, radix, c in digits])
+        rhos = rows([[key // stride % radix % c.m for key in keys] for stride, radix, c in digits])
         for rho, key in zip(rhos, keys):
             if rho in groups:
                 found.setdefault(rho, []).append(key)
@@ -415,49 +390,57 @@ def _join(space: _PackedSpace, cons, left: dict, right: dict):
     return matched, pairs
 
 
-def _check_counts(space: _PackedSpace, terms: dict) -> None:
-    """IntegralityError on the first negative count, with its exponents."""
-    if min(terms.values(), default=0) < 0:
-        key, coeff = next((key, coeff) for key, coeff in terms.items() if coeff < 0)
-        raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
+def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
+    """The code's terms, {key: count}: each pair `_join` matches, its keys
+    added and its counts multiplied, or None where the pairs outnumber
+    `limit`.  A negative count of either half raises IntegralityError,
+    with its exponents, before any pair is matched."""
+    for half in (*left.values(), *right.values()):
+        if min(half.values(), default=0) < 0:
+            key, coeff = next((key, coeff) for key, coeff in half.items() if coeff < 0)
+            raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
+    matched, pairs = _join(space, cons, left, right)
+    if pairs > limit:
+        return None
+    kept: dict = {}
+    for terms, keys, group in matched:
+        for rk, rc in group:
+            for lk in keys:
+                kept[lk + rk] = kept.get(lk + rk, 0) + terms[lk] * rc
+    return kept
 
 
-def _theorem1_terms(spec: CodeSpec, budget: int | None, k: int):
-    """The packed space, whose `terms` hold the counts, and the keys of
-    the code's full-space terms, from the exact pass split at position k:
-    the join of the two halves, or, at k = n or where the join's pairs
-    outnumber the single pass's bound or the budget, the residue filter of
-    the whole full space (see `theorem1_extended`)."""
-    n, r, cons = spec.n, spec.r, spec.constraints
+def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
+    """The packed space and the code's full-space terms, {key: count}: the
+    join of the exact passes over positions 0..k-1 and k..n-1, k = n
+    joining the single pass with the empty right half, whose one term is
+    the empty word (see `theorem1_extended`)."""
     stats = [c.stat for c in cons]
+    if any(st.kind == "custom" for st in stats):
+        # no increments: the left half is the oracle's scan of [0, r)^n (every
+        # word satisfies moduli 1), packed with radices 1 + the largest values
+        # it saw, at k = n
+        terms = _scan_terms(CodeSpec(n, r, tuple((st, 1, 0) for st in stats)), budget)
+        tops = [max((exps[i] for exps in terms), default=0) for i in range(len(stats))]
+        variables = z_variables(len(stats)) + w_variables(r)
+        space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
+        left = {None: {space.pack(exps): count for exps, count in terms.items()}}
+        return space, _kept(space, cons, left, {None: {0: 1}}, len(terms))
+    tops = _tops(n, r, stats, 0, n)
+    single = _pass_bound(r, stats, tops, n)
     if k == n:
-        space, _ = _full_space(n, r, stats, budget)
-    else:
-        tops = _tops(n, r, stats, 0, n)
-        space, run = _exact_pass(n, r, stats, tops)
-        left = run(range(k), {None: {0: 1}})
-        right = {p: _merged(run(range(k, n), {p: {0: 1}})) for p in left}
-        for half in (*left.values(), *right.values()):
-            _check_counts(space, half)
-        matched, pairs = _join(space, cons, left, right)
-        single = _pass_bound(r, stats, tops, n)
-        if pairs <= min(single, budget_limit(budget)):
-            kept = space.terms
-            for terms, keys, group in matched:
-                for rk, rc in group:
-                    for lk in keys:
-                        kept[lk + rk] = kept.get(lk + rk, 0) + terms[lk] * rc
-            return space, kept.keys()
+        # the single pass; `_split_point` checked the halves' bounds where it split
+        _check_pass(single, budget)
+    space, run = _exact_pass(n, r, stats, tops)
+    left = run(range(k), {None: {0: 1}})
+    right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
+    kept = _kept(space, cons, left, right, min(single, budget_limit(budget)))
+    if kept is None:
         # more pairs than the single pass's bound, or than the budget: the
         # left half continues over the right's positions if the pass fits
         _check_pass(single, budget)
-        space.terms = _merged(run(range(k, n), left))
-    _check_counts(space, space.terms)
-    keys = space.terms.keys()
-    # the statistic digits come first, one per constraint
-    for stride, radix, c in zip(space.strides, space.radices, cons):
-        keys = [key for key in keys if (key // stride % radix - c.a) % c.m == 0]
-    return space, keys
+        kept = _kept(space, cons, run(range(k, n), left), {None: {0: 1}}, single)
+    return space, kept
 
 
 def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
@@ -471,24 +454,24 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     with k_i = a_i (mod m_i) for every constraint, with their coefficients.
 
     Over [0, r)^n, W_full is the product of the enumerators of positions
-    0..k-1 and k..n-1, so that residue filter is a join on residues: a
+    0..k-1 and k..n-1, so keeping those terms is a join on residues: a
     left term of statistic residues rho pairs only with right terms of
     residues a - rho.  The exact pass runs on each half with the
     full-length radices, so a left key plus a right key is the joined
     word's key; when a descent statistic reads the previous symbol, the
     right half starts once from each last symbol p of the left half and
     joins only its terms.  `_split_point` picks k from bounds read off the
-    statistics; k = n is the single pass over every position followed by
-    the filter, and a custom statistic keeps its scan there.  The join
-    counts its pairs from the residue groups before it forms any; past
-    the single pass's bound (or the budget) it continues the left half
-    over the remaining positions and filters instead, and refuses with
-    the single pass's message where that does not fit the budget either.
-    A negative count of either half raises IntegralityError.  Only the
-    kept keys are unpacked, into the one MultiPoly returned.
+    statistics; at k = n the right half is empty, its one term the empty
+    word, and a custom statistic's left half is the oracle's scan.  The
+    join counts its pairs before it forms any; past the single pass's
+    bound (or the budget) the left half continues over the remaining
+    positions and is joined with the empty right half, or the request is
+    refused with the single pass's message.  A negative count of either
+    half raises IntegralityError.  Only the kept keys are unpacked.
     """
-    space, keys = _theorem1_terms(spec, budget, _split_point(spec, budget))
-    return Enumerator("extended", space.poly(keys), "character_sum", spec)
+    k = _split_point(spec, budget)
+    space, kept = _theorem1_terms(spec.n, spec.r, spec.constraints, budget, k)
+    return Enumerator("extended", space.poly(kept), "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------

@@ -176,26 +176,26 @@ def test_verify_deterministic_given_seed(capsys):
 
 def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
     # each check's theorem 1 runs one exact pass, over every position or
-    # split in two halves, and no full space is scanned
+    # split in two halves, and scans nothing: the only scans are the
+    # oracle's, one per check
     from ntcodes import enumerators
 
-    passes, forms = [], []
-    exact_pass, full_space = enumerators._exact_pass, enumerators._full_space
+    passes, scans = [], []
+    exact_pass, scan_terms = enumerators._exact_pass, enumerators._scan_terms
 
     def recording_pass(*args):
         passes.append(args[:2])
         return exact_pass(*args)
 
-    def recording_space(*args):
-        space, form = full_space(*args)
-        forms.append(form)
-        return space, form
+    def recording_scan(*args):
+        scans.append(args[0])
+        return scan_terms(*args)
 
     monkeypatch.setattr(enumerators, "_exact_pass", recording_pass)
-    monkeypatch.setattr(enumerators, "_full_space", recording_space)
+    monkeypatch.setattr(enumerators, "_scan_terms", recording_scan)
     code, out, _ = run(capsys, "verify", "--family", "sc")
     assert code == 0 and "summary: 10 checks, 0 mismatches" in out
-    assert len(passes) == 10 and set(forms) <= {"transfer"}
+    assert len(passes) == 10 and len(scans) == 10
 
 
 def test_card_nonbinary_svt_past_the_brute_force_budget(capsys):

@@ -283,6 +283,12 @@ def test_single_linear_congruence_families_are_lc_specs():
     ]:
         with pytest.raises(ValueError, match=rf"^a must lie in \[0, {bound}\), got {bound}$"):
             make_family(family, **params, a=bound)
+    # helberg checks its own parameters: it takes no r
+    for params in ({"n": 3, "t": 0}, {"n": 0, "t": 1}):
+        with pytest.raises(ValueError, match=r"^n and t must be positive$"):
+            make_family("helberg", **params, a=0)
+    with pytest.raises(ValueError, match=r"^n, r, and t must be positive$"):
+        make_family("le_nguyen", n=3, r=0, t=1, a=0)
 
 
 @given(st.integers(1, 40), st.integers(0, 300), st.integers(1, 2**400))

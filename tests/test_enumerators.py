@@ -32,7 +32,6 @@ from ntcodes.enumerators import (
     KINDS,
     Enumerator,
     _PackedSpace,
-    _full_space,
     argmax_cardinality,
     complete_weight_enumerator,
     compute,
@@ -198,13 +197,40 @@ def full_space_cases(draw):
 @given(full_space_cases())
 def test_transfer_full_space_matches_oracle_for_every_statistic(case):
     n, r, stats = case
-    space, form = _full_space(n, r, stats, None)
-    assert form == "transfer"
     whole_space = CodeSpec(n, r, tuple((stat, 1, 0) for stat in stats))
     expected = oracle_extended(whole_space).poly
-    assert full_space_enumerator(n, r, stats) == expected
+    with (
+        mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
+        mock.patch.object(enumerators, "_scan_terms") as scan,
+    ):
+        space, kept = enumerators._theorem1_terms(n, r, whole_space.constraints, None, n)
+        assert full_space_enumerator(n, r, stats) == expected
+    # built by the exact pass, not scanned
+    assert exact_pass.call_count == 2 and not scan.called
+    assert space.poly(kept) == expected
     # one packed key per full-space term
-    assert len(space.terms) == len(expected.terms)
+    assert len(kept) == len(expected.terms)
+
+
+def test_full_space_without_statistics_is_the_type_enumerator():
+    # no statistic, no CodeSpec: the binomial expansion of (w0 + w1)^3
+    poly = full_space_enumerator(3, 2, ())
+    assert poly.variables == ("w0", "w1")
+    assert str(poly) == "w0^3 + 3*w0^2*w1 + 3*w0*w1^2 + w1^3"
+
+
+def test_full_space_of_a_custom_statistic_is_the_oracle_scan():
+    repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
+    whole_space = CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
+    assert full_space_enumerator(4, 3, (repeats, SIGMA)) == oracle_extended(whole_space).poly
+
+
+def test_full_space_refuses_past_the_budget():
+    # omega over [0, 3)^6: min(3^6, C(8, 2) (1 + 2 * 21)) = 729 terms
+    with pytest.raises(
+        BudgetExceededError, match=r"^full-space transfer pass of up to 729 terms exceeds the budget 10$"
+    ):
+        full_space_enumerator(6, 3, (OMEGA,), budget=10)
 
 
 def test_packed_key_round_trip_and_carry():
@@ -219,10 +245,16 @@ def test_packed_key_round_trip_and_carry():
 
 def test_custom_statistic_full_space_is_enumerated():
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
-    _, form = _full_space(4, 3, (repeats, SIGMA), None)
-    assert form == "enumeration"
     spec = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
-    engine = theorem1_extended(spec)
+    # the full space is scanned once, with no exact pass
+    with (
+        mock.patch.object(enumerators, "_exact_pass") as exact_pass,
+        mock.patch.object(enumerators, "_scan_terms", wraps=enumerators._scan_terms) as scan,
+    ):
+        engine = theorem1_extended(spec)
+    assert scan.call_count == 1 and not exact_pass.called
+    (scanned, _), _ = scan.call_args
+    assert scanned == CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
     assert engine.method == "character_sum"
     assert engine.poly == oracle_extended(spec).poly
 
@@ -259,7 +291,7 @@ def test_theorem1_cardinality_example():
 
 def test_theorem1_fast_path_and_forced_character_sum_agree():
     # mixed statistics take the transfer-built full space through the
-    # residue filter and keep the theorem-1 label
+    # residue join and keep the theorem-1 label
     spec = CodeSpec(4, 3, ((GAMMA_GT, 3, 1), (DELTA, 2, 1), (SIGMA, 3, 0)))
     fast = theorem1_extended(spec)
     assert fast.method == "character_sum"
@@ -267,12 +299,25 @@ def test_theorem1_fast_path_and_forced_character_sum_agree():
 
 
 def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
-    # binary_vt n=2 takes the single pass, whose full space is injected
+    # binary_vt n=2 takes k = n; the single pass's term of the word 00, the
+    # left half's count of exponents (0, 2, 0), is given the count -1
     spec = make_family("binary_vt", n=2, a=0)
     assert enumerators._split_point(spec, None) == spec.n
-    space = _PackedSpace(("z1", "w0", "w1"), (4, 3, 3))
-    space.terms = {space.pack((0, 2, 0)): -1, space.pack((3, 0, 2)): 1}
-    monkeypatch.setattr("ntcodes.enumerators._full_space", lambda *args: (space, "transfer"))
+    exact_pass = enumerators._exact_pass
+
+    def negating(*args):
+        space, run = exact_pass(*args)
+
+        def run_negated(positions, states):
+            out = run(positions, states)
+            if positions == range(spec.n):
+                key = space.pack((0, 2, 0))
+                out[None][key] = -out[None][key]
+            return out
+
+        return space, run_negated
+
+    monkeypatch.setattr(enumerators, "_exact_pass", negating)
     with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 2, 0\)"):
         theorem1_extended(spec)
 
@@ -393,12 +438,11 @@ def split_specs(draw):
 @example(_top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE)))
 @example(_top_word_spec(5, 3, (linear((1, 2, 0, 3, 1)), LAMBDA_LT, DELTA)))
 def test_theorem1_join_at_every_split_point(spec):
-    # k = n is the single pass and its residue filter; every other k joins
-    # the two halves, or continues the left one where the pairs outnumber
-    # the single pass's bound
+    # k = n joins the single pass with the empty right half; every other k
+    # joins the two halves, or continues the left one where the pairs
+    # outnumber the single pass's bound and joins it with the empty half
     def kept(k):
-        space, keys = enumerators._theorem1_terms(spec, None, k)
-        return space, {key: space.terms[key] for key in keys}
+        return enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)
 
     space, single = kept(spec.n)
     expected = oracle_extended(spec).poly
@@ -429,7 +473,8 @@ def test_theorem1_continues_the_left_half_past_the_single_pass_bound():
     # zero weights put every term at residue 0: the halves' 495 terms each
     # would make 495^2 = 245025 pairs, over the single pass's bound of
     # C(20, 4) = 4845 terms, so the left half continues over positions
-    # 8..15 and is filtered instead; no pair is formed
+    # 8..15 and is joined with the empty right half instead; no pair of the
+    # two halves is formed
     spec = lc(16, 1000, 5, [0] * 16, 0)
     assert enumerators._split_point(spec, None) == 8
     tracemalloc.start()

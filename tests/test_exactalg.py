@@ -67,7 +67,7 @@ def test_root_products_and_sums():
 
 def test_geometric_sum_lemma():
     # sum over j in [m] of e(A j / m) equals m when m | A and 0 otherwise;
-    # theorem 1's residue filter rests on this identity
+    # theorem 1 keeps the terms at the code's residues by this identity
     for m in range(1, 31):
         for A in range(-m, 2 * m + 1):
             expected = m if A % m == 0 else 0
