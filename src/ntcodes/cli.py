@@ -195,6 +195,8 @@ def _verify_macwilliams(checks, rng, count, max_n, budget):
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"the count must be non-negative, got {args.count}")
     budget = _budget(args)
     rng = random.Random(args.seed)
     checks: list[tuple[str, bool]] = []

@@ -13,20 +13,21 @@ residue: pure integer arithmetic, which checks that every full-space
 coefficient is non-negative.
 
 Every built-in statistic adds an increment that depends only on the
-position, the symbol and the symbol before it (`_stepper`), so two
-transfer passes over the positions (the transfer-matrix method) never
-list the words.  The exact pass keys each term by one mixed-radix
-integer, whose digits are the exact statistic values and the type
-vector, each radix 1 + the largest value of its digit, so no digit
-carries; a step adds one integer to every key.  W_full is the product of
-the enumerators of positions 0..k-1 and k..n-1, so theorem 1 keeps its
-terms by one join on residues: the exact pass runs on the two halves,
-with the full-length radices so that a left key plus a right key is the
-joined word's key, and a left term of residues rho pairs only with the
-right terms of residues a - rho.  Its work is the two halves plus the
-pairs kept, and the split point is read off bounds of the statistics
-before any pass.  At k = n the right half is empty, its one term the
-empty word; at moduli 1 the join keeps every term, which is
+position, the symbol and the symbol before it, one table of them for
+both passes (`_increments`), so two transfer passes over the positions
+(the transfer-matrix method) never list the words.  The exact pass keys
+each term by one mixed-radix integer, whose digits are the exact
+statistic values and the type vector, each radix 1 + the largest value
+of its digit, so no digit carries; a step adds one integer to every key.
+W_full is the product of the enumerators of positions 0..k-1 and k..n-1,
+so theorem 1 keeps its terms by one join on residues: the exact pass
+runs on the two halves, with the full-length radices so that a left key
+plus a right key is the joined word's key, and a left term of residues
+rho pairs only with the right terms of residues a - rho.  Its work is
+the two halves plus the pairs kept.  It splits at k = n // 2 wherever
+the halves' bounds, read off the statistics before any pass, fit the
+budget, and at k = n otherwise, where the right half is empty, its one
+term the empty word; at moduli 1 the join keeps every term, which is
 `full_space_enumerator`.  A custom statistic has no increments: its left
 half is a scan of [0, r)^n, packed the same way.
 
@@ -162,28 +163,29 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _stepper(n: int, stats):
-    """`step(j, previous, x)`, the statistics' increments for symbol x at
-    position j after `previous`, and whether any of them reads `previous`.
-    Every built-in statistic is a sum of such increments: h_j x for omega,
-    sigma and linear statistics, and j (1 for delta) when the statistic's
-    comparison of (previous, x) holds.  So a pass keeps one {key: count}
-    dict per last symbol when some statistic reads it, else a single one."""
-    weights = [linear_weights(st, n) for st in stats]
-    compares = [DESCENT_COMPARISONS.get(st.kind) for st in stats]
-
-    def step(j: int, previous, x: int) -> tuple:
-        inc = []
-        for st, w, cmp in zip(stats, weights, compares):
-            if w is not None:
-                inc.append(w[j] * x)
-            elif j and cmp(previous, x):
-                inc.append(1 if st.kind == "delta" else j)
-            else:
-                inc.append(0)
-        return tuple(inc)
-
-    return step, any(cmp is not None for cmp in compares)
+def _increments(n: int, r: int, stats, strides):
+    """The statistics' increments, each times its stride, as the tables
+    (lin, ups, ones): symbol x at position j after `previous` adds
+    x lin[j] + j ups[previous][x] + ones[previous][x].  Every built-in
+    statistic is a sum of such increments: h_j x for omega, sigma and
+    linear statistics, so lin[j] sums their weights at j times their
+    strides; j (1 for delta) when the statistic's comparison of
+    (previous, x) holds, so ups[p][x] sums the strides of the gamma/lambda
+    statistics whose comparison of (p, x) holds and ones[p][x] those of
+    delta.  The rows of None, the previous "symbol" at position 0 or when
+    no statistic reads it, stay 0."""
+    lin = [0] * n
+    ups = {p: [0] * r for p in (None, *range(r))}
+    ones = {p: [0] * r for p in ups}
+    for st, stride in zip(stats, strides):
+        weights = linear_weights(st, n)
+        if weights is not None:
+            lin = [acc + h * stride for acc, h in zip(lin, weights)]
+            continue
+        compare, table = DESCENT_COMPARISONS[st.kind], ones if st.kind == "delta" else ups
+        for p, x in itertools.product(range(r), repeat=2):
+            table[p][x] += stride * compare(p, x)
+    return lin, ups, ones
 
 
 class _PackedSpace:
@@ -268,30 +270,15 @@ def _exact_pass(n: int, r: int, stats, tops):
     n + 1, whatever the positions, so the keys of passes over disjoint
     positions add up to the key of the joined words and no digit carries.
 
-    A step adds one integer to every key: the increments of `_stepper`
-    times their statistics' strides, plus tau_x's stride.  For symbol x at
-    position j after `previous` that is x lin[j] + j ups[previous][x] +
-    ones[previous][x] + tau[x]: lin[j] sums the linear statistics' weights
-    at j times their strides, ups the strides of the gamma/lambda
-    statistics whose comparison of (previous, x) holds, ones those of
-    delta.  The caller checks the pass's bound (`_pass_bound`) first: the
+    A step adds one integer to every key: for symbol x at position j after
+    `previous`, x lin[j] + j ups[previous][x] + ones[previous][x] + tau[x],
+    the `_increments` tables at the statistics' strides plus tau_x's
+    stride.  The caller checks the pass's bound (`_pass_bound`) first: the
     weight vectors are built here."""
     s = len(stats)
     space = _PackedSpace(z_variables(s) + w_variables(r), [1 + top for top in tops] + [n + 1] * r)
-    strides, tau = space.strides[:s], space.strides[s:]
-    lin = [0] * n
-    # the rows of None, the previous "symbol" at position 0 or when no
-    # statistic reads it, stay 0
-    ups = {p: [0] * r for p in (None, *range(r))}
-    ones = {p: [0] * r for p in ups}
-    for st, stride in zip(stats, strides):
-        weights = linear_weights(st, n)
-        if weights is not None:
-            lin = [acc + h * stride for acc, h in zip(lin, weights)]
-            continue
-        compare, table = DESCENT_COMPARISONS[st.kind], ones if st.kind == "delta" else ups
-        for p, x in itertools.product(range(r), repeat=2):
-            table[p][x] += stride * compare(p, x)
+    tau = space.strides[s:]
+    lin, ups, ones = _increments(n, r, stats, space.strides[:s])
     reads_previous = any(st.kind in DESCENT_COMPARISONS for st in stats)
 
     def run(positions, states: dict) -> dict:
@@ -323,39 +310,23 @@ def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> M
 # ---------------------------------------------------------------------------
 # the character-sum engine
 
-#: theorem 1 splits the positions only where the split's estimated work is
-#: below the single pass's bound by this factor
-_SPLIT_GAIN = 2
-
-#: the fixed cost of one more transfer pass, in terms, charged to the split
-#: for each of its right passes: below about this many terms a pass's own
-#: overhead outweighs what the split saves
-_PASS_TERMS = 64
-
-
 def _split_point(spec: CodeSpec, budget: int | None) -> int:
-    """Where theorem 1 splits the positions: k = n // 2, or k = n (one pass
-    over every position, joined with the empty right half).  The split is
-    taken when each half's bound fits the budget and its estimated work,
-    left + s (right + _PASS_TERMS) + left right / prod m_i pairs, with s = r
-    right passes when a descent statistic reads the previous symbol and
-    s = 1 otherwise, is below the single pass's bound by _SPLIT_GAIN.  The
-    bounds are read off the statistics, before any pass: each half's from
-    its own largest values, which add up to the whole space's."""
-    n, r, cons = spec.n, spec.r, spec.constraints
-    stats = [c.stat for c in cons]
-    starts = r if any(st.kind in DESCENT_COMPARISONS for st in stats) else 1
-    # the split's work is over s _PASS_TERMS, the single pass's at most r^n
-    least = _SPLIT_GAIN * starts * _PASS_TERMS
-    if capped_power(r, n, least) < least or any(st.kind == "custom" for st in stats):
+    """Where theorem 1 splits the positions: k = n // 2 when the left
+    half's bound and the right half's, times r right passes when a
+    descent statistic reads the previous symbol, fit the budget; else
+    k = n (one pass over every position, joined with the empty right
+    half), as for a custom statistic.  The bounds are read off the
+    statistics, before any pass, each half's from its own largest
+    values."""
+    n, r = spec.n, spec.r
+    stats = [c.stat for c in spec.constraints]
+    if any(st.kind == "custom" for st in stats):
         return n
+    starts = r if any(st.kind in DESCENT_COMPARISONS for st in stats) else 1
     k = n // 2
-    tops = _tops(n, r, stats, 0, k), _tops(n, r, stats, k, n)
-    left, right = _pass_bound(r, stats, tops[0], k), _pass_bound(r, stats, tops[1], n - k)
-    single = _pass_bound(r, stats, list(map(operator.add, *tops)), n)
-    work = left + starts * (right + _PASS_TERMS) + left * right // prod(c.m for c in cons)
-    fits = max(left, starts * right) <= budget_limit(budget)
-    return k if fits and _SPLIT_GAIN * work < single else n
+    left = _pass_bound(r, stats, _tops(n, r, stats, 0, k), k)
+    right = _pass_bound(r, stats, _tops(n, r, stats, k, n), n - k)
+    return k if max(left, starts * right) <= budget_limit(budget) else n
 
 
 def _join(space: _PackedSpace, cons, left: dict, right: dict):
@@ -414,7 +385,9 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     """The packed space and the code's full-space terms, {key: count}: the
     join of the exact passes over positions 0..k-1 and k..n-1, k = n
     joining the single pass with the empty right half, whose one term is
-    the empty word (see `theorem1_extended`)."""
+    the empty word (see `theorem1_extended`).  Any k answers; past the
+    single pass's bound or the budget the pairs give way to the left half
+    continued over k..n-1."""
     stats = [c.stat for c in cons]
     if any(st.kind == "custom" for st in stats):
         # no increments: the left half is the oracle's scan of [0, r)^n (every
@@ -460,8 +433,9 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     full-length radices, so a left key plus a right key is the joined
     word's key; when a descent statistic reads the previous symbol, the
     right half starts once from each last symbol p of the left half and
-    joins only its terms.  `_split_point` picks k from bounds read off the
-    statistics; at k = n the right half is empty, its one term the empty
+    joins only its terms.  `_split_point` takes k = n // 2 wherever the
+    halves' bounds, read off the statistics, fit the budget, and k = n
+    otherwise; at k = n the right half is empty, its one term the empty
     word, and a custom statistic's left half is the oracle's scan.  The
     join counts its pairs before it forms any; past the single pass's
     bound (or the budget) the left half continues over the remaining
@@ -482,14 +456,15 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
     cardinality, from one transfer pass keyed by the statistics' residues
     mod m_i (built-in statistics, any integer weights), read at the code's
-    residues a_i.  Labelled "transfer".  The Hamming weight, or tau with
-    tau_x at digit (n+1)^(x-1), is packed into each count as Kronecker
-    digits bit_length(r^n) rounded up to bytes wide, which never carry.
-    With keys = prod_i m_i, times r when kept per last symbol, the bound
-    checked before the pass, and before any weight vector is built, is
+    residues a_i.  Labelled "transfer".  Each residue steps by its own
+    statistic's `_increments` table, at stride 1.  The Hamming weight, or
+    tau with tau_x at digit (n+1)^(x-1), is packed into each count as
+    Kronecker digits bit_length(r^n) rounded up to bytes wide, which never
+    carry.  With keys = prod_i m_i, times r when kept per last symbol, the
+    bound checked before the pass, and before any weight vector is built, is
     min(r^n, keys), keys times n + 1 at "hamming".  Packed tau stores all
-    (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be
-    nonzero, bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
+    (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be nonzero,
+    bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
     _PACKED_EXCESS times the bound of tau in the keys, min(r^n,
     C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
     n, r, cons = spec.n, spec.r, spec.constraints
@@ -507,7 +482,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
         else:
             tail = r - 1
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
-    step, _ = _stepper(n, [c.stat for c in cons])
+    tables = [_increments(n, r, [c.stat], (1,)) for c in cons]
     size = -(-(r**n).bit_length() // 8)
     unit = [tuple(int(t == x) for t in range(1, 1 + tail)) for x in range(r)]
     # digit place a symbol adds to: tau_x's, the Hamming weight's 1, or none
@@ -519,7 +494,8 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc, shift = step(j, previous, x) + unit[x], shifts[x]
+                inc = tuple(x * lin[j] + j * ups[previous][x] + ones[previous][x] for lin, ups, ones in tables)
+                inc, shift = inc + unit[x], shifts[x]
                 dest = nxt.setdefault(x if reads_previous else None, {})
                 for exps, count in terms.items():
                     key = tuple(map(operator.mod, map(operator.add, exps, inc), key_moduli))

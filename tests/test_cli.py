@@ -142,6 +142,12 @@ def test_verify_empty_sweep_exit_two(capsys, argv):
     assert "selected no checks" in err and "unknown" not in err
 
 
+@pytest.mark.parametrize("family", ["tenengolts", "lc", "all"])
+def test_verify_negative_count_is_a_usage_error(capsys, family):
+    code, out, err = run(capsys, "verify", "--family", family, "--count", "-3")
+    assert (code, out, err) == (2, "", "error: the count must be non-negative, got -3\n")
+
+
 @pytest.mark.parametrize("family, max_n", [("lc", 1), ("blc", 1), ("sc", 2), ("macwilliams", 1), ("macwilliams", 2)])
 def test_verify_draws_stay_within_their_bounds(capsys, family, max_n):
     code, out, _ = run(capsys, "verify", "--family", family, "--max-n", str(max_n), "--max-m", "1", "--count", "5")

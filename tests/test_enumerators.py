@@ -243,6 +243,23 @@ def test_packed_key_round_trip_and_carry():
         space.unpack(space.pack((0, 0, 2)))
 
 
+@pytest.mark.parametrize("r", range(1, 5))
+def test_increment_tables_sum_to_the_statistics(r):
+    # each statistic alone at stride 1, and all of them at once at their
+    # strides: a word's summed increments are its statistics' values
+    for n in range(6):
+        stats = [*BUILTIN_STATS, linear((2, 0, 3, 1, 4)[:n])]
+        strides = [10**i for i in range(len(stats))]
+        tables = [enumerators._increments(n, r, [st], (1,)) for st in stats]
+        tables.append(enumerators._increments(n, r, stats, strides))
+        for word in itertools.product(range(r), repeat=n):
+            values = [evaluate_statistic(st, word) for st in stats]
+            expected = values + [sum(v * stride for v, stride in zip(values, strides))]
+            steps = list(enumerate(zip((None, *word), word)))
+            summed = [sum(x * lin[j] + j * ups[p][x] + ones[p][x] for j, (p, x) in steps) for lin, ups, ones in tables]
+            assert summed == expected, word
+
+
 def test_custom_statistic_full_space_is_enumerated():
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
     spec = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
@@ -299,10 +316,9 @@ def test_theorem1_fast_path_and_forced_character_sum_agree():
 
 
 def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
-    # binary_vt n=2 takes k = n; the single pass's term of the word 00, the
+    # binary_vt n=2 at k = n; the single pass's term of the word 00, the
     # left half's count of exponents (0, 2, 0), is given the count -1
     spec = make_family("binary_vt", n=2, a=0)
-    assert enumerators._split_point(spec, None) == spec.n
     exact_pass = enumerators._exact_pass
 
     def negating(*args):
@@ -319,7 +335,7 @@ def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
 
     monkeypatch.setattr(enumerators, "_exact_pass", negating)
     with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 2, 0\)"):
-        theorem1_extended(spec)
+        enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, spec.n)
 
 
 def test_theorem1_rejects_negative_half_space_count(monkeypatch):
@@ -454,16 +470,28 @@ def test_theorem1_join_at_every_split_point(spec):
 @pytest.mark.parametrize(
     "spec, budget, k",
     [
-        (make_family("levenshtein", n=40, m=3, a=0), None, 40),
-        (make_family("shifted_vt", n=40, m=5, a=0, parity=0), None, 40),
+        (make_family("levenshtein", n=40, m=3, a=0), None, 20),
+        (make_family("shifted_vt", n=40, m=5, a=0, parity=0), None, 20),
         (make_family("ternary_integer", n=16, a=5), None, 8),
         (make_family("exponential_coefficient", n=18, m=18, a=5), None, 9),
+        (make_family("binary_vt", n=14, a=0), None, 7),
+        (make_family("tenengolts", n=12, r=2, a1=0, a2=0), None, 6),
         # a half of 3^8 terms is over the budget: the single pass's refusal
         (make_family("ternary_integer", n=16, a=5), 1000, 16),
-        (make_family("binary_vt", n=2, a=0), None, 2),
+        (make_family("binary_vt", n=2, a=0), None, 1),
         (CodeSpec(12, 3, ((custom(sum), 7, 0),)), None, 12),
     ],
-    ids=["levenshtein", "shifted_vt", "ternary_integer", "exponential_coefficient", "budget", "tiny", "custom"],
+    ids=[
+        "levenshtein",
+        "shifted_vt",
+        "ternary_integer",
+        "exponential_coefficient",
+        "binary_vt",
+        "tenengolts",
+        "budget",
+        "tiny",
+        "custom",
+    ],
 )
 def test_split_point_is_read_off_the_statistics(spec, budget, k):
     assert enumerators._split_point(spec, budget) == k
