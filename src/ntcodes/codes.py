@@ -407,13 +407,14 @@ def odd_coefficient(n: int, m: int, a: int) -> CodeSpec:
 
 
 def an_code(p: int, a: int) -> CodeSpec:
-    """Binary code of length 2^(p-2) with consecutive weights modulo a prime p."""
+    """Binary code of length 2^(p-2) with consecutive weights modulo a prime
+    p: omega mod p, so no weight vector exists before a route needs one."""
     if p < 3:
         raise ValueError("p must be a prime of at least 3")
     if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p must be prime, got {p}")
-    n = 2 ** (p - 2)
-    return lc(n, p, 2, range(1, n + 1), a)
+    _check_range(a, p, "a")
+    return CodeSpec(2 ** (p - 2), 2, ((OMEGA, p, a),))
 
 
 def exponential_coefficient(n: int, m: int, a: int) -> CodeSpec:

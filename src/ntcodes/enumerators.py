@@ -31,9 +31,17 @@ term the empty word; at moduli 1 the join keeps every term, which is
 `full_space_enumerator`.  A custom statistic has no increments: its left
 half is a scan of [0, r)^n, packed the same way.
 
-The residue pass counts the code itself: keyed by residues mod m_i, with
-the Hamming weight, or the type vector where its digits stay few, packed
-into each count as Kronecker digits, it evaluates the linear-congruence
+The residue pass counts the code itself, in one of two layouts picked
+before it starts.  Keyed: the states are keyed by the residues mod m_i,
+and the Hamming weight, or the type vector where its digits stay few, is
+packed into each count as Kronecker digits.  Cyclic: at kinds
+"cardinality" and "hamming", where the largest modulus m* is at least
+n + 1 at "hamming" (any m* at "cardinality"), the keys prod_i m_i (times
+r per last symbol) are at most r^n, and the keys' cells, times the n + 1
+Hamming weights at "hamming", fit the budget, the residues mod m* are the
+m* cyclic digits of each count, a symbol of increment k rotates the count
+by k digits, and the keys keep the other residues, the last symbol and
+the Hamming weight.  Either way it evaluates the linear-congruence
 character sum of `lc_hamming`, which orthogonality turns into the
 coefficient of x^a in a product taken in Z[x]/(x^m - 1), and answers
 every spec without a closed form below kind "extended".
@@ -449,19 +457,56 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 
 
 # ---------------------------------------------------------------------------
-# the residue-keyed pass and the closed form for linear congruence codes
+# the residue pass and the closed form for linear congruence codes
+
+
+def _digit_congruence(n: int, r: int, moduli, kind: str, keys: int, budget: int | None):
+    """The index of the congruence whose residues the residue pass carries
+    as the cyclic digits of each count, or None for the keyed layout: the
+    first of largest modulus m*, at kinds "cardinality" and "hamming",
+    where m* is at least n + 1 at "hamming" (any m* at "cardinality"), the
+    keys prod_i m_i (times r per last symbol) are at most r^n, and the
+    keys' cells, times the n + 1 Hamming weights at "hamming", fit the
+    budget.  Read off n, r, the moduli, the kind and the budget, before the
+    pass starts."""
+    if kind not in ("cardinality", "hamming"):
+        return None
+    star = moduli.index(max(moduli))
+    weights = n + 1 if kind == "hamming" else 1
+    if moduli[star] < weights or capped_power(r, n, keys) < keys or keys * weights > budget_limit(budget):
+        return None
+    return star
 
 
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
-    cardinality, from one transfer pass keyed by the statistics' residues
-    mod m_i (built-in statistics, any integer weights), read at the code's
+    cardinality, from one transfer pass over the statistics' residues mod
+    m_i (built-in statistics, any integer weights), read at the code's
     residues a_i.  Labelled "transfer".  Each residue steps by its own
-    statistic's `_increments` table, at stride 1.  The Hamming weight, or
-    tau with tau_x at digit (n+1)^(x-1), is packed into each count as
-    Kronecker digits bit_length(r^n) rounded up to bytes wide, which never
-    carry.  With keys = prod_i m_i, times r when kept per last symbol, the
-    bound checked before the pass, and before any weight vector is built, is
+    statistic's `_increments` table, at stride 1.  A state's key is one
+    integer: a digit of radix 2 m_i per keyed residue, which a step never
+    carries and which is wrapped back below m_i, then any keyed tau_x or
+    Hamming weight, of radix n + 1, which never wrap.
+
+    Two layouts, picked by `_digit_congruence` before the pass.  Keyed:
+    every residue is in the keys, and the Hamming weight, or tau with tau_x
+    at digit (n+1)^(x-1), is packed into each count as Kronecker digits
+    bit_length(r^n) rounded up to bytes wide.  Cyclic: at kinds
+    "cardinality" and "hamming", where the largest modulus m* is at least
+    n + 1 at "hamming" (any m* at "cardinality"), the keys prod_i m_i
+    (times r per last symbol) are at most r^n, and the keys' cells, times
+    the n + 1 Hamming weights at "hamming", fit the budget, the residues mod
+    m* are the m* cyclic digits of each count, each bit_length(r^n) wide,
+    and the keys keep the other residues, the last symbol and the Hamming
+    weight.  A symbol of increment k rotates
+    the count by k digits: a shift by k digits, whose digits past m* are
+    folded back once per position.  The code's count is digit a* of the
+    count kept at the other residues, read off with one shift and one
+    mask.  No digit of either layout carries: a state's counts are
+    non-negative and sum to at most r^n.
+
+    With keys = prod_i m_i, times r when kept per last symbol, the bound
+    checked before the pass, and before any weight vector is built, is
     min(r^n, keys), keys times n + 1 at "hamming".  Packed tau stores all
     (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be nonzero,
     bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
@@ -471,7 +516,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     moduli = [c.m for c in cons]
     reads_previous = any(c.stat.kind in DESCENT_COMPARISONS for c in cons)
     keys = prod(moduli) * (r if reads_previous else 1)
-    axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau_x kept in the keys
+    axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
     bound = capped_power(r, n, keys * (n + 1) ** axes)
     if kind == "complete":
         sigma = prod(c.m for c in cons if c.stat.kind == "sigma")
@@ -482,28 +527,61 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
         else:
             tail = r - 1
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
-    tables = [_increments(n, r, [c.stat], (1,)) for c in cons]
-    size = -(-(r**n).bit_length() // 8)
-    unit = [tuple(int(t == x) for t in range(1, 1 + tail)) for x in range(r)]
-    # digit place a symbol adds to: tau_x's, the Hamming weight's 1, or none
-    places = [(n + 1) ** (x - 1) if kind == "complete" and axes else axes for x in range(1, r)]
-    shifts = [0] + [8 * size * place for place in places]
-    key_moduli = moduli + [n + 1] * tail
-    states = {None: {(0,) * len(key_moduli): 1}}
+    star = _digit_congruence(n, r, moduli, kind, keys, budget)
+    bits = (r**n).bit_length()
+    size = -(-bits // 8)
+    width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
+    if star is not None:
+        # m* cyclic digits per count, each bit_length(r^n) wide; the Hamming weight keyed
+        width, span, axes, tail = bits, moduli[star] * bits, 0, axes
+    # one integer key: a digit per keyed residue, of radix 2 m_i so that a step
+    # never carries and is wrapped back below m_i, then the keyed tau_x or
+    # Hamming weight above `head`, of radix n + 1, which never wrap
+    strides, wraps, head = [], [], 1
+    for i, m in enumerate(moduli):
+        strides.append(0 if i == star else head)
+        if i != star:
+            wraps.append((head, 2 * m, m, m * head))
+            head *= 2 * m
+    steps = [
+        (*_increments(n, r, [c.stat], (1,)), m, stride, width if i == star else 0)
+        for i, (c, m, stride) in enumerate(zip(cons, moduli, strides))
+    ]
+    # digit place of each symbol: tau_x's, the Hamming weight's 1, or none
+    places = [(n + 1) ** (x - 1) if kind == "complete" else int(kind == "hamming") for x in range(1, r)]
+    shifts = [0] + [width * place if axes else 0 for place in places]
+    unit = [0] + [head * place if tail else 0 for place in places]
+    full = (1 << span) - 1
+    states = {None: {0: 1}}
     for j in range(n):
         nxt: dict = {}
         for previous, terms in states.items():
             for x in range(r):
-                inc = tuple(x * lin[j] + j * ups[previous][x] + ones[previous][x] for lin, ups, ones in tables)
-                inc, shift = inc + unit[x], shifts[x]
+                inc, shift = unit[x], shifts[x]
+                for lin, ups, ones, m, stride, place in steps:
+                    residue = (x * lin[j] + j * ups[previous][x] + ones[previous][x]) % m
+                    inc += residue * stride
+                    shift += residue * place
                 dest = nxt.setdefault(x if reads_previous else None, {})
-                for exps, count in terms.items():
-                    key = tuple(map(operator.mod, map(operator.add, exps, inc), key_moduli))
+                for key, count in terms.items():
+                    key += inc
+                    for stride, radix, modulus, back in wraps:
+                        if key // stride % radix >= modulus:
+                            key -= back
                     dest[key] = dest.get(key, 0) + (count << shift)
+        if span:
+            # the digits shifted past m* wrap around: each shift was a rotation
+            for terms in nxt.values():
+                for key, count in terms.items():
+                    terms[key] = (count & full) + (count >> span)
         states = nxt
-    s, target, kept = len(cons), tuple(c.a for c in cons), Counter()
+    target = sum(c.a * stride for c, stride in zip(cons, strides))
+    offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
+    kept: Counter = Counter()
     for terms in states.values():
-        kept.update({key[s:]: count for key, count in terms.items() if key[:s] == target})
+        for key, count in terms.items():
+            if key % head == target:
+                kept[tuple(key // head // (n + 1) ** t % (n + 1) for t in range(tail))] += count >> offset & digit
     if kind == "cardinality":
         return sum(kept.values())
     cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
@@ -530,11 +608,15 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     e(h_j k u/m)) is, by orthogonality, the coefficient of x^a in
     prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
     coefficient is what `compute` returns for this one congruence at
-    method "closed": the residue pass, with the weighted sum kept mod m and
-    the Hamming weight packed into each count, in integer arithmetic, for
-    any integer weights.  There are no twisted points and no division by
-    m, so no integrality sentinel can fire.  The pass's bound
-    min(r^n, m (n+1)) is checked against `budget` before it starts."""
+    method "closed": the residue pass, in integer arithmetic, for any
+    integer weights.  Where m is at least n + 1 and at most r^n, and its
+    m (n+1) cells fit the budget, the residues mod m are the m cyclic
+    digits of each count and the Hamming weight is keyed, so the product's
+    factor for position j rotates the count by h_j k digits; otherwise the
+    weighted sum is kept mod m in the keys, with the Hamming weight packed
+    into each count.  There are no twisted points and no division by m, so
+    no integrality sentinel can fire.  The pass's bound min(r^n, m (n+1))
+    is checked against `budget` before it starts."""
     return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
 
 
@@ -687,13 +769,20 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     symbol sum mod r) takes the divisor sums of `tenengolts_hamming` /
     `tenengolts_cardinality`, and a single linear congruence (an omega,
     sigma or linear statistic) takes the residue pass on the spec itself,
-    labelled "closed_form" at "hamming" and with nothing packed for its
-    cardinality.  Method "auto" uses these closed forms when
-    they apply.  Otherwise, below kind "extended" and without a custom
-    statistic, it takes the residue-keyed transfer pass (method label
+    labelled "closed_form" at "hamming".  Method "auto" uses these closed
+    forms when they apply.  Otherwise, below kind "extended" and without a
+    custom statistic, it takes the residue transfer pass (method label
     "transfer"), which carries only what the kind needs: the type vector
     (packed, or in the keys), the Hamming weight or nothing; at "extended"
-    or with a custom statistic it takes theorem 1.  "closed" raises ValueError when no
+    or with a custom statistic it takes theorem 1.  The residue pass has two
+    layouts.  Keyed, the residues are in the keys and the Hamming weight or
+    type vector is packed into each count.  Cyclic, at kinds "cardinality"
+    and "hamming", where the largest modulus m* is at least n + 1 at
+    "hamming" (any m* at "cardinality"), the keys prod_i m_i (times r per
+    last symbol) are at most r^n, and the keys' cells, times the n + 1
+    Hamming weights at "hamming", fit the budget, the residues mod m* are
+    the cyclic digits of each count, and the other residues, the last
+    symbol and the Hamming weight are in the keys.  "closed" raises ValueError when no
     closed form applies; "theorem1" and "oracle" force the character-sum
     engine and brute force.  Below kind "extended" the oracle counts the
     type vectors of the scanned codewords and evaluates no statistic, and

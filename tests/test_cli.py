@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,23 @@ def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
     code, out, err = run(capsys, "card", "ternary_integer", "--n", "30", "--a", "5")
     assert code == 3 and out == ""
     assert f"up to {2**31 + 1} terms exceeds the budget" in err
+
+
+def test_card_an_code_p31_refused_before_any_weight_exists(capsys):
+    # length 2^29: omega mod 31 has no weight vector to build, so the residue
+    # pass's 31 keys are refused at once, in well under a megabyte
+    argv = ("card", "an_code", "--p", "31", "--a", "0", "--budget", "10")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == "error: residue transfer pass of up to 31 terms exceeds the budget 10\n"
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(

@@ -272,7 +272,8 @@ def test_single_linear_congruence_families_are_lc_specs():
     assert make_family("helberg", n=4, t=2, a=1) == lc(4, 12, 2, (1, 2, 4, 7), 1)
     assert make_family("ternary_integer", n=3, a=5) == lc(3, 17, 3, (1, 3, 7), 5)
     assert make_family("odd_coefficient", n=3, m=2, a=3) == lc(3, 4, 2, (1, 3, 5), 3)
-    assert make_family("an_code", p=5, a=4) == lc(8, 5, 2, range(1, 9), 4)
+    # an_code is omega mod p, the code of lc's consecutive weights 1..2^(p-2)
+    assert make_family("an_code", p=5, a=4) == CodeSpec(8, 2, ((OMEGA, 5, 4),))
     assert make_family("exponential_coefficient", n=3, m=2, a=4) == lc(3, 5, 2, (1, 2, 4), 4)
     for family, params, bound in [
         ("le_nguyen", {"n": 3, "r": 3, "t": 1}, 15),

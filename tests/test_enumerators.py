@@ -757,15 +757,17 @@ def test_residue_pass_packed_type_vectors_at_their_widest(r, excess, monkeypatch
 @st.composite
 def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0, 5)):
     """Specs over every built-in statistic, linear weights negative and
-    zero included, with 1-3 constraints, moduli down to 1, and r and n
-    drawn from `alphabets` and `lengths` (by default r down to 1)."""
+    zero included, with 1-3 constraints, moduli from 1 to past n + 1 and
+    r^n, and r and n drawn from `alphabets` and `lengths` (by default r
+    down to 1)."""
     n = draw(lengths)
     r = draw(alphabets)
     weights = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(linear)
     stat = st.sampled_from(BUILTIN_STATS) | weights
     cons = []
     for _ in range(draw(st.integers(1, 3))):
-        m = draw(st.integers(1, 7))
+        # past n + 1 and r^n (3^5 = 243) too, where the layouts part
+        m = draw(st.integers(1, 7) | st.integers(8, 250))
         cons.append((draw(stat), m, draw(st.integers(0, m - 1))))
     return CodeSpec(n, r, tuple(cons))
 
@@ -773,6 +775,11 @@ def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0,
 @given(residue_pass_cases(), st.sampled_from(["complete", "hamming", "cardinality"]))
 @example(CodeSpec(0, 1, ((OMEGA, 1, 0),)), "hamming")
 @example(CodeSpec(3, 2, ((OMEGA, 4, 1),)), "hamming")
+@example(CodeSpec(5, 2, ((OMEGA, 5, 1),)), "hamming")
+@example(CodeSpec(4, 2, ((GAMMA_GT, 5, 3), (SIGMA, 1, 0))), "hamming")
+@example(CodeSpec(3, 3, ((linear((-3, 4, -1)), 9, 2), (DELTA, 1, 0))), "hamming")
+@example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "hamming")
+@example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "cardinality")
 def test_auto_below_extended_matches_oracle(spec, kind):
     got = compute(spec, kind)
     expected = compute(spec, kind, "oracle")
@@ -889,6 +896,57 @@ def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, key
     assert enum.method == "transfer"
     assert enum.cardinality() == tenengolts_cardinality(n, r, 0, 0)
     assert specialize(enum, "hamming").poly == tenengolts_hamming(n, r, 0, 0).poly
+
+
+def _digit_congruences(monkeypatch) -> list:
+    """Spy on the residue pass's layout rule: the index of the congruence it
+    carries as cyclic digits, or None for the keyed layout, per pass."""
+    seen = []
+    rule = enumerators._digit_congruence
+
+    def spy(*args):
+        seen.append(rule(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(enumerators, "_digit_congruence", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "spec, kind, budget, star",
+    [
+        # m* = n against m* = n + 1 at "hamming": the Hamming weight is keyed
+        # only where the residues are at least as many as its n + 1 values
+        (lc(6, 6, 2, (1, 2, 3, 4, 5, 6), 1), "hamming", None, None),
+        (lc(6, 7, 2, (1, 2, 3, 4, 5, 6), 1), "hamming", None, 0),
+        # keys = r^n against r^n + 1: 3^4 = 81
+        (lc(4, 81, 3, (1, 3, 9, 27), 40), "cardinality", None, 0),
+        (lc(4, 82, 3, (1, 3, 9, 27), 40), "cardinality", None, None),
+        (lc(4, 81, 3, (1, 3, 9, 27), 40), "hamming", None, 0),
+        (lc(4, 82, 3, (1, 3, 9, 27), 40), "hamming", None, None),
+        # keys times r per last symbol: 8 * 2 = 2^4 against 9 * 2
+        (CodeSpec(4, 2, ((GAMMA_GT, 8, 3),)), "cardinality", None, 0),
+        (CodeSpec(4, 2, ((GAMMA_GT, 9, 3),)), "cardinality", None, None),
+        # cells = 500 keys * 7 Hamming weights against the budget; past it the
+        # keyed layout answers within today's bound min(3^6, 3500) = 729
+        (lc(6, 500, 3, (1, 5, 25, 125, 625, 3125), 7), "hamming", 3500, 0),
+        (lc(6, 500, 3, (1, 5, 25, 125, 625, 3125), 7), "hamming", 3499, None),
+        (lc(6, 500, 3, (1, 5, 25, 125, 625, 3125), 7), "hamming", 1000, None),
+        # the first congruence of largest modulus is the digits, the rest keyed
+        (CodeSpec(5, 3, ((SIGMA, 2, 1), (OMEGA, 9, 4), (linear((2, -1, 0, 5, 3)), 9, 2))), "hamming", None, 1),
+        (CodeSpec(5, 3, ((DELTA, 2, 1), (GAMMA_GE, 5, 2), (SIGMA, 3, 0))), "cardinality", None, 1),
+        # "complete" is always keyed
+        (lc(4, 81, 3, (1, 3, 9, 27), 40), "complete", None, None),
+    ],
+)
+def test_residue_pass_layout_rule_at_its_boundaries(spec, kind, budget, star, monkeypatch):
+    seen = _digit_congruences(monkeypatch)
+    got = compute(spec, kind, budget=budget)
+    expected = compute(spec, kind, "oracle")
+    assert seen == [star]
+    if kind != "cardinality":
+        got, expected = got.poly, expected.poly
+    assert got == expected
 
 
 def test_tenengolts_hamming_paper_example():
