@@ -12,8 +12,16 @@ code with the transfer kernel of `enumerators`.  It is a meet-in-the-middle
 scan: each statistic splits into a prefix part, a suffix part and a term
 for the pair straddling the split, so a table of suffixes keyed by their
 residues answers each prefix in r lookups, O(r^ceil(n/2) + |C|) word visits
-instead of r^n.  Each word the scan yields is still checked word by word
-against the spec's congruences.
+instead of r^n.
+
+The oracle tallies the codewords in one pass over the scan, one key per
+codeword by kind: none at `cardinality`, which only counts them; the
+Hamming weight `n - word.count(0)` at `hamming`, with no type vector;
+the type vector at `complete`; and at `extended` the statistic values,
+evaluated from their definitions, then the type vector.  Each word the
+scan yields is rechecked first by one closure per congruence, which
+evaluates the statistic from its definition and compares its residue,
+so a spec of one congruence costs one call per word.
 """
 
 from __future__ import annotations
@@ -210,17 +218,31 @@ class CodeSpec:
 
 
 def _membership_test(spec: CodeSpec) -> Callable:
-    """Whether a length-n word satisfies every congruence of the spec, with
-    each constraint's evaluator bound once."""
-    checks = [(statistic_evaluator(c.stat, spec.n), c.m, c.a) for c in spec.constraints]
+    """Whether a length-n word satisfies every congruence of the spec: one
+    closure per constraint evaluates the statistic from its definition and
+    compares its residue, and a spec of one constraint is tested by that
+    closure alone, so a word pays one call per constraint and no dispatch."""
+    checks = [_congruence_test(c, spec.n) for c in spec.constraints]
+    if len(checks) == 1:
+        return checks[0]
 
     def test(word) -> bool:
-        for value, m, a in checks:
-            if (value(word) - a) % m:
+        for check in checks:
+            if not check(word):
                 return False
         return True
 
     return test
+
+
+def _congruence_test(c: Constraint, n: int) -> Callable:
+    """The test of whether a length-n word satisfies the one congruence c."""
+    m, a = c.m, c.a
+    h = linear_weights(c.stat, n)
+    if h is not None:
+        return lambda word: sum(map(operator.mul, h, word)) % m == a
+    value = statistic_evaluator(c.stat, n)
+    return lambda word: value(word) % m == a
 
 
 def is_member(spec: CodeSpec, word) -> bool:

@@ -111,26 +111,46 @@ class Enumerator:
         return sum(self.poly.terms.values())
 
 
-def _scan_terms(spec: CodeSpec, budget: int | None) -> dict:
-    """Counts of the codewords by their statistic values followed by their
-    type vector, from the oracle's scan."""
-    evaluators = [statistic_evaluator(c.stat, spec.n) for c in spec.constraints]
+def _variables(spec: CodeSpec, kind: str) -> tuple[str, ...]:
+    """The variables of the spec's enumerator of the given kind."""
+    if kind == "hamming":
+        return ("w",)
+    if kind == "complete":
+        return w_variables(spec.r)
+    return z_variables(spec.s) + w_variables(spec.r)
+
+
+def _scan_terms(spec: CodeSpec, kind: str, budget: int | None):
+    """The oracle's one tally of the scanned codewords: their number at
+    kind "cardinality", else {key: count} with one key per codeword, its
+    Hamming weight n - word.count(0) at "hamming", its type vector at
+    "complete", and at "extended" its statistic values, evaluated from
+    their definitions, followed by its type vector."""
+    n, r = spec.n, spec.r
+    words = enumerate_codewords(spec, budget)
+    if kind == "cardinality":
+        return sum(1 for _ in words)
+    if kind == "hamming":
+        zeros = Counter(map(tuple.count, words, itertools.repeat(0)))
+        return {(n - z,): count for z, count in zeros.items()}
+    if kind == "complete":
+        return Counter(map(type_vector, words, itertools.repeat(r)))
+    evaluators = [statistic_evaluator(c.stat, n) for c in spec.constraints]
     terms: dict = {}
-    for word in enumerate_codewords(spec, budget):
+    for word in words:
         rho = tuple(value(word) for value in evaluators)
         if any(v < 0 for v in rho):
             raise ValueError(
                 "a statistic took a negative value; enumerator exponents must be non-negative"
             )
-        key = rho + type_vector(word, spec.r)
+        key = rho + type_vector(word, r)
         terms[key] = terms.get(key, 0) + 1
     return terms
 
 
 def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     """Extended weight enumerator by summing one monomial per codeword."""
-    variables = z_variables(spec.s) + w_variables(spec.r)
-    return Enumerator("extended", MultiPoly(variables, _scan_terms(spec, budget)), "oracle", spec)
+    return compute(spec, "extended", "oracle", budget)
 
 
 def complete_weight_enumerator(words, r: int) -> MultiPoly:
@@ -401,7 +421,7 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
         # no increments: the left half is the oracle's scan of [0, r)^n (every
         # word satisfies moduli 1), packed with radices 1 + the largest values
         # it saw, at k = n
-        terms = _scan_terms(CodeSpec(n, r, tuple((st, 1, 0) for st in stats)), budget)
+        terms = _scan_terms(CodeSpec(n, r, tuple((st, 1, 0) for st in stats)), "extended", budget)
         tops = [max((exps[i] for exps in terms), default=0) for i in range(len(stats))]
         variables = z_variables(len(stats)) + w_variables(r)
         space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
@@ -507,7 +527,8 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
 
     With keys = prod_i m_i, times r when kept per last symbol, the bound
     checked before the pass, and before any weight vector is built, is
-    min(r^n, keys), keys times n + 1 at "hamming".  Packed tau stores all
+    min(r^n, keys), keys times n + 1 at "hamming"; after it the n
+    positions are checked against the budget too.  Packed tau stores all
     (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be nonzero,
     bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
     _PACKED_EXCESS times the bound of tau in the keys, min(r^n,
@@ -527,6 +548,9 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
         else:
             tail = r - 1
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
+    # one step per position, and a weight vector of n entries: a bound of few
+    # keys still refuses a length past the budget before r^n or the weights
+    check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
     star = _digit_congruence(n, r, moduli, kind, keys, budget)
     bits = (r**n).bit_length()
     size = -(-bits // 8)
@@ -597,8 +621,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
             if count:
                 exps = head + exps
                 terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
-    variables = ("w",) if kind == "hamming" else w_variables(r)
-    return Enumerator(kind, MultiPoly(variables, terms), "transfer", spec)
+    return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "transfer", spec)
 
 
 def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> Enumerator:
@@ -784,8 +807,18 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     the cyclic digits of each count, and the other residues, the last
     symbol and the Hamming weight are in the keys.  "closed" raises ValueError when no
     closed form applies; "theorem1" and "oracle" force the character-sum
-    engine and brute force.  Below kind "extended" the oracle counts the
-    type vectors of the scanned codewords and evaluates no statistic, and
+    engine and brute force.
+
+    The oracle tallies the codewords in one pass over the scan, one key per
+    codeword by kind: none at `cardinality`, which only counts them; the
+    Hamming weight `n - word.count(0)` at `hamming`, with no type vector;
+    the type vector at `complete`; and at `extended` the statistic values,
+    evaluated from their definitions, then the type vector.  Each word the
+    scan yields is rechecked first by one closure per congruence, which
+    evaluates the statistic from its definition and compares its residue,
+    so a spec of one congruence costs one call per word.
+
+    Below kind "extended" the oracle's tally reads no statistic value, and
     theorem 1 gets the spec with its negative linear weights reduced mod
     their moduli (the kind drops the z-exponents they change), so negative
     weights are no obstacle there.  `budget` bounds every route but the
@@ -804,14 +837,12 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
         if kind != "extended" and all(c.stat.kind != "custom" for c in spec.constraints):
             return _residue_pass(spec, kind, budget)
-    if method == "oracle" and kind == "cardinality":
-        return sum(1 for _ in enumerate_codewords(spec, budget))
-    if method == "oracle" and kind != "extended":
-        words = enumerate_codewords(spec, budget)
-        base = Enumerator("complete", complete_weight_enumerator(words, spec.r), "oracle", spec)
-    elif method == "oracle":
-        base = oracle_extended(spec, budget)
-    elif kind == "extended":
+    if method == "oracle":
+        terms = _scan_terms(spec, kind, budget)
+        if kind == "cardinality":
+            return terms
+        return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "oracle", spec)
+    if kind == "extended":
         base = theorem1_extended(spec, budget)
     else:
         base = theorem1_extended(_nonnegative_weights(spec), budget)

@@ -411,6 +411,22 @@ def test_card_an_code_p31_refused_before_any_weight_exists(capsys):
     assert peak < 2_000_000
 
 
+def test_card_an_code_p31_refused_at_the_default_budget(capsys):
+    # 31 keys fit the default budget, but the 2^29 positions do not: the
+    # pass refuses them before its weights, 2^29 of them, or 2^(2^29) exist
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "card", "an_code", "--p", "31", "--a", "0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == f"error: residue transfer pass over {2**29} positions exceeds the budget 10000000\n"
+    assert peak < 2_000_000
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

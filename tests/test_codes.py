@@ -34,6 +34,7 @@ from ntcodes.codes import (
     weight_sequence,
 )
 from ntcodes.codes import _membership_test, check_budget
+from ntcodes.enumerators import compute
 from ntcodes.exactalg import IntegralityError
 
 # desk-reference codeword sets for the ternary descent/sum code, n=3 r=3
@@ -473,11 +474,18 @@ def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
         return (lambda word: prefix(word) + 1), suffix, boundary
 
     monkeypatch.setattr(ntcodes.codes, "_split_statistic", off_by_one)
+    spec = CodeSpec(4, 3, ((SIGMA, 3, 0),))
     with pytest.raises(IntegralityError, match="non-codeword"):
-        list(enumerate_codewords(CodeSpec(4, 3, ((SIGMA, 3, 0),))))
-    argv = ["card", "tenengolts", "--n", "4", "--r", "3", "--a1", "0", "--a2", "0", "--method", "oracle"]
-    assert main(argv) == 4
-    assert "non-codeword" in capsys.readouterr().err
+        list(enumerate_codewords(spec))
+    # the oracle's tally rechecks every codeword at every kind
+    for kind in ("cardinality", "hamming", "complete", "extended"):
+        with pytest.raises(IntegralityError, match="non-codeword"):
+            compute(spec, kind, "oracle")
+    # two constraints: the multi-constraint recheck
+    argv = ["tenengolts", "--n", "4", "--r", "3", "--a1", "0", "--a2", "0", "--method", "oracle"]
+    for request in (["card", *argv], ["enum", *argv, "--kind", "hamming"]):
+        assert main(request) == 4
+        assert "non-codeword" in capsys.readouterr().err
 
 
 def test_codes_imports_nothing_from_enumerators():

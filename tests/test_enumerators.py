@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from math import comb, factorial, gcd, prod
 from unittest import mock
 
@@ -24,9 +25,11 @@ from ntcodes.codes import (
     custom,
     enumerate_codewords,
     evaluate_statistic,
+    is_member,
     lc,
     linear,
     make_family,
+    type_vector,
 )
 from ntcodes.enumerators import (
     KINDS,
@@ -194,6 +197,56 @@ def full_space_cases(draw):
     return n, r, stats
 
 
+REPEATS = custom(lambda word: sum(x == y for x, y in zip(word, word[1:])))
+
+
+@st.composite
+def oracle_specs(draw):
+    # n < 2 takes the plain scan, a custom statistic too; up to three
+    # constraints reach the multi-constraint recheck
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(1, 4 if n <= 5 else 3))
+    weights = st.lists(st.integers(-4, 6), min_size=n, max_size=n).map(linear)
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        stat = draw(st.sampled_from((*BUILTIN_STATS, REPEATS)) | weights)
+        m = draw(st.integers(1, 7))
+        constraints.append((stat, m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(constraints))
+
+
+@given(oracle_specs())
+@example(CodeSpec(3, 2, ((SIGMA, 5, 4),)))  # empty
+@example(CodeSpec(0, 3, ((OMEGA, 2, 1),)))  # empty, n = 0
+@example(CodeSpec(4, 3, ((REPEATS, 2, 1), (linear((2, -3, 0, 1)), 3, 0))))
+def test_oracle_tally_matches_a_reference_at_every_kind(spec):
+    # the reference: every word of [0, r)^n filtered by is_member, tallied by
+    # its type vector, and by statistic values evaluated word by word
+    n, r = spec.n, spec.r
+    words = [word for word in itertools.product(range(r), repeat=n) if is_member(spec, word)]
+    taus = [type_vector(word, r) for word in words]
+    values = [tuple(evaluate_statistic(c.stat, word) for c in spec.constraints) for word in words]
+    w = tuple(f"w{j}" for j in range(r))
+    expected = {
+        "hamming": (("w",), Counter((sum(tau[1:]),) for tau in taus)),
+        "complete": (w, Counter(taus)),
+        "extended": (
+            tuple(f"z{i}" for i in range(1, spec.s + 1)) + w,
+            Counter(rho + tau for rho, tau in zip(values, taus)),
+        ),
+    }
+    assert compute(spec, "cardinality", "oracle") == len(words)
+    for kind, (variables, terms) in expected.items():
+        if kind == "extended" and any(v < 0 for rho in values for v in rho):
+            # negative weights are answered below "extended" only: no exponent is negative
+            with pytest.raises(ValueError, match="negative value"):
+                compute(spec, kind, "oracle")
+            continue
+        got = compute(spec, kind, "oracle")
+        assert (got.kind, got.method, got.spec) == (kind, "oracle", spec)
+        assert (got.poly.variables, got.poly.terms) == (variables, dict(terms))
+
+
 @given(full_space_cases())
 def test_transfer_full_space_matches_oracle_for_every_statistic(case):
     n, r, stats = case
@@ -270,7 +323,8 @@ def test_custom_statistic_full_space_is_enumerated():
     ):
         engine = theorem1_extended(spec)
     assert scan.call_count == 1 and not exact_pass.called
-    (scanned, _), _ = scan.call_args
+    (scanned, kind, _), _ = scan.call_args
+    assert kind == "extended"
     assert scanned == CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
     assert engine.method == "character_sum"
     assert engine.poly == oracle_extended(spec).poly
@@ -875,7 +929,13 @@ def test_residue_pass_packs_tau_up_to_sixteen_times_its_keyed_bound(monkeypatch)
     # modulus 1, r=6: (n+1)^5 packed digits against C(n+5, 5) type vectors,
     # 3^5 = 243 <= 16 * 21 packed at n=2, 6^5 = 7776 > 16 * 252 keyed at n=5
     bounds = []
-    monkeypatch.setattr(enumerators, "check_budget", lambda bound, *_: bounds.append(bound))
+
+    def record(bound, _budget, what):
+        # the pass's bound on terms; its check of the n positions comes after
+        if "terms" in what:
+            bounds.append(bound)
+
+    monkeypatch.setattr(enumerators, "check_budget", record)
     for n in (2, 5):
         spec = CodeSpec(n, 6, ((linear((1,) * n), 1, 0),))
         assert compute(spec, "complete").cardinality() == 6**n
