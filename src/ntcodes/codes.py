@@ -14,14 +14,9 @@ for the pair straddling the split, so a table of suffixes keyed by their
 residues answers each prefix in r lookups, O(r^ceil(n/2) + |C|) word visits
 instead of r^n.
 
-The oracle tallies the codewords in one pass over the scan, one key per
-codeword by kind: none at `cardinality`, which only counts them; the
-Hamming weight `n - word.count(0)` at `hamming`, with no type vector;
-the type vector at `complete`; and at `extended` the statistic values,
-evaluated from their definitions, then the type vector.  Each word the
-scan yields is rechecked first by one closure per congruence, which
-evaluates the statistic from its definition and compares its residue,
-so a spec of one congruence costs one call per word.
+Every word the scan yields is rechecked from the definitions
+(`_membership_test`), and the oracle's tally of the codewords by kind is
+`enumerators._scan_terms`.
 """
 
 from __future__ import annotations

@@ -13,38 +13,28 @@ residue: pure integer arithmetic, which checks that every full-space
 coefficient is non-negative.
 
 Every built-in statistic adds an increment that depends only on the
-position, the symbol and the symbol before it, one table of them for
-both passes (`_increments`), so two transfer passes over the positions
-(the transfer-matrix method) never list the words.  The exact pass keys
-each term by one mixed-radix integer, whose digits are the exact
-statistic values and the type vector, each radix 1 + the largest value
-of its digit, so no digit carries; a step adds one integer to every key.
-W_full is the product of the enumerators of positions 0..k-1 and k..n-1,
-so theorem 1 keeps its terms by one join on residues: the exact pass
-runs on the two halves, with the full-length radices so that a left key
-plus a right key is the joined word's key, and a left term of residues
-rho pairs only with the right terms of residues a - rho.  Its work is
-the two halves plus the pairs kept.  It splits at k = n // 2 wherever
-the halves' bounds, read off the statistics before any pass, fit the
-budget, and at k = n otherwise, where the right half is empty, its one
-term the empty word; at moduli 1 the join keeps every term, which is
+position, the symbol and the symbol before it (`_increments`), so one
+transfer pass over the positions (the transfer-matrix method, `_transfer`)
+never lists the words.  It keys each count by one integer whose digits are
+either exact, never wrapped, or residues, wrapped back below their moduli,
+and it may shift the counts and fold them cyclically.  Both routes below
+run it.
+
+Theorem 1 runs it in the exact layout (`_exact_pass`): each term's key is
+one mixed-radix integer of the exact statistic values and the type
+vector, each radix 1 + the largest value of its digit, so no digit
+carries.  W_full is the product of the enumerators of positions 0..k-1
+and k..n-1, so theorem 1 keeps its terms by one join on residues: a left
+term of residues rho pairs only with the right terms of residues a - rho
+(`theorem1_extended`).  At moduli 1 the join keeps every term, which is
 `full_space_enumerator`.  A custom statistic has no increments: its left
 half is a scan of [0, r)^n, packed the same way.
 
-The residue pass counts the code itself, in one of two layouts picked
-before it starts.  Keyed: the states are keyed by the residues mod m_i,
-and the Hamming weight, or the type vector where its digits stay few, is
-packed into each count as Kronecker digits.  Cyclic: at kinds
-"cardinality" and "hamming", where the largest modulus m* is at least
-n + 1 at "hamming" (any m* at "cardinality"), the keys prod_i m_i (times
-r per last symbol) are at most r^n, and the keys' cells, times the n + 1
-Hamming weights at "hamming", fit the budget, the residues mod m* are the
-m* cyclic digits of each count, a symbol of increment k rotates the count
-by k digits, and the keys keep the other residues, the last symbol and
-the Hamming weight.  Either way it evaluates the linear-congruence
-character sum of `lc_hamming`, which orthogonality turns into the
-coefficient of x^a in a product taken in Z[x]/(x^m - 1), and answers
-every spec without a closed form below kind "extended".
+The residue pass (`_residue_pass`) counts the code itself, keyed by the
+statistics' residues, in one of the two layouts, keyed or cyclic, that
+`_digit_congruence` picks before it starts.  Either way it evaluates the
+linear-congruence character sum of `lc_hamming`, and answers every spec
+without a closed form below kind "extended".
 """
 
 from __future__ import annotations
@@ -216,6 +206,77 @@ def _increments(n: int, r: int, stats, strides):
     return lin, ups, ones
 
 
+def _reads_previous(stats) -> bool:
+    """Whether a statistic reads the symbol before each position, as the
+    descent statistics do: a pass then keeps its counts per last symbol."""
+    return any(st.kind in DESCENT_COMPARISONS for st in stats)
+
+
+def _transfer(n: int, r: int, digits, unit, shifts, span: int):
+    """The one transfer pass over the positions of [0, r)^n, as
+    `run(positions, states)`: from `states`, {last symbol: {key: count}},
+    the states after the last of `positions`.  The last symbol is None
+    when no statistic reads it, and at position n - 1, whose symbol
+    nothing reads.
+
+    Each count is keyed by one integer, and `digits` holds one (stat, m,
+    stride, place) per statistic.  An exact digit (m = 0, place 0) is the
+    statistic's value at `stride`, never wrapped; all of them step by one
+    `_increments` table at their strides.  A residue digit is the value
+    mod m, of radix 2 m at `stride` (none at stride 0), so that a step
+    never carries it and wraps it back below m; it also shifts the count
+    by `place` bits per unit.  Symbol x adds unit[x] to every key and
+    shifts every count by shifts[x] bits besides.  With a nonzero `span`,
+    after each position the bits of a count past `span` are added back
+    at bit 0: shifts are then rotations of its span bits.  A step that
+    wraps no digit and shifts nothing only adds to the keys."""
+    exact = [d for d in digits if not d[1]]
+    lin, ups, ones = _increments(n, r, [d[0] for d in exact], [d[2] for d in exact])
+    residues = [
+        (*_increments(n, r, [st], (1,)), m, stride, place, (stride, 2 * m, m, m * stride))
+        for st, m, stride, place in digits
+        if m
+    ]
+    reads = _reads_previous(d[0] for d in digits)
+    full = (1 << span) - 1
+
+    def run(positions, states: dict) -> dict:
+        for j in positions:
+            nxt: dict = {}
+            keyed = reads and j < n - 1
+            for previous, terms in states.items():
+                up, one = ups[previous], ones[previous]
+                for x in range(r):
+                    inc, shift, wraps = x * lin[j] + j * up[x] + one[x] + unit[x], shifts[x], ()
+                    for rlin, rups, rones, m, stride, place, wrap in residues:
+                        v = (x * rlin[j] + j * rups[previous][x] + rones[previous][x]) % m
+                        if v:
+                            inc += v * stride
+                            shift += v * place
+                            if stride:
+                                wraps += (wrap,)
+                    dest = nxt.setdefault(x if keyed else None, {})
+                    if wraps or shift:
+                        for key, count in terms.items():
+                            key += inc
+                            for stride, radix, m, back in wraps:
+                                if key // stride % radix >= m:
+                                    key -= back
+                            dest[key] = dest.get(key, 0) + (count << shift)
+                    else:
+                        for key, count in terms.items():
+                            key += inc
+                            dest[key] = dest.get(key, 0) + count
+            if span:
+                for terms in nxt.values():
+                    for key, count in terms.items():
+                        terms[key] = (count & full) + (count >> span)
+            states = nxt
+        return states
+
+    return run
+
+
 class _PackedSpace:
     """The layout of a packed full-space enumerator: one mixed-radix
     integer key per term.
@@ -289,42 +350,19 @@ def _check_pass(bound: int, budget: int | None) -> None:
 
 
 def _exact_pass(n: int, r: int, stats, tops):
-    """The packed layout of the full space [0, r)^n and `run(positions,
-    states)`, the transfer pass over `positions` from `states`, {last
-    symbol (None when no statistic reads it): {key: count}}, which returns
-    the states after the last of them: one state None after position
-    n - 1, whose symbol nothing reads.  A statistic's radix is 1 + its
+    """The packed layout of the full space [0, r)^n and its `run(positions,
+    states)`, the `_transfer` pass with exact digits only, which returns
+    one state None after position n - 1.  A statistic's radix is 1 + its
     largest value on [0, r)^n, `tops` (sigma's is (r-1)n), each tau_x's is
     n + 1, whatever the positions, so the keys of passes over disjoint
     positions add up to the key of the joined words and no digit carries.
-
-    A step adds one integer to every key: for symbol x at position j after
-    `previous`, x lin[j] + j ups[previous][x] + ones[previous][x] + tau[x],
-    the `_increments` tables at the statistics' strides plus tau_x's
-    stride.  The caller checks the pass's bound (`_pass_bound`) first: the
-    weight vectors are built here."""
+    Symbol x adds tau_x's stride besides its statistics' increments.  The
+    caller checks the pass's bound (`_pass_bound`) first: the weight
+    vectors are built here."""
     s = len(stats)
     space = _PackedSpace(z_variables(s) + w_variables(r), [1 + top for top in tops] + [n + 1] * r)
-    tau = space.strides[s:]
-    lin, ups, ones = _increments(n, r, stats, space.strides[:s])
-    reads_previous = any(st.kind in DESCENT_COMPARISONS for st in stats)
-
-    def run(positions, states: dict) -> dict:
-        for j in positions:
-            nxt: dict = {}
-            keyed = reads_previous and j < n - 1
-            for previous, terms in states.items():
-                up, one = ups[previous], ones[previous]
-                for x in range(r):
-                    inc = x * lin[j] + j * up[x] + one[x] + tau[x]
-                    dest = nxt.setdefault(x if keyed else None, {})
-                    for key, count in terms.items():
-                        key += inc
-                        dest[key] = dest.get(key, 0) + count
-            states = nxt
-        return states
-
-    return space, run
+    digits = [(st, 0, stride, 0) for st, stride in zip(stats, space.strides)]
+    return space, _transfer(n, r, digits, space.strides[s:], (0,) * r, 0)
 
 
 def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> MultiPoly:
@@ -350,7 +388,7 @@ def _split_point(spec: CodeSpec, budget: int | None) -> int:
     stats = [c.stat for c in spec.constraints]
     if any(st.kind == "custom" for st in stats):
         return n
-    starts = r if any(st.kind in DESCENT_COMPARISONS for st in stats) else 1
+    starts = r if _reads_previous(stats) else 1
     k = n // 2
     left = _pass_bound(r, stats, _tops(n, r, stats, 0, k), k)
     right = _pass_bound(r, stats, _tops(n, r, stats, k, n), n - k)
@@ -500,27 +538,21 @@ def _digit_congruence(n: int, r: int, moduli, kind: str, keys: int, budget: int 
 
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
-    cardinality, from one transfer pass over the statistics' residues mod
-    m_i (built-in statistics, any integer weights), read at the code's
-    residues a_i.  Labelled "transfer".  Each residue steps by its own
-    statistic's `_increments` table, at stride 1.  A state's key is one
-    integer: a digit of radix 2 m_i per keyed residue, which a step never
-    carries and which is wrapped back below m_i, then any keyed tau_x or
-    Hamming weight, of radix n + 1, which never wrap.
+    cardinality, from the `_transfer` pass over the statistics' residues
+    mod m_i (built-in statistics, any integer weights), read at the code's
+    residues a_i.  Labelled "transfer".  A state's key is one integer: a
+    residue digit of radix 2 m_i per keyed residue, then any keyed tau_x
+    or Hamming weight, of radix n + 1, exact digits that never wrap.
 
     Two layouts, picked by `_digit_congruence` before the pass.  Keyed:
     every residue is in the keys, and the Hamming weight, or tau with tau_x
     at digit (n+1)^(x-1), is packed into each count as Kronecker digits
-    bit_length(r^n) rounded up to bytes wide.  Cyclic: at kinds
-    "cardinality" and "hamming", where the largest modulus m* is at least
-    n + 1 at "hamming" (any m* at "cardinality"), the keys prod_i m_i
-    (times r per last symbol) are at most r^n, and the keys' cells, times
-    the n + 1 Hamming weights at "hamming", fit the budget, the residues mod
-    m* are the m* cyclic digits of each count, each bit_length(r^n) wide,
-    and the keys keep the other residues, the last symbol and the Hamming
-    weight.  A symbol of increment k rotates
-    the count by k digits: a shift by k digits, whose digits past m* are
-    folded back once per position.  The code's count is digit a* of the
+    bit_length(r^n) rounded up to bytes wide.  Cyclic: the residues mod
+    the chosen modulus m* are the m* cyclic digits of each count, each
+    bit_length(r^n) wide, and the keys keep the other residues, the last
+    symbol and the Hamming weight.  A symbol of increment k rotates the
+    count by k digits: a shift by k digits, whose digits past m* the pass
+    folds back once per position.  The code's count is digit a* of the
     count kept at the other residues, read off with one shift and one
     mask.  No digit of either layout carries: a state's counts are
     non-negative and sum to at most r^n.
@@ -535,8 +567,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
     n, r, cons = spec.n, spec.r, spec.constraints
     moduli = [c.m for c in cons]
-    reads_previous = any(c.stat.kind in DESCENT_COMPARISONS for c in cons)
-    keys = prod(moduli) * (r if reads_previous else 1)
+    keys = prod(moduli) * (r if _reads_previous(c.stat for c in cons) else 1)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
     bound = capped_power(r, n, keys * (n + 1) ** axes)
     if kind == "complete":
@@ -558,47 +589,20 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     if star is not None:
         # m* cyclic digits per count, each bit_length(r^n) wide; the Hamming weight keyed
         width, span, axes, tail = bits, moduli[star] * bits, 0, axes
-    # one integer key: a digit per keyed residue, of radix 2 m_i so that a step
-    # never carries and is wrapped back below m_i, then the keyed tau_x or
-    # Hamming weight above `head`, of radix n + 1, which never wrap
-    strides, wraps, head = [], [], 1
+    # the keyed residues' digits below `head`, the keyed tau_x or Hamming weight above
+    strides, head = [], 1
     for i, m in enumerate(moduli):
         strides.append(0 if i == star else head)
         if i != star:
-            wraps.append((head, 2 * m, m, m * head))
             head *= 2 * m
-    steps = [
-        (*_increments(n, r, [c.stat], (1,)), m, stride, width if i == star else 0)
-        for i, (c, m, stride) in enumerate(zip(cons, moduli, strides))
+    digits = [
+        (c.stat, c.m, stride, width if i == star else 0) for i, (c, stride) in enumerate(zip(cons, strides))
     ]
     # digit place of each symbol: tau_x's, the Hamming weight's 1, or none
     places = [(n + 1) ** (x - 1) if kind == "complete" else int(kind == "hamming") for x in range(1, r)]
     shifts = [0] + [width * place if axes else 0 for place in places]
     unit = [0] + [head * place if tail else 0 for place in places]
-    full = (1 << span) - 1
-    states = {None: {0: 1}}
-    for j in range(n):
-        nxt: dict = {}
-        for previous, terms in states.items():
-            for x in range(r):
-                inc, shift = unit[x], shifts[x]
-                for lin, ups, ones, m, stride, place in steps:
-                    residue = (x * lin[j] + j * ups[previous][x] + ones[previous][x]) % m
-                    inc += residue * stride
-                    shift += residue * place
-                dest = nxt.setdefault(x if reads_previous else None, {})
-                for key, count in terms.items():
-                    key += inc
-                    for stride, radix, modulus, back in wraps:
-                        if key // stride % radix >= modulus:
-                            key -= back
-                    dest[key] = dest.get(key, 0) + (count << shift)
-        if span:
-            # the digits shifted past m* wrap around: each shift was a rotation
-            for terms in nxt.values():
-                for key, count in terms.items():
-                    terms[key] = (count & full) + (count >> span)
-        states = nxt
+    states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
     target = sum(c.a * stride for c, stride in zip(cons, strides))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
     kept: Counter = Counter()
@@ -632,14 +636,12 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
     coefficient is what `compute` returns for this one congruence at
     method "closed": the residue pass, in integer arithmetic, for any
-    integer weights.  Where m is at least n + 1 and at most r^n, and its
-    m (n+1) cells fit the budget, the residues mod m are the m cyclic
-    digits of each count and the Hamming weight is keyed, so the product's
-    factor for position j rotates the count by h_j k digits; otherwise the
-    weighted sum is kept mod m in the keys, with the Hamming weight packed
-    into each count.  There are no twisted points and no division by m, so
-    no integrality sentinel can fire.  The pass's bound min(r^n, m (n+1))
-    is checked against `budget` before it starts."""
+    integer weights, with the residues mod m as the cyclic digits of each
+    count where `_digit_congruence` allows it, so that the product's factor
+    for position j rotates the count by h_j k digits, and in the keys
+    otherwise.  There are no twisted points and no division by m, so no
+    integrality sentinel can fire.  The pass's bound min(r^n, m (n+1)) is
+    checked against `budget` before it starts."""
     return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
 
 
@@ -797,26 +799,11 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     custom statistic, it takes the residue transfer pass (method label
     "transfer"), which carries only what the kind needs: the type vector
     (packed, or in the keys), the Hamming weight or nothing; at "extended"
-    or with a custom statistic it takes theorem 1.  The residue pass has two
-    layouts.  Keyed, the residues are in the keys and the Hamming weight or
-    type vector is packed into each count.  Cyclic, at kinds "cardinality"
-    and "hamming", where the largest modulus m* is at least n + 1 at
-    "hamming" (any m* at "cardinality"), the keys prod_i m_i (times r per
-    last symbol) are at most r^n, and the keys' cells, times the n + 1
-    Hamming weights at "hamming", fit the budget, the residues mod m* are
-    the cyclic digits of each count, and the other residues, the last
-    symbol and the Hamming weight are in the keys.  "closed" raises ValueError when no
-    closed form applies; "theorem1" and "oracle" force the character-sum
-    engine and brute force.
-
-    The oracle tallies the codewords in one pass over the scan, one key per
-    codeword by kind: none at `cardinality`, which only counts them; the
-    Hamming weight `n - word.count(0)` at `hamming`, with no type vector;
-    the type vector at `complete`; and at `extended` the statistic values,
-    evaluated from their definitions, then the type vector.  Each word the
-    scan yields is rechecked first by one closure per congruence, which
-    evaluates the statistic from its definition and compares its residue,
-    so a spec of one congruence costs one call per word.
+    or with a custom statistic it takes theorem 1.  The residue pass's two
+    layouts, keyed and cyclic, are described at `_residue_pass` and picked
+    by `_digit_congruence`.  "closed" raises ValueError when no closed form
+    applies; "theorem1" and "oracle" force the character-sum engine and
+    brute force, the oracle's tally being `_scan_terms`.
 
     Below kind "extended" the oracle's tally reads no statistic value, and
     theorem 1 gets the spec with its negative linear weights reduced mod

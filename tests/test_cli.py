@@ -205,6 +205,28 @@ def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
     assert len(passes) == 10 and len(scans) == 10
 
 
+def test_theorem1_and_the_residue_pass_run_the_one_transfer_kernel(capsys, monkeypatch):
+    # each verify sc check's theorem 1 builds one kernel of exact digits
+    # (m = 0); the residue pass builds one of the spec's residue digits
+    from ntcodes import enumerators
+
+    moduli = []
+    transfer = enumerators._transfer
+
+    def recording_kernel(n, r, digits, *layout):
+        moduli.append([m for _, m, _, _ in digits])
+        return transfer(n, r, digits, *layout)
+
+    monkeypatch.setattr(enumerators, "_transfer", recording_kernel)
+    code, out, _ = run(capsys, "verify", "--family", "sc")
+    assert code == 0 and "summary: 10 checks, 0 mismatches" in out
+    assert len(moduli) == 10 and all(set(ms) == {0} for ms in moduli)
+    moduli.clear()
+    argv = ("nonbinary_svt", "--n", "40", "--r", "3", "--m", "13", "--a", "0", "--b", "0", "--c", "0")
+    code, _, _ = run(capsys, "card", *argv)
+    assert code == 0 and moduli == [[13, 2, 3]]
+
+
 def test_card_nonbinary_svt_past_the_brute_force_budget(capsys):
     argv = ("card", "nonbinary_svt", "--r", "3", "--m", "13", "--a", "0", "--b", "0", "--c", "0")
     code, out, _ = run(capsys, *argv, "--n", "13")

@@ -498,7 +498,7 @@ def test_codes_imports_nothing_from_enumerators():
         elif isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
     assert not any("enumerators" in name for name in modules), modules
-    assert not any(name in source for name in ("_increments", "_exact_pass", "_residue_pass"))
+    assert not any(name in source for name in ("_increments", "_transfer", "_exact_pass", "_residue_pass"))
 
 
 def test_macwilliams_cli_unchanged_under_the_plain_scan(capsys, monkeypatch):

@@ -834,6 +834,20 @@ def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0,
 @example(CodeSpec(3, 3, ((linear((-3, 4, -1)), 9, 2), (DELTA, 1, 0))), "hamming")
 @example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "hamming")
 @example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "cardinality")
+# descent statistics at n = 1 and 2: the last symbol is keyed before
+# position n - 1 only, in both layouts (cyclic at n = 2 below "complete")
+@example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "complete")
+@example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "hamming")
+@example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "cardinality")
+@example(CodeSpec(2, 3, ((GAMMA_GT, 3, 1),)), "complete")
+@example(CodeSpec(2, 3, ((GAMMA_GT, 3, 1),)), "hamming")
+@example(CodeSpec(2, 3, ((GAMMA_GT, 3, 1),)), "cardinality")
+@example(CodeSpec(1, 2, ((DELTA, 2, 0),)), "complete")
+@example(CodeSpec(1, 2, ((DELTA, 2, 0),)), "hamming")
+@example(CodeSpec(1, 2, ((DELTA, 2, 0),)), "cardinality")
+@example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "complete")
+@example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "hamming")
+@example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "cardinality")
 def test_auto_below_extended_matches_oracle(spec, kind):
     got = compute(spec, kind)
     expected = compute(spec, kind, "oracle")
