@@ -19,7 +19,6 @@ import argparse
 import csv
 import functools
 import inspect
-import io
 import json
 import os
 import random
@@ -41,6 +40,7 @@ from .codes import (
     type_vector,
 )
 from .enumerators import (
+    KINDS,
     METHODS,
     compute,
     enumerator_to_dict,
@@ -91,6 +91,11 @@ def _budget(args):
     return budget
 
 
+def _csv_rows(rows) -> None:
+    """Print a CSV table, one row a line ended by a bare newline."""
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _cmd_compute(args) -> int:
     """enum and card, which asks `compute` for kind "cardinality", an int."""
     spec = make_family(args.family, **_family_params(args))
@@ -99,19 +104,15 @@ def _cmd_compute(args) -> int:
         if args.format == "json":
             print(json.dumps({"cardinality": str(result)}))
         elif args.format == "csv":
-            print("cardinality")
-            print(result)
+            _csv_rows([["cardinality"], [str(result)]])
         else:
             print(result)
     elif args.format == "json":
         print(json.dumps(enumerator_to_dict(result)))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(list(result.poly.variables) + ["coefficient"])
-        for exps, coeff in result.poly.sorted_terms():
-            writer.writerow(list(exps) + [str(coeff)])
-        sys.stdout.write(out.getvalue())
+        # every decimal string is made before the first row is printed
+        terms = [[*exps, str(coeff)] for exps, coeff in result.poly.sorted_terms()]
+        _csv_rows([[*result.poly.variables, "coefficient"], *terms])
     else:
         print(result.poly)
     return 0
@@ -224,9 +225,7 @@ def _cmd_verify(args) -> int:
             )
         )
     elif args.format == "csv":
-        print("check,status")
-        for label, ok in checks:
-            print(f"{label},{'ok' if ok else 'MISMATCH'}")
+        _csv_rows([["check", "status"], *([label, "ok" if ok else "MISMATCH"] for label, ok in checks)])
     else:
         for label, ok in checks:
             print(f"{'ok' if ok else 'MISMATCH'} {label}")
@@ -311,9 +310,8 @@ def _cmd_macwilliams(args) -> int:
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "csv":
-        print("field,value")
-        for key, value in payload.items():
-            print(f"{key},{value}")
+        # str() keeps a skipped right side printed as None
+        _csv_rows([["field", "value"], *([key, str(value)] for key, value in payload.items())])
     else:
         print(f"left:      {payload['left']}")
         if report.right is None:
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enum", help="compute a weight enumerator")
     _add_family_flags(p_enum)
-    p_enum.add_argument("--kind", choices=("extended", "complete", "hamming"), default="hamming")
+    p_enum.add_argument("--kind", choices=KINDS, default="hamming")
     p_enum.add_argument("--method", choices=METHODS, default="auto")
     _add_common_flags(p_enum)
     p_enum.set_defaults(handler=_cmd_compute)

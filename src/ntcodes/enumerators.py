@@ -27,8 +27,9 @@ carries.  W_full is the product of the enumerators of positions 0..k-1
 and k..n-1, so theorem 1 keeps its terms by one join on residues: a left
 term of residues rho pairs only with the right terms of residues a - rho
 (`theorem1_extended`).  At moduli 1 the join keeps every term, which is
-`full_space_enumerator`.  A custom statistic has no increments: its left
-half is a scan of [0, r)^n, packed the same way.
+`full_space_enumerator`.  A custom statistic has no increments, so
+theorem 1 refuses it and `compute` sends it to the oracle; its full space
+is the oracle's tally at moduli 1.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in one of the two layouts, keyed or cyclic, that
@@ -368,32 +369,17 @@ def _exact_pass(n: int, r: int, stats, tops):
 def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> MultiPoly:
     """Extended enumerator of the whole space [0, r)^n for the given
     statistics, in variables z1..zs, w0..w(r-1): theorem 1's engine at
-    moduli 1, where every term is kept."""
-    space, kept = _theorem1_terms(n, r, [Constraint(st, 1, 0) for st in stats], budget, n)
+    moduli 1, where every term is kept, or for a custom statistic, which
+    has no increments, the oracle's tally at moduli 1."""
+    cons = [Constraint(st, 1, 0) for st in stats]
+    if any(st.kind == "custom" for st in stats):
+        return oracle_extended(CodeSpec(n, r, tuple(cons)), budget).poly
+    space, kept = _theorem1_terms(n, r, cons, budget, n)
     return space.poly(kept)
 
 
 # ---------------------------------------------------------------------------
 # the character-sum engine
-
-def _split_point(spec: CodeSpec, budget: int | None) -> int:
-    """Where theorem 1 splits the positions: k = n // 2 when the left
-    half's bound and the right half's, times r right passes when a
-    descent statistic reads the previous symbol, fit the budget; else
-    k = n (one pass over every position, joined with the empty right
-    half), as for a custom statistic.  The bounds are read off the
-    statistics, before any pass, each half's from its own largest
-    values."""
-    n, r = spec.n, spec.r
-    stats = [c.stat for c in spec.constraints]
-    if any(st.kind == "custom" for st in stats):
-        return n
-    starts = r if _reads_previous(stats) else 1
-    k = n // 2
-    left = _pass_bound(r, stats, _tops(n, r, stats, 0, k), k)
-    right = _pass_bound(r, stats, _tops(n, r, stats, k, n), n - k)
-    return k if max(left, starts * right) <= budget_limit(budget) else n
-
 
 def _join(space: _PackedSpace, cons, left: dict, right: dict):
     """The pairs of a left and a right term whose statistic digits add up
@@ -451,35 +437,33 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     """The packed space and the code's full-space terms, {key: count}: the
     join of the exact passes over positions 0..k-1 and k..n-1, k = n
     joining the single pass with the empty right half, whose one term is
-    the empty word (see `theorem1_extended`).  Any k answers; past the
-    single pass's bound or the budget the pairs give way to the left half
-    continued over k..n-1."""
+    the empty word (see `theorem1_extended`).  Both halves' bounds are read
+    off the statistics before any pass, the right half's counted once per
+    start, r when a descent statistic reads the previous symbol.  Any k
+    answers: where the halves do not fit the budget, or the join's pairs
+    outnumber the single pass's bound or the budget, the one fallback
+    continues the left half over k..n-1 and joins it with the empty right
+    half, if the single pass's bound fits the budget."""
     stats = [c.stat for c in cons]
-    if any(st.kind == "custom" for st in stats):
-        # no increments: the left half is the oracle's scan of [0, r)^n (every
-        # word satisfies moduli 1), packed with radices 1 + the largest values
-        # it saw, at k = n
-        terms = _scan_terms(CodeSpec(n, r, tuple((st, 1, 0) for st in stats)), "extended", budget)
-        tops = [max((exps[i] for exps in terms), default=0) for i in range(len(stats))]
-        variables = z_variables(len(stats)) + w_variables(r)
-        space = _PackedSpace(variables, [1 + top for top in tops] + [n + 1] * r)
-        left = {None: {space.pack(exps): count for exps, count in terms.items()}}
-        return space, _kept(space, cons, left, {None: {0: 1}}, len(terms))
     tops = _tops(n, r, stats, 0, n)
-    single = _pass_bound(r, stats, tops, n)
-    if k == n:
-        # the single pass; `_split_point` checked the halves' bounds where it split
+    single, limit = _pass_bound(r, stats, tops, n), budget_limit(budget)
+    starts = r if _reads_previous(stats) else 1
+    halves = max(
+        _pass_bound(r, stats, _tops(n, r, stats, 0, k), k),
+        starts * _pass_bound(r, stats, _tops(n, r, stats, k, n), n - k),
+    )
+    split = halves <= limit
+    if not split:
         _check_pass(single, budget)
     space, run = _exact_pass(n, r, stats, tops)
     left = run(range(k), {None: {0: 1}})
-    right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
-    kept = _kept(space, cons, left, right, min(single, budget_limit(budget)))
-    if kept is None:
-        # more pairs than the single pass's bound, or than the budget: the
-        # left half continues over the right's positions if the pass fits
+    if split:
+        right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
+        kept = _kept(space, cons, left, right, min(single, limit))
+        if kept is not None:
+            return space, kept
         _check_pass(single, budget)
-        kept = _kept(space, cons, run(range(k, n), left), {None: {0: 1}}, single)
-    return space, kept
+    return space, _kept(space, cons, run(range(k, n), left), {None: {0: 1}}, single)
 
 
 def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
@@ -499,18 +483,20 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     full-length radices, so a left key plus a right key is the joined
     word's key; when a descent statistic reads the previous symbol, the
     right half starts once from each last symbol p of the left half and
-    joins only its terms.  `_split_point` takes k = n // 2 wherever the
-    halves' bounds, read off the statistics, fit the budget, and k = n
-    otherwise; at k = n the right half is empty, its one term the empty
-    word, and a custom statistic's left half is the oracle's scan.  The
-    join counts its pairs before it forms any; past the single pass's
-    bound (or the budget) the left half continues over the remaining
-    positions and is joined with the empty right half, or the request is
-    refused with the single pass's message.  A negative count of either
-    half raises IntegralityError.  Only the kept keys are unpacked.
+    joins only its terms.  It splits at k = n // 2.  Where the
+    halves' bounds, read off the statistics, exceed the budget, or the
+    join's pairs, counted before any is formed, outnumber the single
+    pass's bound or the budget, the one fallback continues the left half
+    over the remaining positions and joins it with the empty right half;
+    past the budget that single pass is refused with its own message,
+    before any weight vector is built where the halves did not fit.  A
+    negative count of either half raises IntegralityError.  Only the kept
+    keys are unpacked.  A custom statistic has no increments and raises
+    ValueError.
     """
-    k = _split_point(spec, budget)
-    space, kept = _theorem1_terms(spec.n, spec.r, spec.constraints, budget, k)
+    if any(c.stat.kind == "custom" for c in spec.constraints):
+        raise ValueError("theorem 1 needs built-in statistics: a custom statistic has no increments")
+    space, kept = _theorem1_terms(spec.n, spec.r, spec.constraints, budget, spec.n // 2)
     return Enumerator("extended", space.poly(kept), "character_sum", spec)
 
 
@@ -795,15 +781,17 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     `tenengolts_cardinality`, and a single linear congruence (an omega,
     sigma or linear statistic) takes the residue pass on the spec itself,
     labelled "closed_form" at "hamming".  Method "auto" uses these closed
-    forms when they apply.  Otherwise, below kind "extended" and without a
-    custom statistic, it takes the residue transfer pass (method label
-    "transfer"), which carries only what the kind needs: the type vector
-    (packed, or in the keys), the Hamming weight or nothing; at "extended"
-    or with a custom statistic it takes theorem 1.  The residue pass's two
-    layouts, keyed and cyclic, are described at `_residue_pass` and picked
-    by `_digit_congruence`.  "closed" raises ValueError when no closed form
-    applies; "theorem1" and "oracle" force the character-sum engine and
-    brute force, the oracle's tally being `_scan_terms`.
+    forms when they apply.  Otherwise, below kind "extended", it takes the
+    residue transfer pass (method label "transfer"), which carries only
+    what the kind needs: the type vector (packed, or in the keys), the
+    Hamming weight or nothing; at "extended" it takes theorem 1.  A custom
+    statistic has no increments, so "auto" sends it to the oracle at every
+    kind (label "oracle").  The residue pass's two layouts, keyed and
+    cyclic, are described at `_residue_pass` and picked by
+    `_digit_congruence`.  "closed" raises ValueError when no closed form
+    applies, and "theorem1" on a custom statistic; "theorem1" and "oracle"
+    force the character-sum engine and brute force, the oracle's tally
+    being `_scan_terms`.
 
     Below kind "extended" the oracle's tally reads no statistic value, and
     theorem 1 gets the spec with its negative linear weights reduced mod
@@ -815,6 +803,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         raise ValueError(f"unknown enumerator kind {kind!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
+    if method == "auto" and any(c.stat.kind == "custom" for c in spec.constraints):
+        method = "oracle"
     if method in ("auto", "closed"):
         result = _closed_form(spec, kind, budget)
         if result is not None:
@@ -822,7 +812,7 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         if method == "closed":
             stats = ", ".join(c.stat.kind for c in spec.constraints)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
-        if kind != "extended" and all(c.stat.kind != "custom" for c in spec.constraints):
+        if kind != "extended":
             return _residue_pass(spec, kind, budget)
     if method == "oracle":
         terms = _scan_terms(spec, kind, budget)

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import re
@@ -88,6 +90,36 @@ def test_enum_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "w,coefficient"
     assert lines[1:] == ["0,1", "2,2", "3,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("enum", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0"), ["w", "coefficient"]),
+        (("card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0"), ["cardinality"]),
+        # its labels hold commas: "stats=gamma_gt,omega,sigma"
+        (("verify", "--family", "sc", "--count", "4"), ["check", "status"]),
+        (("macwilliams", "--r", "2", "--H", "1,1"), ["field", "value"]),
+        (("macwilliams", "--r", "2", "--H", "0,0"), ["field", "value"]),
+    ],
+    ids=["enum", "card", "verify", "macwilliams", "macwilliams_rank_deficient"],
+)
+def test_csv_parses_into_rows_of_the_header_width(capsys, argv, header):
+    # a header then data rows, each as wide as the header (one column for a
+    # cardinality, two elsewhere), every line ended by a bare newline
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and "\r" not in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == header and len(rows) > 1
+    assert all(len(row) == len(header) for row in rows)
+    if argv[0] == "card":
+        assert rows[1:] == [["5"]]
+    if argv[0] == "verify":
+        assert any("," in label for label, _ in rows[1:])
+        assert {status for _, status in rows[1:]} == {"ok"}
+    if argv[-1] == "0,0":
+        # a skipped right side still prints as None
+        assert dict(rows[1:])["right"] == "None"
 
 
 def test_verify_exit_zero(capsys):

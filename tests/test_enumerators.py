@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
-from ntcodes import enumerators
+from ntcodes import codes, enumerators
 from ntcodes.codes import (
     BudgetExceededError,
     CodeSpec,
@@ -316,18 +316,24 @@ def test_increment_tables_sum_to_the_statistics(r):
 def test_custom_statistic_full_space_is_enumerated():
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
     spec = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
-    # the full space is scanned once, with no exact pass
+    # the full space is the oracle's one tally at moduli 1, with no exact pass
     with (
         mock.patch.object(enumerators, "_exact_pass") as exact_pass,
         mock.patch.object(enumerators, "_scan_terms", wraps=enumerators._scan_terms) as scan,
     ):
-        engine = theorem1_extended(spec)
+        full = full_space_enumerator(4, 3, (repeats, SIGMA))
+        # theorem 1 has no increments to run: it refuses the statistic
+        with pytest.raises(ValueError, match="custom statistic"):
+            theorem1_extended(spec)
     assert scan.call_count == 1 and not exact_pass.called
     (scanned, kind, _), _ = scan.call_args
     assert kind == "extended"
     assert scanned == CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
-    assert engine.method == "character_sum"
-    assert engine.poly == oracle_extended(spec).poly
+    assert full == oracle_extended(scanned).poly
+    # "auto" sends the spec to the oracle
+    got = compute(spec, "extended")
+    assert got.method == "oracle"
+    assert got.poly == oracle_extended(spec).poly
 
 
 def test_full_space_descent_sum_w0w1w2_coefficient():
@@ -396,13 +402,13 @@ def test_theorem1_rejects_negative_half_space_count(monkeypatch):
     # ternary_integer n=8 splits at k=4; the right half's first term, the
     # word 0000 of positions 4..7, is given the count -1
     spec = make_family("ternary_integer", n=8, a=5)
-    assert enumerators._split_point(spec, None) == 4
-    exact_pass = enumerators._exact_pass
+    exact_pass, runs = enumerators._exact_pass, []
 
     def negating(*args):
         space, run = exact_pass(*args)
 
         def run_negated(positions, states):
+            runs.append(positions)
             out = run(positions, states)
             if positions.start:
                 for terms in out.values():
@@ -415,6 +421,8 @@ def test_theorem1_rejects_negative_half_space_count(monkeypatch):
     monkeypatch.setattr(enumerators, "_exact_pass", negating)
     with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 4, 0, 0\)"):
         theorem1_extended(spec)
+    # split at n // 2 = 4, refused before the join
+    assert runs == [range(4), range(4, 8)]
 
 
 def _top_word_spec(n, r, stats):
@@ -521,19 +529,69 @@ def test_theorem1_join_at_every_split_point(spec):
         assert kept(k)[1] == single
 
 
+@given(split_specs())
+@example(CodeSpec(0, 3, ((GAMMA_GT, 4, 0), (OMEGA, 2, 0))))
+@example(CodeSpec(5, 3, ((DELTA, 4, 1), (SIGMA, 3, 0))))
+def test_theorem1_is_independent_of_the_oracle(spec):
+    # with the oracle's tally and the codeword scan both raising, theorem 1
+    # answers at every k; it refuses a custom statistic, which "auto" sends
+    # to the oracle at every kind
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem 1 reached the oracle")
+
+    with_custom = CodeSpec(spec.n, spec.r, (*spec.constraints, (REPEATS, 2, 0)))
+    with (
+        mock.patch.object(enumerators, "_scan_terms", refuse),
+        mock.patch.object(codes, "enumerate_codewords", refuse),
+        mock.patch.object(enumerators, "enumerate_codewords", refuse),
+    ):
+        space, single = enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, spec.n)
+        for k in range(spec.n):
+            assert enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)[1] == single
+        assert theorem1_extended(spec).poly == space.poly(single)
+        with pytest.raises(ValueError, match="custom statistic"):
+            theorem1_extended(with_custom)
+    assert compute(with_custom, "cardinality") == compute(with_custom, "cardinality", "oracle")
+    for kind in KINDS:
+        got = compute(with_custom, kind)
+        assert (got.kind, got.method) == (kind, "oracle")
+        assert got.poly == compute(with_custom, kind, "oracle").poly
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """The positions of every exact pass run from here on, in order."""
+    exact_pass, runs = enumerators._exact_pass, []
+
+    def recording(*args):
+        space, run = exact_pass(*args)
+
+        def recorded(positions, states):
+            runs.append(positions)
+            return run(positions, states)
+
+        return space, recorded
+
+    monkeypatch.setattr(enumerators, "_exact_pass", recording)
+    return runs
+
+
 @pytest.mark.parametrize(
-    "spec, budget, k",
+    "spec, budget, refusal",
     [
-        (make_family("levenshtein", n=40, m=3, a=0), None, 20),
-        (make_family("shifted_vt", n=40, m=5, a=0, parity=0), None, 20),
-        (make_family("ternary_integer", n=16, a=5), None, 8),
-        (make_family("exponential_coefficient", n=18, m=18, a=5), None, 9),
-        (make_family("binary_vt", n=14, a=0), None, 7),
-        (make_family("tenengolts", n=12, r=2, a1=0, a2=0), None, 6),
-        # a half of 3^8 terms is over the budget: the single pass's refusal
-        (make_family("ternary_integer", n=16, a=5), 1000, 16),
-        (make_family("binary_vt", n=2, a=0), None, 1),
-        (CodeSpec(12, 3, ((custom(sum), 7, 0),)), None, 12),
+        (make_family("levenshtein", n=40, m=3, a=0), None, None),
+        (make_family("shifted_vt", n=40, m=5, a=0, parity=0), None, None),
+        (make_family("ternary_integer", n=16, a=5), None, None),
+        (make_family("exponential_coefficient", n=18, m=18, a=5), None, None),
+        (make_family("binary_vt", n=14, a=0), None, None),
+        (make_family("tenengolts", n=12, r=2, a1=0, a2=0), None, None),
+        # a half of 3^8 terms is over the budget, and so is the single pass
+        (
+            make_family("ternary_integer", n=16, a=5),
+            1000,
+            (BudgetExceededError, "^full-space transfer pass of up to 40102677 terms exceeds the budget 1000$"),
+        ),
+        (make_family("binary_vt", n=2, a=0), None, None),
+        (CodeSpec(12, 3, ((custom(sum), 7, 0),)), None, (ValueError, "custom statistic")),
     ],
     ids=[
         "levenshtein",
@@ -547,18 +605,32 @@ def test_theorem1_join_at_every_split_point(spec):
         "custom",
     ],
 )
-def test_split_point_is_read_off_the_statistics(spec, budget, k):
-    assert enumerators._split_point(spec, budget) == k
+def test_split_point_is_read_off_the_statistics(monkeypatch, spec, budget, refusal):
+    # theorem 1 splits at k = n // 2 and runs the right half once per start,
+    # r of them when a descent statistic reads the previous symbol, then
+    # continues the left half where the pairs overflow (levenshtein and
+    # shifted_vt at n = 40); a refusal comes before any pass runs
+    runs = _recorded_runs(monkeypatch)
+    if refusal:
+        with pytest.raises(refusal[0], match=refusal[1]):
+            theorem1_extended(spec, budget)
+        assert runs == []
+        return
+    theorem1_extended(spec, budget)
+    n, k = spec.n, spec.n // 2
+    starts = spec.r if enumerators._reads_previous(c.stat for c in spec.constraints) else 1
+    assert runs[: 1 + starts] == [range(k)] + [range(k, n)] * starts
+    assert runs[1 + starts :] in ([], [range(k, n)])
 
 
-def test_theorem1_continues_the_left_half_past_the_single_pass_bound():
+def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch):
     # zero weights put every term at residue 0: the halves' 495 terms each
     # would make 495^2 = 245025 pairs, over the single pass's bound of
     # C(20, 4) = 4845 terms, so the left half continues over positions
     # 8..15 and is joined with the empty right half instead; no pair of the
     # two halves is formed
     spec = lc(16, 1000, 5, [0] * 16, 0)
-    assert enumerators._split_point(spec, None) == 8
+    runs = _recorded_runs(monkeypatch)
     tracemalloc.start()
     try:
         result = theorem1_extended(spec)
@@ -566,16 +638,32 @@ def test_theorem1_continues_the_left_half_past_the_single_pass_bound():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+    # the halves at n // 2, then the left half continued
+    assert runs == [range(8), range(8, 16), range(8, 16)]
     assert result.poly == full_space_enumerator(16, 5, [linear([0] * 16)])
     assert result.cardinality() == 5**16
 
 
-def test_theorem1_refuses_join_pairs_past_the_budget():
+def test_theorem1_continues_the_left_half_where_the_halves_do_not_fit(monkeypatch):
+    # delta over [0, 6)^5: the right half's 6 starts of 216 terms each make
+    # 1296, over the single pass's bound of 1260; under a budget between the
+    # two the left half runs and continues, with no right half, and answers
+    spec = CodeSpec(5, 6, ((DELTA, 3, 1),))
+    runs = _recorded_runs(monkeypatch)
+    assert theorem1_extended(spec, budget=1270).poly == oracle_extended(spec).poly
+    assert runs == [range(2), range(2, 5)]
+    refusal = "^full-space transfer pass of up to 1260 terms exceeds the budget 1259$"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        theorem1_extended(spec, budget=1259)
+    assert runs == [range(2), range(2, 5)]
+
+
+def test_theorem1_refuses_join_pairs_past_the_budget(monkeypatch):
     # weights 1000 * 3^j are 0 mod 1000 and keep every sum distinct: halves
     # of 3^6 terms fit the budget, their 3^12 pairs and the single pass's
     # 3^12 terms do not, so the single pass's refusal comes before any pair
     spec = lc(12, 1000, 3, [1000 * 3**j for j in range(12)], 0)
-    assert enumerators._split_point(spec, 10_000) == 6
+    runs = _recorded_runs(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="pass of up to 531441 terms exceeds the budget 10000"):
@@ -584,6 +672,8 @@ def test_theorem1_refuses_join_pairs_past_the_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+    # both halves at n // 2 ran; the left one was not continued
+    assert runs == [range(6), range(6, 12)]
 
 
 @pytest.mark.parametrize("kind", ["hamming", "complete"])
@@ -877,11 +967,18 @@ def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
 
 
 def test_custom_statistic_and_extended_kind_keep_theorem1():
+    # a custom statistic goes to the oracle at every kind, and theorem 1
+    # refuses it; built-in statistics without a closed form keep theorem 1
+    # at "extended"
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
     with_custom = CodeSpec(4, 3, ((repeats, 2, 1), (SIGMA, 3, 0)))
-    for kind in ("complete", "hamming"):
-        assert compute(with_custom, kind).method == "character_sum"
-        assert compute(with_custom, kind).poly == compute(with_custom, kind, "oracle").poly
+    assert compute(with_custom, "cardinality") == compute(with_custom, "cardinality", "oracle")
+    for kind in KINDS:
+        got = compute(with_custom, kind)
+        assert got.method == "oracle"
+        assert got.poly == compute(with_custom, kind, "oracle").poly
+        with pytest.raises(ValueError, match="custom statistic"):
+            compute(with_custom, kind, "theorem1")
     no_closed_form = make_family("nonbinary_svt", n=4, r=3, m=4, a=1, b=0, c=2)
     assert compute(no_closed_form, "extended").method == "character_sum"
     assert compute(no_closed_form, "complete").method == "transfer"
