@@ -65,7 +65,7 @@ from .codes import (
     tenengolts as tenengolts_spec,
     type_vector,
 )
-from .exactalg import IntegralityError, MultiPoly, NonDivisibleError
+from .exactalg import IntegralityError, MultiPoly, exact_quotient
 from .numtheory import divisors, ramanujan_sum
 
 KINDS = ("extended", "complete", "hamming")
@@ -660,56 +660,49 @@ def tenengolts_variant_transform(variant: str, n: int, a1: int) -> tuple[int, bo
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> Enumerator:
-    """Hamming weight enumerator of the r-ary descent/sum code, in pure
-    integer arithmetic over divisor pairs weighted by Ramanujan sums."""
-    spec = tenengolts_spec(n, r, a1, a2, variant)
+def _descent_sum(n: int, r: int, a1: int, a2: int, variant: str):
+    """The one divisor sum of the descent/sum closed forms: n r times the
+    Hamming enumerator is sum_{d | n} p (1 + (r-1) w^d)^(n/d) + q (1 - w^d)^(n/d).
+    Yields (d, n/d, p, q) with g = gcd(r, d), a1' the variant's base
+    parameter, p = c_d(a1') g [g | a2] and q = c_d(a1') r [a2 = 0] - p: the
+    sum over e | r of c_e(a2), split by e | d, by sum_{e | g} c_e(a) = g [g | a].
+    Skips d with g not dividing a2 (p = q = 0) before computing c_d, and d
+    with c_d(a1') = 0.  The callers check the parameters."""
     base_a1, _ = tenengolts_variant_transform(variant, n, a1)
-    coeffs = [0] * (n + 1)
-    for d in divisors(n):
-        cd = ramanujan_sum(d, base_a1)
-        if not cd:
-            continue
-        k = n // d
-        for e in divisors(r):
-            ce = ramanujan_sum(e, a2)
-            if not ce:
-                continue
-            # {1 - w^d + r w^d [e | d]}^(n/d)
-            base = (r - 1) if d % e == 0 else -1
-            weight = cd * ce
-            for i in range(k + 1):
-                coeffs[d * i] += weight * comb(k, i) * base**i
-    denom = n * r
-    terms: dict = {}
-    for deg, c in enumerate(coeffs):
-        q, rem = divmod(c, denom)
-        if rem:
-            raise NonDivisibleError(f"weight-{deg} total {c} not divisible by {denom}")
-        if q < 0:
-            raise IntegralityError(f"negative weight-{deg} coefficient {q}")
-        if q:
-            terms[(deg,)] = q
-    return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
-
-
-def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
-    """Cardinality of the r-ary descent/sum code from the divisor sum
-    (1/nr) sum_{d | n} c_d(a1) r^(n/d) (r, d) [ (r, d) | a2 ]."""
-    tenengolts_spec(n, r, a1, a2, variant)  # checks the parameters
-    base_a1, _ = tenengolts_variant_transform(variant, n, a1)
-    total = 0
     for d in divisors(n):
         g = gcd(r, d)
         if a2 % g:
             continue
-        total += ramanujan_sum(d, base_a1) * r ** (n // d) * g
-    q, rem = divmod(total, n * r)
-    if rem:
-        raise NonDivisibleError(f"cardinality total {total} not divisible by {n * r}")
-    if q < 0:
-        raise IntegralityError(f"negative cardinality {q}")
-    return q
+        cd = ramanujan_sum(d, base_a1)
+        if cd:
+            p = cd * g
+            yield d, n // d, p, (cd * r if a2 == 0 else 0) - p
+
+
+def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> Enumerator:
+    """Hamming weight enumerator of the r-ary descent/sum code: the one
+    divisor sum over d | n of `_descent_sum`, its weights folded by
+    sum_{e | g} c_e(a) = g [g | a], expanded in integers and divided by n r."""
+    spec = tenengolts_spec(n, r, a1, a2, variant)
+    coeffs = [0] * (n + 1)
+    for d, k, p, q in _descent_sum(n, r, a1, a2, variant):
+        for i in range(k + 1):
+            coeffs[d * i] += comb(k, i) * (p * (r - 1) ** i + q * (-1) ** i)
+    terms = {
+        (deg,): exact_quotient(c, n * r, f"weight-{deg} coefficient")
+        for deg, c in enumerate(coeffs)
+        if c
+    }
+    return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
+
+
+def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
+    """Cardinality of the r-ary descent/sum code: the divisor sum of
+    `_descent_sum` at w = 1, (1/nr) sum_{d | n} c_d(a1') g [g | a2] r^(n/d)
+    with g = gcd(r, d), by sum_{e | g} c_e(a) = g [g | a]."""
+    tenengolts_spec(n, r, a1, a2, variant)  # checks the parameters
+    total = sum(p * r**k for _, k, p, _ in _descent_sum(n, r, a1, a2, variant))
+    return exact_quotient(total, n * r, "cardinality")
 
 
 def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, int]]:

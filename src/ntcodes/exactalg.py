@@ -8,6 +8,8 @@
   which ``to_integer`` reduces modulo the L-th cyclotomic polynomial to
   the rational integer it equals (or raises).  The MacWilliams check
   builds its right side in that ring and reduces each coefficient once.
+* ``exact_quotient`` - the one exact division behind the descent/sum
+  closed forms and the MacWilliams check, with its integrality sentinels.
 
 There is no floating point anywhere; enumerators and cardinalities are
 all exact.
@@ -34,6 +36,18 @@ class NotAnIntegerError(IntegralityError):
 
 class NonDivisibleError(IntegralityError):
     """Exact division was requested by a non-dividing integer."""
+
+
+def exact_quotient(total: int, denom: int, what: str) -> int:
+    """total / denom for a non-negative integer `what` that the theory says
+    this division yields.  Raises NonDivisibleError on a remainder and
+    IntegralityError on a negative quotient, naming `what`."""
+    q, rem = divmod(total, denom)
+    if rem:
+        raise NonDivisibleError(f"{what}: total {total} not divisible by {denom}")
+    if q < 0:
+        raise IntegralityError(f"{what}: negative quotient {q}")
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import check_budget, enumerate_codewords, linear_code, type_vector
+from .codes import check_budget, enumerate_codewords, linear_code
 from .enumerators import complete_weight_enumerator, w_variables
-from .exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
+from .exactalg import CycElement, MultiPoly, exact_quotient
 
 
 @dataclass(frozen=True)
@@ -159,19 +158,10 @@ def verify_macwilliams(code: ZrLinearCode) -> MacWilliamsReport:
     dual_size = len(code.dual)
     if dual_size != r**s:
         return MacWilliamsReport(left, None, False, False, dual_size)
-    counts = Counter(type_vector(y, r) for y in code.dual)
-    denom = r**s
-    terms: dict = {}
-    for exps, vec in _dual_at_characters(r, code.n, counts).items():
-        value = CycElement(r, vec).to_integer()
-        q, rem = divmod(value, denom)
-        if rem:
-            raise NonDivisibleError(
-                f"dual expansion for {exps} gave {value}, not divisible by {denom}"
-            )
-        if q < 0:
-            raise IntegralityError(f"negative coefficient {q} for {exps}")
-        if q:
-            terms[exps] = q
+    counts = complete_weight_enumerator(code.dual, r).terms
+    terms = {
+        exps: exact_quotient(CycElement(r, vec).to_integer(), dual_size, f"dual term {exps}")
+        for exps, vec in _dual_at_characters(r, code.n, counts).items()
+    }
     right = MultiPoly(w_variables(r), terms)
     return MacWilliamsReport(left, right, left == right, True, dual_size)

@@ -80,6 +80,45 @@ def test_enum_json_round_trip(capsys):
     assert enumerator_from_dict(data).poly == tenengolts_hamming(3, 3, 0, 0).poly
 
 
+def test_card_json_holds_the_text_cardinality(capsys):
+    argv = ("card", "tenengolts", "--n", "7", "--r", "4", "--a1", "3", "--a2", "2", "--variant", "<=")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == {"cardinality": text.strip()}
+
+
+def _wrong_hamming(n, r, a1, a2, variant=">"):
+    from ntcodes.enumerators import Enumerator
+    from ntcodes.exactalg import MultiPoly
+
+    poly = tenengolts_hamming(n, r, a1, a2, variant).poly
+    if (a1, a2) == (0, 1):
+        poly = MultiPoly(("w",), {(0,): 999})
+    return Enumerator("hamming", poly, "closed_form")
+
+
+@pytest.mark.parametrize(
+    "argv, wrong",
+    [
+        (("verify", "--family", "sc", "--count", "5", "--seed", "3"), False),
+        (("verify", "--family", "tenengolts", "--max-n", "2", "--max-r", "2"), True),
+    ],
+    ids=["sc", "tenengolts_mismatches"],
+)
+def test_verify_json_lists_the_text_checks(capsys, monkeypatch, argv, wrong):
+    if wrong:
+        monkeypatch.setattr("ntcodes.enumerators.tenengolts_hamming", _wrong_hamming)
+    text_code, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == text_code == (1 if wrong else 0)
+    data = json.loads(out)
+    *lines, summary = text.splitlines()
+    assert [f"{'ok' if c['ok'] else 'MISMATCH'} {c['check']}" for c in data["checks"]] == lines
+    assert summary == f"summary: {len(lines)} checks, {data['mismatches']} mismatches"
+    assert data["mismatches"] == sum(not c["ok"] for c in data["checks"]) == (8 if wrong else 0)
+
+
 def test_enum_csv(capsys):
     code, out, _ = run(
         capsys,
@@ -387,6 +426,30 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "a2" in err
     code, _, err = run(capsys, "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "5", "--a2", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("binary_vt", "--n", "0", "--a", "0"), "n must be positive"),
+        (("levenshtein", "--n", "3", "--m", "0", "--a", "0"), "n and m must be positive"),
+        (("tenengolts", "--n", "0", "--r", "3", "--a1", "0", "--a2", "0"), "n and r must be positive"),
+        (("tenengolts", "--n", "3", "--r", "0", "--a1", "0", "--a2", "0"), "n and r must be positive"),
+        (("shifted_vt", "--n", "3", "--m", "0", "--a", "0", "--parity", "0"), "n and m must be positive"),
+        (("han_vinck_morita", "--n", "0", "--a", "0", "--b", "0"), "n must be positive"),
+        (
+            ("nonbinary_svt", "--n", "3", "--r", "3", "--m", "0", "--a", "0", "--b", "0", "--c", "0"),
+            "n, r, and m must be positive",
+        ),
+        (("ternary_integer", "--n", "0", "--a", "0"), "n must be positive"),
+        (("odd_coefficient", "--n", "3", "--m", "0", "--a", "0"), "n and m must be positive"),
+        (("an_code", "--p", "2", "--a", "0"), "p must be a prime of at least 3"),
+        (("exponential_coefficient", "--n", "0", "--m", "1", "--a", "0"), "n and m must be positive"),
+        (("lc", "--n", "3", "--m", "5", "--r", "2", "--h", "1,2", "--a", "0"), "weight vector of length 2 for n=3"),
+    ],
+)
+def test_malformed_family_arguments_exit_two(capsys, argv, message):
+    assert run(capsys, "card", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_budget_exceeded_exit_three(capsys):
@@ -757,6 +820,16 @@ def test_integrality_violation_exit_four(capsys, monkeypatch):
     code, _, err = run(capsys, "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
     assert code == 4
     assert "integrality" in err
+
+
+def test_an_off_by_one_ramanujan_sum_trips_the_exact_division(capsys, monkeypatch):
+    real = ntcodes.enumerators.ramanujan_sum
+    monkeypatch.setattr("ntcodes.enumerators.ramanujan_sum", lambda q, a: real(q, a) + 1)
+    family = ("tenengolts", "--n", "5", "--r", "3", "--a1", "0", "--a2", "0")
+    for argv in (("card", *family), ("enum", *family, "--kind", "hamming")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal integrality violation: ") and "not divisible" in err
 
 
 def test_closed_method_rejected_when_no_closed_form(capsys):

@@ -323,6 +323,24 @@ def test_family_parameter_validation():
         make_family("no_such_family", n=1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Statistic("custom"), "custom statistic needs a callable"),
+        (lambda: CodeSpec(-1, 2, ((SIGMA, 2, 0),)), "length must be non-negative, got -1"),
+        (lambda: CodeSpec(2, 0, ((SIGMA, 2, 0),)), "alphabet size must be positive, got 0"),
+        (lambda: CodeSpec(2, 2, ()), "a code spec needs at least one constraint"),
+        (lambda: weight_sequence(0, 2, 3), "t, r, and length must all be positive"),
+        (lambda: weight_sequence(1, 0, 3), "t, r, and length must all be positive"),
+        (lambda: weight_sequence(1, 2, 0), "t, r, and length must all be positive"),
+    ],
+)
+def test_library_only_range_checks(build, message):
+    # checks no CLI argument reaches: the families check their own first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_constraint_normalizes_residue():
     con = Constraint(SIGMA, 3, 7)
     assert con.a == 1

@@ -1167,6 +1167,50 @@ def test_tenengolts_closed_forms_match_oracle():
                         ) == sum(oracle.terms.values())
 
 
+def _descent_sum_draws() -> list:
+    """(n, r, a1, a2, variant) at r = 4 (n <= 12) and r = 5, 6 (n <= 8):
+    every a2 at every length, with a seeded draw of a1 and the variant."""
+    rng = random.Random(0)
+    return [
+        (n, r, rng.randrange(n), a2, rng.choice((">", ">=", "<", "<=")))
+        for r, top in ((4, 12), (5, 8), (6, 8))
+        for n in range(1, top + 1)
+        for a2 in range(r)
+    ]
+
+
+def test_tenengolts_closed_forms_match_theorem1_at_every_gcd():
+    draws = _descent_sum_draws()
+    # the d | n with gcd(r, d) | a2 reach every divisor g of r at a2 = 0 and
+    # every proper one at a2 != 0, where the sum's two weights differ
+    reached = {
+        (r, gcd(r, d), a2 != 0)
+        for n, r, _, a2, _ in draws
+        for d in divisors(n)
+        if a2 % gcd(r, d) == 0
+    }
+    assert reached == {(r, g, a2 != 0) for r in (4, 5, 6) for g in divisors(r) for a2 in {0, g % r}}
+    assert {variant for *_, variant in draws} == {">", ">=", "<", "<="}
+    for n, r, a1, a2, variant in draws:
+        spec = make_family("tenengolts", n=n, r=r, a1=a1, a2=a2, variant=variant)
+        expected = compute(spec, "hamming", "theorem1")
+        assert tenengolts_hamming(n, r, a1, a2, variant).poly == expected.poly
+        assert tenengolts_cardinality(n, r, a1, a2, variant) == expected.cardinality()
+
+
+def test_tenengolts_closed_forms_are_one_sum_over_the_divisors_of_n(monkeypatch):
+    # one Ramanujan sum c_d(a1') per d | n with gcd(r, d) | a2, no sum over e | r
+    calls = []
+    real_divisors, real_sum = enumerators.divisors, enumerators.ramanujan_sum
+    monkeypatch.setattr(enumerators, "divisors", lambda n: calls.append(("divisors", n)) or real_divisors(n))
+    monkeypatch.setattr(enumerators, "ramanujan_sum", lambda q, a: calls.append((q, a)) or real_sum(q, a))
+    for closed_form in (tenengolts_hamming, tenengolts_cardinality):
+        calls.clear()
+        # "<" maps a1 = 5 to a1' = 12 - 5; gcd(6, d) divides 2 at d = 1, 2, 4
+        closed_form(12, 6, 5, 2, "<")
+        assert calls == [("divisors", 12), (1, 7), (2, 7), (4, 7)]
+
+
 def test_variant_transform_examples():
     assert tenengolts_variant_transform("<=", 2, 0) == (1, False)
     assert tenengolts_cardinality(2, 3, 0, 0, "<=") == 1

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,9 +11,12 @@ from multipoly_reference import parse
 from ntcodes.enumerators import Enumerator, specialize
 from ntcodes.exactalg import (
     CycElement,
+    IntegralityError,
     MultiPoly,
+    NonDivisibleError,
     NotAnIntegerError,
     cyclotomic_polynomial,
+    exact_quotient,
 )
 from ntcodes.numtheory import divisors
 
@@ -159,3 +166,50 @@ def test_multipoly_is_a_plain_value():
     # the routes build term maps; no ring arithmetic, evaluation or parser
     for name in ("__add__", "__mul__", "__pow__", "__sub__", "evaluate", "parse"):
         assert not hasattr(MultiPoly, name), name
+
+
+# ---------------------------------------------------------------------------
+# the one exact division
+
+
+def test_exact_quotient_divides_or_raises_naming_what_it_divides():
+    assert exact_quotient(81, 9, "cardinality") == 9
+    assert exact_quotient(0, 12, "weight-3 coefficient") == 0
+    with pytest.raises(NonDivisibleError, match=r"^cardinality: total 82 not divisible by 9$"):
+        exact_quotient(82, 9, "cardinality")
+    with pytest.raises(IntegralityError, match=r"^weight-2 coefficient: negative quotient -3$") as info:
+        exact_quotient(-36, 12, "weight-2 coefficient")
+    assert not isinstance(info.value, NonDivisibleError)
+
+
+def _raisers(name: str) -> set:
+    """(file, function) of every raise of `name` under src/ntcodes."""
+    found = set()
+    src = Path(__file__).resolve().parents[1] / "src" / "ntcodes"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == name:
+                        found.add((path.name, func.name))
+    return found
+
+
+def test_non_divisible_error_has_one_home():
+    # every exact division goes through exact_quotient, and its callers do
+    assert _raisers("NonDivisibleError") == {("exactalg.py", "exact_quotient")}
+    import ntcodes.enumerators
+    import ntcodes.macwilliams
+
+    for module in (ntcodes.enumerators, ntcodes.macwilliams):
+        assert module.exact_quotient is exact_quotient
+    for func in (
+        ntcodes.enumerators.tenengolts_hamming,
+        ntcodes.enumerators.tenengolts_cardinality,
+        ntcodes.macwilliams.verify_macwilliams,
+    ):
+        assert "exact_quotient(" in inspect.getsource(func), func.__name__
