@@ -336,7 +336,7 @@ def weight_sequence(t: int, r: int, length: int) -> list[int]:
 
 def _check_range(value, bound, name):
     if not 0 <= value < bound:
-        raise ValueError(f"{name} must lie in [0, {bound}), got {value}")
+        raise ValueError(f"{name} must lie in [0, {count_text(bound)}), got {value}")
 
 
 def binary_vt(n: int, a: int = 0) -> CodeSpec:

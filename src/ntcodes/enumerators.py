@@ -32,10 +32,11 @@ theorem 1 refuses it and `compute` sends it to the oracle; its full space
 is the oracle's tally at moduli 1.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
-statistics' residues, in one of the two layouts, keyed or cyclic, that
-`_digit_congruence` picks before it starts.  Either way it evaluates the
-linear-congruence character sum of `lc_hamming`, and answers every spec
-without a closed form below kind "extended".
+statistics' residues, in the keyed or the cyclic layout: cyclic wherever
+its states, min(r^n, keys / m* carry), are no more than the keyed
+layout's and its cells, states m*, fit the budget (`_digit_congruence`).
+It evaluates the linear-congruence character sum of `lc_hamming`, and
+answers every spec without a closed form below kind "extended".
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _increments(n: int, r: int, stats, strides):
+def _increments(n: int, r: int, stats, strides, lasts):
     """The statistics' increments, each times its stride, as the tables
     (lin, ups, ones): symbol x at position j after `previous` adds
     x lin[j] + j ups[previous][x] + ones[previous][x].  Every built-in
@@ -191,11 +192,12 @@ def _increments(n: int, r: int, stats, strides):
     strides; j (1 for delta) when the statistic's comparison of
     (previous, x) holds, so ups[p][x] sums the strides of the gamma/lambda
     statistics whose comparison of (p, x) holds and ones[p][x] those of
-    delta.  The rows of None, the previous "symbol" at position 0 or when
-    no statistic reads it, stay 0."""
+    delta.  `ups` and `ones` hold one row per entry of `lasts`: None, the
+    previous "symbol" at position 0 or when no statistic of the pass reads
+    it, then every symbol where one does.  The rows of None stay 0."""
     lin = [0] * n
-    ups = {p: [0] * r for p in (None, *range(r))}
-    ones = {p: [0] * r for p in ups}
+    ups = {p: [0] * r for p in lasts}
+    ones = {p: [0] * r for p in lasts}
     for st, stride in zip(stats, strides):
         weights = linear_weights(st, n)
         if weights is not None:
@@ -231,14 +233,15 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
     after each position the bits of a count past `span` are added back
     at bit 0: shifts are then rotations of its span bits.  A step that
     wraps no digit and shifts nothing only adds to the keys."""
+    reads = _reads_previous(d[0] for d in digits)
+    lasts = (None, *range(r)) if reads else (None,)
     exact = [d for d in digits if not d[1]]
-    lin, ups, ones = _increments(n, r, [d[0] for d in exact], [d[2] for d in exact])
+    lin, ups, ones = _increments(n, r, [d[0] for d in exact], [d[2] for d in exact], lasts)
     residues = [
-        (*_increments(n, r, [st], (1,)), m, stride, place, (stride, 2 * m, m, m * stride))
+        (*_increments(n, r, [st], (1,), lasts), m, stride, place, (stride, 2 * m, m, m * stride))
         for st, m, stride, place in digits
         if m
     ]
-    reads = _reads_previous(d[0] for d in digits)
     full = (1 << span) - 1
 
     def run(positions, states: dict) -> dict:
@@ -483,16 +486,11 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     full-length radices, so a left key plus a right key is the joined
     word's key; when a descent statistic reads the previous symbol, the
     right half starts once from each last symbol p of the left half and
-    joins only its terms.  It splits at k = n // 2.  Where the
-    halves' bounds, read off the statistics, exceed the budget, or the
-    join's pairs, counted before any is formed, outnumber the single
-    pass's bound or the budget, the one fallback continues the left half
-    over the remaining positions and joins it with the empty right half;
-    past the budget that single pass is refused with its own message,
-    before any weight vector is built where the halves did not fit.  A
-    negative count of either half raises IntegralityError.  Only the kept
-    keys are unpacked.  A custom statistic has no increments and raises
-    ValueError.
+    joins only its terms.  It splits at k = n // 2, with the one fallback
+    of `_theorem1_terms`; past the budget that single pass is refused with
+    its own message.  A negative count of either half raises
+    IntegralityError.  Only the kept keys are unpacked.  A custom
+    statistic has no increments and raises ValueError.
     """
     if any(c.stat.kind == "custom" for c in spec.constraints):
         raise ValueError("theorem 1 needs built-in statistics: a custom statistic has no increments")
@@ -504,22 +502,27 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 # the residue pass and the closed form for linear congruence codes
 
 
-def _digit_congruence(n: int, r: int, moduli, kind: str, keys: int, budget: int | None):
-    """The index of the congruence whose residues the residue pass carries
-    as the cyclic digits of each count, or None for the keyed layout: the
-    first of largest modulus m*, at kinds "cardinality" and "hamming",
-    where m* is at least n + 1 at "hamming" (any m* at "cardinality"), the
-    keys prod_i m_i (times r per last symbol) are at most r^n, and the
-    keys' cells, times the n + 1 Hamming weights at "hamming", fit the
-    budget.  Read off n, r, the moduli, the kind and the budget, before the
-    pass starts."""
-    if kind not in ("cardinality", "hamming"):
-        return None
+def _digit_congruence(n: int, r: int, cons, kind: str, keys: int, keyed: int, budget: int | None):
+    """Before the pass, the index of the congruence whose residues the
+    residue pass carries as the cyclic digits of each count, the first of
+    largest modulus m*, or None for the keyed layout: cyclic wherever its
+    states, min(r^n, keys / m* carry), are no more than the keyed layout's
+    and its cells, states m*, fit the budget.  carry is what its keys hold
+    beside the other residues: 1 at "cardinality", the n + 1 Hamming
+    weights at "hamming", and at "complete" the C(n+r-1, r-1) type vectors
+    over the moduli of the sigma congruences in the keys, which tau fixes."""
+    moduli = [c.m for c in cons]
     star = moduli.index(max(moduli))
-    weights = n + 1 if kind == "hamming" else 1
-    if moduli[star] < weights or capped_power(r, n, keys) < keys or keys * weights > budget_limit(budget):
-        return None
-    return star
+    others = keys // moduli[star]
+    if kind == "hamming":
+        others *= n + 1
+    elif kind == "complete":
+        fixed = prod(c.m for i, c in enumerate(cons) if i != star and c.stat.kind == "sigma")
+        others = comb(n + r - 1, r - 1) * others // fixed
+    states = capped_power(r, n, others)
+    if states <= keyed and states * moduli[star] <= budget_limit(budget):
+        return star
+    return None
 
 
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
@@ -530,66 +533,63 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     residue digit of radix 2 m_i per keyed residue, then any keyed tau_x
     or Hamming weight, of radix n + 1, exact digits that never wrap.
 
-    Two layouts, picked by `_digit_congruence` before the pass.  Keyed:
-    every residue is in the keys, and the Hamming weight, or tau with tau_x
-    at digit (n+1)^(x-1), is packed into each count as Kronecker digits
-    bit_length(r^n) rounded up to bytes wide.  Cyclic: the residues mod
-    the chosen modulus m* are the m* cyclic digits of each count, each
-    bit_length(r^n) wide, and the keys keep the other residues, the last
-    symbol and the Hamming weight.  A symbol of increment k rotates the
-    count by k digits: a shift by k digits, whose digits past m* the pass
-    folds back once per position.  The code's count is digit a* of the
-    count kept at the other residues, read off with one shift and one
-    mask.  No digit of either layout carries: a state's counts are
-    non-negative and sum to at most r^n.
+    Keyed layout: every residue is in the keys, and the Hamming weight, or
+    tau with tau_x at digit (n+1)^(x-1), is packed into each count as
+    Kronecker digits bit_length(r^n) rounded up to bytes wide, or tau
+    stays in the keys.  Cyclic layout: the residues mod m* are the m*
+    cyclic digits of each count, each bit_length(r^n) wide, and the keys
+    keep the other residues, the last symbol and the Hamming weight or
+    tau.  A symbol of increment k rotates the count by k digits, folded
+    back once per position; the code's count is digit a*.  No digit
+    carries: a state's counts are non-negative and sum to at most r^n.
+    `_digit_congruence` picks cyclic wherever its states, min(r^n, keys /
+    m* carry), are no more than the keyed layout's and its cells, states
+    m*, fit the budget.
 
-    With keys = prod_i m_i, times r when kept per last symbol, the bound
-    checked before the pass, and before any weight vector is built, is
-    min(r^n, keys), keys times n + 1 at "hamming"; after it the n
-    positions are checked against the budget too.  Packed tau stores all
-    (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be nonzero,
-    bounded by min(r^n, keys) (n+1)^(r-1).  Past the budget or
-    _PACKED_EXCESS times the bound of tau in the keys, min(r^n,
-    C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys."""
+    With keys = prod_i m_i, times r when kept per last symbol, the keyed
+    layout has min(r^n, keys) states, and the bound checked before the
+    pass and any weight vector is min(r^n, keys), keys times n + 1 at
+    "hamming"; then the n positions are checked against the budget.
+    Packed tau stores all (n+1)^(r-1) digits of a state, though only
+    C(n+r-1, r-1) can be nonzero: bound min(r^n, keys) (n+1)^(r-1).  Past
+    the budget or _PACKED_EXCESS times the bound of tau in the keys,
+    min(r^n, C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys, and
+    that bound is the keyed layout's states."""
     n, r, cons = spec.n, spec.r, spec.constraints
-    moduli = [c.m for c in cons]
-    keys = prod(moduli) * (r if _reads_previous(c.stat for c in cons) else 1)
+    keys = prod(c.m for c in cons) * (r if _reads_previous(c.stat for c in cons) else 1)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
+    keyed = capped_power(r, n, keys)  # the keyed layout's states
     bound = capped_power(r, n, keys * (n + 1) ** axes)
     if kind == "complete":
         sigma = prod(c.m for c in cons if c.stat.kind == "sigma")
         bound = capped_power(r, n, comb(n + r - 1, r - 1) * keys // sigma)
-        packed = capped_power(r, n, keys) * (n + 1) ** (r - 1)
+        packed = keyed * (n + 1) ** (r - 1)
         if packed <= min(_PACKED_EXCESS * bound, budget_limit(budget)):
             axes, bound = r - 1, packed
         else:
-            tail = r - 1
+            tail, keyed = r - 1, bound
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
     # one step per position, and a weight vector of n entries: a bound of few
     # keys still refuses a length past the budget before r^n or the weights
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
-    star = _digit_congruence(n, r, moduli, kind, keys, budget)
+    star = _digit_congruence(n, r, cons, kind, keys, keyed, budget)
     bits = (r**n).bit_length()
     size = -(-bits // 8)
     width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
     if star is not None:
-        # m* cyclic digits per count, each bit_length(r^n) wide; the Hamming weight keyed
-        width, span, axes, tail = bits, moduli[star] * bits, 0, axes
+        # m* cyclic digits per count, each bit_length(r^n) wide; the Hamming weight or tau keyed
+        width, span, axes, tail = bits, cons[star].m * bits, 0, axes + tail
     # the keyed residues' digits below `head`, the keyed tau_x or Hamming weight above
-    strides, head = [], 1
-    for i, m in enumerate(moduli):
-        strides.append(0 if i == star else head)
-        if i != star:
-            head *= 2 * m
-    digits = [
-        (c.stat, c.m, stride, width if i == star else 0) for i, (c, stride) in enumerate(zip(cons, strides))
-    ]
+    digits, head = [], 1
+    for i, c in enumerate(cons):
+        digits.append((c.stat, c.m, 0, width) if i == star else (c.stat, c.m, head, 0))
+        head *= 1 if i == star else 2 * c.m
     # digit place of each symbol: tau_x's, the Hamming weight's 1, or none
     places = [(n + 1) ** (x - 1) if kind == "complete" else int(kind == "hamming") for x in range(1, r)]
     shifts = [0] + [width * place if axes else 0 for place in places]
     unit = [0] + [head * place if tail else 0 for place in places]
     states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
-    target = sum(c.a * stride for c, stride in zip(cons, strides))
+    target = sum(c.a * d[2] for c, d in zip(cons, digits))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
     kept: Counter = Counter()
     for terms in states.values():
@@ -622,12 +622,12 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
     coefficient is what `compute` returns for this one congruence at
     method "closed": the residue pass, in integer arithmetic, for any
-    integer weights, with the residues mod m as the cyclic digits of each
-    count where `_digit_congruence` allows it, so that the product's factor
-    for position j rotates the count by h_j k digits, and in the keys
-    otherwise.  There are no twisted points and no division by m, so no
-    integrality sentinel can fire.  The pass's bound min(r^n, m (n+1)) is
-    checked against `budget` before it starts."""
+    integer weights.  The residues mod m are in the keys, or the cyclic
+    digits of each count, rotated by h_j k digits by position j's factor,
+    wherever its states, min(r^n, keys / m* carry), are no more than the
+    keyed layout's and its cells, states m*, fit the budget.  No twisted
+    point and no division by m, so no integrality sentinel can fire.  The
+    pass's bound min(r^n, m (n+1)) is checked before it starts."""
     return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
 
 
@@ -779,12 +779,12 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     what the kind needs: the type vector (packed, or in the keys), the
     Hamming weight or nothing; at "extended" it takes theorem 1.  A custom
     statistic has no increments, so "auto" sends it to the oracle at every
-    kind (label "oracle").  The residue pass's two layouts, keyed and
-    cyclic, are described at `_residue_pass` and picked by
-    `_digit_congruence`.  "closed" raises ValueError when no closed form
-    applies, and "theorem1" on a custom statistic; "theorem1" and "oracle"
-    force the character-sum engine and brute force, the oracle's tally
-    being `_scan_terms`.
+    kind (label "oracle").  The residue pass (`_residue_pass`) is cyclic
+    wherever its states, min(r^n, keys / m* carry), are no more than the
+    keyed layout's and its cells, states m*, fit the budget.  "closed"
+    raises ValueError when no closed form applies, and "theorem1" on a
+    custom statistic; "theorem1" and "oracle" force the character-sum
+    engine and brute force, the oracle's tally being `_scan_terms`.
 
     Below kind "extended" the oracle's tally reads no statistic value, and
     theorem 1 gets the spec with its negative linear weights reduced mod

@@ -446,6 +446,8 @@ def test_usage_errors_exit_two(capsys):
         (("an_code", "--p", "2", "--a", "0"), "p must be a prime of at least 3"),
         (("exponential_coefficient", "--n", "0", "--m", "1", "--a", "0"), "n and m must be positive"),
         (("lc", "--n", "3", "--m", "5", "--r", "2", "--h", "1,2", "--a", "0"), "weight vector of length 2 for n=3"),
+        # a modulus of 2^100000 + 1, past the 4300 digits a message may print
+        (("exponential_coefficient", "--n", "3", "--m", "100000", "--a", "-1"), "a must lie in [0, 2^100001), got -1"),
     ],
 )
 def test_malformed_family_arguments_exit_two(capsys, argv, message):
@@ -542,6 +544,27 @@ def test_card_an_code_p31_refused_at_the_default_budget(capsys):
     assert (code, out) == (3, "")
     assert err == f"error: residue transfer pass over {2**29} positions exceeds the budget 10000000\n"
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (("lc", "--n", "1", "--m", "2", "--r", "100000", "--h", "1", "--a", "0"), "50000"),
+        (("linear_code", "--r", "100000", "--H", "1;-3"), "1"),
+    ],
+)
+def test_card_at_a_large_alphabet_builds_no_descent_tables(capsys, argv, answer):
+    # r = 10^5 and no descent statistic: the increment tables hold only the
+    # row of no previous symbol, not the (r + 1) r = 10^10 cells of a table
+    # per previous symbol
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "card", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, f"{answer}\n", "")
+    assert peak < 50_000_000
 
 
 @pytest.mark.parametrize(

@@ -303,8 +303,9 @@ def test_increment_tables_sum_to_the_statistics(r):
     for n in range(6):
         stats = [*BUILTIN_STATS, linear((2, 0, 3, 1, 4)[:n])]
         strides = [10**i for i in range(len(stats))]
-        tables = [enumerators._increments(n, r, [st], (1,)) for st in stats]
-        tables.append(enumerators._increments(n, r, stats, strides))
+        lasts = (None, *range(r))
+        tables = [enumerators._increments(n, r, [st], (1,), lasts) for st in stats]
+        tables.append(enumerators._increments(n, r, stats, strides, lasts))
         for word in itertools.product(range(r), repeat=n):
             values = [evaluate_statistic(st, word) for st in stats]
             expected = values + [sum(v * stride for v, stride in zip(values, strides))]
@@ -925,7 +926,7 @@ def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0,
 @example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "hamming")
 @example(CodeSpec(5, 3, ((DELTA, 2, 1), (linear((2, -1, 0, 5, -3)), 13, 4), (SIGMA, 3, 2))), "cardinality")
 # descent statistics at n = 1 and 2: the last symbol is keyed before
-# position n - 1 only, in both layouts (cyclic at n = 2 below "complete")
+# position n - 1 only, in both layouts (cyclic at n = 2)
 @example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "complete")
 @example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "hamming")
 @example(CodeSpec(1, 3, ((GAMMA_GT, 2, 0),)), "cardinality")
@@ -938,6 +939,11 @@ def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0,
 @example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "complete")
 @example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "hamming")
 @example(CodeSpec(2, 3, ((DELTA, 3, 1),)), "cardinality")
+# cyclic at "complete" with a descent statistic: tau and the last symbol keyed,
+# the sigma residue in the keys (fixed by tau) or as the cyclic digits
+@example(CodeSpec(4, 2, ((GAMMA_GT, 9, 3), (SIGMA, 2, 1))), "complete")
+@example(CodeSpec(3, 3, ((DELTA, 2, 1), (SIGMA, 5, 2))), "complete")
+@example(CodeSpec(5, 3, ((LAMBDA_LE, 7, 4), (DELTA, 2, 0), (SIGMA, 3, 1))), "complete")
 def test_auto_below_extended_matches_oracle(spec, kind):
     got = compute(spec, kind)
     expected = compute(spec, kind, "oracle")
@@ -958,8 +964,14 @@ def test_auto_below_extended_matches_oracle(spec, kind):
 @given(residue_pass_cases(st.integers(4, 6), st.integers(0, 4)))
 def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
     expected = compute(spec, "complete", "theorem1")
-    for excess in (0, 10**9):  # tau in the keys, then always packed
-        with mock.patch.object(enumerators, "_PACKED_EXCESS", excess):
+    rule = enumerators._digit_congruence
+    # tau in the keys, in the layout the rule picks and in the keyed one; then
+    # tau packed wherever the rule keeps the keyed layout
+    for excess, layout in [(0, rule), (0, lambda *args: None), (10**9, rule)]:
+        with (
+            mock.patch.object(enumerators, "_PACKED_EXCESS", excess),
+            mock.patch.object(enumerators, "_digit_congruence", layout),
+        ):
             got = compute(spec, "complete")
         assert got.method == "transfer"
         assert got.poly.variables == expected.poly.variables
@@ -1086,19 +1098,20 @@ def _digit_congruences(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "spec, kind, budget, star",
     [
-        # m* = n against m* = n + 1 at "hamming": the Hamming weight is keyed
-        # only where the residues are at least as many as its n + 1 values
+        # m* = n against m* = n + 1 at "hamming": n + 1 cyclic states of the
+        # Hamming weight against the m* keyed ones, ties cyclic
         (lc(6, 6, 2, (1, 2, 3, 4, 5, 6), 1), "hamming", None, None),
         (lc(6, 7, 2, (1, 2, 3, 4, 5, 6), 1), "hamming", None, 0),
-        # keys = r^n against r^n + 1: 3^4 = 81
+        # keys = r^n and r^n + 1, 3^4 = 81: one cyclic state (five at
+        # "hamming") against min(81, keys) keyed ones, so both are cyclic
         (lc(4, 81, 3, (1, 3, 9, 27), 40), "cardinality", None, 0),
-        (lc(4, 82, 3, (1, 3, 9, 27), 40), "cardinality", None, None),
+        (lc(4, 82, 3, (1, 3, 9, 27), 40), "cardinality", None, 0),
         (lc(4, 81, 3, (1, 3, 9, 27), 40), "hamming", None, 0),
-        (lc(4, 82, 3, (1, 3, 9, 27), 40), "hamming", None, None),
-        # keys times r per last symbol: 8 * 2 = 2^4 against 9 * 2
+        (lc(4, 82, 3, (1, 3, 9, 27), 40), "hamming", None, 0),
+        # keys times r per last symbol: 8 * 2 = 2^4 and 9 * 2, 2 cyclic states
         (CodeSpec(4, 2, ((GAMMA_GT, 8, 3),)), "cardinality", None, 0),
-        (CodeSpec(4, 2, ((GAMMA_GT, 9, 3),)), "cardinality", None, None),
-        # cells = 500 keys * 7 Hamming weights against the budget; past it the
+        (CodeSpec(4, 2, ((GAMMA_GT, 9, 3),)), "cardinality", None, 0),
+        # cells = 7 Hamming weights * 500 digits against the budget; past it the
         # keyed layout answers within today's bound min(3^6, 3500) = 729
         (lc(6, 500, 3, (1, 5, 25, 125, 625, 3125), 7), "hamming", 3500, 0),
         (lc(6, 500, 3, (1, 5, 25, 125, 625, 3125), 7), "hamming", 3499, None),
@@ -1106,8 +1119,23 @@ def _digit_congruences(monkeypatch) -> list:
         # the first congruence of largest modulus is the digits, the rest keyed
         (CodeSpec(5, 3, ((SIGMA, 2, 1), (OMEGA, 9, 4), (linear((2, -1, 0, 5, 3)), 9, 2))), "hamming", None, 1),
         (CodeSpec(5, 3, ((DELTA, 2, 1), (GAMMA_GE, 5, 2), (SIGMA, 3, 0))), "cardinality", None, 1),
-        # "complete" is always keyed
-        (lc(4, 81, 3, (1, 3, 9, 27), 40), "complete", None, None),
+        # "complete": C(6, 2) = 15 type vectors against tau keyed, min(81, 15 * 81)
+        (lc(4, 81, 3, (1, 3, 9, 27), 40), "complete", None, 0),
+        # nonbinary_svt n=11 r=2 m=9, keys 9 * 2 * 2 * 2: 12 type vectors * 8 / sigma's 2
+        # = 48 cyclic states against 72 with tau packed
+        (make_family("nonbinary_svt", n=11, r=2, m=9, a=3, b=1, c=0), "complete", None, 0),
+        # sigma as the cyclic digits: tau fixes no residue left in the keys, so
+        # min(3^2, C(4, 2) * 2) = 9 cyclic states against 3 * 2 keyed ones
+        (CodeSpec(2, 3, ((OMEGA, 2, 1), (SIGMA, 3, 2))), "complete", None, None),
+        # C(14, 2) = 91 type vectors against 17 keys with tau packed
+        (lc(12, 17, 3, tuple(range(1, 13)), 4), "complete", None, None),
+        # exponential_coefficient n=m=6: keys 65 > 2^6, 7 cyclic states against 64
+        (make_family("exponential_coefficient", n=6, m=6, a=5), "hamming", None, 0),
+        # le_nguyen n=5 r=3, m=189: 21 type vectors against tau keyed, min(3^5, 21 * 189),
+        # as long as their 21 * 189 = 3969 cells fit the budget
+        (make_family("le_nguyen", n=5, r=3, t=2, a=7), "complete", None, 0),
+        (make_family("le_nguyen", n=5, r=3, t=2, a=7), "complete", 3969, 0),
+        (make_family("le_nguyen", n=5, r=3, t=2, a=7), "complete", 3968, None),
     ],
 )
 def test_residue_pass_layout_rule_at_its_boundaries(spec, kind, budget, star, monkeypatch):
