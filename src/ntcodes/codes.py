@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exactalg import IntegralityError
+from .exactalg import IntegralityError, count_text
 
 Word = tuple
 
@@ -86,12 +86,6 @@ def capped_power(r: int, n: int, cap: int) -> int:
     if r > 1 and n * (r.bit_length() - 1) >= cap.bit_length():
         return cap
     return min(r**n, cap)
-
-
-def count_text(count: int) -> str:
-    """A bound for a budget message: exact below 2^64, else the least power
-    of two at or above it, so no message converts thousands of digits."""
-    return str(count) if count.bit_length() <= 64 else f"2^{(count - 1).bit_length()}"
 
 
 @dataclass(frozen=True)

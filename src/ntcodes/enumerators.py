@@ -32,9 +32,8 @@ theorem 1 refuses it and `compute` sends it to the oracle; its full space
 is the oracle's tally at moduli 1.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
-statistics' residues, in the keyed or the cyclic layout: cyclic wherever
-its states, min(r^n, keys / m* carry), are no more than the keyed
-layout's and its cells, states m*, fit the budget (`_digit_congruence`).
+statistics' residues, in the keyed or the cyclic layout that
+`_digit_congruence` picks.  Every pass's size is the count of `_states`.
 It evaluates the linear-congruence character sum of `lc_hamming`, and
 answers every spec without a closed form below kind "extended".
 """
@@ -57,7 +56,6 @@ from .codes import (
     budget_limit,
     capped_power,
     check_budget,
-    count_text,
     enumerate_codewords,
     lc,
     linear,
@@ -66,7 +64,7 @@ from .codes import (
     tenengolts as tenengolts_spec,
     type_vector,
 )
-from .exactalg import IntegralityError, MultiPoly, exact_quotient
+from .exactalg import IntegralityError, MultiPoly, count_text, exact_quotient
 from .numtheory import divisors, ramanujan_sum
 
 KINDS = ("extended", "complete", "hamming")
@@ -309,7 +307,7 @@ class _PackedSpace:
             key, digit = divmod(key, radix)
             exps.append(digit)
         if key:
-            raise IntegralityError(f"packed key carries {key} past its last digit")
+            raise IntegralityError(f"packed key carries {count_text(key)} past its last digit")
         return tuple(exps)
 
     def poly(self, terms: dict) -> MultiPoly:
@@ -339,18 +337,28 @@ def _tops(n: int, r: int, stats, lo: int, hi: int) -> list:
     return tops
 
 
-def _pass_bound(r: int, stats, tops, length: int) -> int:
-    """Bound on the keys of an exact pass over `length` positions on which
-    each statistic's largest value is `tops`: min(r^length,
-    C(length+r-1, r-1) type vectors times 1 + each top), sigma adding no
-    factor beside the type vector that fixes it.  Read off the
-    statistics, before any weight vector or r^length is built."""
-    factors = (1 + top for st, top in zip(stats, tops) if st.kind != "sigma")
-    return capped_power(r, length, comb(length + r - 1, r - 1) * prod(factors))
+def _states(r: int, length: int, digits, tau: bool) -> int:
+    """The states a transfer pass over `length` positions can reach, the
+    one count behind every bound and layout choice of both passes:
+    min(r^length, the product of the value counts of the `digits` its keys
+    hold, times the C(length+r-1, r-1) type vectors when tau is in the
+    keys).  Each digit is (statistic, or None for the last symbol or the
+    Hamming weight, count); with tau in the keys a sigma digit counts 1, as
+    tau fixes sigma.  Read off the digits, before r^length is built."""
+    counts = (1 if tau and st == SIGMA else count for st, count in digits)
+    return capped_power(r, length, prod(counts) * (comb(length + r - 1, r - 1) if tau else 1))
 
 
 def _check_pass(bound: int, budget: int | None) -> None:
     check_budget(bound, budget, f"full-space transfer pass of up to {count_text(bound)} terms")
+
+
+def _check_tables(r: int, stats, budget: int | None) -> None:
+    """Refuse, before `_increments` builds them, the (r+1) r cells of each
+    table that a statistic reading the previous symbol needs."""
+    if _reads_previous(stats):
+        cells = (r + 1) * r
+        check_budget(cells, budget, f"increment tables of {count_text(cells)} cells")
 
 
 def _exact_pass(n: int, r: int, stats, tops):
@@ -361,8 +369,8 @@ def _exact_pass(n: int, r: int, stats, tops):
     n + 1, whatever the positions, so the keys of passes over disjoint
     positions add up to the key of the joined words and no digit carries.
     Symbol x adds tau_x's stride besides its statistics' increments.  The
-    caller checks the pass's bound (`_pass_bound`) first: the weight
-    vectors are built here."""
+    caller checks the pass's states (`_states`) first: the weight vectors
+    are built here."""
     s = len(stats)
     space = _PackedSpace(z_variables(s) + w_variables(r), [1 + top for top in tops] + [n + 1] * r)
     digits = [(st, 0, stride, 0) for st, stride in zip(stats, space.strides)]
@@ -424,7 +432,7 @@ def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
     for half in (*left.values(), *right.values()):
         if min(half.values(), default=0) < 0:
             key, coeff = next((key, coeff) for key, coeff in half.items() if coeff < 0)
-            raise IntegralityError(f"negative full-space coefficient {coeff} for {space.unpack(key)}")
+            raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.unpack(key)}")
     matched, pairs = _join(space, cons, left, right)
     if pairs > limit:
         return None
@@ -440,24 +448,28 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     """The packed space and the code's full-space terms, {key: count}: the
     join of the exact passes over positions 0..k-1 and k..n-1, k = n
     joining the single pass with the empty right half, whose one term is
-    the empty word (see `theorem1_extended`).  Both halves' bounds are read
-    off the statistics before any pass, the right half's counted once per
-    start, r when a descent statistic reads the previous symbol.  Any k
-    answers: where the halves do not fit the budget, or the join's pairs
-    outnumber the single pass's bound or the budget, the one fallback
-    continues the left half over k..n-1 and joins it with the empty right
-    half, if the single pass's bound fits the budget."""
+    the empty word (see `theorem1_extended`).  Both halves' `_states` are
+    read off the statistics before any pass or increment table, the right
+    half's counted once per start, r when a descent statistic reads the
+    previous symbol.  Any k answers: where the halves do not fit the
+    budget, or the join's pairs outnumber the single pass's bound or the
+    budget, the one fallback continues the left half over k..n-1 and joins
+    it with the empty right half, if the single pass's bound fits the
+    budget."""
     stats = [c.stat for c in cons]
     tops = _tops(n, r, stats, 0, n)
-    single, limit = _pass_bound(r, stats, tops, n), budget_limit(budget)
+
+    def states(lo: int, hi: int) -> int:
+        # the keys: each statistic's exact value on positions lo..hi-1, and tau
+        counts = [1 + top for top in _tops(n, r, stats, lo, hi)]
+        return _states(r, hi - lo, zip(stats, counts), True)
+
+    single, limit = states(0, n), budget_limit(budget)
     starts = r if _reads_previous(stats) else 1
-    halves = max(
-        _pass_bound(r, stats, _tops(n, r, stats, 0, k), k),
-        starts * _pass_bound(r, stats, _tops(n, r, stats, k, n), n - k),
-    )
-    split = halves <= limit
+    split = max(states(0, k), starts * states(k, n)) <= limit
     if not split:
         _check_pass(single, budget)
+    _check_tables(r, stats, budget)
     space, run = _exact_pass(n, r, stats, tops)
     left = run(range(k), {None: {0: 1}})
     if split:
@@ -502,24 +514,16 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
 # the residue pass and the closed form for linear congruence codes
 
 
-def _digit_congruence(n: int, r: int, cons, kind: str, keys: int, keyed: int, budget: int | None):
+def _digit_congruence(n: int, r: int, cons, kind: str, digits, keyed: int, budget: int | None):
     """Before the pass, the index of the congruence whose residues the
     residue pass carries as the cyclic digits of each count, the first of
-    largest modulus m*, or None for the keyed layout: cyclic wherever its
-    states, min(r^n, keys / m* carry), are no more than the keyed layout's
-    and its cells, states m*, fit the budget.  carry is what its keys hold
-    beside the other residues: 1 at "cardinality", the n + 1 Hamming
-    weights at "hamming", and at "complete" the C(n+r-1, r-1) type vectors
-    over the moduli of the sigma congruences in the keys, which tau fixes."""
+    largest modulus m*, or None for the keyed layout.  This is the one
+    layout rule: cyclic wherever its states, the `_states` of the keyed
+    `digits` but m*'s, with tau in the keys at "complete", are no more than
+    the keyed layout's, `keyed`, and its cells, states m*, fit the budget."""
     moduli = [c.m for c in cons]
     star = moduli.index(max(moduli))
-    others = keys // moduli[star]
-    if kind == "hamming":
-        others *= n + 1
-    elif kind == "complete":
-        fixed = prod(c.m for i, c in enumerate(cons) if i != star and c.stat.kind == "sigma")
-        others = comb(n + r - 1, r - 1) * others // fixed
-    states = capped_power(r, n, others)
+    states = _states(r, n, digits[:star] + digits[star + 1 :], kind == "complete")
     if states <= keyed and states * moduli[star] <= budget_limit(budget):
         return star
     return None
@@ -542,27 +546,24 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     tau.  A symbol of increment k rotates the count by k digits, folded
     back once per position; the code's count is digit a*.  No digit
     carries: a state's counts are non-negative and sum to at most r^n.
-    `_digit_congruence` picks cyclic wherever its states, min(r^n, keys /
-    m* carry), are no more than the keyed layout's and its cells, states
-    m*, fit the budget.
+    `_digit_congruence` picks the layout.
 
-    With keys = prod_i m_i, times r when kept per last symbol, the keyed
-    layout has min(r^n, keys) states, and the bound checked before the
-    pass and any weight vector is min(r^n, keys), keys times n + 1 at
-    "hamming"; then the n positions are checked against the budget.
-    Packed tau stores all (n+1)^(r-1) digits of a state, though only
-    C(n+r-1, r-1) can be nonzero: bound min(r^n, keys) (n+1)^(r-1).  Past
-    the budget or _PACKED_EXCESS times the bound of tau in the keys,
-    min(r^n, C(n+r-1, r-1) keys / sigma's m_i), tau stays in the keys, and
-    that bound is the keyed layout's states."""
+    Its keys' digits are the residues mod m_i, the last symbol where a
+    statistic reads it, and at "hamming" the Hamming weight.  The bound
+    checked before the pass and any weight vector is their `_states`; the
+    keyed layout's states leave out the Hamming weight.  Packed tau stores
+    all (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be
+    nonzero: bound keyed (n+1)^(r-1).  Past the budget or _PACKED_EXCESS
+    times the bound of tau in the keys, tau stays in the keys, and that
+    bound is the keyed layout's states.  Then the n positions and the
+    increment tables (`_check_tables`) are checked against the budget."""
     n, r, cons = spec.n, spec.r, spec.constraints
-    keys = prod(c.m for c in cons) * (r if _reads_previous(c.stat for c in cons) else 1)
+    held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
-    keyed = capped_power(r, n, keys)  # the keyed layout's states
-    bound = capped_power(r, n, keys * (n + 1) ** axes)
+    keyed = _states(r, n, held, False)  # the keyed layout's states
+    held += [(None, n + 1)] * axes
+    bound = _states(r, n, held, kind == "complete")
     if kind == "complete":
-        sigma = prod(c.m for c in cons if c.stat.kind == "sigma")
-        bound = capped_power(r, n, comb(n + r - 1, r - 1) * keys // sigma)
         packed = keyed * (n + 1) ** (r - 1)
         if packed <= min(_PACKED_EXCESS * bound, budget_limit(budget)):
             axes, bound = r - 1, packed
@@ -572,7 +573,8 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     # one step per position, and a weight vector of n entries: a bound of few
     # keys still refuses a length past the budget before r^n or the weights
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
-    star = _digit_congruence(n, r, cons, kind, keys, keyed, budget)
+    star = _digit_congruence(n, r, cons, kind, held, keyed, budget)
+    _check_tables(r, [c.stat for c in cons], budget)
     bits = (r**n).bit_length()
     size = -(-bits // 8)
     width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
@@ -624,10 +626,9 @@ def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> 
     method "closed": the residue pass, in integer arithmetic, for any
     integer weights.  The residues mod m are in the keys, or the cyclic
     digits of each count, rotated by h_j k digits by position j's factor,
-    wherever its states, min(r^n, keys / m* carry), are no more than the
-    keyed layout's and its cells, states m*, fit the budget.  No twisted
-    point and no division by m, so no integrality sentinel can fire.  The
-    pass's bound min(r^n, m (n+1)) is checked before it starts."""
+    as `_digit_congruence` picks.  No twisted point and no division by m,
+    so no integrality sentinel can fire.  The pass's bound, the `_states`
+    of m residues and n + 1 Hamming weights, is checked before it starts."""
     return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
 
 
@@ -779,12 +780,11 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     what the kind needs: the type vector (packed, or in the keys), the
     Hamming weight or nothing; at "extended" it takes theorem 1.  A custom
     statistic has no increments, so "auto" sends it to the oracle at every
-    kind (label "oracle").  The residue pass (`_residue_pass`) is cyclic
-    wherever its states, min(r^n, keys / m* carry), are no more than the
-    keyed layout's and its cells, states m*, fit the budget.  "closed"
-    raises ValueError when no closed form applies, and "theorem1" on a
-    custom statistic; "theorem1" and "oracle" force the character-sum
-    engine and brute force, the oracle's tally being `_scan_terms`.
+    kind (label "oracle").  `_digit_congruence` picks the residue pass's
+    layout.  "closed" raises ValueError when no closed form applies, and
+    "theorem1" on a custom statistic; "theorem1" and "oracle" force the
+    character-sum engine and brute force, the oracle's tally being
+    `_scan_terms`.
 
     Below kind "extended" the oracle's tally reads no statistic value, and
     theorem 1 gets the spec with its negative linear weights reduced mod

@@ -38,15 +38,25 @@ class NonDivisibleError(IntegralityError):
     """Exact division was requested by a non-dividing integer."""
 
 
+def count_text(count: int) -> str:
+    """An integer for a message: exact below 2^64, else the least power of
+    two at or above its magnitude, signed, so no message converts thousands
+    of digits."""
+    if count.bit_length() <= 64:
+        return str(count)
+    return f"{'-' if count < 0 else ''}2^{(abs(count) - 1).bit_length()}"
+
+
 def exact_quotient(total: int, denom: int, what: str) -> int:
     """total / denom for a non-negative integer `what` that the theory says
     this division yields.  Raises NonDivisibleError on a remainder and
-    IntegralityError on a negative quotient, naming `what`."""
+    IntegralityError on a negative quotient, naming `what` and the
+    integers through `count_text`."""
     q, rem = divmod(total, denom)
     if rem:
-        raise NonDivisibleError(f"{what}: total {total} not divisible by {denom}")
+        raise NonDivisibleError(f"{what}: total {count_text(total)} not divisible by {count_text(denom)}")
     if q < 0:
-        raise IntegralityError(f"{what}: negative quotient {q}")
+        raise IntegralityError(f"{what}: negative quotient {count_text(q)}")
     return q
 
 

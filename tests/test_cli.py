@@ -567,6 +567,21 @@ def test_card_at_a_large_alphabet_builds_no_descent_tables(capsys, argv, answer)
     assert peak < 50_000_000
 
 
+def test_descent_increment_tables_are_charged_before_they_are_built(capsys, monkeypatch):
+    # a descent statistic reads the previous symbol: each increment table holds
+    # (r + 1) r = 1001000 cells, refused past the budget before any is built by
+    # both passes, and answered at the default budget
+    family = ("nonbinary_svt", "--n", "1", "--r", "1000", "--m", "2", "--a", "0", "--b", "0", "--c", "0")
+    built, increments = [], ntcodes.enumerators._increments
+    monkeypatch.setattr(ntcodes.enumerators, "_increments", lambda *args: built.append(1) or increments(*args))
+    for argv in (("card", *family), ("enum", *family, "--kind", "extended")):
+        code, out, err = run(capsys, *argv, "--budget", "1000000")
+        assert (code, out, built) == (3, "", [])
+        assert err == "error: increment tables of 1001000 cells exceeds the budget 1000000\n"
+    assert run(capsys, "card", *family) == (0, "1\n", "")
+    assert built
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -853,6 +868,11 @@ def test_an_off_by_one_ramanujan_sum_trips_the_exact_division(capsys, monkeypatc
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err.startswith("internal integrality violation: ") and "not divisible" in err
+    # a total past 4300 digits is named through count_text, so the sentinel
+    # still exits 4 rather than failing to convert its own message
+    code, out, err = run(capsys, "card", "tenengolts", "--n", "10080", "--r", "3", "--a1", "0", "--a2", "0")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal integrality violation: cardinality: total 2^") and "not divisible" in err
 
 
 def test_closed_method_rejected_when_no_closed_form(capsys):

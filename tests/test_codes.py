@@ -310,6 +310,8 @@ def test_count_text_exact_below_two_to_the_64():
     assert count_text(2**64 - 1) == str(2**64 - 1)
     assert count_text(2**64) == "2^64" and count_text(2**64 + 1) == "2^65"
     assert count_text(2**20000) == "2^20000" and count_text(3**20000) == "2^31700"
+    # a sentinel's negative integers keep their sign
+    assert count_text(-(2**64) + 1) == str(-(2**64) + 1) and count_text(-(2**70)) == "-2^70"
 
 
 def test_family_parameter_validation():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -1146,6 +1148,87 @@ def test_residue_pass_layout_rule_at_its_boundaries(spec, kind, budget, star, mo
     if kind != "cardinality":
         got, expected = got.poly, expected.poly
     assert got == expected
+
+
+def test_state_count_has_one_home():
+    # every pass's bounds and layout choice read its states off `_states`
+    tree = ast.parse(inspect.getsource(enumerators))
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "capped_power"
+    }
+    assert callers == {"_states"}
+
+
+def _stepped_runs() -> tuple:
+    """A patch of `_transfer` whose runs step one position at a time, and
+    the record of each run: its positions, whether it starts from the empty
+    word, and the (last symbol, key) entries it holds after each position."""
+    runs, transfer = [], enumerators._transfer
+
+    def spy(*args):
+        run = transfer(*args)
+
+        def stepped(positions, states):
+            runs.append((list(positions), list(states.values()) == [{0: 1}], []))
+            for j in runs[-1][0]:
+                states = run((j,), states)
+                runs[-1][2].append(sum(map(len, states.values())))
+            return states
+
+        return stepped
+
+    return mock.patch.object(enumerators, "_transfer", spy), runs
+
+
+@given(residue_pass_cases(st.integers(1, 4), st.integers(0, 7)))
+@example(make_family("nonbinary_svt", n=7, r=4, m=9, a=3, b=1, c=0))
+@example(CodeSpec(7, 2, ((DELTA, 1, 0),)))
+def test_no_transfer_run_outgrows_its_states(spec):
+    # after every position each run holds at most the `_states` of its pass's
+    # digits: the residue pass at every kind, in the layout the rule picks and
+    # forced keyed, tau keyed and packed at "complete"; theorem 1's halves and
+    # its single pass, each over the positions since its empty word
+    n, r, cons = spec.n, spec.r, spec.constraints
+    held = [(c.stat, c.m) for c in cons] + [(None, r)] * enumerators._reads_previous(c.stat for c in cons)
+    rule = enumerators._digit_congruence
+    for kind, excess in [("cardinality", 16), ("hamming", 16), ("complete", 0), ("complete", 10**9)]:
+        for forced in (False, True):
+            stars = []
+
+            def layout(*args):
+                stars.append(None if forced else rule(*args))
+                return stars[-1]
+
+            patch, runs = _stepped_runs()
+            with (
+                patch,
+                mock.patch.object(enumerators, "_digit_congruence", layout),
+                mock.patch.object(enumerators, "_PACKED_EXCESS", excess),
+            ):
+                enumerators._residue_pass(spec, kind, None)
+            if stars[0] is None:
+                bound = enumerators._states(r, n, held, kind == "complete" and not excess)
+            else:
+                digits = held[: stars[0]] + held[stars[0] + 1 :] + [(None, n + 1)] * (kind == "hamming")
+                bound = enumerators._states(r, n, digits, kind == "complete")
+            [(_, _, entries)] = runs
+            assert max(entries, default=1) <= bound, (kind, excess, stars)
+    base = enumerators._nonnegative_weights(spec)
+    stats = [c.stat for c in base.constraints]
+    for k in (n // 2, n):
+        patch, runs = _stepped_runs()
+        with patch:
+            enumerators._theorem1_terms(n, r, base.constraints, None, k)
+        for positions, empty, entries in runs:
+            if positions:
+                lo, hi = positions[0] if empty else 0, positions[-1] + 1
+                tops = enumerators._tops(n, r, stats, lo, hi)
+                bound = enumerators._states(r, hi - lo, zip(stats, [1 + top for top in tops]), True)
+                assert max(entries) <= bound, (k, positions, empty)
 
 
 def test_tenengolts_hamming_paper_example():
