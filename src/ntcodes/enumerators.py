@@ -24,12 +24,12 @@ Theorem 1 runs it in the exact layout (`_exact_pass`): each term's key is
 one mixed-radix integer of the exact statistic values and the type
 vector, each radix 1 + the largest value of its digit, so no digit
 carries.  W_full is the product of the enumerators of positions 0..k-1
-and k..n-1, so theorem 1 keeps its terms by one join on residues: a left
-term of residues rho pairs only with the right terms of residues a - rho
-(`theorem1_extended`).  At moduli 1 the join keeps every term, which is
-`full_space_enumerator`.  A custom statistic has no increments, so
-theorem 1 refuses it and `compute` sends it to the oracle; its full space
-is the oracle's tally at moduli 1.
+and k..n-1, so theorem 1 keeps its terms by one join on residues,
+`_kept`: a left term of residues rho pairs only with the right terms of
+residues a - rho (`theorem1_extended`).  At moduli 1 the join keeps every
+term, which is `full_space_enumerator`.  A custom statistic has no
+increments, so theorem 1 refuses it and `compute` sends it to the oracle;
+its full space is the oracle's tally at moduli 1.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
@@ -361,6 +361,15 @@ def _check_tables(r: int, stats, budget: int | None) -> None:
         check_budget(cells, budget, f"increment tables of {count_text(cells)} cells")
 
 
+def _check_strides(digits: int, budget: int | None) -> None:
+    """Refuse, before they are built, the strides of `digits` tau digits,
+    in the keys or packed in the counts: tau_x's spans the x digits below
+    it, so they hold digits (digits - 1) / 2 digits, which no bound on the
+    states counts."""
+    cells = digits * (digits - 1) // 2
+    check_budget(cells, budget, f"type vector strides of {count_text(cells)} digits")
+
+
 def _exact_pass(n: int, r: int, stats, tops):
     """The packed layout of the full space [0, r)^n and its `run(positions,
     states)`, the `_transfer` pass with exact digits only, which returns
@@ -392,49 +401,39 @@ def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> M
 # ---------------------------------------------------------------------------
 # the character-sum engine
 
-def _join(space: _PackedSpace, cons, left: dict, right: dict):
-    """The pairs of a left and a right term whose statistic digits add up
-    to the code's residues, a right term pairing only with the left terms
-    of the last symbol p it started from: [(left terms, left keys, right
-    group)], each left key to be paired with each (key, count) of the
-    group, and the number of pairs.  The right keys are grouped by the
-    residues a left key needs, (a_i - key // stride % radix) % m_i, and
-    each left key looks its own residues up.  No pair is formed here."""
-    digits = list(zip(space.strides, space.radices, cons))
-
-    def rows(columns):
-        # without constraints every key's residues are ()
-        return zip(*columns) if digits else itertools.repeat(())
-
-    matched, pairs = [], 0
-    for p, terms in right.items():
-        keys = list(terms)
-        needs = rows([[(c.a - key // stride % radix) % c.m for key in keys] for stride, radix, c in digits])
-        groups: dict = {}
-        for need, key in zip(needs, keys):
-            groups.setdefault(need, []).append((key, terms[key]))
-        keys, found = list(left[p]), {}
-        rhos = rows([[key // stride % radix % c.m for key in keys] for stride, radix, c in digits])
-        for rho, key in zip(rhos, keys):
-            if rho in groups:
-                found.setdefault(rho, []).append(key)
-        for rho, keys in found.items():
-            pairs += len(keys) * len(groups[rho])
-            matched.append((left[p], keys, groups[rho]))
-    return matched, pairs
-
-
 def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
-    """The code's terms, {key: count}: each pair `_join` matches, its keys
-    added and its counts multiplied, or None where the pairs outnumber
-    `limit`.  A negative count of either half raises IntegralityError,
-    with its exponents, before any pair is matched."""
+    """The code's terms, {key: count}, by theorem 1's one join: each pair of
+    a left and a right term of the same start p whose statistic digits add
+    up to the code's residues, keys added and counts multiplied, or None
+    where the pairs outnumber `limit`.  The right keys are grouped by the
+    residues a left key needs, (a_i - key // stride % radix) % m_i, and the
+    pairs are counted before any is formed.  A negative count of either
+    half raises IntegralityError, with its exponents, before any match."""
     for half in (*left.values(), *right.values()):
         if min(half.values(), default=0) < 0:
             key, coeff = next((key, coeff) for key, coeff in half.items() if coeff < 0)
             raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.unpack(key)}")
-    matched, pairs = _join(space, cons, left, right)
-    if pairs > limit:
+    digits = list(zip(space.strides, space.radices, cons))
+
+    def residues(keys, need: bool):
+        # rho_i, or with `need` a_i - rho_i, mod m_i; without constraints ()
+        columns = [
+            [(c.a - key // stride % radix if need else key // stride % radix) % c.m for key in keys]
+            for stride, radix, c in digits
+        ]
+        return zip(*columns) if digits else itertools.repeat(())
+
+    matched = []
+    for p, terms in right.items():
+        groups: dict = {}
+        for need, key in zip(residues(terms, True), terms):
+            groups.setdefault(need, []).append((key, terms[key]))
+        found: dict = {}
+        for rho, key in zip(residues(left[p], False), left[p]):
+            if rho in groups:
+                found.setdefault(rho, []).append(key)
+        matched += [(left[p], keys, groups[rho]) for rho, keys in found.items()]
+    if sum(len(keys) * len(group) for _, keys, group in matched) > limit:
         return None
     kept: dict = {}
     for terms, keys, group in matched:
@@ -446,16 +445,16 @@ def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
 
 def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     """The packed space and the code's full-space terms, {key: count}: the
-    join of the exact passes over positions 0..k-1 and k..n-1, k = n
-    joining the single pass with the empty right half, whose one term is
-    the empty word (see `theorem1_extended`).  Both halves' `_states` are
-    read off the statistics before any pass or increment table, the right
-    half's counted once per start, r when a descent statistic reads the
-    previous symbol.  Any k answers: where the halves do not fit the
-    budget, or the join's pairs outnumber the single pass's bound or the
-    budget, the one fallback continues the left half over k..n-1 and joins
-    it with the empty right half, if the single pass's bound fits the
-    budget."""
+    one join, `_kept`, of the exact passes over positions 0..k-1 and
+    k..n-1, k = n joining the single pass with the empty right half, whose
+    one term is the empty word (see `theorem1_extended`).  Both halves'
+    `_states` are read off the statistics before any pass, increment table
+    or stride of the type vector, the right half's counted once per start,
+    r when a descent statistic reads the previous symbol.  Any k answers:
+    where the halves do not fit the budget, or the join's pairs outnumber
+    the single pass's bound or the budget, the one fallback continues the
+    left half over k..n-1 and joins it with the empty right half, if the
+    single pass's bound fits the budget."""
     stats = [c.stat for c in cons]
     tops = _tops(n, r, stats, 0, n)
 
@@ -470,6 +469,7 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     if not split:
         _check_pass(single, budget)
     _check_tables(r, stats, budget)
+    _check_strides(r, budget)
     space, run = _exact_pass(n, r, stats, tops)
     left = run(range(k), {None: {0: 1}})
     if split:
@@ -556,7 +556,8 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     nonzero: bound keyed (n+1)^(r-1).  Past the budget or _PACKED_EXCESS
     times the bound of tau in the keys, tau stays in the keys, and that
     bound is the keyed layout's states.  Then the n positions and the
-    increment tables (`_check_tables`) are checked against the budget."""
+    increment tables (`_check_tables`) and, at "complete", the places of
+    the r - 1 tau digits (`_check_strides`) are checked against the budget."""
     n, r, cons = spec.n, spec.r, spec.constraints
     held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
@@ -575,6 +576,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
     star = _digit_congruence(n, r, cons, kind, held, keyed, budget)
     _check_tables(r, [c.stat for c in cons], budget)
+    _check_strides((r - 1) * (kind == "complete"), budget)
     bits = (r**n).bit_length()
     size = -(-bits // 8)
     width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
@@ -593,11 +595,11 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
     target = sum(c.a * d[2] for c, d in zip(cons, digits))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
-    kept: Counter = Counter()
+    tau, kept = _PackedSpace((), [n + 1] * tail), Counter()  # keyed tau or Hamming weight, above `head`
     for terms in states.values():
         for key, count in terms.items():
             if key % head == target:
-                kept[tuple(key // head // (n + 1) ** t % (n + 1) for t in range(tail))] += count >> offset & digit
+                kept[tau.unpack(key // head)] += count >> offset & digit
     if kind == "cardinality":
         return sum(kept.values())
     cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
@@ -687,8 +689,11 @@ def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> 
     spec = tenengolts_spec(n, r, a1, a2, variant)
     coeffs = [0] * (n + 1)
     for d, k, p, q in _descent_sum(n, r, a1, a2, variant):
+        # C(k, i), p (r-1)^i and q (-1)^i, each stepped from i to i + 1
+        binomial, up, down = 1, p, q
         for i in range(k + 1):
-            coeffs[d * i] += comb(k, i) * (p * (r - 1) ** i + q * (-1) ** i)
+            coeffs[d * i] += binomial * (up + down)
+            binomial, up, down = binomial * (k - i) // (i + 1), up * (r - 1), -down
     terms = {
         (deg,): exact_quotient(c, n * r, f"weight-{deg} coefficient")
         for deg, c in enumerate(coeffs)

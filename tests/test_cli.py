@@ -582,6 +582,32 @@ def test_descent_increment_tables_are_charged_before_they_are_built(capsys, monk
     assert built
 
 
+LARGE_ALPHABET_LC = ("enum", "lc", "--n", "1", "--m", "2", "--r", "100000", "--h", "1", "--a", "0", "--kind")
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (
+            ("card", "le_nguyen", "--n", "2", "--r", "1048576", "--t", "1", "--a", "5", "--method", "theorem1"),
+            2**20 * (2**20 - 1) // 2,
+        ),
+        ((*LARGE_ALPHABET_LC, "extended"), 100000 * 99999 // 2),
+        ((*LARGE_ALPHABET_LC, "complete"), 99999 * 99998 // 2),
+    ],
+)
+def test_type_vector_strides_are_charged_before_they_are_built(capsys, monkeypatch, argv, digits):
+    # theorem 1 keys r tau digits and the residue pass r - 1 at "complete";
+    # tau_x's stride spans x digits, so their strides hold digits (digits - 1) / 2
+    # digits, refused before either pass starts though the states fit the budget
+    calls = []
+    for name in ("_exact_pass", "_transfer"):
+        monkeypatch.setattr(ntcodes.enumerators, name, lambda *args, name=name: calls.append(name))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (3, "", [])
+    assert err == f"error: type vector strides of {digits} digits exceeds the budget 10000000\n"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

@@ -532,6 +532,28 @@ def test_theorem1_join_at_every_split_point(spec):
         assert kept(k)[1] == single
 
 
+@given(split_specs(), st.data())
+def test_kept_forms_the_pairs_of_a_naive_join(spec, data):
+    # every left key against every right key of the same start: the pairs
+    # whose statistic digits hit the code's residues, and their number, which
+    # `_kept` refuses exactly when it exceeds the limit
+    n, r, cons = spec.n, spec.r, spec.constraints
+    k = data.draw(st.integers(0, n), label="k")
+    stats = [c.stat for c in cons]
+    space, run = enumerators._exact_pass(n, r, stats, enumerators._tops(n, r, stats, 0, n))
+    left = run(range(k), {None: {0: 1}})
+    right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
+    digits = list(zip(space.strides, space.radices, cons))
+    expected, pairs = Counter(), 0
+    for p, terms in right.items():
+        for (lk, lc), (rk, rc) in itertools.product(left[p].items(), terms.items()):
+            if all(((lk + rk) // stride % radix - c.a) % c.m == 0 for stride, radix, c in digits):
+                pairs += 1
+                expected[lk + rk] += lc * rc
+    assert enumerators._kept(space, cons, left, right, pairs) == expected
+    assert enumerators._kept(space, cons, left, right, pairs - 1) is None
+
+
 @given(split_specs())
 @example(CodeSpec(0, 3, ((GAMMA_GT, 4, 0), (OMEGA, 2, 0))))
 @example(CodeSpec(5, 3, ((DELTA, 4, 1), (SIGMA, 3, 0))))
@@ -1083,6 +1105,24 @@ def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, key
     assert specialize(enum, "hamming").poly == tenengolts_hamming(n, r, 0, 0).poly
 
 
+def test_residue_pass_decodes_keyed_type_vectors_by_unpack(monkeypatch):
+    # r = 40, n = 2: 3^39 packed digits are past the budget, so tau stays in
+    # the keys, and each of the C(41, 2) type vectors' keys is read back by one
+    # unpack of 39 digits of radix n + 1 = 3
+    spec = lc(2, 7, 40, [1, 3], 2)
+    decoded, unpack = [], _PackedSpace.unpack
+
+    def spy(self, key):
+        decoded.append(self.radices)
+        return unpack(self, key)
+
+    monkeypatch.setattr(_PackedSpace, "unpack", spy)
+    enum = compute(spec, "complete")
+    assert enum.method == "transfer"
+    assert decoded == [(3,) * 39] * comb(41, 2)
+    assert enum.poly == compute(spec, "complete", "theorem1").poly
+
+
 def _digit_congruences(monkeypatch) -> list:
     """Spy on the residue pass's layout rule: the index of the congruence it
     carries as cyclic digits, or None for the keyed layout, per pass."""
@@ -1320,6 +1360,17 @@ def test_tenengolts_closed_forms_are_one_sum_over_the_divisors_of_n(monkeypatch)
         # "<" maps a1 = 5 to a1' = 12 - 5; gcd(6, d) divides 2 at d = 1, 2, 4
         closed_form(12, 6, 5, 2, "<")
         assert calls == [("divisors", 12), (1, 7), (2, 7), (4, 7)]
+
+
+def test_tenengolts_hamming_expands_by_a_running_binomial(monkeypatch):
+    # C(k, i) is stepped from C(k, i - 1), never computed afresh
+    calls = []
+    real_comb = enumerators.comb
+    monkeypatch.setattr(enumerators, "comb", lambda *args: calls.append(args) or real_comb(*args))
+    for n, r, a1, a2, variant in [(12, 6, 5, 2, "<"), (30, 4, 0, 0, ">"), (7, 3, 1, 0, ">=")]:
+        enum = tenengolts_hamming(n, r, a1, a2, variant)
+        assert enum.cardinality() == tenengolts_cardinality(n, r, a1, a2, variant)
+    assert calls == []
 
 
 def test_variant_transform_examples():
