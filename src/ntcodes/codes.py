@@ -132,18 +132,22 @@ def evaluate_statistic(stat: Statistic, word) -> int:
     return statistic_evaluator(stat, len(word))(word)
 
 
-def statistic_evaluator(stat: Statistic, n: int) -> Callable:
-    """The statistic as a function of words of length n.  A scan binds it
-    once per constraint, so no word pays the dispatch on the kind."""
+def statistic_evaluator(stat: Statistic, n: int, lo: int = 0, hi: int | None = None) -> Callable:
+    """The statistic of length-n words as a function of their symbols at
+    positions lo..hi-1 (hi = n when None): its linear weights h[lo:hi], or
+    the descent terms of the indices lo+1..hi-1.  A scan binds it once per
+    constraint, so no word pays the dispatch on the kind."""
+    hi = n if hi is None else hi
     h = linear_weights(stat, n)
     if h is not None:
+        h = h[lo:hi]
         return lambda word: sum(map(operator.mul, h, word))
     cmp = DESCENT_COMPARISONS.get(stat.kind)
     if cmp is None:
         return stat.fn
     if stat.kind == "delta":
         return lambda word: sum(map(cmp, word, word[1:]))
-    positions = range(1, n)
+    positions = range(lo + 1, hi)
     return lambda word: sum(itertools.compress(positions, map(cmp, word, word[1:])))
 
 
@@ -266,26 +270,13 @@ def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
 def _split_statistic(stat: Statistic, n: int, k: int, r: int):
     """A built-in statistic on length-n words split into x[:k] and x[k:],
     as (prefix value, suffix value, boundary): the statistic of a word is
-    prefix(x[:k]) + suffix(x[k:]) + boundary[x[k-1]][x[k]], for 1 <= k < n."""
-    h = linear_weights(stat, n)
-    if h is not None:
-        head, tail = h[:k], h[k:]
-        return (
-            lambda word: sum(map(operator.mul, head, word)),
-            lambda word: sum(map(operator.mul, tail, word)),
-            ((0,) * r,) * r,
-        )
-    cmp = DESCENT_COMPARISONS[stat.kind]
-    if stat.kind == "delta":
-        weight = 1
-        prefix = suffix = lambda word: sum(map(cmp, word, word[1:]))
-    else:
-        weight = k
-        head, tail = range(1, k), range(k + 1, n)
-        prefix = lambda word: sum(itertools.compress(head, map(cmp, word, word[1:])))
-        suffix = lambda word: sum(itertools.compress(tail, map(cmp, word, word[1:])))
+    prefix(x[:k]) + suffix(x[k:]) + boundary[x[k-1]][x[k]], for 1 <= k < n.
+    Only a descent statistic has a boundary term, k (1 for delta) where its
+    comparison of the pair holds."""
+    cmp = DESCENT_COMPARISONS.get(stat.kind, lambda x, y: 0)
+    weight = 1 if stat.kind == "delta" else k
     boundary = tuple(tuple(weight * cmp(x, y) for y in range(r)) for x in range(r))
-    return prefix, suffix, boundary
+    return statistic_evaluator(stat, n, 0, k), statistic_evaluator(stat, n, k), boundary
 
 
 def _split_scan(spec: CodeSpec, test: Callable):
@@ -319,8 +310,10 @@ def weight_sequence(t: int, r: int, length: int) -> list[int]:
     if t < 1 or r < 1 or length < 1:
         raise ValueError("t, r, and length must all be positive")
     g: list[int] = []
+    window = 0  # the sum of the last t terms
     for i in range(length):
-        g.append(1 + (r - 1) * sum(g[max(i - t, 0) : i]))
+        g.append(1 + (r - 1) * window)
+        window += g[i] - (g[i - t] if i >= t else 0)
     return g
 
 

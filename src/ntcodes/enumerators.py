@@ -353,20 +353,17 @@ def _check_pass(bound: int, budget: int | None) -> None:
     check_budget(bound, budget, f"full-space transfer pass of up to {count_text(bound)} terms")
 
 
-def _check_tables(r: int, stats, budget: int | None) -> None:
+def _check_tables(r: int, stats, tau_digits: int, budget: int | None) -> None:
     """Refuse, before `_increments` builds them, the (r+1) r cells of each
-    table that a statistic reading the previous symbol needs."""
+    table that a statistic reading the previous symbol needs; then the
+    strides of `tau_digits` tau digits, in the keys or packed in the
+    counts: tau_x's spans the x digits below it, so they hold
+    tau_digits (tau_digits - 1) / 2 digits, which no bound on the states
+    counts."""
     if _reads_previous(stats):
         cells = (r + 1) * r
         check_budget(cells, budget, f"increment tables of {count_text(cells)} cells")
-
-
-def _check_strides(digits: int, budget: int | None) -> None:
-    """Refuse, before they are built, the strides of `digits` tau digits,
-    in the keys or packed in the counts: tau_x's spans the x digits below
-    it, so they hold digits (digits - 1) / 2 digits, which no bound on the
-    states counts."""
-    cells = digits * (digits - 1) // 2
+    cells = tau_digits * (tau_digits - 1) // 2
     check_budget(cells, budget, f"type vector strides of {count_text(cells)} digits")
 
 
@@ -468,8 +465,7 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     split = max(states(0, k), starts * states(k, n)) <= limit
     if not split:
         _check_pass(single, budget)
-    _check_tables(r, stats, budget)
-    _check_strides(r, budget)
+    _check_tables(r, stats, r, budget)
     space, run = _exact_pass(n, r, stats, tops)
     left = run(range(k), {None: {0: 1}})
     if split:
@@ -556,8 +552,8 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     nonzero: bound keyed (n+1)^(r-1).  Past the budget or _PACKED_EXCESS
     times the bound of tau in the keys, tau stays in the keys, and that
     bound is the keyed layout's states.  Then the n positions and the
-    increment tables (`_check_tables`) and, at "complete", the places of
-    the r - 1 tau digits (`_check_strides`) are checked against the budget."""
+    increment tables and, at "complete", the places of the r - 1 tau
+    digits (`_check_tables`) are checked against the budget."""
     n, r, cons = spec.n, spec.r, spec.constraints
     held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
@@ -575,8 +571,7 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     # keys still refuses a length past the budget before r^n or the weights
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
     star = _digit_congruence(n, r, cons, kind, held, keyed, budget)
-    _check_tables(r, [c.stat for c in cons], budget)
-    _check_strides((r - 1) * (kind == "complete"), budget)
+    _check_tables(r, [c.stat for c in cons], (r - 1) * (kind == "complete"), budget)
     bits = (r**n).bit_length()
     size = -(-bits // 8)
     width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
@@ -728,33 +723,6 @@ def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, in
 # route choice
 
 
-def _closed_form(spec: CodeSpec, kind: str, budget: int | None):
-    """The closed-form result the spec's congruences admit at this kind,
-    or None when they admit none."""
-    if kind not in ("hamming", "cardinality"):
-        return None
-    cons = spec.constraints
-    if (
-        len(cons) == 2
-        and cons[0].stat.kind in _VARIANT_OF_STAT
-        and cons[0].m == spec.n
-        and cons[1].stat == SIGMA
-        and cons[1].m == spec.r
-    ):
-        variant = _VARIANT_OF_STAT[cons[0].stat.kind]
-        args = (spec.n, spec.r, cons[0].a, cons[1].a, variant)
-        if kind == "cardinality":
-            return tenengolts_cardinality(*args)
-        return tenengolts_hamming(*args)
-    if len(cons) == 1 and cons[0].stat.kind in ("omega", "sigma", "linear"):
-        # the character sum of a linear congruence, evaluated by the residue pass
-        result = _residue_pass(spec, kind, budget)
-        if kind == "cardinality":
-            return result
-        return Enumerator(kind, result.poly, "closed_form", spec)
-    return None
-
-
 def _nonnegative_weights(spec: CodeSpec) -> CodeSpec:
     """The same code with each linear statistic that has a negative weight
     given its weights reduced mod the modulus.  The congruences are
@@ -770,48 +738,51 @@ def _nonnegative_weights(spec: CodeSpec) -> CodeSpec:
 
 def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None = None):
     """The spec's enumerator of the given kind, or its cardinality (an int)
-    when `kind` is "cardinality".
+    at kind "cardinality": the one place a route is chosen, read off the
+    spec's congruences whatever family built it.
 
-    This is the one place a route is chosen; the command line and
-    `lc_hamming` reach every route through it.  The route is read off the
-    spec's congruences, whatever family built it.  At kinds "hamming" and
-    "cardinality", a descent/sum code (a descent statistic mod n, then the
-    symbol sum mod r) takes the divisor sums of `tenengolts_hamming` /
-    `tenengolts_cardinality`, and a single linear congruence (an omega,
-    sigma or linear statistic) takes the residue pass on the spec itself,
-    labelled "closed_form" at "hamming".  Method "auto" uses these closed
-    forms when they apply.  Otherwise, below kind "extended", it takes the
-    residue transfer pass (method label "transfer"), which carries only
-    what the kind needs: the type vector (packed, or in the keys), the
-    Hamming weight or nothing; at "extended" it takes theorem 1.  A custom
-    statistic has no increments, so "auto" sends it to the oracle at every
-    kind (label "oracle").  `_digit_congruence` picks the residue pass's
-    layout.  "closed" raises ValueError when no closed form applies, and
-    "theorem1" on a custom statistic; "theorem1" and "oracle" force the
-    character-sum engine and brute force, the oracle's tally being
-    `_scan_terms`.
+    - "oracle", and "auto" on a custom statistic: the oracle's tally,
+      `_scan_terms` (label "oracle").
+    - "auto" or "closed" at "hamming" or "cardinality": a descent/sum code
+      (a descent statistic mod n, then sigma mod r) takes the divisor sums
+      of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
+      omega, sigma or linear congruence its character sum by the residue
+      pass (label "closed_form"); "closed" raises ValueError on any other.
+    - "auto" on any other spec below "extended": the residue pass
+      ("transfer").
+    - "auto" at "extended", and "theorem1": theorem 1 ("character_sum"),
+      which refuses a custom statistic; below "extended" it gets the spec
+      with its negative linear weights reduced mod their moduli, which
+      changes only the z-exponents the kind drops.
 
-    Below kind "extended" the oracle's tally reads no statistic value, and
-    theorem 1 gets the spec with its negative linear weights reduced mod
-    their moduli (the kind drops the z-exponents they change), so negative
-    weights are no obstacle there.  `budget` bounds every route but the
-    descent/sum divisor sums, before its work starts.
+    `budget` bounds every route before its work starts.
     """
     if kind != "cardinality" and kind not in KINDS:
         raise ValueError(f"unknown enumerator kind {kind!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
-    if method == "auto" and any(c.stat.kind == "custom" for c in spec.constraints):
+    n, r, cons = spec.n, spec.r, spec.constraints
+    if method == "auto" and any(c.stat.kind == "custom" for c in cons):
         method = "oracle"
     if method in ("auto", "closed"):
-        result = _closed_form(spec, kind, budget)
-        if result is not None:
-            return result
-        if method == "closed":
-            stats = ", ".join(c.stat.kind for c in spec.constraints)
+        closed = kind in ("hamming", "cardinality")
+        variant = _VARIANT_OF_STAT.get(cons[0].stat.kind)
+        if closed and variant and [(c.stat, c.m) for c in cons] == [(cons[0].stat, n), (SIGMA, r)]:
+            check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
+            args = (n, r, cons[0].a, cons[1].a, variant)
+            if kind == "cardinality":
+                return tenengolts_cardinality(*args)
+            return tenengolts_hamming(*args)
+        closed = closed and len(cons) == 1 and cons[0].stat.kind in ("omega", "sigma", "linear")
+        if method == "closed" and not closed:
+            stats = ", ".join(c.stat.kind for c in cons)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
         if kind != "extended":
-            return _residue_pass(spec, kind, budget)
+            result = _residue_pass(spec, kind, budget)
+            if closed and kind == "hamming":
+                # the character sum of a linear congruence, evaluated by the residue pass
+                result.method = "closed_form"
+            return result
     if method == "oracle":
         terms = _scan_terms(spec, kind, budget)
         if kind == "cardinality":

@@ -155,7 +155,7 @@ class CycElement:
         nz = [(j, c) for j, c in enumerate(self.coeffs) if c]
         if not nz:
             return f"CycElement({self.order}, 0)"
-        body = " + ".join(f"{c}*z^{j}" if j else str(c) for j, c in nz)
+        body = " + ".join(f"{count_text(c)}*z^{j}" if j else count_text(c) for j, c in nz)
         return f"CycElement({self.order}, {body})"
 
 

@@ -608,6 +608,19 @@ def test_type_vector_strides_are_charged_before_they_are_built(capsys, monkeypat
     assert err == f"error: type vector strides of {digits} digits exceeds the budget 10000000\n"
 
 
+@pytest.mark.parametrize("kind", ["cardinality", "hamming"])
+def test_divisor_sum_refuses_a_length_past_the_budget(capsys, monkeypatch, kind):
+    # the divisor sums check n before they list the divisors of n
+    calls = []
+    monkeypatch.setattr(ntcodes.enumerators, "divisors", lambda n: calls.append(n))
+    n = 2**40
+    argv = ["tenengolts", "--n", str(n), "--r", "3", "--a1", "7", "--a2", "1", "--budget", "1000"]
+    argv = ["card", *argv] if kind == "cardinality" else ["enum", *argv, "--kind", kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (3, "", [])
+    assert err == f"error: descent/sum divisor sum over {n} positions exceeds the budget 1000\n"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -694,7 +707,7 @@ def test_budget_env_override(capsys, monkeypatch):
     ids=["divisor-sum", "residue-pass", "verify", "table", "macwilliams"],
 )
 def test_negative_budget_exit_two(capsys, monkeypatch, argv):
-    # a divisor sum ignores the budget, so a negative one is refused up front
+    # a negative budget is refused up front, before any route's own check
     code, out, err = run(capsys, *argv, "--budget", "-1")
     assert (code, out, err) == (2, "", "error: the budget must be non-negative, got -1\n")
     monkeypatch.setenv("CODES_BUDGET", "-1")

@@ -1619,3 +1619,18 @@ def test_linear_congruence_route_does_no_cyclotomic_arithmetic(family, params, m
     monkeypatch.setattr(CycElement, "to_integer", refuse)
     assert compute(spec, "hamming").poly == expected["hamming"].poly
     assert compute(spec, "cardinality") == expected["cardinality"]
+
+
+def test_route_choice_has_one_home():
+    # `compute` reads the congruences itself: no helper picks a closed form,
+    # and every spec below "extended" reaches the residue pass from one call
+    tree = ast.parse(inspect.getsource(enumerators))
+    functions = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)]
+    assert "_closed_form" not in {func.name for func in functions}
+    callers = [
+        func.name
+        for func in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_residue_pass"
+    ]
+    assert callers == ["compute"]

@@ -213,3 +213,10 @@ def test_non_divisible_error_has_one_home():
         ntcodes.macwilliams.verify_macwilliams,
     ):
         assert "exact_quotient(" in inspect.getsource(func), func.__name__
+
+
+def test_not_an_integer_message_formats_huge_coefficients():
+    # the sentinel's repr goes through count_text, so a coefficient past the
+    # 4300-digit conversion limit cannot turn it into a ValueError
+    with pytest.raises(NotAnIntegerError, match=r"CycElement\(3, 2\^16610 \+ 1\*z\^2\)"):
+        CycElement(3, (10**5000, 0, 1)).to_integer()
