@@ -292,8 +292,6 @@ def _cmd_table(args) -> int:
         lines.append(f"complete: {complete.poly}")
         lines.append(f"hamming:  {hamming.poly}")
         lines.append(f"cardinality: {extended.cardinality()}")
-    else:
-        raise ValueError(f"unknown table {args.name!r} (choose t33, t23, or t33enum)")
     print("\n".join(lines))
     return status
 

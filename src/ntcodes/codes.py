@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Optional
 
 from .exactalg import IntegralityError, count_text
@@ -415,8 +416,8 @@ def an_code(p: int, a: int) -> CodeSpec:
     p: omega mod p, so no weight vector exists before a route needs one."""
     if p < 3:
         raise ValueError("p must be a prime of at least 3")
-    if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"p must be prime, got {p}")
+    if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be prime, got {count_text(p)}")
     _check_range(a, p, "a")
     return CodeSpec(2 ** (p - 2), 2, ((OMEGA, p, a),))
 

@@ -18,7 +18,8 @@ transfer pass over the positions (the transfer-matrix method, `_transfer`)
 never lists the words.  It keys each count by one integer whose digits are
 either exact, never wrapped, or residues, wrapped back below their moduli,
 and it may shift the counts and fold them cyclically.  Both routes below
-run it.
+run it, and so does the right side of the MacWilliams identity
+(`macwilliams._dual_at_characters`).
 
 Theorem 1 runs it in the exact layout (`_exact_pass`): each term's key is
 one mixed-radix integer of the exact statistic values and the type
@@ -230,7 +231,12 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
     shifts every count by shifts[x] bits besides.  With a nonzero `span`,
     after each position the bits of a count past `span` are added back
     at bit 0: shifts are then rotations of its span bits.  A step that
-    wraps no digit and shifts nothing only adds to the keys."""
+    wraps no digit and shifts nothing only adds to the keys.
+
+    Its clients: theorem 1's exact pass (`_exact_pass`), the residue pass
+    (`_residue_pass`), and the MacWilliams right side, which has no
+    digits and multiplies by v_i = sum_k w_k X^(ik) with symbol k adding
+    w_k's stride and rotating the count by X^(ik)."""
     reads = _reads_previous(d[0] for d in digits)
     lasts = (None, *range(r)) if reads else (None,)
     exact = [d for d in digits if not d[1]]

@@ -3,14 +3,15 @@
 A code is materialized from its parity-check matrix by the codeword scan
 of `codes.enumerate_codewords`; its dual is the row span (`row_span`),
 which has at most r^s elements and so can rule out a rank-deficient
-matrix before the kernel is scanned.  Verification evaluates the dual's
+matrix before the code is scanned.  Verification evaluates the dual's
 complete weight enumerator at v_i = sum_k w_k X^(ik), with coefficients
-in the group ring Z[X]/(X^r - 1) (X standing for e(1/r)), by one Horner
-pass over the trie of the dual's type vectors; it then reduces each
+in the group ring Z[X]/(X^r - 1) (X standing for e(1/r)), by Horner's
+rule over the trie of the dual's type vectors, each product by v_i a pass
+of the one transfer kernel (`enumerators._transfer`); it then reduces each
 coefficient to an integer, divides by r^s and compares with the primal
 enumerator coefficient by coefficient.  The right side is built from the
-dual's type counts alone, so the identity is an independent check of the
-codeword scan.
+dual's type counts alone, so the identity checks the codeword scan and
+that kernel against each other.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codes import check_budget, enumerate_codewords, linear_code
-from .enumerators import complete_weight_enumerator, w_variables
-from .exactalg import CycElement, MultiPoly, exact_quotient
+from .enumerators import _PackedSpace, _states, _transfer, complete_weight_enumerator, w_variables
+from .exactalg import CycElement, MultiPoly, count_text, exact_quotient
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,16 @@ def row_span(r: int, rows, budget: int | None = None) -> tuple:
 
 
 def build_code(r: int, rows, budget: int | None = None) -> ZrLinearCode:
-    """Materialize the kernel of the parity-check matrix and the row span."""
+    """Materialize the kernel of the parity-check matrix and the row span.
+    For a full-rank matrix, the right side that `verify_macwilliams` builds
+    is charged first: up to r Horner levels, each of at most `_states`
+    w-monomials of r digits."""
     spec = linear_code(r, rows)
     rows = tuple(c.stat.h for c in spec.constraints)
     dual = row_span(r, rows, budget)
+    if len(dual) == r**spec.s:
+        digits = r * r * _states(r, spec.n, (), True)
+        check_budget(digits, budget, f"MacWilliams right side of up to {count_text(digits)} digits")
     code = tuple(enumerate_codewords(spec, budget))
     return ZrLinearCode(r, spec.n, spec.s, rows, code, dual)
 
@@ -75,33 +82,22 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     t_1 < t_2 < ... the group's sum is sum_t v_i^t F_t =
     v_i^(t_1) (F_(t_1) + v_i^(t_2 - t_1) (F_(t_2) + ...)), so every
     product by v_0..v_(i-1) is shared by the whole group; a group of one
-    type vector is expanded directly.  Keys and coefficients are packed
-    integers: a w-exponent vector e is sum_k e_k (n+1)^k, and a group-ring
-    element is sum_p c_p 2^(p*width), on which X^j is a cyclic rotation by
-    j digits.  Every coefficient is non-negative and all of them sum to
-    sum(counts) * r^n, so no digit carries into the next."""
-    base = n + 1
-    strides = [base**k for k in range(r)]
+    type vector is expanded directly.  Each product by v_i is a pass of
+    the one transfer kernel, `enumerators._transfer`, with no statistic:
+    symbol k adds w_k's stride to the key of the w-exponents, packed as by
+    `_PackedSpace`, and rotates the group-ring element, packed as the r
+    cyclic digits of its count, by X^(ik).  Every coefficient is
+    non-negative and all of them sum to sum(counts) * r^n, so no digit
+    carries into the next."""
+    space = _PackedSpace(w_variables(r), [n + 1] * r)
     width = (sum(counts.values()) * r**n).bit_length()
-    mask = (1 << (r * width)) - 1
-
-    # factors[i]: per k, the stride of w_k in a key and the rotation by X^(ik)
-    factors = [
-        [(stride, i * k % r * width, (r - i * k % r) * width) for k, stride in enumerate(strides)]
+    passes = [
+        _transfer(n, r, (), space.strides, [i * k % r * width for k in range(r)], r * width)
         for i in range(r)
     ]
 
     def times_v(poly: dict, i: int, times: int) -> dict:
-        factor = factors[i]
-        for _ in range(times):
-            nxt: dict = {}
-            get = nxt.get
-            for key, vec in poly.items():
-                for stride, up, down in factor:
-                    dest = key + stride
-                    nxt[dest] = get(dest, 0) + (((vec << up) & mask) | (vec >> down))
-            poly = nxt
-        return poly
+        return passes[i](range(times), {None: poly})[None]
 
     def horner(group: list, i: int) -> dict:
         """Sum over the group's entries (tau_0, ..., tau_(r-1), count),
@@ -111,8 +107,7 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
             entry = group[0]
             poly = {0: entry[r]}
             for j in range(i, r):
-                if entry[j]:
-                    poly = times_v(poly, j, entry[j])
+                poly = times_v(poly, j, entry[j])
             return poly
         runs = itertools.groupby(group, operator.itemgetter(i))
         higher, run = next(runs)
@@ -125,12 +120,9 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
         return times_v(acc, i, higher)
 
     entries = sorted((tau + (cnt,) for tau, cnt in counts.items()), reverse=True)
-    shifts = [p * width for p in range(r)]
     digit = (1 << width) - 1
     return {
-        tuple([key // stride % base for stride in strides]): tuple(
-            [vec >> shift & digit for shift in shifts]
-        )
+        space.unpack(key): tuple([vec >> p * width & digit for p in range(r)])
         for key, vec in horner(entries, 0).items()
     }
 

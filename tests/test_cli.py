@@ -417,6 +417,16 @@ def test_macwilliams_rank_deficient(capsys):
     assert "rank deficient" in out
 
 
+def test_macwilliams_right_side_is_charged_before_any_scan(capsys, monkeypatch):
+    # r Horner levels of up to min(r^n, C(n+r-1, r-1)) w-monomials of r digits:
+    # 1000 * 1000 * 1000 digits, refused before the code is scanned
+    calls = []
+    monkeypatch.setattr(ntcodes.macwilliams, "enumerate_codewords", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "macwilliams", "--r", "1000", "--H", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err == "error: MacWilliams right side of up to 1000000000 digits exceeds the budget 10000000\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enum", "nonsense", "--n", "3"])
@@ -448,6 +458,8 @@ def test_usage_errors_exit_two(capsys):
         (("lc", "--n", "3", "--m", "5", "--r", "2", "--h", "1,2", "--a", "0"), "weight vector of length 2 for n=3"),
         # a modulus of 2^100000 + 1, past the 4300 digits a message may print
         (("exponential_coefficient", "--n", "3", "--m", "100000", "--a", "-1"), "a must lie in [0, 2^100001), got -1"),
+        # 10^400 overflows a float; the message prints it through count_text
+        (("an_code", "--p", str(10**400), "--a", "0"), "p must be prime, got 2^1329"),
     ],
 )
 def test_malformed_family_arguments_exit_two(capsys, argv, message):

@@ -199,6 +199,27 @@ def _raisers(name: str) -> set:
     return found
 
 
+def _floating_point(path: Path) -> list:
+    """(line, what) of every float or complex literal, true division and
+    float() call in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float()"))
+    return found
+
+
+def test_no_floating_point_in_the_library():
+    # every count is exact: no module may round through a float
+    src = Path(__file__).resolve().parents[1] / "src" / "ntcodes"
+    for path in sorted(src.glob("*.py")):
+        assert _floating_point(path) == [], path.name
+
+
 def test_non_divisible_error_has_one_home():
     # every exact division goes through exact_quotient, and its callers do
     assert _raisers("NonDivisibleError") == {("exactalg.py", "exact_quotient")}

@@ -246,3 +246,23 @@ def test_complete_weight_enumerator_has_one_home():
     func = ntcodes.enumerators.complete_weight_enumerator
     assert ntcodes.macwilliams.complete_weight_enumerator is func
     assert ntcodes.complete_weight_enumerator is func
+
+
+def test_transfer_kernel_has_one_home():
+    assert ntcodes.macwilliams._transfer is ntcodes.enumerators._transfer
+
+
+def test_right_side_runs_one_transfer_pass_per_symbol(monkeypatch):
+    # every product by v_i is a pass of the shared kernel, whose counts are
+    # the r cyclic digits of a group-ring element, folded at r digits
+    calls = []
+
+    def recording(n, r, digits, unit, shifts, span):
+        calls.append((n, r, digits, span))
+        return ntcodes.enumerators._transfer(n, r, digits, unit, shifts, span)
+
+    monkeypatch.setattr(ntcodes.macwilliams, "_transfer", recording)
+    code = build_code(3, [[1, 1, 1]])
+    assert verify_macwilliams(code).verified
+    width = (len(code.dual) * 3**code.n).bit_length()
+    assert calls == [(3, 3, (), 3 * width)] * 3
