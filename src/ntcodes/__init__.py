@@ -46,7 +46,7 @@ from .macwilliams import (
     build_code,
     verify_macwilliams,
 )
-from .numtheory import divisors, euler_phi, factorize, gcd, mobius, ramanujan_sum
+from .numtheory import divisors, euler_phi, factorize, gcd, mobius, ramanujan_sum, ramanujan_sums
 from .qcalc import q_binomial, q_integer, q_multinomial, q_multinomial_at_root
 
 __version__ = "0.1.0"

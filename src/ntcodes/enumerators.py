@@ -66,7 +66,7 @@ from .codes import (
     type_vector,
 )
 from .exactalg import IntegralityError, MultiPoly, count_text, exact_quotient
-from .numtheory import divisors, ramanujan_sum
+from .numtheory import ramanujan_sums
 
 KINDS = ("extended", "complete", "hamming")
 METHODS = ("auto", "closed", "theorem1", "oracle")
@@ -667,18 +667,17 @@ def tenengolts_variant_transform(variant: str, n: int, a1: int) -> tuple[int, bo
 def _descent_sum(n: int, r: int, a1: int, a2: int, variant: str):
     """The one divisor sum of the descent/sum closed forms: n r times the
     Hamming enumerator is sum_{d | n} p (1 + (r-1) w^d)^(n/d) + q (1 - w^d)^(n/d).
-    Yields (d, n/d, p, q) with g = gcd(r, d), a1' the variant's base
-    parameter, p = c_d(a1') g [g | a2] and q = c_d(a1') r [a2 = 0] - p: the
-    sum over e | r of c_e(a2), split by e | d, by sum_{e | g} c_e(a) = g [g | a].
-    Skips d with g not dividing a2 (p = q = 0) before computing c_d, and d
-    with c_d(a1') = 0.  The callers check the parameters."""
+    Yields (d, n/d, p, q), d ascending, with g = gcd(r, d), a1' the
+    variant's base parameter, p = c_d(a1') g [g | a2] and
+    q = c_d(a1') r [a2 = 0] - p: the sum over e | r of c_e(a2), split by
+    e | d, by sum_{e | g} c_e(a) = g [g | a].  Every c_d(a1') comes from
+    one table, `ramanujan_sums`, over one factorization of n; a d with
+    p = q = 0 (c_d(a1') = 0, or g not dividing a2) is skipped.  The callers
+    check the parameters."""
     base_a1, _ = tenengolts_variant_transform(variant, n, a1)
-    for d in divisors(n):
+    for d, cd in ramanujan_sums(n, base_a1).items():
         g = gcd(r, d)
-        if a2 % g:
-            continue
-        cd = ramanujan_sum(d, base_a1)
-        if cd:
+        if cd and a2 % g == 0:
             p = cd * g
             yield d, n // d, p, (cd * r if a2 == 0 else 0) - p
 
@@ -706,9 +705,17 @@ def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> 
 def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
     """Cardinality of the r-ary descent/sum code: the divisor sum of
     `_descent_sum` at w = 1, (1/nr) sum_{d | n} c_d(a1') g [g | a2] r^(n/d)
-    with g = gcd(r, d), by sum_{e | g} c_e(a) = g [g | a]."""
+    with g = gcd(r, d), by sum_{e | g} c_e(a) = g [g | a].  The terms are
+    added smallest power first (largest d first), so each addition copies
+    a total about the size of its own term, not of r^n; and r^k is odd^k
+    shifted left by e k bits, r = odd 2^e, since r**k squares its way up
+    even when r is a power of two."""
     tenengolts_spec(n, r, a1, a2, variant)  # checks the parameters
-    total = sum(p * r**k for _, k, p, _ in _descent_sum(n, r, a1, a2, variant))
+    e = (r & -r).bit_length() - 1
+    odd = r >> e
+    total = 0
+    for _, k, p, _ in reversed(list(_descent_sum(n, r, a1, a2, variant))):
+        total += p * odd**k << e * k
     return exact_quotient(total, n * r, "cardinality")
 
 

@@ -99,31 +99,46 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     def times_v(poly: dict, i: int, times: int) -> dict:
         return passes[i](range(times), {None: poly})[None]
 
-    def horner(group: list, i: int) -> dict:
-        """Sum over the group's entries (tau_0, ..., tau_(r-1), count),
-        which share tau_0..tau_(i-1) and come in descending order, of
-        count * prod_(j >= i) v_j^(tau_j)."""
-        if len(group) == 1:
+    def horner(entries: list) -> dict:
+        """The sum over the entries (tau_0, ..., tau_(r-1), count), in
+        descending order, of count * prod_j v_j^(tau_j).  The trie is r
+        levels deep, so it is walked with an explicit stack, not a Python
+        frame per level: a frame [i, runs, acc, higher] holds a group's
+        runs by tau_i still to come and the sum acc of those done, which
+        is multiplied by v_i^(higher - t) as the run of tau_i = t begins."""
+        stack: list = []
+        group, i = entries, 0
+        while True:
+            while len(group) > 1:
+                runs = itertools.groupby(group, operator.itemgetter(i))
+                higher, run = next(runs)
+                stack.append([i, runs, {}, higher])
+                group, i = list(run), i + 1
             entry = group[0]
-            poly = {0: entry[r]}
+            done = {0: entry[r]}
             for j in range(i, r):
-                poly = times_v(poly, j, entry[j])
-            return poly
-        runs = itertools.groupby(group, operator.itemgetter(i))
-        higher, run = next(runs)
-        acc = horner(list(run), i + 1)
-        for t, run in runs:
-            acc = times_v(acc, i, higher - t)
-            for key, vec in horner(list(run), i + 1).items():
-                acc[key] = acc.get(key, 0) + vec
-            higher = t
-        return times_v(acc, i, higher)
+                done = times_v(done, j, entry[j])
+            while stack:
+                frame = stack[-1]
+                i, runs, acc, higher = frame
+                for key, vec in done.items():
+                    acc[key] = acc.get(key, 0) + vec
+                following = next(runs, None)
+                if following is not None:
+                    t, run = following
+                    frame[2:] = times_v(acc, i, higher - t), t
+                    group, i = list(run), i + 1
+                    break
+                stack.pop()
+                done = times_v(acc, i, higher)
+            else:
+                return done
 
     entries = sorted((tau + (cnt,) for tau, cnt in counts.items()), reverse=True)
     digit = (1 << width) - 1
     return {
         space.unpack(key): tuple([vec >> p * width & digit for p in range(r)])
-        for key, vec in horner(entries, 0).items()
+        for key, vec in horner(entries).items()
     }
 
 

@@ -1,8 +1,10 @@
 """Elementary number-theoretic kernel.
 
 Factorization, Euler's totient, the Mobius function, divisor lists, and
-Ramanujan's sum, all over plain Python integers.  Inputs are desk-scale by
-design, so trial division is enough.
+Ramanujan's sums, all over plain Python integers.  `ramanujan_sums` gives
+c_d(a) at every d | n from one factorization of n, since c_d is
+multiplicative in d; `ramanujan_sum` reads one entry of that table.
+Inputs are desk-scale by design, so trial division is enough.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "mobius",
     "divisors",
     "ramanujan_sum",
+    "ramanujan_sums",
 ]
 
 
@@ -73,18 +76,28 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def ramanujan_sum(d: int, a: int) -> int:
-    """Ramanujan's sum c_d(a), the sum of e(a*j/d) over j in [1, d] coprime to d.
+def ramanujan_sums(n: int, a: int) -> dict[int, int]:
+    """Ramanujan's sums {d: c_d(a)} at every d | n, d ascending, from one
+    factorization of n.
 
-    Evaluated through the integer closed form phi(d) * mu(d/g) / phi(d/g)
-    with g = gcd(a mod d, d); the defining exponential sum is kept only as a
-    test oracle.  The division is exact because phi(d/g) divides phi(d).
+    c_d(a) is the sum of e(a*j/d) over j in [1, d] coprime to d.  It is
+    multiplicative in d, and at a prime power c_(p^e)(a) is phi(p^e) when
+    p^e | a, -p^(e-1) when only p^(e-1) | a, and 0 otherwise; the defining
+    exponential sum is kept only as a test oracle.
     """
+    table = {1: 1}
+    for p, e in factorize(n):
+        powers = [p**k for k in range(e + 1)]
+        local = [1] + [
+            q - below if a % q == 0 else -below if a % below == 0 else 0
+            for below, q in zip(powers, powers[1:])
+        ]
+        table = {d * q: c * cq for d, c in table.items() for q, cq in zip(powers, local)}
+    return dict(sorted(table.items()))
+
+
+def ramanujan_sum(d: int, a: int) -> int:
+    """Ramanujan's sum c_d(a), the sum of e(a*j/d) over j in [1, d] coprime
+    to d: one entry of `ramanujan_sums`."""
     _check_positive(d, "d")
-    g = gcd(a % d, d)
-    reduced = d // g
-    num = euler_phi(d) * mobius(reduced)
-    q, rem = divmod(num, euler_phi(reduced))
-    if rem:  # unreachable for valid phi/mu; guards against kernel bugs
-        raise ArithmeticError(f"c_{d}({a}) did not come out an integer")
-    return q
+    return ramanujan_sums(d, a)[d]

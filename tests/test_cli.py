@@ -622,9 +622,10 @@ def test_type_vector_strides_are_charged_before_they_are_built(capsys, monkeypat
 
 @pytest.mark.parametrize("kind", ["cardinality", "hamming"])
 def test_divisor_sum_refuses_a_length_past_the_budget(capsys, monkeypatch, kind):
-    # the divisor sums check n before they list the divisors of n
+    # the divisor sums check n before they factor n
     calls = []
-    monkeypatch.setattr(ntcodes.enumerators, "divisors", lambda n: calls.append(n))
+    monkeypatch.setattr(ntcodes.enumerators, "ramanujan_sums", lambda n, a: calls.append(n))
+    monkeypatch.setattr(ntcodes.numtheory, "factorize", lambda n: calls.append(n))
     n = 2**40
     argv = ["tenengolts", "--n", str(n), "--r", "3", "--a1", "7", "--a2", "1", "--budget", "1000"]
     argv = ["card", *argv] if kind == "cardinality" else ["enum", *argv, "--kind", kind]
@@ -912,8 +913,10 @@ def test_integrality_violation_exit_four(capsys, monkeypatch):
 
 
 def test_an_off_by_one_ramanujan_sum_trips_the_exact_division(capsys, monkeypatch):
-    real = ntcodes.enumerators.ramanujan_sum
-    monkeypatch.setattr("ntcodes.enumerators.ramanujan_sum", lambda q, a: real(q, a) + 1)
+    real = ntcodes.enumerators.ramanujan_sums
+    monkeypatch.setattr(
+        "ntcodes.enumerators.ramanujan_sums", lambda n, a: {d: c + 1 for d, c in real(n, a).items()}
+    )
     family = ("tenengolts", "--n", "5", "--r", "3", "--a1", "0", "--a2", "0")
     for argv in (("card", *family), ("enum", *family, "--kind", "hamming")):
         code, out, err = run(capsys, *argv)

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
+from tenengolts_reference import cardinality_reference
 from ntcodes import codes, enumerators
 from ntcodes.codes import (
     BudgetExceededError,
@@ -1350,16 +1351,15 @@ def test_tenengolts_closed_forms_match_theorem1_at_every_gcd():
 
 
 def test_tenengolts_closed_forms_are_one_sum_over_the_divisors_of_n(monkeypatch):
-    # one Ramanujan sum c_d(a1') per d | n with gcd(r, d) | a2, no sum over e | r
+    # one table of Ramanujan sums c_d(a1') over d | n, no sum over e | r
     calls = []
-    real_divisors, real_sum = enumerators.divisors, enumerators.ramanujan_sum
-    monkeypatch.setattr(enumerators, "divisors", lambda n: calls.append(("divisors", n)) or real_divisors(n))
-    monkeypatch.setattr(enumerators, "ramanujan_sum", lambda q, a: calls.append((q, a)) or real_sum(q, a))
+    real_sums = enumerators.ramanujan_sums
+    monkeypatch.setattr(enumerators, "ramanujan_sums", lambda n, a: calls.append((n, a)) or real_sums(n, a))
     for closed_form in (tenengolts_hamming, tenengolts_cardinality):
         calls.clear()
-        # "<" maps a1 = 5 to a1' = 12 - 5; gcd(6, d) divides 2 at d = 1, 2, 4
+        # "<" maps a1 = 5 to a1' = 12 - 5
         closed_form(12, 6, 5, 2, "<")
-        assert calls == [("divisors", 12), (1, 7), (2, 7), (4, 7)]
+        assert calls == [(12, 7)]
 
 
 def test_tenengolts_hamming_expands_by_a_running_binomial(monkeypatch):
@@ -1425,6 +1425,23 @@ def test_maximum_cardinality_divisor_sum():
             assert rem == 0
             assert tenengolts_hamming(n, r, 0, 0).cardinality() == expected
             assert tenengolts_cardinality(n, r, 0, 0) == expected
+
+
+@pytest.mark.parametrize(
+    "n, r, a1, a2, variant",
+    [(n, r, 7, 0, ">") for n in (5040, 55440) for r in range(2, 7)]
+    + [(5040, 6, 11, 3, "<="), (55440, 4, 1000, 2, "<"), (55440, 3, 0, 1, ">=")]
+    + [(720720, 2, 0, 0, ">"), (720720, 4, 360360, 2, "<"), (720720, 4, 5, 0, ">=")],
+)
+def test_tenengolts_cardinality_matches_the_term_by_term_sum_past_the_oracle(n, r, a1, a2, variant):
+    assert tenengolts_cardinality(n, r, a1, a2, variant) == cardinality_reference(n, r, a1, a2, variant)
+
+
+@pytest.mark.parametrize("r, variant", [(2, ">"), (3, "<"), (4, ">="), (5, "<="), (6, ">")])
+def test_tenengolts_cardinalities_partition_the_space_at_n_360(r, variant):
+    n = 360
+    total = sum(tenengolts_cardinality(n, r, a1, a2, variant) for a1 in range(n) for a2 in range(r))
+    assert total == r**n
 
 
 def test_partition_sum_and_max_at_origin():

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -226,6 +228,25 @@ def test_horner_right_side_edge_cases(r, rows):
     code = build_code(r, rows)
     counts = dual_counts(code)
     assert _dual_at_characters(r, code.n, counts) == per_type_vector_sum(r, counts)
+
+
+def test_horner_walks_a_trie_deeper_than_the_recursion_limit():
+    # the words w_(r-1) and w_(r-2) first differ at tau_(r-2), so their
+    # trie is r - 1 levels deep; the walk must not take a Python frame per
+    # level
+    r = 120
+    low, high = [0] * r, [0] * r
+    low[r - 1], high[r - 2] = 1, 1
+    counts = {tuple(low): 3, tuple(high): 2}
+    expected = per_type_vector_sum(r, counts)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        right = _dual_at_characters(r, 1, counts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert right == expected
 
 
 def test_single_type_vector_counts():

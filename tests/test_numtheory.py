@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ntcodes.numtheory as numtheory
 from cyclotomic_reference import fold, value
 from ntcodes.numtheory import (
     divisors,
@@ -10,7 +11,9 @@ from ntcodes.numtheory import (
     gcd,
     mobius,
     ramanujan_sum,
+    ramanujan_sums,
 )
+from tenengolts_reference import ramanujan_reference
 
 
 def brute_gcd(a, b):
@@ -115,6 +118,38 @@ def test_ramanujan_divisor_sum_identity():
             assert total == (n if b % n == 0 else 0)
 
 
+def test_ramanujan_sums_match_the_exponential_sum_at_every_divisor():
+    # a -> a u for a unit u mod d permutes the j coprime to d, and the a of
+    # one gcd(a, d) form one such orbit, so the oracle runs once per
+    # (d, gcd) while the table is checked at every a
+    oracle = {}
+    for n in range(1, 301):
+        divs = divisors(n)
+        for a in range(-3, 2 * n + 1):
+            expected = {}
+            for d in divs:
+                key = (d, gcd(a, d))
+                if key not in oracle:
+                    oracle[key] = exponential_ramanujan(d, a)
+                expected[d] = oracle[key]
+            assert ramanujan_sums(n, a) == expected, (n, a)
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=-(10**7), max_value=10**7))
+@example(720720, 360360)
+@example(2**19, -(2**18))
+def test_ramanujan_sums_match_the_totient_mobius_formula(n, a):
+    assert ramanujan_sums(n, a) == {d: ramanujan_reference(d, a) for d in divisors(n)}
+
+
+def test_ramanujan_sums_factor_n_once(monkeypatch):
+    calls = []
+    real = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or real(n))
+    assert ramanujan_sums(720720, 7)[720720] == 0
+    assert calls == [720720]
+
+
 @pytest.mark.parametrize("fn", [factorize, euler_phi, mobius, divisors])
 def test_rejects_non_positive(fn):
     with pytest.raises(ValueError):
@@ -126,3 +161,5 @@ def test_rejects_non_positive(fn):
 def test_ramanujan_rejects_non_positive_modulus():
     with pytest.raises(ValueError):
         ramanujan_sum(0, 1)
+    with pytest.raises(ValueError):
+        ramanujan_sums(-4, 1)
