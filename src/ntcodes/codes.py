@@ -6,13 +6,16 @@ statistic of the word to fall in a fixed residue class.  Membership testing
 and exhaustive (budgeted) codeword generation live here, together with
 constructors for the classic congruence-defined code families.
 
+Each built-in statistic is one increment form (`Form`, tabled in `FORMS`):
+at position j, symbol x after p adds h_j x + j U(p, x) + D(p, x).  The
+oracle's evaluators, its split scan, and the transfer kernel of
+`enumerators` all read that one table, and share no other code.
+
 Codeword generation is the brute-force oracle every faster route is checked
-against, so it works from the statistics' definitions alone and shares no
-code with the transfer kernel of `enumerators`.  It is a meet-in-the-middle
-scan: each statistic splits into a prefix part, a suffix part and a term
-for the pair straddling the split, so a table of suffixes keyed by their
-residues answers each prefix in r lookups, O(r^ceil(n/2) + |C|) word visits
-instead of r^n.
+against.  It is a meet-in-the-middle scan: each statistic splits into a
+prefix part, a suffix part and a term for the pair straddling the split,
+k U + D, so a table of suffixes keyed by their residues answers each prefix
+in r lookups, O(r^ceil(n/2) + |C|) word visits instead of r^n.
 
 Every word the scan yields is rechecked from the definitions
 (`_membership_test`), and the oracle's tally of the codewords by kind is
@@ -25,11 +28,9 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exactalg import IntegralityError, count_text
-
-Word = tuple
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -51,16 +52,6 @@ VARIANT_STATS = {
     ">=": "gamma_ge",
     "<": "lambda_lt",
     "<=": "lambda_le",
-}
-
-#: comparison of (previous symbol, symbol) that each descent-type statistic
-#: counts at a position i >= 1: the gamma/lambda variants add i, delta adds 1
-DESCENT_COMPARISONS = {
-    "gamma_gt": operator.gt,
-    "gamma_ge": operator.ge,
-    "lambda_lt": operator.lt,
-    "lambda_le": operator.le,
-    "delta": operator.gt,
 }
 
 
@@ -89,14 +80,89 @@ def capped_power(r: int, n: int, cap: int) -> int:
     return min(r**n, cap)
 
 
+class Form(NamedTuple):
+    """The increment a built-in statistic adds at position j (from 0) where x
+    follows p, inc_j(p, x) = h_j x + j U(p, x) + D(p, x), summed over a word.
+    The weights are `h`, or implicit, h_j = slope j + intercept, so a largest
+    value costs O(1).  U (`up`) and D (`down`) are comparisons of (p, x), or
+    None; at j = 0 there is no p, and they add nothing."""
+
+    slope: int = 0
+    intercept: int = 0
+    h: Optional[tuple] = None
+    up: Optional[Callable] = None
+    down: Optional[Callable] = None
+
+    @property
+    def reads(self) -> bool:
+        """Whether an increment reads the symbol before it: U or D is present."""
+        return self.up is not None or self.down is not None
+
+    def weights(self, n: int):
+        """h_0..h_(n-1) on length-n words, or None without a linear part."""
+        if self.h is not None:
+            if len(self.h) != n:
+                raise ValueError(f"weight vector of length {len(self.h)} for length-{n} words")
+            return self.h
+        if self.slope:
+            return tuple(range(self.intercept, self.intercept + self.slope * n, self.slope))
+        return (self.intercept,) * n if self.intercept else None
+
+    def top(self, r: int, lo: int, hi: int) -> int:
+        """The largest value over positions lo..hi-1, the sum of the largest
+        increments there: (r-1) h_j + j [U present] + [D present] at j >= 1."""
+        slope, intercept, h, up, down = self
+        js = (hi * (hi - 1) - lo * (lo - 1)) // 2  # the sum of j over lo..hi-1
+        weight = slope * js + intercept * (hi - lo) + (sum(h[lo:hi]) if h else 0)
+        return (r - 1) * weight + (js if up else 0) + (max(hi - max(lo, 1), 0) if down else 0)
+
+    def evaluator(self, n: int, lo: int = 0, hi: int | None = None) -> Callable:
+        """The statistic of length-n words as a function of their symbols at
+        positions lo..hi-1 (hi = n when None): one closure per part present,
+        bound once per constraint, so no word pays a dispatch."""
+        h, up, down, positions = self.weights(n), self.up, self.down, range(lo + 1, n if hi is None else hi)
+        parts = []
+        if h is not None:
+            h = h[lo:hi]
+            parts.append(lambda word: sum(map(operator.mul, h, word)))
+        if up is not None:
+            parts.append(lambda word: sum(itertools.compress(positions, map(up, word, word[1:]))))
+        if down is not None:
+            parts.append(lambda word: sum(map(down, word, word[1:])))
+        return parts[0] if len(parts) == 1 else lambda word: sum(part(word) for part in parts)
+
+    def split(self, n: int, k: int, r: int):
+        """The statistic on length-n words split at 1 <= k < n, as (prefix,
+        suffix, boundary): its value is prefix(x[:k]) + suffix(x[k:]) +
+        boundary[x[k-1]][x[k]], the boundary the pair's increment k U + D."""
+        up, down = self.up, self.down
+        boundary = tuple(
+            tuple((k * up(p, x) if up else 0) + (down(p, x) if down else 0) for x in range(r)) for p in range(r)
+        )
+        return self.evaluator(n, 0, k), self.evaluator(n, k), boundary
+
+
+#: the form of each built-in kind but "linear", whose form is its weights h
+FORMS = {
+    "omega": Form(slope=1, intercept=1),
+    "sigma": Form(intercept=1),
+    "gamma_gt": Form(up=operator.gt),
+    "gamma_ge": Form(up=operator.ge),
+    "lambda_lt": Form(up=operator.lt),
+    "lambda_le": Form(up=operator.le),
+    "delta": Form(down=operator.gt),
+}
+
+
 @dataclass(frozen=True)
 class Statistic:
-    """A named codeword statistic; `linear` carries its weight vector and
-    `custom` an arbitrary callable (brute-force paths only)."""
+    """A named codeword statistic and its increment `form`; `linear` carries
+    its weight vector, `custom` an arbitrary callable and no form (oracle only)."""
 
     kind: str
     h: Optional[tuple] = None
     fn: Optional[Callable] = field(default=None, compare=False)
+    form: Optional[Form] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in STAT_KINDS:
@@ -109,6 +175,7 @@ class Statistic:
             raise ValueError(f"{self.kind} statistic takes no weight vector")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom statistic needs a callable")
+        object.__setattr__(self, "form", Form(h=self.h) if self.kind == "linear" else FORMS.get(self.kind))
 
 
 OMEGA = Statistic("omega")
@@ -133,37 +200,9 @@ def evaluate_statistic(stat: Statistic, word) -> int:
     return statistic_evaluator(stat, len(word))(word)
 
 
-def statistic_evaluator(stat: Statistic, n: int, lo: int = 0, hi: int | None = None) -> Callable:
-    """The statistic of length-n words as a function of their symbols at
-    positions lo..hi-1 (hi = n when None): its linear weights h[lo:hi], or
-    the descent terms of the indices lo+1..hi-1.  A scan binds it once per
-    constraint, so no word pays the dispatch on the kind."""
-    hi = n if hi is None else hi
-    h = linear_weights(stat, n)
-    if h is not None:
-        h = h[lo:hi]
-        return lambda word: sum(map(operator.mul, h, word))
-    cmp = DESCENT_COMPARISONS.get(stat.kind)
-    if cmp is None:
-        return stat.fn
-    if stat.kind == "delta":
-        return lambda word: sum(map(cmp, word, word[1:]))
-    positions = range(lo + 1, hi)
-    return lambda word: sum(itertools.compress(positions, map(cmp, word, word[1:])))
-
-
-def linear_weights(stat: Statistic, n: int):
-    """Weight vector when the statistic is a linear form on words of
-    length n, else None."""
-    if stat.kind == "omega":
-        return tuple(range(1, n + 1))
-    if stat.kind == "sigma":
-        return (1,) * n
-    if stat.kind == "linear":
-        if len(stat.h) != n:
-            raise ValueError(f"weight vector of length {len(stat.h)} for length-{n} words")
-        return stat.h
-    return None
+def statistic_evaluator(stat: Statistic, n: int) -> Callable:
+    """The statistic on length-n words: its form's evaluator, or its callable."""
+    return stat.fn if stat.form is None else stat.form.evaluator(n)
 
 
 def type_vector(word, r: int) -> tuple[int, ...]:
@@ -231,9 +270,9 @@ def _membership_test(spec: CodeSpec) -> Callable:
 
 def _congruence_test(c: Constraint, n: int) -> Callable:
     """The test of whether a length-n word satisfies the one congruence c."""
-    m, a = c.m, c.a
-    h = linear_weights(c.stat, n)
-    if h is not None:
+    m, a, form = c.m, c.a, c.stat.form
+    if form is not None and not form.reads:
+        h = form.weights(n)
         return lambda word: sum(map(operator.mul, h, word)) % m == a
     value = statistic_evaluator(c.stat, n)
     return lambda word: value(word) % m == a
@@ -268,25 +307,13 @@ def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
     return _split_scan(spec, test)
 
 
-def _split_statistic(stat: Statistic, n: int, k: int, r: int):
-    """A built-in statistic on length-n words split into x[:k] and x[k:],
-    as (prefix value, suffix value, boundary): the statistic of a word is
-    prefix(x[:k]) + suffix(x[k:]) + boundary[x[k-1]][x[k]], for 1 <= k < n.
-    Only a descent statistic has a boundary term, k (1 for delta) where its
-    comparison of the pair holds."""
-    cmp = DESCENT_COMPARISONS.get(stat.kind, lambda x, y: 0)
-    weight = 1 if stat.kind == "delta" else k
-    boundary = tuple(tuple(weight * cmp(x, y) for y in range(r)) for x in range(r))
-    return statistic_evaluator(stat, n, 0, k), statistic_evaluator(stat, n, k), boundary
-
-
 def _split_scan(spec: CodeSpec, test: Callable):
     """The codewords of a spec with n >= 2 and built-in statistics, in
     lexicographic order, by the meet-in-the-middle scan of
     `enumerate_codewords`."""
     n, r = spec.n, spec.r
     k = n // 2
-    halves = [(_split_statistic(c.stat, n, k, r), c.m, c.a) for c in spec.constraints]
+    halves = [(c.stat.form.split(n, k, r), c.m, c.a) for c in spec.constraints]
     suffix_values = [(suffix, m) for (_, suffix, _), m, _ in halves]
     table: dict = {}
     for tail in itertools.product(range(r), repeat=n - k):

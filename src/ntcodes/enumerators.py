@@ -13,7 +13,7 @@ residue: pure integer arithmetic, which checks that every full-space
 coefficient is non-negative.
 
 Every built-in statistic adds an increment that depends only on the
-position, the symbol and the symbol before it (`_increments`), so one
+position, the symbol and the symbol before it (its `codes.Form`), so one
 transfer pass over the positions (the transfer-matrix method, `_transfer`)
 never lists the words.  It keys each count by one integer whose digits are
 either exact, never wrapped, or residues, wrapped back below their moduli,
@@ -49,7 +49,6 @@ from math import comb, gcd, prod
 from typing import Optional
 
 from .codes import (
-    DESCENT_COMPARISONS,
     SIGMA,
     VARIANT_STATS,
     CodeSpec,
@@ -60,7 +59,6 @@ from .codes import (
     enumerate_codewords,
     lc,
     linear,
-    linear_weights,
     statistic_evaluator,
     tenengolts as tenengolts_spec,
     type_vector,
@@ -182,36 +180,31 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _increments(n: int, r: int, stats, strides, lasts):
-    """The statistics' increments, each times its stride, as the tables
-    (lin, ups, ones): symbol x at position j after `previous` adds
-    x lin[j] + j ups[previous][x] + ones[previous][x].  Every built-in
-    statistic is a sum of such increments: h_j x for omega, sigma and
-    linear statistics, so lin[j] sums their weights at j times their
-    strides; j (1 for delta) when the statistic's comparison of
-    (previous, x) holds, so ups[p][x] sums the strides of the gamma/lambda
-    statistics whose comparison of (p, x) holds and ones[p][x] those of
-    delta.  `ups` and `ones` hold one row per entry of `lasts`: None, the
-    previous "symbol" at position 0 or when no statistic of the pass reads
-    it, then every symbol where one does.  The rows of None stay 0."""
+def _increment_tables(n: int, r: int, stats, strides, lasts):
+    """The statistics' forms (`codes.Form`) at their strides, as the tables
+    (lin, ups, ones) of the summed h_j, U(p, x) and D(p, x): symbol x at
+    position j after `previous` adds x lin[j] + j ups[previous][x] +
+    ones[previous][x].  `ups` and `ones` hold one row per entry of `lasts`:
+    None, the previous "symbol" at position 0 or when no statistic of the
+    pass reads it, then every symbol where one does.  Rows of None stay 0."""
     lin = [0] * n
     ups = {p: [0] * r for p in lasts}
     ones = {p: [0] * r for p in lasts}
-    for st, stride in zip(stats, strides):
-        weights = linear_weights(st, n)
+    for form, stride in zip((st.form for st in stats), strides):
+        weights = form.weights(n)
         if weights is not None:
             lin = [acc + h * stride for acc, h in zip(lin, weights)]
-            continue
-        compare, table = DESCENT_COMPARISONS[st.kind], ones if st.kind == "delta" else ups
-        for p, x in itertools.product(range(r), repeat=2):
-            table[p][x] += stride * compare(p, x)
+        for compare, table in ((form.up, ups), (form.down, ones)):
+            if compare is not None:
+                for p, x in itertools.product(range(r), repeat=2):
+                    table[p][x] += stride * compare(p, x)
     return lin, ups, ones
 
 
 def _reads_previous(stats) -> bool:
-    """Whether a statistic reads the symbol before each position, as the
-    descent statistics do: a pass then keeps its counts per last symbol."""
-    return any(st.kind in DESCENT_COMPARISONS for st in stats)
+    """Whether a statistic's form reads the previous symbol (U or D): a pass
+    then keeps its counts per last symbol."""
+    return any(st.form.reads for st in stats)
 
 
 def _transfer(n: int, r: int, digits, unit, shifts, span: int):
@@ -224,7 +217,7 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
     Each count is keyed by one integer, and `digits` holds one (stat, m,
     stride, place) per statistic.  An exact digit (m = 0, place 0) is the
     statistic's value at `stride`, never wrapped; all of them step by one
-    `_increments` table at their strides.  A residue digit is the value
+    `_increment_tables` at their strides.  A residue digit is the value
     mod m, of radix 2 m at `stride` (none at stride 0), so that a step
     never carries it and wraps it back below m; it also shifts the count
     by `place` bits per unit.  Symbol x adds unit[x] to every key and
@@ -240,9 +233,9 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
     reads = _reads_previous(d[0] for d in digits)
     lasts = (None, *range(r)) if reads else (None,)
     exact = [d for d in digits if not d[1]]
-    lin, ups, ones = _increments(n, r, [d[0] for d in exact], [d[2] for d in exact], lasts)
+    lin, ups, ones = _increment_tables(n, r, [d[0] for d in exact], [d[2] for d in exact], lasts)
     residues = [
-        (*_increments(n, r, [st], (1,), lasts), m, stride, place, (stride, 2 * m, m, m * stride))
+        (*_increment_tables(n, r, [st], (1,), lasts), m, stride, place, (stride, 2 * m, m, m * stride))
         for st, m, stride, place in digits
         if m
     ]
@@ -321,28 +314,6 @@ class _PackedSpace:
         return MultiPoly(self.variables, {self.unpack(key): count for key, count in terms.items()})
 
 
-def _tops(n: int, r: int, stats, lo: int, hi: int) -> list:
-    """Each statistic's largest value over positions lo..hi-1, the sum of
-    its largest increments there: (r-1) h_j for omega, sigma and linear
-    statistics, j (1 for delta) for a descent statistic at j >= 1.
-    Negative weights are refused, so no increment is negative."""
-    if any(x < 0 for st in stats if st.kind == "linear" for x in st.h):
-        raise ValueError("full-space enumerators need non-negative weights")
-    tops = []
-    for st in stats:
-        if st.kind == "linear":
-            tops.append((r - 1) * sum(itertools.islice(st.h, lo, hi)))
-        elif st.kind == "omega":
-            tops.append((r - 1) * (hi * (hi + 1) - lo * (lo + 1)) // 2)
-        elif st.kind == "sigma":
-            tops.append((r - 1) * (hi - lo))
-        elif st.kind == "delta":
-            tops.append(max(hi - max(lo, 1), 0))
-        else:
-            tops.append((hi * (hi - 1) - lo * (lo - 1)) // 2)
-    return tops
-
-
 def _states(r: int, length: int, digits, tau: bool) -> int:
     """The states a transfer pass over `length` positions can reach, the
     one count behind every bound and layout choice of both passes:
@@ -360,7 +331,7 @@ def _check_pass(bound: int, budget: int | None) -> None:
 
 
 def _check_tables(r: int, stats, tau_digits: int, budget: int | None) -> None:
-    """Refuse, before `_increments` builds them, the (r+1) r cells of each
+    """Refuse, before `_increment_tables` builds them, the (r+1) r cells of each
     table that a statistic reading the previous symbol needs; then the
     strides of `tau_digits` tau digits, in the keys or packed in the
     counts: tau_x's spans the x digits below it, so they hold
@@ -373,20 +344,20 @@ def _check_tables(r: int, stats, tau_digits: int, budget: int | None) -> None:
     check_budget(cells, budget, f"type vector strides of {count_text(cells)} digits")
 
 
-def _exact_pass(n: int, r: int, stats, tops):
+def _exact_pass(n: int, r: int, stats):
     """The packed layout of the full space [0, r)^n and its `run(positions,
     states)`, the `_transfer` pass with exact digits only, which returns
     one state None after position n - 1.  A statistic's radix is 1 + its
-    largest value on [0, r)^n, `tops` (sigma's is (r-1)n), each tau_x's is
-    n + 1, whatever the positions, so the keys of passes over disjoint
-    positions add up to the key of the joined words and no digit carries.
+    largest value on [0, r)^n (`Form.top`), each tau_x's is n + 1,
+    whatever the positions, so the keys of passes over disjoint positions
+    add up to the key of the joined words and no digit carries.
     Symbol x adds tau_x's stride besides its statistics' increments.  The
     caller checks the pass's states (`_states`) first: the weight vectors
     are built here."""
-    s = len(stats)
-    space = _PackedSpace(z_variables(s) + w_variables(r), [1 + top for top in tops] + [n + 1] * r)
+    radices = [1 + st.form.top(r, 0, n) for st in stats] + [n + 1] * r
+    space = _PackedSpace(z_variables(len(stats)) + w_variables(r), radices)
     digits = [(st, 0, stride, 0) for st, stride in zip(stats, space.strides)]
-    return space, _transfer(n, r, digits, space.strides[s:], (0,) * r, 0)
+    return space, _transfer(n, r, digits, space.strides[len(stats) :], (0,) * r, 0)
 
 
 def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> MultiPoly:
@@ -459,12 +430,12 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     left half over k..n-1 and joins it with the empty right half, if the
     single pass's bound fits the budget."""
     stats = [c.stat for c in cons]
-    tops = _tops(n, r, stats, 0, n)
+    if any(x < 0 for st in stats for x in st.form.h or ()):
+        raise ValueError("full-space enumerators need non-negative weights")
 
     def states(lo: int, hi: int) -> int:
         # the keys: each statistic's exact value on positions lo..hi-1, and tau
-        counts = [1 + top for top in _tops(n, r, stats, lo, hi)]
-        return _states(r, hi - lo, zip(stats, counts), True)
+        return _states(r, hi - lo, [(st, 1 + st.form.top(r, lo, hi)) for st in stats], True)
 
     single, limit = states(0, n), budget_limit(budget)
     starts = r if _reads_previous(stats) else 1
@@ -472,7 +443,7 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     if not split:
         _check_pass(single, budget)
     _check_tables(r, stats, r, budget)
-    space, run = _exact_pass(n, r, stats, tops)
+    space, run = _exact_pass(n, r, stats)
     left = run(range(k), {None: {0: 1}})
     if split:
         right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
@@ -786,7 +757,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
             if kind == "cardinality":
                 return tenengolts_cardinality(*args)
             return tenengolts_hamming(*args)
-        closed = closed and len(cons) == 1 and cons[0].stat.kind in ("omega", "sigma", "linear")
+        form = cons[0].stat.form
+        closed = closed and len(cons) == 1 and form is not None and not form.reads
         if method == "closed" and not closed:
             stats = ", ".join(c.stat.kind for c in cons)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")

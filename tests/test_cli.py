@@ -584,8 +584,8 @@ def test_descent_increment_tables_are_charged_before_they_are_built(capsys, monk
     # (r + 1) r = 1001000 cells, refused past the budget before any is built by
     # both passes, and answered at the default budget
     family = ("nonbinary_svt", "--n", "1", "--r", "1000", "--m", "2", "--a", "0", "--b", "0", "--c", "0")
-    built, increments = [], ntcodes.enumerators._increments
-    monkeypatch.setattr(ntcodes.enumerators, "_increments", lambda *args: built.append(1) or increments(*args))
+    built, tables = [], ntcodes.enumerators._increment_tables
+    monkeypatch.setattr(ntcodes.enumerators, "_increment_tables", lambda *args: built.append(1) or tables(*args))
     for argv in (("card", *family), ("enum", *family, "--kind", "extended")):
         code, out, err = run(capsys, *argv, "--budget", "1000000")
         assert (code, out, built) == (3, "", [])
@@ -648,20 +648,38 @@ def test_divisor_sum_refuses_a_length_past_the_budget(capsys, monkeypatch, kind)
             ("enum", "binary_vt", "--n", "30000000", "--budget", "10", "--method", "theorem1", "--kind", "extended"),
             "up to 2^74 terms",
         ),
+        (
+            ("card", "tenengolts", "--n", "1000000000", "--r", "2", "--a1", "0", "--a2", "0", "--method", "theorem1"),
+            "up to 2^89 terms",
+        ),
+        (
+            ("enum", "shifted_vt", "--n", "100000000", "--m", "5", "--a", "0", "--parity", "0", "--kind", "extended"),
+            "up to 2^79 terms",
+        ),
         (("table", "t33", "--budget", "1"), "enumerating 3^3 words"),
     ],
-    ids=["oracle-words", "residue-bound", "exact-bound", "residue-no-power", "exact-no-weights", "table"],
+    ids=[
+        "oracle-words",
+        "residue-bound",
+        "exact-bound",
+        "residue-no-power",
+        "exact-no-weights",
+        "exact-descent-sum-no-weights",
+        "exact-omega-sigma-no-weights",
+        "table",
+    ],
 )
 def test_refusals_exit_three_at_any_size(capsys, argv, text):
     # a bound past 2^64 prints as a power of two, so no refusal trips the
-    # 4300-digit limit; no r^n or weight vector is built before the check;
-    # a table prints nothing before it is refused
+    # 4300-digit limit; no r^n or weight vector is built before the check,
+    # for omega, sigma or a descent statistic alike; a table prints nothing
+    # before it is refused
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     elapsed = time.perf_counter() - start
     assert (code, out) == (3, "")
     assert f"{text} exceeds the budget" in err
-    if argv[1] == "binary_vt" and "oracle" not in argv:
+    if argv[1] in ("binary_vt", "tenengolts", "shifted_vt") and "oracle" not in argv:
         assert elapsed < 0.5
 
 

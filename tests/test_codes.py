@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from ntcodes.codes import (
 from ntcodes.codes import _membership_test, check_budget
 from ntcodes.enumerators import compute
 from ntcodes.exactalg import IntegralityError
+from statistic_reference import reference_statistic
 
 # desk-reference codeword sets for the ternary descent/sum code, n=3 r=3
 T33_SETS = {
@@ -106,6 +108,18 @@ def test_statistic_values_from_t33_table():
         assert evaluate_statistic(GAMMA_GT, word) == gamma
         assert evaluate_statistic(SIGMA, word) == sigma
         assert type_vector(word, 3) == tau
+
+
+@given(
+    st.sampled_from(STAT_KINDS[:-1]),
+    st.integers(1, 5).flatmap(lambda r: st.lists(st.integers(0, r - 1), max_size=9)),
+    st.lists(st.integers(-6, 6), min_size=9, max_size=9),
+)
+def test_every_statistic_matches_its_definition(kind, word, h):
+    # the definitions written out as plain loops share nothing with the form
+    # table that the oracle and the transfer kernel both read
+    stat = builtin_statistic(kind, h[: len(word)])
+    assert evaluate_statistic(stat, tuple(word)) == reference_statistic(stat, word)
 
 
 def test_statistic_edge_cases():
@@ -487,13 +501,13 @@ def test_custom_statistic_takes_the_plain_scan(monkeypatch):
 
 
 def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
-    split = ntcodes.codes._split_statistic
+    split = ntcodes.codes.Form.split
 
-    def off_by_one(stat, n, k, r):
-        prefix, suffix, boundary = split(stat, n, k, r)
+    def off_by_one(form, n, k, r):
+        prefix, suffix, boundary = split(form, n, k, r)
         return (lambda word: prefix(word) + 1), suffix, boundary
 
-    monkeypatch.setattr(ntcodes.codes, "_split_statistic", off_by_one)
+    monkeypatch.setattr(ntcodes.codes.Form, "split", off_by_one)
     spec = CodeSpec(4, 3, ((SIGMA, 3, 0),))
     with pytest.raises(IntegralityError, match="non-codeword"):
         list(enumerate_codewords(spec))
@@ -519,6 +533,83 @@ def test_codes_imports_nothing_from_enumerators():
             modules.update(alias.name for alias in node.names)
     assert not any("enumerators" in name for name in modules), modules
     assert not any(name in source for name in ("_increments", "_transfer", "_exact_pass", "_residue_pass"))
+
+
+#: the only places that may test a statistic's kind against a built-in kind
+#: name; the form table is a dict keyed by kind and tests none
+KIND_TEST_SITES = {
+    ("codes", "Statistic.__post_init__"),
+    ("codes", "_stat_to_json"),
+    ("codes", "_stat_from_json"),
+    ("enumerators", "compute"),
+}
+
+
+def _tables(source: str) -> dict:
+    """{name: its string keys or elements} of each module-level dict,
+    tuple, list or set literal."""
+    tables = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            held = value.keys if isinstance(value, ast.Dict) else getattr(value, "elts", [])
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    tables[target.id] = {x.value for x in held if isinstance(x, ast.Constant)}
+    return tables
+
+
+def _kind_tests(source: str, tables: dict) -> list:
+    """(site, line) of every ==, !=, in or not in test of a `.kind`
+    attribute against a built-in kind name other than "linear" and
+    "custom": a string, a literal collection holding one, or a name of
+    `tables` (`_tables`) holding one.  The site is the qualified name of
+    the enclosing function, or "<module>"."""
+    names = set(STAT_KINDS) - {"linear", "custom"}
+    tree = ast.parse(source)
+
+    def builtin(node) -> bool:
+        if isinstance(node, ast.Constant):
+            return node.value in names
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(builtin, node.elts))
+        return isinstance(node, ast.Name) and bool(names & tables.get(node.id, set()))
+
+    found = []
+
+    def visit(node, site):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if site == "<module>" else f"{site}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and all(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in child.ops
+            ):
+                sides = [child.left, *child.comparators]
+                if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in sides):
+                    if any(builtin(x) for x in sides):
+                        found.append((site, child.lineno))
+            visit(child, site)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_statistic_kinds_are_tested_only_at_their_sites():
+    # every reader of an increment takes the statistic's form, so a new kind
+    # is added in one place; the scan itself catches a planted test
+    planted = "def f(st):\n    return st.kind == 'delta' or st.kind in TABLE\n"
+    assert _kind_tests(planted, _tables("TABLE = {'omega': 1}")) == [("f", 2), ("f", 2)]
+    assert _kind_tests("def f(st):\n    return st.kind == 'custom' or st.kind in ('linear',)\n", {}) == []
+    paths = sorted(Path(ntcodes.codes.__file__).parent.glob("*.py"))
+    # a table may be imported from another module of the package
+    tables = {name: held for path in paths for name, held in _tables(path.read_text()).items()}
+    sites = set()
+    for path in paths:
+        for site, line in _kind_tests(path.read_text(), tables):
+            assert (path.stem, site) in KIND_TEST_SITES, (path.name, site, line)
+            sites.add((path.stem, site))
+    assert ("codes", "Statistic.__post_init__") in sites
 
 
 def test_macwilliams_cli_unchanged_under_the_plain_scan(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
+from statistic_reference import reference_statistic
 from tenengolts_reference import cardinality_reference
 from ntcodes import codes, enumerators
 from ntcodes.codes import (
@@ -302,15 +303,16 @@ def test_packed_key_round_trip_and_carry():
 @pytest.mark.parametrize("r", range(1, 5))
 def test_increment_tables_sum_to_the_statistics(r):
     # each statistic alone at stride 1, and all of them at once at their
-    # strides: a word's summed increments are its statistics' values
+    # strides: a word's summed increments are its statistics' values, as
+    # the definitions written out as plain loops give them
     for n in range(6):
         stats = [*BUILTIN_STATS, linear((2, 0, 3, 1, 4)[:n])]
         strides = [10**i for i in range(len(stats))]
         lasts = (None, *range(r))
-        tables = [enumerators._increments(n, r, [st], (1,), lasts) for st in stats]
-        tables.append(enumerators._increments(n, r, stats, strides, lasts))
+        tables = [enumerators._increment_tables(n, r, [st], (1,), lasts) for st in stats]
+        tables.append(enumerators._increment_tables(n, r, stats, strides, lasts))
         for word in itertools.product(range(r), repeat=n):
-            values = [evaluate_statistic(st, word) for st in stats]
+            values = [reference_statistic(st, word) for st in stats]
             expected = values + [sum(v * stride for v, stride in zip(values, strides))]
             steps = list(enumerate(zip((None, *word), word)))
             summed = [sum(x * lin[j] + j * ups[p][x] + ones[p][x] for j, (p, x) in steps) for lin, ups, ones in tables]
@@ -541,7 +543,7 @@ def test_kept_forms_the_pairs_of_a_naive_join(spec, data):
     n, r, cons = spec.n, spec.r, spec.constraints
     k = data.draw(st.integers(0, n), label="k")
     stats = [c.stat for c in cons]
-    space, run = enumerators._exact_pass(n, r, stats, enumerators._tops(n, r, stats, 0, n))
+    space, run = enumerators._exact_pass(n, r, stats)
     left = run(range(k), {None: {0: 1}})
     right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
     digits = list(zip(space.strides, space.radices, cons))
@@ -1267,7 +1269,7 @@ def test_no_transfer_run_outgrows_its_states(spec):
         for positions, empty, entries in runs:
             if positions:
                 lo, hi = positions[0] if empty else 0, positions[-1] + 1
-                tops = enumerators._tops(n, r, stats, lo, hi)
+                tops = [st.form.top(r, lo, hi) for st in stats]
                 bound = enumerators._states(r, hi - lo, zip(stats, [1 + top for top in tops]), True)
                 assert max(entries) <= bound, (k, positions, empty)
 
