@@ -9,8 +9,12 @@ decimal; exit codes are 0 success, 1 verification mismatch, 2 usage,
 3 budget exceeded, 4 internal integrality violation.
 
 `main(argv)` may be called repeatedly in one process: it builds its
-parser on the first call and reuses it for every later one.
-`build_parser()` returns a fresh parser on each call.
+parser on the first call and reuses it for every later one.  Each request
+is parsed once, by the parser of the subcommand argv[0] names, and the
+top-level parser runs only when argv[0] names none (no arguments, `-h`, a
+flag before the subcommand, an unknown command); either way the usage,
+help and error texts are those of the full parser.  `build_parser()`
+returns a fresh full parser on each call.
 """
 
 from __future__ import annotations
@@ -407,8 +411,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv's flags, parsed once.  The subcommand argv[0] names parses the
+    rest, as the top-level parser would hand it every token; what it leaves
+    over is refused in the top-level parser's words.  The top-level parser
+    parses argv itself only when argv[0] names no subcommand."""
+    parser = _parser()
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

@@ -565,18 +565,14 @@ def test_card_an_code_p31_refused_at_the_default_budget(capsys):
         (("linear_code", "--r", "100000", "--H", "1;-3"), "1"),
     ],
 )
-def test_card_at_a_large_alphabet_builds_no_descent_tables(capsys, argv, answer):
+def test_card_at_a_large_alphabet_builds_no_descent_tables(argv, answer):
     # r = 10^5 and no descent statistic: the increment tables hold only the
     # row of no previous symbol, not the (r + 1) r = 10^10 cells of a table
-    # per previous symbol
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "card", *argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, out, err) == (0, f"{answer}\n", "")
-    assert peak < 50_000_000
+    # per previous symbol.  The request runs in a child whose address space
+    # is capped at its size after import plus 50 MB, so every allocation
+    # counts, not only those tracemalloc sees
+    done = _run_python("-c", CAPPED_REQUEST, "50000000", "card", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{answer}\n", "")
 
 
 def test_descent_increment_tables_are_charged_before_they_are_built(capsys, monkeypatch):
@@ -818,6 +814,19 @@ def test_verify_lc_draws_negative_weights(capsys, monkeypatch):
     assert min(drawn) < 0 < max(drawn)
 
 
+# run main(argv[2:]) with the address space capped at its size after the
+# import plus argv[1] bytes
+CAPPED_REQUEST = (
+    "import resource, sys\n"
+    "import ntcodes.cli\n"
+    "with open('/proc/self/statm') as statm:\n"
+    "    size = int(statm.read().split()[0]) * resource.getpagesize()\n"
+    "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))\n"
+    "sys.exit(ntcodes.cli.main(sys.argv[2:]))\n"
+)
+
+
 def _run_python(*args):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -916,6 +925,63 @@ def test_importing_the_cli_builds_no_parser():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
+
+
+# argvs whose parse by the subcommand's parser alone must match the nested
+# parse: well formed, help, unknown flags before and after the subcommand,
+# abbreviations, negative values, a repeated flag and each kind of usage error
+PARSE_CASES = (
+    ("enum", *TENENGOLTS_33, "--kind", "complete", "--format", "json"),
+    ("card", *TENENGOLTS_33),
+    ("verify", "--family", "sc", "--count", "2", "--max-n", "3"),
+    ("table", "t33"),
+    ("macwilliams", "--r", "3", "--H", "1,1;0,1"),
+    (),
+    ("-h",),
+    ("--help",),
+    ("card", "--help"),
+    ("macwilliams", "-h"),
+    ("nonsense", "--n", "3"),
+    ("--extra=1", "card", *TENENGOLTS_33),
+    ("card", *TENENGOLTS_33, "--extra", "1"),
+    ("card", *TENENGOLTS_33, "--var", "<"),
+    ("enum", *TENENGOLTS_33, "--kin", "complete"),
+    ("card", "--he"),
+    ("card", "lc", "--n", "3", "--m", "4", "--r", "2", "--h=-1,2", "--a", "-3"),
+    ("card", *TENENGOLTS_33, "--n", "4"),
+    ("macwilliams", "--r", "3"),
+    ("card", "tenengolts", "--n", "x"),
+    ("enum", *TENENGOLTS_33, "--kind", "nope"),
+)
+
+
+def parsed(capsys, parse, argv):
+    """The Namespace's fields, or the exit code, stdout and stderr of an
+    argparse exit."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as stop:
+        captured = capsys.readouterr()
+        return stop.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_parses_as_the_nested_parser_does(capsys, argv):
+    nested = parsed(capsys, lambda argv: build_parser().parse_args(argv), argv)
+    assert parsed(capsys, ntcodes.cli._parse, argv) == nested
+
+
+def test_a_request_is_parsed_once_by_its_subcommand(capsys, monkeypatch):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert run(capsys, "card", *TENENGOLTS_33) == (0, "5\n", "")
+    assert parsers == ["ntcodes card"]
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):
