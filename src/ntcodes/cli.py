@@ -14,16 +14,15 @@ is parsed once, by the parser of the subcommand argv[0] names, and the
 top-level parser runs only when argv[0] names none (no arguments, `-h`, a
 flag before the subcommand, an unknown command); either way the usage,
 help and error texts are those of the full parser.  `build_parser()`
-returns a fresh full parser on each call.
+returns a fresh full parser on each call.  Importing the module loads no
+`dataclasses`, `inspect`, `json` or `csv`: `--format json|csv` loads its
+module on first use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import inspect
-import json
 import os
 import random
 import sys
@@ -57,7 +56,7 @@ VARIANTS = tuple(VARIANT_STATS)
 
 #: each family's constructor parameters, in signature order
 _FAMILY_PARAMS = {
-    name: tuple(inspect.signature(builder).parameters) for name, builder in FAMILIES.items()
+    name: builder.__code__.co_varnames[: builder.__code__.co_argcount] for name, builder in FAMILIES.items()
 }
 
 
@@ -95,8 +94,18 @@ def _budget(args):
     return budget
 
 
+def _json_print(payload) -> None:
+    """Print one JSON document; json is loaded by the first one."""
+    import json
+
+    print(json.dumps(payload))
+
+
 def _csv_rows(rows) -> None:
-    """Print a CSV table, one row a line ended by a bare newline."""
+    """Print a CSV table, one row a line ended by a bare newline; csv is
+    loaded by the first one."""
+    import csv
+
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
@@ -106,13 +115,13 @@ def _cmd_compute(args) -> int:
     result = compute(spec, args.kind, args.method, _budget(args))
     if isinstance(result, int):
         if args.format == "json":
-            print(json.dumps({"cardinality": str(result)}))
+            _json_print({"cardinality": str(result)})
         elif args.format == "csv":
             _csv_rows([["cardinality"], [str(result)]])
         else:
             print(result)
     elif args.format == "json":
-        print(json.dumps(enumerator_to_dict(result)))
+        _json_print(enumerator_to_dict(result))
     elif args.format == "csv":
         # every decimal string is made before the first row is printed
         terms = [[*exps, str(coeff)] for exps, coeff in result.poly.sorted_terms()]
@@ -220,14 +229,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"verify --family {family} selected no checks: its sweep bounds are empty")
     mismatches = sum(1 for _, ok in checks if not ok)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "checks": [{"check": label, "ok": ok} for label, ok in checks],
-                    "mismatches": mismatches,
-                }
-            )
-        )
+        _json_print({"checks": [{"check": label, "ok": ok} for label, ok in checks], "mismatches": mismatches})
     elif args.format == "csv":
         _csv_rows([["check", "status"], *([label, "ok" if ok else "MISMATCH"] for label, ok in checks)])
     else:
@@ -310,7 +312,7 @@ def _cmd_macwilliams(args) -> int:
         "dual_size": report.dual_size,
     }
     if args.format == "json":
-        print(json.dumps(payload))
+        _json_print(payload)
     elif args.format == "csv":
         # str() keeps a skipped right side printed as None
         _csv_rows([["field", "value"], *([key, str(value)] for key, value in payload.items())])

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -154,28 +153,67 @@ FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Record:
+    """A record whose fields are its `__slots__`, shown by `_fields` and equal
+    to a record of its class with the same `_key`, an `operator.attrgetter`
+    (unbound: it takes the record).  A `FrozenRecord` is frozen and hashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild it by its constructor, whose parameters are `_fields`
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+#: sets a field of a frozen record, past its `__setattr__`
+_setattr = object.__setattr__
+
+
+class Statistic(FrozenRecord):
     """A named codeword statistic and its increment `form`; `linear` carries
     its weight vector, `custom` an arbitrary callable and no form (oracle only)."""
 
-    kind: str
-    h: Optional[tuple] = None
-    fn: Optional[Callable] = field(default=None, compare=False)
-    form: Optional[Form] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "h", "fn", "form")
+    _fields = ("kind", "h", "fn")
+    _key = operator.attrgetter("kind", "h")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, h: Optional[tuple] = None, fn: Optional[Callable] = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "h", h)
+        _setattr(self, "fn", fn)
         if self.kind not in STAT_KINDS:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.kind == "linear":
             if self.h is None:
                 raise ValueError("linear statistic needs a weight vector")
-            object.__setattr__(self, "h", tuple(int(x) for x in self.h))
+            _setattr(self, "h", tuple(int(x) for x in self.h))
         elif self.h is not None:
             raise ValueError(f"{self.kind} statistic takes no weight vector")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom statistic needs a callable")
-        object.__setattr__(self, "form", Form(h=self.h) if self.kind == "linear" else FORMS.get(self.kind))
+        _setattr(self, "form", Form(h=self.h) if self.kind == "linear" else FORMS.get(self.kind))
 
 
 OMEGA = Statistic("omega")
@@ -213,37 +251,35 @@ def type_vector(word, r: int) -> tuple[int, ...]:
     return tuple(tau)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    stat: Statistic
-    m: int
-    a: int
+class Constraint(FrozenRecord):
+    __slots__ = _fields = ("stat", "m", "a")
+    _key = operator.attrgetter(*_fields)
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
-        object.__setattr__(self, "a", self.a % self.m)
+    def __init__(self, stat: Statistic, m: int, a: int):
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
+        _setattr(self, "stat", stat)
+        _setattr(self, "m", m)
+        _setattr(self, "a", a % m)
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(FrozenRecord):
     """A simultaneous-congruence code over [0, r)^n."""
 
-    n: int
-    r: int
-    constraints: tuple
+    __slots__ = _fields = ("n", "r", "constraints")
+    _key = operator.attrgetter(*_fields)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"length must be non-negative, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"alphabet size must be positive, got {self.r}")
-        cons = tuple(
-            c if isinstance(c, Constraint) else Constraint(*c) for c in self.constraints
-        )
+    def __init__(self, n: int, r: int, constraints: tuple):
+        if n < 0:
+            raise ValueError(f"length must be non-negative, got {n}")
+        if r < 1:
+            raise ValueError(f"alphabet size must be positive, got {r}")
+        cons = tuple(c if isinstance(c, Constraint) else Constraint(*c) for c in constraints)
         if not cons:
             raise ValueError("a code spec needs at least one constraint")
-        object.__setattr__(self, "constraints", cons)
+        _setattr(self, "n", n)
+        _setattr(self, "r", r)
+        _setattr(self, "constraints", cons)
 
     @property
     def s(self) -> int:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd, prod
 from typing import Optional
 
@@ -53,6 +52,7 @@ from .codes import (
     VARIANT_STATS,
     CodeSpec,
     Constraint,
+    Record,
     budget_limit,
     capped_power,
     check_budget,
@@ -85,14 +85,17 @@ def w_variables(r: int) -> tuple[str, ...]:
     return tuple(f"w{j}" for j in range(r))
 
 
-@dataclass
-class Enumerator:
+class Enumerator(Record):
     """A weight enumerator polynomial tagged with how it was produced."""
 
-    kind: str
-    poly: MultiPoly
-    method: str
-    spec: Optional[CodeSpec] = None
+    __slots__ = _fields = ("kind", "poly", "method", "spec")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, kind: str, poly: MultiPoly, method: str, spec: Optional[CodeSpec] = None):
+        self.kind = kind
+        self.poly = poly
+        self.method = method
+        self.spec = spec
 
     def cardinality(self) -> int:
         """The number of codewords: the sum of the coefficients, which is

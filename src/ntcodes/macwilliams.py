@@ -18,24 +18,22 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
-from .codes import check_budget, enumerate_codewords, linear_code
+from .codes import FrozenRecord, Record, check_budget, enumerate_codewords, linear_code
 from .enumerators import _PackedSpace, _states, _transfer, complete_weight_enumerator, w_variables
 from .exactalg import CycElement, MultiPoly, count_text, exact_quotient
 
 
-@dataclass(frozen=True)
-class ZrLinearCode:
+class ZrLinearCode(FrozenRecord):
     """A linear code over Z_r with its dual, both fully materialized."""
 
-    r: int
-    n: int
-    s: int
-    matrix: tuple
-    code: tuple
-    dual: tuple
+    __slots__ = _fields = ("r", "n", "s", "matrix", "code", "dual")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, r: int, n: int, s: int, matrix: tuple, code: tuple, dual: tuple):
+        for name, value in zip(self.__slots__, (r, n, s, matrix, code, dual)):
+            object.__setattr__(self, name, value)
 
 
 def row_span(r: int, rows, budget: int | None = None) -> tuple:
@@ -142,19 +140,21 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     }
 
 
-@dataclass
-class MacWilliamsReport:
+class MacWilliamsReport(Record):
     """Both sides of the duality identity plus the verdict.
 
     When the matrix is rank deficient (fewer than r^s distinct row-span
     elements) the right side is not computed and `verified` is False.
     """
 
-    left: MultiPoly
-    right: Optional[MultiPoly]
-    verified: bool
-    full_rank: bool
-    dual_size: int
+    __slots__ = _fields = ("left", "right", "verified", "full_rank", "dual_size")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(
+        self, left: MultiPoly, right: Optional[MultiPoly], verified: bool, full_rank: bool, dual_size: int
+    ):
+        self.left, self.right, self.verified = left, right, verified
+        self.full_rank, self.dual_size = full_rank, dual_size
 
 
 def verify_macwilliams(code: ZrLinearCode) -> MacWilliamsReport:

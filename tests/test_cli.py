@@ -927,6 +927,36 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout.strip() == "0"
 
 
+def test_importing_the_cli_loads_no_module_a_request_does_not_use():
+    # an isolated interpreter (-I), as the benchmark times the import; it
+    # ignores PYTHONPATH, so the source directory is put on sys.path by hand
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = _run_python(
+        "-I",
+        "-c",
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import ntcodes, ntcodes.cli\n"
+        "unused = {'dataclasses', 'inspect', 'json', 'csv'}\n"
+        "print(sorted(unused & (set(sys.modules) - before)))\n"
+        "for fmt in ('json', 'csv'):\n"
+        "    ntcodes.cli.main(['enum', 'tenengolts', '--n', '3', '--r', '3', '--a1', '0', '--a2', '0', '--format', fmt])\n"
+        "print(sorted(unused & (set(sys.modules) - before)))\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        '{"kind": "hamming", "variables": ["w"], "terms": [{"exp": [0], "coef": "1"}, {"exp": [2], "coef": "2"}, '
+        '{"exp": [3], "coef": "2"}], "cardinality": "5", "method": "closed_form"}',
+        "w,coefficient",
+        "0,1",
+        "2,2",
+        "3,2",
+        "['csv', 'json']",
+    ]
+
+
 # argvs whose parse by the subcommand's parser alone must match the nested
 # parse: well formed, help, unknown flags before and after the subcommand,
 # abbreviations, negative values, a repeated flag and each kind of usage error

@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -364,6 +366,59 @@ def test_constraint_normalizes_residue():
         Constraint(SIGMA, 0, 0)
 
 
+def test_records_compare_hash_freeze_and_show_their_fields():
+    from ntcodes.enumerators import Enumerator
+    from ntcodes.exactalg import MultiPoly
+    from ntcodes.macwilliams import build_code, verify_macwilliams
+
+    # equal specs are equal and hash alike; a record equals no other class
+    spec = CodeSpec(3, 3, ((GAMMA_GT, 3, 0), (SIGMA, 3, 0)))
+    same = make_family("tenengolts", n=3, r=3, a1=0, a2=0)
+    assert spec == same and hash(spec) == hash(same) and spec is not same
+    assert spec != CodeSpec(3, 3, ((GAMMA_GT, 3, 1), (SIGMA, 3, 0)))
+    assert spec != (3, 3, spec.constraints) and Constraint(SIGMA, 3, 1) != (SIGMA, 3, 1)
+    assert Constraint(SIGMA, 3, 4) == Constraint(SIGMA, 3, 1)
+    assert hash(Constraint(SIGMA, 3, 4)) == hash(Constraint(SIGMA, 3, 1))
+    # a statistic compares by kind and weights, never by its callable
+    assert custom(len) == custom(sum) and hash(custom(len)) == hash(custom(sum))
+    assert linear([1, 2]) == linear((1, 2)) and linear((1, 2)) != linear((1, 3))
+    assert Statistic("omega") == OMEGA and OMEGA != SIGMA
+    assert {OMEGA: 1}[Statistic("omega")] == 1
+
+    code = build_code(2, [[1, 1]])
+    assert code == build_code(2, [[1, 1]]) and hash(code) == hash(build_code(2, [[1, 1]]))
+    for record, name in ((spec, "n"), (spec.constraints[0], "a"), (SIGMA, "kind"), (SIGMA, "form"), (code, "dual")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert spec.n == 3 and SIGMA.kind == "sigma" and code.dual == ((0, 0), (1, 1))
+
+    assert repr(CodeSpec(2, 3, ((SIGMA, 2, 3), (linear([1, 2]), 5, 4)))) == (
+        "CodeSpec(n=2, r=3, constraints=(Constraint(stat=Statistic(kind='sigma', h=None, fn=None), m=2, a=1), "
+        "Constraint(stat=Statistic(kind='linear', h=(1, 2), fn=None), m=5, a=4)))"
+    )
+    assert repr(code) == "ZrLinearCode(r=2, n=2, s=1, matrix=((1, 1),), code=((0, 0), (1, 1)), dual=((0, 0), (1, 1)))"
+
+    # the enumerator and the report stay mutable and unhashable
+    poly = MultiPoly(("w",), {(0,): 1})
+    enum = Enumerator("hamming", poly, "oracle")
+    assert enum == Enumerator("hamming", poly, "oracle") != Enumerator("hamming", poly, "transfer")
+    assert repr(enum) == "Enumerator(kind='hamming', poly=MultiPoly(('w',), '1'), method='oracle', spec=None)"
+    enum.method = "closed_form"
+    assert enum.method == "closed_form" and enum == Enumerator("hamming", poly, "closed_form")
+    report = verify_macwilliams(code)
+    report.verified = False
+    assert not report.verified and report != verify_macwilliams(code)
+    for record in (enum, report):
+        with pytest.raises(TypeError):
+            hash(record)
+
+    # pickle and copy rebuild every record, the frozen ones included
+    for record in (spec, linear((1, 2)), code, enum, report):
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record) == copy.copy(record)
+
+
 def test_spec_json_round_trip():
     spec = CodeSpec(3, 3, ((GAMMA_GT, 3, 2), (linear((1, 2, 3)), 5, 4)))
     data = spec_to_dict(spec)
@@ -538,7 +593,7 @@ def test_codes_imports_nothing_from_enumerators():
 #: the only places that may test a statistic's kind against a built-in kind
 #: name; the form table is a dict keyed by kind and tests none
 KIND_TEST_SITES = {
-    ("codes", "Statistic.__post_init__"),
+    ("codes", "Statistic.__init__"),
     ("codes", "_stat_to_json"),
     ("codes", "_stat_from_json"),
     ("enumerators", "compute"),
@@ -609,7 +664,7 @@ def test_statistic_kinds_are_tested_only_at_their_sites():
         for site, line in _kind_tests(path.read_text(), tables):
             assert (path.stem, site) in KIND_TEST_SITES, (path.name, site, line)
             sites.add((path.stem, site))
-    assert ("codes", "Statistic.__post_init__") in sites
+    assert ("codes", "Statistic.__init__") in sites
 
 
 def test_macwilliams_cli_unchanged_under_the_plain_scan(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -155,11 +156,14 @@ def test_row_span_validates_its_rows():
     assert row_span(3, [[4, -1]]) == row_span(3, [[1, 2]])
 
 
+@functools.cache
 def dual_term_expansion(r, tau):
     """Reference for one dual type vector: prod_i (sum_k w_k X^(ik))^(tau_i)
     expanded from scratch, as a map from w-exponent vectors to length-r
     coefficient vectors in Z[X]/(X^r - 1) (the right side's former
-    per-type-vector expansion)."""
+    per-type-vector expansion).  Memoized per (r, tau), since hypothesis
+    draws the same small type vectors again and again: callers only read
+    the returned dict."""
     poly = {(0,) * r: [1] + [0] * (r - 1)}
     for i, t in enumerate(tau):
         for _ in range(t):
