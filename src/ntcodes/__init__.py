@@ -24,8 +24,6 @@ from .enumerators import (
     complete_weight_enumerator,
     compute,
     full_space_enumerator,
-    lc_hamming,
-    oracle_extended,
     specialize,
     tenengolts_cardinality,
     tenengolts_hamming,

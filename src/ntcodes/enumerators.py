@@ -17,7 +17,8 @@ position, the symbol and the symbol before it (its `codes.Form`), so one
 transfer pass over the positions (the transfer-matrix method, `_transfer`)
 never lists the words.  It keys each count by one integer whose digits are
 either exact, never wrapped, or residues, wrapped back below their moduli,
-and it may shift the counts and fold them cyclically.  Both routes below
+each stepped through its own statistic's increment table, and it may
+shift the counts and fold them cyclically.  Both routes below
 run it, and so does the right side of the MacWilliams identity
 (`macwilliams._dual_at_characters`).
 
@@ -35,8 +36,9 @@ its full space is the oracle's tally at moduli 1.
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
 `_digit_congruence` picks.  Every pass's size is the count of `_states`.
-It evaluates the linear-congruence character sum of `lc_hamming`, and
-answers every spec without a closed form below kind "extended".
+It evaluates the linear-congruence character sum, `compute`'s closed form
+for one congruence at "hamming", and answers every spec without a closed
+form below kind "extended".
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .codes import (
     capped_power,
     check_budget,
     enumerate_codewords,
-    lc,
     linear,
     statistic_evaluator,
     tenengolts as tenengolts_spec,
@@ -140,11 +141,6 @@ def _scan_terms(spec: CodeSpec, kind: str, budget: int | None):
     return terms
 
 
-def oracle_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
-    """Extended weight enumerator by summing one monomial per codeword."""
-    return compute(spec, "extended", "oracle", budget)
-
-
 def complete_weight_enumerator(words, r: int) -> MultiPoly:
     """Sum over words of the monomial prod_j w_j^(count of symbol j)."""
     return MultiPoly(w_variables(r), Counter(type_vector(word, r) for word in words))
@@ -183,25 +179,20 @@ def specialize(enum: Enumerator, target: str):
 # full-space enumerators
 
 
-def _increment_tables(n: int, r: int, stats, strides, lasts):
-    """The statistics' forms (`codes.Form`) at their strides, as the tables
-    (lin, ups, ones) of the summed h_j, U(p, x) and D(p, x): symbol x at
-    position j after `previous` adds x lin[j] + j ups[previous][x] +
-    ones[previous][x].  `ups` and `ones` hold one row per entry of `lasts`:
-    None, the previous "symbol" at position 0 or when no statistic of the
-    pass reads it, then every symbol where one does.  Rows of None stay 0."""
-    lin = [0] * n
-    ups = {p: [0] * r for p in lasts}
-    ones = {p: [0] * r for p in lasts}
-    for form, stride in zip((st.form for st in stats), strides):
-        weights = form.weights(n)
-        if weights is not None:
-            lin = [acc + h * stride for acc, h in zip(lin, weights)]
-        for compare, table in ((form.up, ups), (form.down, ones)):
-            if compare is not None:
-                for p, x in itertools.product(range(r), repeat=2):
-                    table[p][x] += stride * compare(p, x)
-    return lin, ups, ones
+def _increment_tables(n: int, r: int, stat, lasts):
+    """The statistic's form (`codes.Form`) as the tables (lin, ups, ones) of
+    h_j, U(p, x) and D(p, x): symbol x at position j after `previous` adds
+    x lin[j] + j ups[previous][x] + ones[previous][x].  `ups` and `ones`
+    hold one row per entry of `lasts`: None, the previous "symbol" at
+    position 0 or when no statistic of the pass reads it, then every
+    symbol where one does.  Rows of None, and the parts the form lacks,
+    are one shared row of zeros."""
+    form, zero = stat.form, [0] * r
+
+    def table(compare):
+        return {p: zero if compare is None or p is None else [compare(p, x) for x in range(r)] for p in lasts}
+
+    return form.weights(n) or (0,) * n, table(form.up), table(form.down)
 
 
 def _reads_previous(stats) -> bool:
@@ -218,29 +209,28 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
     nothing reads.
 
     Each count is keyed by one integer, and `digits` holds one (stat, m,
-    stride, place) per statistic.  An exact digit (m = 0, place 0) is the
-    statistic's value at `stride`, never wrapped; all of them step by one
-    `_increment_tables` at their strides.  A residue digit is the value
-    mod m, of radix 2 m at `stride` (none at stride 0), so that a step
-    never carries it and wraps it back below m; it also shifts the count
-    by `place` bits per unit.  Symbol x adds unit[x] to every key and
-    shifts every count by shifts[x] bits besides.  With a nonzero `span`,
-    after each position the bits of a count past `span` are added back
-    at bit 0: shifts are then rotations of its span bits.  A step that
-    wraps no digit and shifts nothing only adds to the keys.
+    stride, place) per statistic, each stepped through its own
+    `_increment_tables`.  A digit adds its increment v, or with m > 0
+    v mod m, times `stride` to the key, and shifts the count by v `place`
+    bits.  It is exact (m = 0, place 0): the statistic's value, never
+    wrapped; a keyed residue (place 0): the value mod m, of radix 2 m at
+    `stride`, so that a step never carries it and wraps it back below m;
+    or a cyclic residue (stride 0): the value mod m in the count's
+    rotation.  Symbol x adds unit[x] to every key and shifts every count
+    by shifts[x] bits besides.  With a nonzero `span`, after each position
+    the bits of a count past `span` are added back at bit 0: shifts are
+    then rotations of its span bits.  A step that wraps no digit and
+    shifts nothing only adds to the keys.
 
     Its clients: theorem 1's exact pass (`_exact_pass`), the residue pass
     (`_residue_pass`), and the MacWilliams right side, which has no
-    digits and multiplies by v_i = sum_k w_k X^(ik) with symbol k adding
-    w_k's stride and rotating the count by X^(ik)."""
+    digits, so no tables, and multiplies by v_i = sum_k w_k X^(ik) with
+    symbol k adding w_k's stride and rotating the count by X^(ik)."""
     reads = _reads_previous(d[0] for d in digits)
     lasts = (None, *range(r)) if reads else (None,)
-    exact = [d for d in digits if not d[1]]
-    lin, ups, ones = _increment_tables(n, r, [d[0] for d in exact], [d[2] for d in exact], lasts)
-    residues = [
-        (*_increment_tables(n, r, [st], (1,), lasts), m, stride, place, (stride, 2 * m, m, m * stride))
+    tables = [
+        (*_increment_tables(n, r, st, lasts), m, stride, place, (stride, 2 * m, m, m * stride))
         for st, m, stride, place in digits
-        if m
     ]
     full = (1 << span) - 1
 
@@ -249,16 +239,16 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
             nxt: dict = {}
             keyed = reads and j < n - 1
             for previous, terms in states.items():
-                up, one = ups[previous], ones[previous]
                 for x in range(r):
-                    inc, shift, wraps = x * lin[j] + j * up[x] + one[x] + unit[x], shifts[x], ()
-                    for rlin, rups, rones, m, stride, place, wrap in residues:
-                        v = (x * rlin[j] + j * rups[previous][x] + rones[previous][x]) % m
-                        if v:
-                            inc += v * stride
-                            shift += v * place
-                            if stride:
+                    inc, shift, wraps = unit[x], shifts[x], ()
+                    for lin, ups, ones, m, stride, place, wrap in tables:
+                        v = x * lin[j] + j * ups[previous][x] + ones[previous][x]
+                        if m:
+                            v %= m
+                            if v and stride:
                                 wraps += (wrap,)
+                        inc += v * stride
+                        shift += v * place
                     dest = nxt.setdefault(x if keyed else None, {})
                     if wraps or shift:
                         for key, count in terms.items():
@@ -370,7 +360,7 @@ def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> M
     has no increments, the oracle's tally at moduli 1."""
     cons = [Constraint(st, 1, 0) for st in stats]
     if any(st.kind == "custom" for st in stats):
-        return oracle_extended(CodeSpec(n, r, tuple(cons)), budget).poly
+        return compute(CodeSpec(n, r, tuple(cons)), "extended", "oracle", budget).poly
     space, kept = _theorem1_terms(n, r, cons, budget, n)
     return space.poly(kept)
 
@@ -593,22 +583,6 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "transfer", spec)
 
 
-def lc_hamming(n: int, m: int, r: int, h, a: int, budget: int | None = None) -> Enumerator:
-    """Hamming weight enumerator of the r-ary linear congruence code.
-
-    The paper's character sum (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1}
-    e(h_j k u/m)) is, by orthogonality, the coefficient of x^a in
-    prod_j (1 + w sum_{k>=1} x^(h_j k)) taken in Z[x]/(x^m - 1).  That
-    coefficient is what `compute` returns for this one congruence at
-    method "closed": the residue pass, in integer arithmetic, for any
-    integer weights.  The residues mod m are in the keys, or the cyclic
-    digits of each count, rotated by h_j k digits by position j's factor,
-    as `_digit_congruence` picks.  No twisted point and no division by m,
-    so no integrality sentinel can fire.  The pass's bound, the `_states`
-    of m residues and n + 1 Hamming weights, is checked before it starts."""
-    return compute(lc(n, m, r, h, a), "hamming", "closed", budget)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for descent/sum codes
 
@@ -741,6 +715,15 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
       which refuses a custom statistic; below "extended" it gets the spec
       with its negative linear weights reduced mod their moduli, which
       changes only the z-exponents the kind drops.
+
+    The character sum of one linear congruence of modulus m,
+    (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), is by
+    orthogonality the coefficient of x^a in prod_j (1 + w sum_{k>=1}
+    x^(h_j k)) taken in Z[x]/(x^m - 1).  The residue pass reads that
+    coefficient in integer arithmetic, for any integer weights: the
+    residues mod m are in the keys, or the cyclic digits of each count,
+    rotated by h_j k digits by position j's factor.  No twisted point and
+    no division by m, so no integrality sentinel can fire.
 
     `budget` bounds every route before its work starts.
     """

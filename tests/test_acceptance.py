@@ -23,12 +23,12 @@ from ntcodes.codes import (
     VARIANT_STATS,
     enumerate_codewords,
     evaluate_statistic,
+    lc,
     make_family,
     type_vector,
 )
 from ntcodes.enumerators import (
-    lc_hamming,
-    oracle_extended,
+    compute,
     specialize,
     tenengolts_cardinality,
     tenengolts_hamming,
@@ -175,8 +175,8 @@ def test_criterion_3_oracle_equivalence_sweep():
         h = tuple(rng.randrange(max(m, 2)) for _ in range(n))
         a = rng.randrange(m)
         spec = make_family("lc", n=n, m=m, r=r, h=h, a=a)
-        oracle = specialize(oracle_extended(spec), "hamming")
-        assert lc_hamming(n, m, r, h, a).poly == oracle.poly
+        oracle = specialize(compute(spec, "extended", "oracle"), "hamming")
+        assert compute(spec, "hamming", "closed").poly == oracle.poly
         checks += 1
 
     # 20 random simultaneous-congruence specs through the character sum
@@ -193,7 +193,7 @@ def test_criterion_3_oracle_equivalence_sweep():
         spec = CodeSpec(n, r, tuple(cons))
         engine = theorem1_extended(spec)
         assert engine.method == "character_sum"
-        assert engine.poly == oracle_extended(spec).poly
+        assert engine.poly == compute(spec, "extended", "oracle").poly
         checks += 1
 
     elapsed = watch.check("criterion 3")
@@ -294,7 +294,7 @@ def test_criterion_7_integrality_sentinel():
         for _ in range(10):
             n, m, r = rng.randint(1, 6), rng.randint(1, 10), rng.randint(2, 4)
             h = tuple(rng.randrange(max(m, 2)) for _ in range(n))
-            lc_hamming(n, m, r, h, rng.randrange(m))
+            compute(lc(n, m, r, h, rng.randrange(m)), "hamming", "closed")
         for _ in range(6):
             spec = CodeSpec(
                 rng.randint(2, 4),

@@ -17,7 +17,7 @@ import ntcodes.cli
 import ntcodes.macwilliams
 from ntcodes.cli import _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
-from ntcodes.enumerators import enumerator_from_dict, lc_hamming, tenengolts_hamming
+from ntcodes.enumerators import enumerator_from_dict, tenengolts_hamming
 
 
 def run(capsys, *argv):
@@ -242,7 +242,7 @@ def test_cli_binds_no_route_function():
     # every route is picked by `compute`; the CLI names none of them
     import ntcodes.cli
 
-    routes = ("lc_hamming", "tenengolts_hamming", "tenengolts_cardinality", "theorem1_extended", "oracle_extended")
+    routes = ("tenengolts_hamming", "tenengolts_cardinality", "theorem1_extended")
     assert not [name for name in routes if hasattr(ntcodes.cli, name)]
 
 

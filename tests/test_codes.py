@@ -615,11 +615,13 @@ def _tables(source: str) -> dict:
 
 
 def _kind_tests(source: str, tables: dict) -> list:
-    """(site, line) of every ==, !=, in or not in test of a `.kind`
-    attribute against a built-in kind name other than "linear" and
-    "custom": a string, a literal collection holding one, or a name of
-    `tables` (`_tables`) holding one.  The site is the qualified name of
-    the enclosing function, or "<module>"."""
+    """(site, line) of every ==, !=, in or not in test of a kind against a
+    built-in kind name other than "linear" and "custom": a string, a
+    literal collection holding one, or a name of `tables` (`_tables`)
+    holding one.  A kind is a `.kind` attribute, a local name bound from
+    one, or a parameter of the enclosing function (or of one it is nested
+    in).  The site is the qualified name of the enclosing function, or
+    "<module>"."""
     names = set(STAT_KINDS) - {"linear", "custom"}
     tree = ast.parse(source)
 
@@ -630,31 +632,54 @@ def _kind_tests(source: str, tables: dict) -> list:
             return any(map(builtin, node.elts))
         return isinstance(node, ast.Name) and bool(names & tables.get(node.id, set()))
 
+    def kind_names(func) -> set:
+        # its parameters, and the names it binds from a `.kind` attribute
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        bound = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "kind"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        return {a.arg for a in params if a is not None} | bound
+
     found = []
 
-    def visit(node, site):
+    def visit(node, site, kinds):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name if site == "<module>" else f"{site}.{child.name}")
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name if site == "<module>" else f"{site}.{child.name}", kinds)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                name = child.name if site == "<module>" else f"{site}.{child.name}"
+                visit(child, name, kinds | kind_names(child))
                 continue
             if isinstance(child, ast.Compare) and all(
                 isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in child.ops
             ):
                 sides = [child.left, *child.comparators]
-                if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in sides):
+                if any(
+                    isinstance(x, ast.Attribute) and x.attr == "kind" or isinstance(x, ast.Name) and x.id in kinds
+                    for x in sides
+                ):
                     if any(builtin(x) for x in sides):
                         found.append((site, child.lineno))
-            visit(child, site)
+            visit(child, site, kinds)
 
-    visit(tree, "<module>")
+    visit(tree, "<module>", set())
     return found
 
 
 def test_statistic_kinds_are_tested_only_at_their_sites():
     # every reader of an increment takes the statistic's form, so a new kind
-    # is added in one place; the scan itself catches a planted test
+    # is added in one place; the scan itself catches a planted test, also of
+    # a kind copied into a local or passed as a parameter
     planted = "def f(st):\n    return st.kind == 'delta' or st.kind in TABLE\n"
     assert _kind_tests(planted, _tables("TABLE = {'omega': 1}")) == [("f", 2), ("f", 2)]
+    planted = "def f(st):\n    k = st.kind\n    return k == 'delta'\n\n\ndef g(kind):\n    return kind in ('omega',)\n"
+    assert _kind_tests(planted, {}) == [("f", 3), ("g", 7)]
     assert _kind_tests("def f(st):\n    return st.kind == 'custom' or st.kind in ('linear',)\n", {}) == []
     paths = sorted(Path(ntcodes.codes.__file__).parent.glob("*.py"))
     # a table may be imported from another module of the package

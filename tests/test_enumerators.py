@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from math import comb, factorial, gcd, prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -45,8 +46,6 @@ from ntcodes.enumerators import (
     enumerator_from_dict,
     enumerator_to_dict,
     full_space_enumerator,
-    lc_hamming,
-    oracle_extended,
     specialize,
     tenengolts_cardinality,
     tenengolts_hamming,
@@ -56,6 +55,7 @@ from ntcodes.enumerators import (
     z_variables,
 )
 from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly
+from ntcodes.macwilliams import build_code, verify_macwilliams
 from ntcodes.numtheory import divisors
 from ntcodes.qcalc import compositions, q_multinomial
 
@@ -80,8 +80,8 @@ def hamming_oracle(spec, budget=None):
     return MultiPoly(("w",), {(d,): c for d, c in hist.items()})
 
 
-def test_oracle_extended_t33():
-    enum = oracle_extended(make_family("tenengolts", n=3, r=3, a1=0, a2=0))
+def test_extended_oracle_t33():
+    enum = compute(make_family("tenengolts", n=3, r=3, a1=0, a2=0), "extended", "oracle")
     assert enum.poly == T33_EXTENDED
     assert str(enum.poly) == (
         "w0^3 + z2^3*w0*w1*w2 + z2^3*w1^3 + z1^3*z2^3*w0*w1*w2 + z2^6*w2^3"
@@ -91,16 +91,16 @@ def test_oracle_extended_t33():
 
 def test_oracle_on_empty_and_tiny_codes():
     empty = CodeSpec(2, 2, ((SIGMA, 4, 3),))
-    assert oracle_extended(empty).poly == MultiPoly(("z1", "w0", "w1"))
+    assert compute(empty, "extended", "oracle").poly == MultiPoly(("z1", "w0", "w1"))
     one_symbol = CodeSpec(1, 2, ((SIGMA, 1, 0),))
-    enum = oracle_extended(one_symbol)
+    enum = compute(one_symbol, "extended", "oracle")
     assert enum.poly == MultiPoly(
         ("z1", "w0", "w1"), {(0, 1, 0): 1, (1, 0, 1): 1}
     )
 
 
 def test_specialize_chain():
-    enum = oracle_extended(make_family("tenengolts", n=3, r=3, a1=0, a2=0))
+    enum = compute(make_family("tenengolts", n=3, r=3, a1=0, a2=0), "extended", "oracle")
     complete = specialize(enum, "complete")
     assert str(complete.poly) == "w0^3 + 2*w0*w1*w2 + w1^3 + w2^3"
     hamming = specialize(complete, "hamming")
@@ -125,7 +125,7 @@ SPECIALIZE_SPECS = [
 @pytest.mark.parametrize("source", KINDS)
 def test_specialize_every_kind_pair(source, target):
     for spec in SPECIALIZE_SPECS:
-        enum = oracle_extended(spec) if source == "extended" else compute(spec, source, "oracle")
+        enum = compute(spec, source, "oracle")
         if target == "cardinality":
             assert specialize(enum, target) == len(list(enumerate_codewords(spec)))
         elif target == source:
@@ -255,7 +255,7 @@ def test_oracle_tally_matches_a_reference_at_every_kind(spec):
 def test_transfer_full_space_matches_oracle_for_every_statistic(case):
     n, r, stats = case
     whole_space = CodeSpec(n, r, tuple((stat, 1, 0) for stat in stats))
-    expected = oracle_extended(whole_space).poly
+    expected = compute(whole_space, "extended", "oracle").poly
     with (
         mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
         mock.patch.object(enumerators, "_scan_terms") as scan,
@@ -279,7 +279,7 @@ def test_full_space_without_statistics_is_the_type_enumerator():
 def test_full_space_of_a_custom_statistic_is_the_oracle_scan():
     repeats = custom(lambda word: sum(1 for i in range(1, len(word)) if word[i] == word[i - 1]))
     whole_space = CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
-    assert full_space_enumerator(4, 3, (repeats, SIGMA)) == oracle_extended(whole_space).poly
+    assert full_space_enumerator(4, 3, (repeats, SIGMA)) == compute(whole_space, "extended", "oracle").poly
 
 
 def test_full_space_refuses_past_the_budget():
@@ -302,21 +302,36 @@ def test_packed_key_round_trip_and_carry():
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_increment_tables_sum_to_the_statistics(r):
-    # each statistic alone at stride 1, and all of them at once at their
-    # strides: a word's summed increments are its statistics' values, as
-    # the definitions written out as plain loops give them
+    # each statistic's table: a word's summed increments are its value, as
+    # the definitions written out as plain loops give it
     for n in range(6):
         stats = [*BUILTIN_STATS, linear((2, 0, 3, 1, 4)[:n])]
-        strides = [10**i for i in range(len(stats))]
         lasts = (None, *range(r))
-        tables = [enumerators._increment_tables(n, r, [st], (1,), lasts) for st in stats]
-        tables.append(enumerators._increment_tables(n, r, stats, strides, lasts))
-        for word in itertools.product(range(r), repeat=n):
-            values = [reference_statistic(st, word) for st in stats]
-            expected = values + [sum(v * stride for v, stride in zip(values, strides))]
-            steps = list(enumerate(zip((None, *word), word)))
-            summed = [sum(x * lin[j] + j * ups[p][x] + ones[p][x] for j, (p, x) in steps) for lin, ups, ones in tables]
-            assert summed == expected, word
+        for st in stats:
+            lin, ups, ones = enumerators._increment_tables(n, r, st, lasts)
+            for word in itertools.product(range(r), repeat=n):
+                steps = enumerate(zip((None, *word), word))
+                summed = sum(x * lin[j] + j * ups[p][x] + ones[p][x] for j, (p, x) in steps)
+                assert summed == reference_statistic(st, word), (st, word)
+
+
+@pytest.mark.parametrize(
+    "call, tables",
+    [
+        # the MacWilliams right side's passes have no digits
+        (lambda: verify_macwilliams(build_code(3, [[1, 1, 1]])), 0),
+        # the residue pass of one congruence
+        (lambda: compute(lc(6, 7, 2, (1, 2, 3, 4, 5, 6), 0), "hamming"), 1),
+        # theorem 1's exact pass of a descent statistic and sigma
+        (lambda: theorem1_extended(make_family("tenengolts", n=6, r=3, a1=0, a2=0)), 2),
+    ],
+    ids=["macwilliams", "residue", "theorem1"],
+)
+def test_every_digit_steps_through_its_own_table(call, tables):
+    # one increment table per digit of a pass, and none for a pass of no digits
+    with mock.patch.object(enumerators, "_increment_tables", wraps=enumerators._increment_tables) as built:
+        call()
+    assert built.call_count == tables
 
 
 def test_custom_statistic_full_space_is_enumerated():
@@ -335,11 +350,11 @@ def test_custom_statistic_full_space_is_enumerated():
     (scanned, kind, _), _ = scan.call_args
     assert kind == "extended"
     assert scanned == CodeSpec(4, 3, ((repeats, 1, 0), (SIGMA, 1, 0)))
-    assert full == oracle_extended(scanned).poly
+    assert full == compute(scanned, "extended", "oracle").poly
     # "auto" sends the spec to the oracle
     got = compute(spec, "extended")
     assert got.method == "oracle"
-    assert got.poly == oracle_extended(spec).poly
+    assert got.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_full_space_descent_sum_w0w1w2_coefficient():
@@ -358,7 +373,7 @@ def test_theorem1_matches_oracle_descent_sum():
                     spec = make_family("tenengolts", n=n, r=r, a1=a1, a2=a2)
                     engine = theorem1_extended(spec)
                     assert engine.method == "character_sum"
-                    assert engine.poly == oracle_extended(spec).poly
+                    assert engine.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_theorem1_trivial_modulus_gives_full_space():
@@ -378,7 +393,7 @@ def test_theorem1_fast_path_and_forced_character_sum_agree():
     spec = CodeSpec(4, 3, ((GAMMA_GT, 3, 1), (DELTA, 2, 1), (SIGMA, 3, 0)))
     fast = theorem1_extended(spec)
     assert fast.method == "character_sum"
-    assert fast.poly == oracle_extended(spec).poly
+    assert fast.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
@@ -460,7 +475,7 @@ def theorem1_specs(draw):
 def test_theorem1_matches_oracle_with_real_moduli(spec):
     engine = theorem1_extended(spec)
     assert engine.method == "character_sum"
-    expected = oracle_extended(spec).poly
+    expected = compute(spec, "extended", "oracle").poly
     assert (engine.poly.variables, engine.poly) == (expected.variables, expected)
 
 
@@ -529,7 +544,7 @@ def test_theorem1_join_at_every_split_point(spec):
         return enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)
 
     space, single = kept(spec.n)
-    expected = oracle_extended(spec).poly
+    expected = compute(spec, "extended", "oracle").poly
     assert (space.variables, space.poly(single)) == (expected.variables, expected)
     for k in range(spec.n):
         assert kept(k)[1] == single
@@ -678,7 +693,7 @@ def test_theorem1_continues_the_left_half_where_the_halves_do_not_fit(monkeypatc
     # two the left half runs and continues, with no right half, and answers
     spec = CodeSpec(5, 6, ((DELTA, 3, 1),))
     runs = _recorded_runs(monkeypatch)
-    assert theorem1_extended(spec, budget=1270).poly == oracle_extended(spec).poly
+    assert theorem1_extended(spec, budget=1270).poly == compute(spec, "extended", "oracle").poly
     assert runs == [range(2), range(2, 5)]
     refusal = "^full-space transfer pass of up to 1260 terms exceeds the budget 1259$"
     with pytest.raises(BudgetExceededError, match=refusal):
@@ -744,7 +759,7 @@ def test_theorem1_random_simultaneous_specs():
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
         engine = theorem1_extended(spec)
-        assert engine.poly == oracle_extended(spec).poly
+        assert engine.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_negative_weights_rejected_by_enumerator_paths():
@@ -756,7 +771,7 @@ def test_negative_weights_rejected_by_enumerator_paths():
     # the oracle complains only when a codeword actually hits a negative value
     member_negative = CodeSpec(2, 2, ((linear((-1, 2)), 3, 2),))
     with pytest.raises(ValueError):
-        oracle_extended(member_negative)
+        compute(member_negative, "extended", "oracle")
 
 
 NEGATIVE_WEIGHT_SPECS = [
@@ -782,26 +797,26 @@ def test_negative_linear_weights_below_extended_match_oracle(kind, method):
             compute(spec, "extended", method)
 
 
-def test_lc_hamming_examples():
-    enum = lc_hamming(4, 5, 2, (1, 2, 3, 4), 0)
+def test_lc_closed_hamming_examples():
+    enum = compute(lc(4, 5, 2, (1, 2, 3, 4), 0), "hamming", "closed")
     assert enum.poly == hamming_oracle(make_family("binary_vt", n=4, a=0))
     assert enum.cardinality() == 4
     # whole space at m=1
-    whole = lc_hamming(3, 1, 3, (1, 1, 1), 0)
+    whole = compute(lc(3, 1, 3, (1, 1, 1), 0), "hamming", "closed")
     # (1 + 2w)^3 = 1 + 6w + 12w^2 + 8w^3
     assert whole.poly == MultiPoly(("w",), {(0,): 1, (1,): 6, (2,): 12, (3,): 8})
     # single position fixed to zero
-    assert lc_hamming(1, 2, 2, (1,), 0).poly == MultiPoly(("w",), {(0,): 1})
+    assert compute(lc(1, 2, 2, (1,), 0), "hamming", "closed").poly == MultiPoly(("w",), {(0,): 1})
     # the binary code is r = 2
     blc = make_family("blc", n=5, m=4, h=(1, 1, 2, 3, 3), a=2)
-    assert lc_hamming(5, 4, 2, (1, 1, 2, 3, 3), 2).poly == hamming_oracle(blc)
+    assert compute(lc(5, 4, 2, (1, 1, 2, 3, 3), 2), "hamming", "closed").poly == hamming_oracle(blc)
 
 
-def test_lc_hamming_negative_weights():
+def test_lc_closed_hamming_negative_weights():
     # the Hamming closed form has no z-exponents, so any integer weights work
     h = (-1, 2, 5)
     m, r, a = 3, 3, 1
-    enum = lc_hamming(3, m, r, h, a)
+    enum = compute(lc(3, m, r, h, a), "hamming", "closed")
     hist = {}
     for word in itertools.product(range(r), repeat=3):
         if sum(hi * x for hi, x in zip(h, word)) % m == a:
@@ -810,7 +825,7 @@ def test_lc_hamming_negative_weights():
     assert enum.poly == MultiPoly(("w",), {(d,): c for d, c in hist.items()})
 
 
-def test_lc_hamming_random_against_oracle():
+def test_lc_closed_hamming_random_against_oracle():
     rng = random.Random(11)
     for _ in range(12):
         r = rng.randint(2, 4)
@@ -819,10 +834,10 @@ def test_lc_hamming_random_against_oracle():
         h = tuple(rng.randrange(max(m, 2)) for _ in range(n))
         a = rng.randrange(m)
         spec = make_family("lc", n=n, m=m, r=r, h=h, a=a)
-        assert lc_hamming(n, m, r, h, a).poly == hamming_oracle(spec)
+        assert compute(lc(n, m, r, h, a), "hamming", "closed").poly == hamming_oracle(spec)
 
 
-def twisted_point_lc_hamming(n, m, r, h, a):
+def twisted_point_lc_sum(n, m, r, h, a):
     """The paper's character sum for the linear congruence code,
     (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), evaluated
     at the twisted points in Z[x]/(x^m - 1) and divided exactly by m."""
@@ -861,13 +876,13 @@ def lc_cases(draw):
 
 @given(lc_cases())
 @example((0, 5, 2, (), 0))
-def test_lc_hamming_matches_oracle(case):
+def test_lc_closed_hamming_matches_oracle(case):
     n, m, r, h, a = case
     spec = CodeSpec(n, r, ((linear(h), m, a),))
-    assert lc_hamming(n, m, r, h, a).poly == hamming_oracle(spec)
+    assert compute(lc(n, m, r, h, a), "hamming", "closed").poly == hamming_oracle(spec)
 
 
-def test_lc_hamming_equals_twisted_point_sum():
+def test_lc_closed_hamming_equals_twisted_point_sum():
     rng = random.Random(2024)
     for _ in range(30):
         n, r = rng.randint(0, 5), rng.randint(1, 4)
@@ -875,32 +890,33 @@ def test_lc_hamming_equals_twisted_point_sum():
         d = rng.choice(divisors(m))
         h = tuple(rng.choice((rng.randint(-m, 2 * m), d * rng.randint(-2, 2))) for _ in range(n))
         a = rng.randrange(m)
-        assert lc_hamming(n, m, r, h, a).poly == twisted_point_lc_hamming(n, m, r, h, a)
+        assert compute(lc(n, m, r, h, a), "hamming", "closed").poly == twisted_point_lc_sum(n, m, r, h, a)
 
 
-def test_lc_hamming_budget_checked_before_the_pass():
+def test_lc_closed_hamming_budget_checked_before_the_pass():
     # bound min(r^n, m (n + 1)): min(3^6, 24 * 7) = 168; the 3^6 words fill
     # at most 729 (state, weight) digits however large m is
     with pytest.raises(BudgetExceededError, match="up to 168 terms exceeds the budget 100"):
-        lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0, budget=100)
+        compute(lc(6, 24, 3, (1, 2, 3, 4, 5, 6), 0), "hamming", "closed", budget=100)
     with pytest.raises(BudgetExceededError, match="up to 729 terms exceeds the budget 728"):
-        lc_hamming(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0, budget=728)
-    assert lc_hamming(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0, budget=729).cardinality() == 1
+        compute(lc(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0), "hamming", "closed", budget=728)
+    assert compute(lc(6, 10**7, 3, (1, 2, 3, 4, 5, 6), 0), "hamming", "closed", budget=729).cardinality() == 1
     # the cardinality carries no Hamming weight: min(3^6, 24) = 24
     spec = make_family("lc", n=6, m=24, r=3, h=(1, 2, 3, 4, 5, 6), a=0)
     with pytest.raises(BudgetExceededError, match="up to 24 terms exceeds the budget 23"):
         compute(spec, "cardinality", budget=23)
-    assert compute(spec, "cardinality", budget=24) == lc_hamming(6, 24, 3, (1, 2, 3, 4, 5, 6), 0).cardinality()
+    hamming = compute(lc(6, 24, 3, (1, 2, 3, 4, 5, 6), 0), "hamming", "closed")
+    assert compute(spec, "cardinality", budget=24) == hamming.cardinality()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_lc_hamming_packed_digits_at_their_widest(r):
+def test_lc_closed_hamming_packed_digits_at_their_widest(r):
     # modulus 1: the one residue holds all r^n words, so each packed
     # Hamming digit reaches its largest count C(n, k) (r - 1)^k
     rng = random.Random(r)
     for n in range(65):
         h = tuple(rng.randint(-9, 9) for _ in range(n))
-        enum = lc_hamming(n, 1, r, h, 0)
+        enum = compute(lc(n, 1, r, h, 0), "hamming", "closed")
         expected = {(k,): comb(n, k) * (r - 1) ** k for k in range(n + 1)}
         assert enum.poly == MultiPoly(("w",), expected)
         assert enum.spec == CodeSpec(n, r, ((linear(h), 1, 0),))
@@ -1204,6 +1220,25 @@ def test_state_count_has_one_home():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "capped_power"
     }
     assert callers == {"_states"}
+
+
+def test_every_route_is_asked_of_compute():
+    # no public function of the package only forwards to `compute`: a caller
+    # names its route there, with the spec
+    wrappers = []
+    for path in sorted(Path(enumerators.__file__).parent.glob("*.py")):
+        for func in ast.parse(path.read_text()).body:
+            if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
+                continue
+            body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)
+                and getattr(body[0].value.func, "id", None) == "compute"
+            ):
+                wrappers.append((path.stem, func.name))
+    assert wrappers == []
 
 
 def _stepped_runs() -> tuple:
@@ -1521,7 +1556,7 @@ def test_theorem1_on_shifted_vt_product_form():
         spec = make_family("shifted_vt", n=n, m=m, a=a, parity=parity)
         engine = theorem1_extended(spec)
         assert engine.method == "character_sum"
-        assert engine.poly == oracle_extended(spec).poly
+        assert engine.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_theorem1_on_nonbinary_svt():
@@ -1539,7 +1574,7 @@ def test_theorem1_on_nonbinary_svt():
             b=rng.randrange(2),
             c=rng.randrange(r),
         )
-        oracle = oracle_extended(spec)
+        oracle = compute(spec, "extended", "oracle")
         assert theorem1_extended(spec).poly == oracle.poly
 
 
@@ -1605,7 +1640,7 @@ def test_compute_routes_agree_with_oracle(family, params, closed):
 )
 def test_oracle_below_extended_is_the_scan_complete_enumerator(family, params, monkeypatch):
     spec = make_family(family, **params)
-    extended = oracle_extended(spec)
+    extended = compute(spec, "extended", "oracle")
     complete = compute(spec, "complete", "oracle")
     assert complete.kind == "complete" and complete.method == "oracle"
     assert complete.poly == specialize(extended, "complete").poly
