@@ -276,6 +276,21 @@ def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
     assert len(passes) == 10 and len(scans) == 10
 
 
+def test_a_refusal_reads_alike_from_kept_passes(capsys):
+    # the halves theorem 1 keeps from a code of residue 1 fit the budget of a
+    # code of residue 0, whose join then overflows: the single pass is
+    # refused with the exit code and message of a run from fresh passes
+    argv = ("enum", "lc", "--n", "16", "--m", "1000", "--r", "5", "--h", ",".join(["0"] * 16))
+    argv += ("--kind", "extended", "--method", "theorem1")
+    refused = (*argv, "--a", "0", "--budget", "4844")
+    fresh = run(capsys, *refused)
+    assert fresh == (3, "", "error: full-space transfer pass of up to 4845 terms exceeds the budget 4844\n")
+    ntcodes.enumerators._PASSES.clear()
+    assert run(capsys, *argv, "--a", "1") == (0, "0\n", "")
+    kept = list(ntcodes.enumerators._PASSES)
+    assert run(capsys, *refused) == fresh and list(ntcodes.enumerators._PASSES) == kept
+
+
 def test_theorem1_and_the_residue_pass_run_the_one_transfer_kernel(capsys, monkeypatch):
     # each verify sc check's theorem 1 builds one kernel of exact digits
     # (m = 0); the residue pass builds one of the spec's residue digits

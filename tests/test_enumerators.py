@@ -260,7 +260,10 @@ def test_transfer_full_space_matches_oracle_for_every_statistic(case):
         mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
         mock.patch.object(enumerators, "_scan_terms") as scan,
     ):
+        # each call runs its pass afresh, not from the passes kept by the one before
+        enumerators._PASSES.clear()
         space, kept = enumerators._theorem1_terms(n, r, whole_space.constraints, None, n)
+        enumerators._PASSES.clear()
         assert full_space_enumerator(n, r, stats) == expected
     # built by the exact pass, not scanned
     assert exact_pass.call_count == 2 and not scan.called
@@ -1074,6 +1077,131 @@ def test_residue_pass_refuses_before_building_weights(kind):
     assert peak < 2_000_000
 
 
+def test_theorem1_reuses_its_passes_at_other_moduli_and_residues():
+    # the exact passes read n, r, the statistics and the split, never a
+    # modulus or a residue: a later code over the same statistics joins the
+    # kept halves at its own residues and runs no pass
+    theorem1_extended(make_family("shifted_vt", n=12, m=7, a=3, parity=0))
+    later = make_family("shifted_vt", n=12, m=9, a=5, parity=1)
+    with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
+        warm = theorem1_extended(later)
+    assert not exact_pass.called
+    assert warm.poly == compute(later, "extended", "oracle").poly
+
+
+@given(theorem1_specs(), st.data())
+def test_theorem1_answers_alike_from_kept_and_fresh_passes(spec, data):
+    # every kind and the full space, each from an empty map, then again from
+    # the passes a code of other moduli and residues kept, with no pass run
+    stats = [c.stat for c in spec.constraints]
+    moduli = [data.draw(st.integers(1, 12), label="m") for _ in stats]
+    residues = [data.draw(st.integers(0, m - 1), label="a") for m in moduli]
+    other = CodeSpec(spec.n, spec.r, tuple(zip(stats, moduli, residues)))
+    calls = [lambda kind=kind: compute(spec, kind, "theorem1") for kind in (*KINDS, "cardinality")]
+    calls.append(lambda: full_space_enumerator(spec.n, spec.r, stats))
+    fresh = []
+    for call in calls:
+        enumerators._PASSES.clear()
+        fresh.append(call())
+    enumerators._PASSES.clear()
+    compute(other, "extended", "theorem1")
+    full_space_enumerator(other.n, other.r, stats)
+    with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
+        warm = [call() for call in calls]
+    assert not exact_pass.called
+    assert warm == fresh
+    assert [getattr(e, "poly", e).variables for e in warm[:3]] == [e.poly.variables for e in fresh[:3]]
+
+
+@pytest.mark.parametrize(
+    "spec, warm, budget, refusal",
+    [
+        # the halves fit 4844 and are kept; their pairs outnumber it, so the
+        # single pass of 4845 terms is refused after the join of kept halves
+        (lc(16, 1000, 5, [0] * 16, 0), None, 4844, "^full-space transfer pass of up to 4845 terms exceeds the budget 4844$"),
+        # the halves do not fit 1270 and the single pass is kept; at 1259 it
+        # is refused before the map is read
+        (CodeSpec(5, 6, ((DELTA, 3, 1),)), 1270, 1259, "^full-space transfer pass of up to 1260 terms exceeds the budget 1259$"),
+    ],
+    ids=["after_the_join", "before_the_lookup"],
+)
+def test_kept_passes_refuse_as_fresh_ones(spec, warm, budget, refusal):
+    with pytest.raises(BudgetExceededError, match=refusal):
+        theorem1_extended(spec, budget)
+    enumerators._PASSES.clear()
+    other = CodeSpec(spec.n, spec.r, tuple((c.stat, c.m, (c.a + 1) % c.m) for c in spec.constraints))
+    theorem1_extended(other, warm)
+    kept = list(enumerators._PASSES)
+    with (
+        mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
+        pytest.raises(BudgetExceededError, match=refusal),
+    ):
+        theorem1_extended(spec, budget)
+    assert not exact_pass.called and list(enumerators._PASSES) == kept
+
+
+def _sizes() -> dict:
+    """The kept entries' sizes by key, least recently used first, each checked
+    to cover the terms its passes hold."""
+    for size, _, _, left, right, whole in enumerators._PASSES.values():
+        held = sum(len(terms) for states in (left, right, whole or {}) for terms in states.values())
+        assert size >= held
+    return {key: entry[0] for key, entry in enumerators._PASSES.items()}
+
+
+def test_kept_passes_stay_within_their_bound(monkeypatch):
+    # least recently used out first: with room for the passes of n = 8 and
+    # n = 9, asking n = 8 again and then n = 7 drops those of n = 9
+    for n in (8, 9):
+        theorem1_extended(make_family("levenshtein", n=n, m=3, a=0))
+    (eight, size), (nine, more) = _sizes().items()
+    monkeypatch.setattr(enumerators, "_PASSES_SIZE", size + more)
+    theorem1_extended(make_family("levenshtein", n=8, m=5, a=1))
+    theorem1_extended(make_family("levenshtein", n=7, m=3, a=0))
+    kept = list(_sizes())
+    assert len(kept) == 2 and kept[0] == eight and nine not in kept
+    # an entry larger than the bound is not kept, and drops none: one of many
+    # terms, or one of few terms whose run holds large increment tables
+    before = _sizes()
+    theorem1_extended(make_family("levenshtein", n=24, m=3, a=0))
+    assert _sizes() == before
+    monkeypatch.setattr(enumerators, "_PASSES_SIZE", 8192)
+    theorem1_extended(make_family("tenengolts", n=1, r=100, a1=0, a2=0))
+    assert _sizes() == before
+    # any sequence: the sizes never add up past the bound
+    monkeypatch.setattr(enumerators, "_PASSES_SIZE", 300)
+    enumerators._PASSES.clear()
+    for n in range(1, 13):
+        for family in (make_family("levenshtein", n=n, m=3, a=0), make_family("tenengolts", n=n, r=3, a1=0, a2=0)):
+            theorem1_extended(family)
+            assert sum(_sizes().values()) <= 300
+
+
+def test_mutating_an_answer_leaves_the_kept_passes_alone():
+    spec = make_family("tenengolts", n=6, r=3, a1=1, a2=2)
+    stats = [c.stat for c in spec.constraints]
+    expected = theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)
+    for poly in (theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)):
+        for exps in list(poly.terms):
+            poly.terms[exps] = -7
+        poly.terms[(9,) * len(poly.variables)] = 1
+    enumerators._theorem1_terms(6, 3, spec.constraints, None, 3)[1].clear()
+    assert (theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)) == expected
+
+
+def test_theorem1_keeps_the_continued_pass_where_the_join_overflows(monkeypatch):
+    # levenshtein n=24 m=7: at a = 0 and a = 3 the halves' pairs outnumber
+    # the single pass's bound, so each code joins the left half continued
+    # over 12..23; it is run once and kept with the halves
+    runs, joins, join = _recorded_runs(monkeypatch), [], enumerators._kept
+    monkeypatch.setattr(enumerators, "_kept", lambda *args: joins.append(join(*args)) or joins[-1])
+    for a in (0, 3):
+        spec = make_family("levenshtein", n=24, m=7, a=a)
+        assert specialize(theorem1_extended(spec), "hamming").poly == compute(spec, "hamming").poly
+    assert [kept is None for kept in joins] == [True, False, True, False]
+    assert runs == [range(12), range(12, 24), range(12, 24)]
+
+
 @pytest.mark.parametrize("kind", ["extended", "hamming"])
 def test_exact_pass_refuses_before_building_weights(kind):
     # theorem 1 at n = 3 * 10^6: the bound (n + 1)(1 + n(n + 1)/2) is read
@@ -1297,6 +1425,8 @@ def test_no_transfer_run_outgrows_its_states(spec):
             assert max(entries, default=1) <= bound, (kind, excess, stars)
     base = enumerators._nonnegative_weights(spec)
     stats = [c.stat for c in base.constraints]
+    # every example runs theorem 1's passes afresh, none kept by an earlier one
+    enumerators._PASSES.clear()
     for k in (n // 2, n):
         patch, runs = _stepped_runs()
         with patch:
