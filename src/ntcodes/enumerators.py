@@ -33,15 +33,16 @@ term, which is `full_space_enumerator`.  A custom statistic has no
 increments, so theorem 1 refuses it and `compute` sends it to the oracle;
 its full space is the oracle's tally at moduli 1.
 
-The passes read n, r, the statistics, k and whether the halves fit the
-budget, never a modulus or a residue: those enter only at the join.  So
-theorem 1 keeps what its passes return in `_PASSES`, one least recently
-used map keyed by (n, r, statistics, k, split), and a later code over the
-same statistics pays only the join at its own residues and the unpacking.
-Every budget check runs before the lookup, so a refusal reads the same
-either way, and `_kept` checks every half, kept or fresh, for a negative
-count.  The map holds at most `_PASSES_SIZE` terms and table cells; an
-entry larger than that is not kept.
+The passes read n, r, the statistics and k, never a modulus or a
+residue: those enter only at the join.  So theorem 1 keeps the halves its
+passes return in `_PASSES`, one least recently used map keyed by (n, r,
+statistics, k), and a later code over the same statistics pays only the
+join at its own residues and the unpacking.  The single pass is the
+entry at k = n, whose right half is the empty word: `full_space_enumerator`
+and every fallback share it.  Every budget check runs before the lookup,
+so a refusal reads the same either way, and `_kept` checks every half,
+kept or fresh, for a negative count.  The map holds at most
+`_PASSES_SIZE` terms; an entry larger than that is not kept.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
@@ -421,33 +422,43 @@ def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
 
 
 #: theorem 1's exact passes by all they read, least recently used first:
-#: (n, r, statistics, k, split) -> [size, space, run, left, right, whole], the
-#: right halves by start symbol, `whole` the left half continued over k..n-1
-#: once needed, and `size` their terms plus the cells of the run's tables.  A
-#: plain dict in insertion order: iterating an OrderedDict's values hashes
+#: (n, r, statistics, k) -> (size, space, left, right), the left half's
+#: states and the right halves by start symbol, `size` the terms they hold.
+#: A plain dict in insertion order: iterating an OrderedDict's values hashes
 #: every key again, each statistic by a Python-level __hash__
 _PASSES: dict = {}
 
-#: the most terms and table cells that _PASSES holds in all
+#: the most terms that _PASSES holds in all
 _PASSES_SIZE = 1 << 13
 
 
-def _terms(states: dict) -> int:
-    """The terms of a pass's states, {last symbol: {key: count}}."""
-    return sum(map(len, states.values()))
-
-
-def _keep(key, passes: list) -> None:
-    """Hold `passes` under `key` as the most recently used entry, then drop
-    the least recently used until the sizes add up to at most _PASSES_SIZE;
-    an entry larger than that on its own is not held."""
-    _PASSES.pop(key, None)
-    if passes[0] > _PASSES_SIZE:
-        return
-    _PASSES[key] = passes
-    total = sum(entry[0] for entry in _PASSES.values())
-    while total > _PASSES_SIZE:
-        total -= _PASSES.pop(next(iter(_PASSES)))[0]
+def _passes(n: int, r: int, stats, k: int, lo: int = 0, states=None):
+    """Theorem 1's exact passes split at k, from `_PASSES` or built and kept
+    there: (size, space, left, right), the left half's states over
+    positions 0..k-1, the right halves' over k..n-1 by start symbol, and
+    the terms they hold.  At k = n the left half is the single pass,
+    continued over lo..n-1 from `states`, a left half over 0..lo-1, where
+    given, and the right half is the empty word; no pass runs over no
+    positions.  A hit only becomes the most recently used entry.  A new
+    entry drops the least recently used until the sizes add up to at most
+    _PASSES_SIZE; one larger than that on its own is not kept."""
+    key = (n, r, tuple(stats), k)
+    entry = _PASSES.pop(key, None)
+    if entry is None:
+        space, run = _exact_pass(n, r, stats)
+        left = states or {None: {0: 1}}
+        if lo < k:
+            left = run(range(lo, k), left)
+        right = {None: {0: 1}} if k == n else {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
+        size = sum(map(len, (*left.values(), *right.values())))
+        entry = (size, space, left, right)
+        if size > _PASSES_SIZE:
+            return entry
+        total = size + sum(held[0] for held in _PASSES.values())
+        while total > _PASSES_SIZE:
+            total -= _PASSES.pop(next(iter(_PASSES)))[0]
+    _PASSES[key] = entry
+    return entry
 
 
 def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
@@ -458,18 +469,17 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     `_states` are read off the statistics before any pass, increment table
     or stride of the type vector, the right half's counted once per start,
     r when a descent statistic reads the previous symbol.  Any k answers:
-    where the halves do not fit the budget, or the join's pairs outnumber
-    the single pass's bound or the budget, the one fallback continues the
-    left half over k..n-1 and joins it with the empty right half, if the
-    single pass's bound fits the budget.
+    where the halves do not fit the budget, it takes k = n if the single
+    pass's bound fits the budget; where the join's pairs outnumber the
+    single pass's bound or the budget, it checks that bound the same way
+    and joins the single pass instead, the left half continued over
+    k..n-1 where that pass is not kept.
 
-    The passes' output is kept in `_PASSES` under (n, r, statistics, k,
-    split): the space, the run, the left half, the right halves by start
-    symbol and, once a join overflows, the continued left half.  The
-    moduli and residues enter only at the join, so a later call over the
-    same key runs no pass.  The budget checks above come before the
-    lookup, and the one after an overflowing join after it, as without
-    the map."""
+    The passes come from `_passes`, kept in `_PASSES` under (n, r,
+    statistics, k): the moduli and residues enter only at the join, so a
+    later call over the same key runs no pass.  The budget checks above
+    come before the lookup, and the one after an overflowing join after
+    it, as without the map."""
     stats = [c.stat for c in cons]
     if any(x < 0 for st in stats for x in st.form.h or ()):
         raise ValueError("full-space enumerators need non-negative weights")
@@ -479,35 +489,18 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
         return _states(r, hi - lo, [(st, 1 + st.form.top(r, lo, hi)) for st in stats], True)
 
     single, limit = states(0, n), budget_limit(budget)
-    reads = _reads_previous(stats)
-    split = max(states(0, k), (r if reads else 1) * states(k, n)) <= limit
-    if not split:
+    starts = r if _reads_previous(stats) else 1
+    if max(states(0, k), starts * states(k, n)) > limit:
         _check_pass(single, budget)
+        k = n
     _check_tables(r, stats, r, budget)
-    key = (n, r, tuple(stats), k, split)
-    passes = _PASSES.pop(key, None)
-    if passes is None:
-        space, run = _exact_pass(n, r, stats)
-        left = run(range(k), {None: {0: 1}})
-        right = {p: run(range(k, n), {p: {0: 1}})[None] for p in left} if split else {}
-        # the run's tables: n weights and, where a statistic reads the previous
-        # symbol, two rows of r cells per last symbol, for each statistic
-        cells = len(stats) * (n + 2 * (r + 1) * r * reads)
-        passes = [cells + _terms(left) + _terms(right), space, run, left, right, None]
-        _keep(key, passes)
-    else:
-        _PASSES[key] = passes  # now the most recently used
-    _, space, run, left, right, whole = passes
-    if split:
-        kept = _kept(space, cons, left, right, min(single, limit))
-        if kept is not None:
-            return space, kept
+    _, space, left, right = _passes(n, r, stats, k)
+    kept = _kept(space, cons, left, right, min(single, limit))
+    if kept is None:
         _check_pass(single, budget)
-    if whole is None:
-        passes[5] = whole = run(range(k, n), left)
-        passes[0] += _terms(whole)
-        _keep(key, passes)
-    return space, _kept(space, cons, whole, {None: {0: 1}}, single)
+        _, space, left, right = _passes(n, r, stats, n, k, left)
+        kept = _kept(space, cons, left, right, single)
+    return space, kept
 
 
 def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:

@@ -6,17 +6,16 @@ which has at most r^s elements and so can rule out a rank-deficient
 matrix before the code is scanned.  Verification evaluates the dual's
 complete weight enumerator at v_i = sum_k w_k X^(ik), with coefficients
 in the group ring Z[X]/(X^r - 1) (X standing for e(1/r)), by Horner's
-rule over the trie of the dual's type vectors, each product by v_i a pass
-of the one transfer kernel (`enumerators._transfer`); it then reduces each
-coefficient to an integer, divides by r^s and compares with the primal
-enumerator coefficient by coefficient.  The right side is built from the
-dual's type counts alone, so the identity checks the codeword scan and
-that kernel against each other.
+rule over the dual's type vectors one symbol at a time, each product by
+v_i a pass of the one transfer kernel (`enumerators._transfer`); it then
+reduces each coefficient to an integer, divides by r^s and compares with
+the primal enumerator coefficient by coefficient.  The right side is
+built from the dual's type counts alone, so the identity checks the
+codeword scan and that kernel against each other.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Optional
 
@@ -75,18 +74,18 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     type vectors tau of length-n words: a map from w-exponent vectors to
     length-r coefficient vectors in Z[X]/(X^r - 1).
 
-    Horner's rule on the trie of the type vectors: at depth i the type
-    vectors sharing tau_0..tau_(i-1) are grouped by tau_i, and for
-    t_1 < t_2 < ... the group's sum is sum_t v_i^t F_t =
-    v_i^(t_1) (F_(t_1) + v_i^(t_2 - t_1) (F_(t_2) + ...)), so every
-    product by v_0..v_(i-1) is shared by the whole group; a group of one
-    type vector is expanded directly.  Each product by v_i is a pass of
-    the one transfer kernel, `enumerators._transfer`, with no statistic:
-    symbol k adds w_k's stride to the key of the w-exponents, packed as by
-    `_PackedSpace`, and rotates the group-ring element, packed as the r
-    cyclic digits of its count, by X^(ik).  Every coefficient is
-    non-negative and all of them sum to sum(counts) * r^n, so no digit
-    carries into the next."""
+    Horner's rule, one level per symbol from the last: level i sums the
+    type vectors that share tau_0..tau_(i-1), each group adjacent in
+    descending order, and for t_1 > t_2 > ... the group's sum is
+    sum_t v_i^t F_t = v_i^(t_last) (... (F_(t_1) v_i^(t_1 - t_2) + F_(t_2))
+    ...), F_t the sum of level i + 1 at tau_i = t, so every product by
+    v_0..v_(i-1) is shared by the whole group.  Each product by v_i is a
+    pass of the one transfer kernel, `enumerators._transfer`, with no
+    statistic: symbol k adds w_k's stride to the key of the w-exponents,
+    packed as by `_PackedSpace`, and rotates the group-ring element,
+    packed as the r cyclic digits of its count, by X^(ik).  Every
+    coefficient is non-negative and all of them sum to sum(counts) * r^n,
+    so no digit carries into the next."""
     space = _PackedSpace(w_variables(r), [n + 1] * r)
     width = (sum(counts.values()) * r**n).bit_length()
     passes = [
@@ -97,46 +96,30 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     def times_v(poly: dict, i: int, times: int) -> dict:
         return passes[i](range(times), {None: poly})[None]
 
-    def horner(entries: list) -> dict:
-        """The sum over the entries (tau_0, ..., tau_(r-1), count), in
-        descending order, of count * prod_j v_j^(tau_j).  The trie is r
-        levels deep, so it is walked with an explicit stack, not a Python
-        frame per level: a frame [i, runs, acc, higher] holds a group's
-        runs by tau_i still to come and the sum acc of those done, which
-        is multiplied by v_i^(higher - t) as the run of tau_i = t begins."""
-        stack: list = []
-        group, i = entries, 0
-        while True:
-            while len(group) > 1:
-                runs = itertools.groupby(group, operator.itemgetter(i))
-                higher, run = next(runs)
-                stack.append([i, runs, {}, higher])
-                group, i = list(run), i + 1
-            entry = group[0]
-            done = {0: entry[r]}
-            for j in range(i, r):
-                done = times_v(done, j, entry[j])
-            while stack:
-                frame = stack[-1]
-                i, runs, acc, higher = frame
-                for key, vec in done.items():
+    # the type vectors in descending order, each with the length of the
+    # prefix it shares with the next one, and the sum of its group
+    taus = sorted(counts, reverse=True)
+    shares = [next(j for j, (x, y) in enumerate(zip(a, b)) if x != y) for a, b in zip(taus, taus[1:])]
+    level = [(tau, share, {0: counts[tau]}) for tau, share in zip(taus, shares + [-1])]
+    for i in reversed(range(r)):
+        summed, acc = [], {}
+        for tau, share, poly in level:
+            if acc:
+                acc = times_v(acc, i, t - tau[i])
+                for key, vec in poly.items():
                     acc[key] = acc.get(key, 0) + vec
-                following = next(runs, None)
-                if following is not None:
-                    t, run = following
-                    frame[2:] = times_v(acc, i, higher - t), t
-                    group, i = list(run), i + 1
-                    break
-                stack.pop()
-                done = times_v(acc, i, higher)
             else:
-                return done
-
-    entries = sorted((tau + (cnt,) for tau, cnt in counts.items()), reverse=True)
+                acc = poly
+            t = tau[i]
+            if share < i:
+                # the next type vector differs before tau_i: the group ends
+                summed.append((tau, share, times_v(acc, i, t)))
+                acc = {}
+        level = summed
     digit = (1 << width) - 1
     return {
         space.unpack(key): tuple([vec >> p * width & digit for p in range(r)])
-        for key, vec in horner(entries).items()
+        for key, vec in level[0][2].items()
     }
 
 

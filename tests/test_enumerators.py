@@ -693,15 +693,15 @@ def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch
 def test_theorem1_continues_the_left_half_where_the_halves_do_not_fit(monkeypatch):
     # delta over [0, 6)^5: the right half's 6 starts of 216 terms each make
     # 1296, over the single pass's bound of 1260; under a budget between the
-    # two the left half runs and continues, with no right half, and answers
+    # two the single pass runs, with no half, and answers
     spec = CodeSpec(5, 6, ((DELTA, 3, 1),))
     runs = _recorded_runs(monkeypatch)
     assert theorem1_extended(spec, budget=1270).poly == compute(spec, "extended", "oracle").poly
-    assert runs == [range(2), range(2, 5)]
+    assert runs == [range(5)]
     refusal = "^full-space transfer pass of up to 1260 terms exceeds the budget 1259$"
     with pytest.raises(BudgetExceededError, match=refusal):
         theorem1_extended(spec, budget=1259)
-    assert runs == [range(2), range(2, 5)]
+    assert runs == [range(5)]
 
 
 def test_theorem1_refuses_join_pairs_past_the_budget(monkeypatch):
@@ -1142,10 +1142,9 @@ def test_kept_passes_refuse_as_fresh_ones(spec, warm, budget, refusal):
 
 def _sizes() -> dict:
     """The kept entries' sizes by key, least recently used first, each checked
-    to cover the terms its passes hold."""
-    for size, _, _, left, right, whole in enumerators._PASSES.values():
-        held = sum(len(terms) for states in (left, right, whole or {}) for terms in states.values())
-        assert size >= held
+    to be the terms its passes hold."""
+    for size, _, left, right in enumerators._PASSES.values():
+        assert size == sum(len(terms) for states in (left, right) for terms in states.values())
     return {key: entry[0] for key, entry in enumerators._PASSES.items()}
 
 
@@ -1160,14 +1159,15 @@ def test_kept_passes_stay_within_their_bound(monkeypatch):
     theorem1_extended(make_family("levenshtein", n=7, m=3, a=0))
     kept = list(_sizes())
     assert len(kept) == 2 and kept[0] == eight and nine not in kept
-    # an entry larger than the bound is not kept, and drops none: one of many
-    # terms, or one of few terms whose run holds large increment tables
+    # an entry larger than the bound is not kept, and drops none; the size
+    # counts terms alone, so one of few terms over a wide alphabet is kept:
+    # at n = 1, the empty left half and the right half's 100 words
     before = _sizes()
     theorem1_extended(make_family("levenshtein", n=24, m=3, a=0))
     assert _sizes() == before
     monkeypatch.setattr(enumerators, "_PASSES_SIZE", 8192)
     theorem1_extended(make_family("tenengolts", n=1, r=100, a1=0, a2=0))
-    assert _sizes() == before
+    assert list(_sizes().values()) == [*before.values(), 101]
     # any sequence: the sizes never add up past the bound
     monkeypatch.setattr(enumerators, "_PASSES_SIZE", 300)
     enumerators._PASSES.clear()
@@ -1200,6 +1200,42 @@ def test_theorem1_keeps_the_continued_pass_where_the_join_overflows(monkeypatch)
         assert specialize(theorem1_extended(spec), "hamming").poly == compute(spec, "hamming").poly
     assert [kept is None for kept in joins] == [True, False, True, False]
     assert runs == [range(12), range(12, 24), range(12, 24)]
+
+
+def test_the_single_pass_of_an_overflowing_join_is_the_full_space():
+    # levenshtein n=24 m=7 a=0 overflows its join at k = 12 and keeps the
+    # continued left half as the single pass, the entry at k = n: the full
+    # space over omega is that entry and runs no pass, and the single
+    # pass's 2325 terms are held there alone, not under k = 12 as well
+    theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
+    with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
+        full = full_space_enumerator(24, 2, [OMEGA])
+    assert not exact_pass.called
+    sizes = {key[3]: entry[0] for key, entry in enumerators._PASSES.items()}
+    assert list(sizes) == [12, 24] and sizes[24] == len(full.terms) + 1 and sizes[12] < len(full.terms)
+
+
+def test_the_single_pass_where_the_halves_do_not_fit_is_the_full_space():
+    # delta over [0, 6)^5 at budget 1270: the halves do not fit, so theorem 1
+    # runs the single pass, kept at k = n, which the full space then reads
+    theorem1_extended(CodeSpec(5, 6, ((DELTA, 3, 1),)), budget=1270)
+    with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
+        full = full_space_enumerator(5, 6, [DELTA])
+    assert not exact_pass.called
+    assert full == compute(CodeSpec(5, 6, ((DELTA, 1, 0),)), "extended", "oracle").poly
+
+
+def test_kept_passes_are_plain_terms():
+    # split, overflowing, unsplit and full-space entries alike: each key is
+    # (n, r, statistics, k), each value an immutable tuple of no callable,
+    # and its size the terms it holds
+    theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
+    theorem1_extended(CodeSpec(5, 6, ((DELTA, 3, 1),)), budget=1270)
+    theorem1_extended(make_family("tenengolts", n=6, r=3, a1=1, a2=2))
+    full_space_enumerator(4, 3, [GAMMA_GT, SIGMA])
+    assert len(_sizes()) == 5
+    for key, entry in enumerators._PASSES.items():
+        assert len(key) == 4 and type(entry) is tuple and not any(map(callable, entry))
 
 
 @pytest.mark.parametrize("kind", ["extended", "hamming"])
