@@ -645,26 +645,22 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
 
 def tenengolts_variant_transform(variant: str, n: int, a1: int) -> tuple[int, bool]:
     """Base-code parameter with the same Hamming enumerator as the variant,
-    plus whether the variant's codewords are the reversals of the base's."""
+    plus whether the variant's codewords are the reversals of the base's.
+    Mod n the parameter is a1, -a1, h - a1 and h + a1 for ">", "<", "<="
+    and ">=", where h is n/2 for even n and 0 for odd n."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= a1 < n:
         raise ValueError(f"a1 must lie in [0, {n}), got {a1}")
+    h = 0 if n % 2 else n // 2
     if variant == ">":
         return a1, False
-    bar = (n - a1) if a1 else 0
     if variant == "<":
-        return bar, True
-    if n % 2:
-        def prime(x):
-            return (n - x) if x else 0
-    else:
-        def prime(x):
-            return n // 2 - x + (n if x > n // 2 else 0)
+        return -a1 % n, True
     if variant == "<=":
-        return prime(a1), False
+        return (h - a1) % n, False
     if variant == ">=":
-        return prime(bar), True
+        return (h + a1) % n, True
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -8,6 +8,9 @@
   which ``to_integer`` reduces modulo the L-th cyclotomic polynomial to
   the rational integer it equals (or raises).  The MacWilliams check
   builds its right side in that ring and reduces each coefficient once.
+  ``cyclotomic_polynomial`` builds Phi_L as the Mobius product of the
+  x^d - 1, d | L, and ``_upoly_mod``, the one dense-polynomial routine,
+  steps only its nonzero coefficients.
 * ``exact_quotient`` - the one exact division behind the descent/sum
   closed forms and the MacWilliams check, with its integrality sentinels.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-from .numtheory import divisors
+from .numtheory import divisors, mobius
 
 
 class IntegralityError(Exception):
@@ -61,56 +64,50 @@ def exact_quotient(total: int, denom: int, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (coefficient tuples, constant term first)
+# cyclotomic polynomials (dense coefficients, constant term first)
 
 
-def _upoly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _upoly_divmod(num, den):
-    """Quotient and remainder by a monic divisor, over the integers."""
-    deg_den = len(den) - 1
-    quo = [0] * max(len(num) - deg_den, 1)
+def _upoly_mod(num, den) -> list[int]:
+    """Remainder of num by a monic divisor, over the integers.  Each step
+    subtracts only the divisor's nonzero coefficients below its leading one."""
+    deg = len(den) - 1
+    steps = [(k, c) for k, c in enumerate(den[:deg]) if c]
     rem = list(num)
-    for i in range(len(rem) - 1, deg_den - 1, -1):
+    for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            quo[i - deg_den] = c
-            rem[i] = 0
-            for k in range(deg_den):
-                if den[k]:
-                    rem[i - deg_den + k] -= c * den[k]
-    return tuple(quo), tuple(rem[:deg_den])
+            for k, dk in steps:
+                rem[i - deg + k] -= c * dk
+    return rem[:deg]
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial Phi_order, constant first.
 
-    Computed by exactly dividing x^order - 1 by the product of Phi_d over
-    the proper divisors d.  Memoized; the fill is idempotent, so concurrent
+    Computed as the Mobius product of (x^d - 1)^mu(order/d) over d | order:
+    every factor of exponent +1 is multiplied in by one shift and one
+    subtraction, then every factor of exponent -1 is divided out exactly by
+    q_i = q_(i-d) - p_i.  Memoized; the fill is idempotent, so concurrent
     readers are safe.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    if order == 1:
-        return (-1, 1)
-    num = (-1,) + (0,) * (order - 1) + (1,)
-    den = (1,)
-    for d in divisors(order):
-        if d < order:
-            den = _upoly_mul(den, cyclotomic_polynomial(d))
-    quo, rem = _upoly_divmod(num, den)
-    if any(rem):
-        raise ArithmeticError(f"x^{order} - 1 not divisible by its cyclotomic factors")
-    return quo
+    factors = [(d, mobius(order // d)) for d in divisors(order)]
+    poly = [1]
+    for d, mu in factors:
+        if mu == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d, mu in factors:
+        if mu == -1:
+            quo = []
+            for i, c in enumerate(poly):
+                quo.append((quo[i - d] if i >= d else 0) - c)
+            # past the quotient's degree the recurrence must give zeros
+            if any(quo[-d:]):
+                raise ArithmeticError(f"x^{d} - 1 does not divide the Mobius product for Phi_{order}")
+            poly = quo[:-d]
+    return tuple(poly)
 
 
 class CycElement:
@@ -132,24 +129,20 @@ class CycElement:
         self.order = order
         self.coeffs = coeffs
 
-    def _reduced(self) -> tuple[int, ...]:
-        """Coordinates in the power basis of Z[zeta], i.e. the remainder of
-        the representative modulo Phi_order."""
-        return _upoly_divmod(self.coeffs, cyclotomic_polynomial(self.order))[1]
-
     def to_integer(self) -> int:
-        """The rational-integer value of this element.
+        """The rational-integer value of this element: the constant term of
+        its remainder modulo Phi_order, stepping only Phi's nonzero terms.
 
         Raises NotAnIntegerError when the reduced form has a nonzero
         non-constant coordinate; by the theorems backing every caller this
         indicates an implementation bug, not bad data.
         """
-        rem = self._reduced()
+        rem = _upoly_mod(self.coeffs, cyclotomic_polynomial(self.order))
         if any(rem[1:]):
             raise NotAnIntegerError(
                 f"element of order {self.order} is not a rational integer: {self!r}"
             )
-        return rem[0] if rem else 0
+        return rem[0]
 
     def __repr__(self):
         nz = [(j, c) for j, c in enumerate(self.coeffs) if c]

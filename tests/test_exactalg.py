@@ -42,7 +42,9 @@ def test_cyclotomic_small_values():
 
 
 def test_cyclotomic_product_identity():
-    for order in range(1, 25):
+    # up to 210 = 2*3*5*7, so orders with three and four distinct primes
+    # divide several factors out of the Mobius product
+    for order in range(1, 211):
         prod = (1,)
         for d in divisors(order):
             prod = upoly_mul(prod, cyclotomic_polynomial(d))
@@ -53,6 +55,13 @@ def test_cyclotomic_product_identity():
 def test_cyclotomic_rejects_non_positive():
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+def test_cyclotomic_polynomial_does_not_recurse():
+    # the Mobius product needs no smaller cyclotomic polynomial
+    cyclotomic_polynomial.cache_clear()
+    cyclotomic_polynomial(210)
+    assert cyclotomic_polynomial.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +95,19 @@ def test_geometric_sum_lemma():
             assert value(total) == expected
             # the same sum built directly in the group-ring basis
             assert CycElement(m, vec).to_integer() == expected
+
+
+@given(st.integers(3, 60), st.data())
+def test_to_integer_of_a_multiple_of_phi(order, data):
+    # N + Phi_L g is N at every primitive L-th root of unity whatever g is;
+    # for L >= 3 the extra zeta is not rational, so the sentinel must fire
+    n = data.draw(st.integers(-(10**30), 10**30))
+    g = data.draw(st.lists(st.integers(-50, 50), min_size=order, max_size=order))
+    phi = fold(order, enumerate(cyclotomic_polynomial(order)))
+    vec = add(fold(order, [(0, n)]), convolve(phi, g))
+    assert CycElement(order, vec).to_integer() == n
+    with pytest.raises(NotAnIntegerError):
+        CycElement(order, add(vec, fold(order, [(1, 1)]))).to_integer()
 
 
 def test_to_integer_examples():
