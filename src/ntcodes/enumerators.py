@@ -38,10 +38,11 @@ residue: those enter only at the join.  So theorem 1 keeps the halves its
 passes return in `_PASSES`, one least recently used map keyed by (n, r,
 statistics, k), and a later code over the same statistics pays only the
 join at its own residues and the unpacking.  The single pass is the
-entry at k = n, whose right half is the empty word: `full_space_enumerator`
-and every fallback share it.  Every budget check runs before the lookup,
-so a refusal reads the same either way, and `_kept` checks every half,
-kept or fresh, for a negative count.  The map holds at most
+entry at k = n, whose right half is the empty word, built like every
+entry from position 0: `full_space_enumerator` and theorem 1's one
+fallback share it.  Every budget check runs before the lookup, so a
+refusal reads the same either way, and `_kept` checks every half, kept
+or fresh, for a negative count.  The map holds at most
 `_PASSES_SIZE` terms; an entry larger than that is not kept.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
@@ -432,23 +433,20 @@ _PASSES: dict = {}
 _PASSES_SIZE = 1 << 13
 
 
-def _passes(n: int, r: int, stats, k: int, lo: int = 0, states=None):
+def _passes(n: int, r: int, stats, k: int):
     """Theorem 1's exact passes split at k, from `_PASSES` or built and kept
     there: (size, space, left, right), the left half's states over
-    positions 0..k-1, the right halves' over k..n-1 by start symbol, and
-    the terms they hold.  At k = n the left half is the single pass,
-    continued over lo..n-1 from `states`, a left half over 0..lo-1, where
-    given, and the right half is the empty word; no pass runs over no
-    positions.  A hit only becomes the most recently used entry.  A new
-    entry drops the least recently used until the sizes add up to at most
-    _PASSES_SIZE; one larger than that on its own is not kept."""
+    positions 0..k-1 from the empty word, the right halves' over k..n-1,
+    one per start symbol, and the terms they hold.  Every entry is built
+    so; at k = n the left half is the single pass and the right half is
+    the empty word.  A hit only becomes the most recently used entry.  A
+    new entry drops the least recently used until the sizes add up to at
+    most _PASSES_SIZE; one larger than that on its own is not kept."""
     key = (n, r, tuple(stats), k)
     entry = _PASSES.pop(key, None)
     if entry is None:
         space, run = _exact_pass(n, r, stats)
-        left = states or {None: {0: 1}}
-        if lo < k:
-            left = run(range(lo, k), left)
+        left = run(range(k), {None: {0: 1}})
         right = {None: {0: 1}} if k == n else {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
         size = sum(map(len, (*left.values(), *right.values())))
         entry = (size, space, left, right)
@@ -468,12 +466,11 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     one term is the empty word (see `theorem1_extended`).  Both halves'
     `_states` are read off the statistics before any pass, increment table
     or stride of the type vector, the right half's counted once per start,
-    r when a descent statistic reads the previous symbol.  Any k answers:
-    where the halves do not fit the budget, it takes k = n if the single
-    pass's bound fits the budget; where the join's pairs outnumber the
-    single pass's bound or the budget, it checks that bound the same way
-    and joins the single pass instead, the left half continued over
-    k..n-1 where that pass is not kept.
+    r when a descent statistic reads the previous symbol.  Any k answers,
+    with one fallback, the single pass at k = n: taken where the halves do
+    not fit the budget, or where the join's pairs outnumber the single
+    pass's bound or the budget, after that bound is checked against the
+    budget.
 
     The passes come from `_passes`, kept in `_PASSES` under (n, r,
     statistics, k): the moduli and residues enter only at the join, so a
@@ -498,7 +495,7 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     kept = _kept(space, cons, left, right, min(single, limit))
     if kept is None:
         _check_pass(single, budget)
-        _, space, left, right = _passes(n, r, stats, n, k, left)
+        _, space, left, right = _passes(n, r, stats, n)
         kept = _kept(space, cons, left, right, single)
     return space, kept
 

@@ -541,8 +541,8 @@ def split_specs(draw):
 @example(_top_word_spec(5, 3, (linear((1, 2, 0, 3, 1)), LAMBDA_LT, DELTA)))
 def test_theorem1_join_at_every_split_point(spec):
     # k = n joins the single pass with the empty right half; every other k
-    # joins the two halves, or continues the left one where the pairs
-    # outnumber the single pass's bound and joins it with the empty half
+    # joins the two halves, or where the pairs outnumber the single pass's
+    # bound joins the single pass, run from position 0, with the empty half
     def kept(k):
         return enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)
 
@@ -654,8 +654,9 @@ def _recorded_runs(monkeypatch) -> list:
 def test_split_point_is_read_off_the_statistics(monkeypatch, spec, budget, refusal):
     # theorem 1 splits at k = n // 2 and runs the right half once per start,
     # r of them when a descent statistic reads the previous symbol, then
-    # continues the left half where the pairs overflow (levenshtein and
-    # shifted_vt at n = 40); a refusal comes before any pass runs
+    # runs the single pass from position 0 where the pairs overflow
+    # (levenshtein and shifted_vt at n = 40); a refusal comes before any
+    # pass runs
     runs = _recorded_runs(monkeypatch)
     if refusal:
         with pytest.raises(refusal[0], match=refusal[1]):
@@ -666,15 +667,15 @@ def test_split_point_is_read_off_the_statistics(monkeypatch, spec, budget, refus
     n, k = spec.n, spec.n // 2
     starts = spec.r if enumerators._reads_previous(c.stat for c in spec.constraints) else 1
     assert runs[: 1 + starts] == [range(k)] + [range(k, n)] * starts
-    assert runs[1 + starts :] in ([], [range(k, n)])
+    assert runs[1 + starts :] in ([], [range(n)])
 
 
 def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch):
     # zero weights put every term at residue 0: the halves' 495 terms each
     # would make 495^2 = 245025 pairs, over the single pass's bound of
-    # C(20, 4) = 4845 terms, so the left half continues over positions
-    # 8..15 and is joined with the empty right half instead; no pair of the
-    # two halves is formed
+    # C(20, 4) = 4845 terms, so the single pass runs over positions 0..15
+    # and is joined with the empty right half instead; no pair of the two
+    # halves is formed
     spec = lc(16, 1000, 5, [0] * 16, 0)
     runs = _recorded_runs(monkeypatch)
     tracemalloc.start()
@@ -684,8 +685,8 @@ def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
-    # the halves at n // 2, then the left half continued
-    assert runs == [range(8), range(8, 16), range(8, 16)]
+    # the halves at n // 2, then the single pass from position 0
+    assert runs == [range(8), range(8, 16), range(16)]
     assert result.poly == full_space_enumerator(16, 5, [linear([0] * 16)])
     assert result.cardinality() == 5**16
 
@@ -718,7 +719,7 @@ def test_theorem1_refuses_join_pairs_past_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    # both halves at n // 2 ran; the left one was not continued
+    # both halves at n // 2 ran; the single pass did not
     assert runs == [range(6), range(6, 12)]
 
 
@@ -1191,20 +1192,20 @@ def test_mutating_an_answer_leaves_the_kept_passes_alone():
 
 def test_theorem1_keeps_the_continued_pass_where_the_join_overflows(monkeypatch):
     # levenshtein n=24 m=7: at a = 0 and a = 3 the halves' pairs outnumber
-    # the single pass's bound, so each code joins the left half continued
-    # over 12..23; it is run once and kept with the halves
+    # the single pass's bound, so each code joins the single pass over
+    # 0..23; it is run once and kept with the halves
     runs, joins, join = _recorded_runs(monkeypatch), [], enumerators._kept
     monkeypatch.setattr(enumerators, "_kept", lambda *args: joins.append(join(*args)) or joins[-1])
     for a in (0, 3):
         spec = make_family("levenshtein", n=24, m=7, a=a)
         assert specialize(theorem1_extended(spec), "hamming").poly == compute(spec, "hamming").poly
     assert [kept is None for kept in joins] == [True, False, True, False]
-    assert runs == [range(12), range(12, 24), range(12, 24)]
+    assert runs == [range(12), range(12, 24), range(24)]
 
 
 def test_the_single_pass_of_an_overflowing_join_is_the_full_space():
     # levenshtein n=24 m=7 a=0 overflows its join at k = 12 and keeps the
-    # continued left half as the single pass, the entry at k = n: the full
+    # single pass, built from position 0, as the entry at k = n: the full
     # space over omega is that entry and runs no pass, and the single
     # pass's 2325 terms are held there alone, not under k = 12 as well
     theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
@@ -1223,6 +1224,35 @@ def test_the_single_pass_where_the_halves_do_not_fit_is_the_full_space():
         full = full_space_enumerator(5, 6, [DELTA])
     assert not exact_pass.called
     assert full == compute(CodeSpec(5, 6, ((DELTA, 1, 0),)), "extended", "oracle").poly
+
+
+@given(split_specs())
+def test_a_cold_overflowing_join_falls_back_to_the_single_pass(spec):
+    # from an empty map, with the first join made to overflow, theorem 1 at
+    # k = n // 2 answers as the oracle, and the entry at k = n it leaves is
+    # the one a cold call at k = n builds
+    n, r, cons = spec.n, spec.r, spec.constraints
+    key = (n, r, tuple(c.stat for c in cons), n)
+    join, joins = enumerators._kept, []
+
+    def overflowing(*args):
+        joins.append(args)
+        return None if len(joins) == 1 else join(*args)
+
+    def single() -> tuple:
+        size, space, left, right = enumerators._PASSES[key]
+        return size, space.variables, space.radices, left, right
+
+    enumerators._PASSES.clear()
+    with mock.patch.object(enumerators, "_kept", overflowing):
+        space, kept = enumerators._theorem1_terms(n, r, cons, None, n // 2)
+    expected = compute(spec, "extended", "oracle").poly
+    assert len(joins) == 2
+    assert (space.variables, space.poly(kept)) == (expected.variables, expected)
+    fallback = single()
+    enumerators._PASSES.clear()
+    enumerators._theorem1_terms(n, r, cons, None, n)
+    assert single() == fallback
 
 
 def test_kept_passes_are_plain_terms():
