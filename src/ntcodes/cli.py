@@ -9,14 +9,19 @@ decimal; exit codes are 0 success, 1 verification mismatch, 2 usage,
 3 budget exceeded, 4 internal integrality violation.
 
 `main(argv)` may be called repeatedly in one process: it builds its
-parser on the first call and reuses it for every later one.  Each request
-is parsed once, by the parser of the subcommand argv[0] names, and the
-top-level parser runs only when argv[0] names none (no arguments, `-h`, a
-flag before the subcommand, an unknown command); either way the usage,
-help and error texts are those of the full parser.  `build_parser()`
-returns a fresh full parser on each call.  Importing the module loads no
-`dataclasses`, `inspect`, `json` or `csv`: `--format json|csv` loads its
-module on first use.
+parser on the first call and reuses it for every later one.  A plain
+request, `command [positional] --flag value ...` with every flag spelled
+out in full and given at most once and every value non-empty and not
+starting with `-`, is read straight off its subcommand's flag table, which
+is built once from that parser's actions: each value is converted by its
+flag's own type and checked against its choices, and the required flags
+are checked, as argparse would.  Every other argv (help, abbreviations,
+`--flag=value`, negative values, repeated or unknown flags) and every
+value a type or a choice refuses goes to the full parser, so every usage,
+help and error text is argparse's own.  `build_parser()` returns a fresh
+full parser on each call.  Importing the module loads no `dataclasses`,
+`inspect`, `json` or `csv`: `--format json|csv` loads its module on first
+use.
 """
 
 from __future__ import annotations
@@ -413,20 +418,61 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _flag_tables() -> dict:
+    """{subcommand: its plain-form table}, read off the actions of main's
+    parser: the positionals, {option string: action} of the flags that
+    store one value, the dests argparse requires, and the Namespace's
+    defaults, those of `set_defaults` and of every action."""
+    tables = {}
+    commands = next(action.choices for action in _parser()._actions if action.dest == "command")
+    for command, sub in commands.items():
+        stores = [action for action in sub._actions if type(action) is argparse._StoreAction]
+        defaults = {
+            action.dest: action.default for action in sub._actions if action.default is not argparse.SUPPRESS
+        }
+        tables[command] = (
+            [action for action in stores if not action.option_strings],
+            {flag: action for action in stores for flag in action.option_strings},
+            {action.dest for action in stores if action.required},
+            {**sub._defaults, **defaults},
+        )
+    return tables
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace of a plain request, or None for any other argv or for
+    a value its flag's type or choices refuse."""
+    table = _flag_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    positionals, flags, required, defaults = table
+    head = 1 + len(positionals)
+    if len(argv) < head or (len(argv) - head) % 2:
+        return None
+    pairs = [*zip(positionals, argv[1:head])]
+    pairs += [(flags.get(flag), text) for flag, text in zip(argv[head::2], argv[head + 1 :: 2])]
+    values = {}
+    for action, text in pairs:
+        if action is None or action.dest in values or not text or text[0] == "-":
+            return None
+        try:
+            value = (action.type or str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # refused by argparse, in its words
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values, "command": argv[0]})
+
+
 def _parse(argv) -> argparse.Namespace:
-    """argv's flags, parsed once.  The subcommand argv[0] names parses the
-    rest, as the top-level parser would hand it every token; what it leaves
-    over is refused in the top-level parser's words.  The top-level parser
-    parses argv itself only when argv[0] names no subcommand."""
-    parser = _parser()
-    commands = next(action.choices for action in parser._actions if action.dest == "command")
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    """argv's flags: a plain request's read off its subcommand's flag
+    table, any other argv's parsed by the full parser."""
+    args = _read_plain(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -574,9 +574,10 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     all (n+1)^(r-1) digits of a state, though only C(n+r-1, r-1) can be
     nonzero: bound keyed (n+1)^(r-1).  Past the budget or _PACKED_EXCESS
     times the bound of tau in the keys, tau stays in the keys, and that
-    bound is the keyed layout's states.  Then the n positions and the
-    increment tables and, at "complete", the places of the r - 1 tau
-    digits (`_check_tables`) are checked against the budget."""
+    bound is the keyed layout's states.  Then the n positions, the n r
+    symbol steps, and the increment tables and, at "complete", the places
+    of the r - 1 tau digits (`_check_tables`) are checked against the
+    budget."""
     n, r, cons = spec.n, spec.r, spec.constraints
     held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
@@ -584,15 +585,18 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     held += [(None, n + 1)] * axes
     bound = _states(r, n, held, kind == "complete")
     if kind == "complete":
-        packed = keyed * (n + 1) ** (r - 1)
-        if packed <= min(_PACKED_EXCESS * bound, budget_limit(budget)):
+        limit = min(_PACKED_EXCESS * bound, budget_limit(budget))
+        packed = keyed * capped_power(n + 1, r - 1, limit + 1)
+        if packed <= limit:
             axes, bound = r - 1, packed
         else:
             tail, keyed = r - 1, bound
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
     # one step per position, and a weight vector of n entries: a bound of few
-    # keys still refuses a length past the budget before r^n or the weights
+    # keys still refuses a length past the budget before r^n or the weights;
+    # then the r symbols per position, before the r-entry lists below
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
+    check_budget(n * r, budget, f"residue transfer pass of {count_text(n * r)} symbol steps")
     star = _digit_congruence(n, r, cons, kind, held, keyed, budget)
     _check_tables(r, [c.stat for c in cons], (r - 1) * (kind == "complete"), budget)
     bits = (r**n).bit_length()

@@ -28,6 +28,8 @@ def _one_cycle(workload, capsys, monkeypatch):
     workloads = importlib.import_module("workloads")
     reference = importlib.import_module("reference")
     for req in workloads.generate(workload, 0, 1):
+        # every request is plain: read off its flag table, never by argparse
+        assert cli._read_plain(req["argv"]) is not None, req["argv"]
         code = cli.main(req["argv"])
         captured = capsys.readouterr()
         result = {"code": code, "out": captured.out}

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -12,6 +13,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ntcodes.cli
 import ntcodes.macwilliams
@@ -590,6 +593,26 @@ def test_card_at_a_large_alphabet_builds_no_descent_tables(argv, answer):
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{answer}\n", "")
 
 
+HUGE_ALPHABET_LC = ("lc", "--n", "1", "--m", "2", "--r", str(10**21), "--h", "1", "--a", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("card", *HUGE_ALPHABET_LC), "residue transfer pass of 2^70 symbol steps"),
+        (("enum", *HUGE_ALPHABET_LC, "--kind", "complete"), "residue transfer pass of up to 2^70 terms"),
+    ],
+)
+def test_a_huge_alphabet_is_refused_before_the_residue_pass_builds_anything(argv, err):
+    # r = 10^21: the pass is refused before it builds the (n + 1)^(r - 1)
+    # packed tau digits or its r-entry lists of symbol places, in a child
+    # capped as above
+    start = time.perf_counter()
+    done = _run_python("-c", CAPPED_REQUEST, "50000000", *argv)
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {err} exceeds the budget 10000000\n")
+
+
 def test_descent_increment_tables_are_charged_before_they_are_built(capsys, monkeypatch):
     # a descent statistic reads the previous symbol: each increment table holds
     # (r + 1) r = 1001000 cells, refused past the budget before any is built by
@@ -972,9 +995,9 @@ def test_importing_the_cli_loads_no_module_a_request_does_not_use():
     ]
 
 
-# argvs whose parse by the subcommand's parser alone must match the nested
-# parse: well formed, help, unknown flags before and after the subcommand,
-# abbreviations, negative values, a repeated flag and each kind of usage error
+# argvs whose parse by main must match the nested parse: plain requests,
+# help, unknown flags before and after the subcommand, abbreviations,
+# negative and empty values, a repeated flag and each kind of usage error
 PARSE_CASES = (
     ("enum", *TENENGOLTS_33, "--kind", "complete", "--format", "json"),
     ("card", *TENENGOLTS_33),
@@ -993,30 +1016,94 @@ PARSE_CASES = (
     ("enum", *TENENGOLTS_33, "--kin", "complete"),
     ("card", "--he"),
     ("card", "lc", "--n", "3", "--m", "4", "--r", "2", "--h=-1,2", "--a", "-3"),
+    ("card", "lc", "--n", "3", "--m", "4", "--r", "2", "--h", "-1,2"),
     ("card", *TENENGOLTS_33, "--n", "4"),
     ("macwilliams", "--r", "3"),
     ("card", "tenengolts", "--n", "x"),
     ("enum", *TENENGOLTS_33, "--kind", "nope"),
+    ("card", *TENENGOLTS_33, "--variant", "<=", "--budget", "5", "--format", "csv"),
+    ("card", "linear_code", "--r", "5", "--H", "1,2;3,4"),
+    ("macwilliams", "--r", "3", "--H", ""),
+    ("macwilliams", "--H", "1,1;0,1", "--r", "3", "--budget", "-1"),
+    ("verify", "--max-n", "3", "--max-n", "4"),
+    ("card", "tenengolts", "--n", "3", "--", "--r", "3"),
 )
 
 
-def parsed(capsys, parse, argv):
+def parsed(parse, argv):
     """The Namespace's fields, or the exit code, stdout and stderr of an
     argparse exit."""
-    try:
-        return vars(parse(list(argv)))
-    except SystemExit as stop:
-        captured = capsys.readouterr()
-        return stop.code, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
-def test_main_parses_as_the_nested_parser_does(capsys, argv):
-    nested = parsed(capsys, lambda argv: build_parser().parse_args(argv), argv)
-    assert parsed(capsys, ntcodes.cli._parse, argv) == nested
+def test_main_parses_as_the_nested_parser_does(argv):
+    assert parsed(ntcodes.cli._parse, argv) == parsed(build_parser().parse_args, argv)
 
 
-def test_a_request_is_parsed_once_by_its_subcommand(capsys, monkeypatch):
+#: a full parser of its own, as the oracle of the parse equivalence
+NESTED_PARSER = build_parser()
+#: each subcommand's positional choices and {option string: choices}, help included
+SUBCOMMANDS = {
+    name: (
+        [action.choices for action in sub._actions if not action.option_strings],
+        {flag: action.choices for action in sub._actions for flag in action.option_strings},
+    )
+    for name, sub in next(a.choices for a in NESTED_PARSER._actions if a.dest == "command").items()
+}
+ANY_FLAG = sorted({flag for _, flags in SUBCOMMANDS.values() for flag in flags} | {"--extra", "-x"})
+VALUES = (
+    "0", "1", "3", "12", "-1", "-3", "", "x", "1.5", " 2", "1,2", "-1,2", "1,-2,3", "1;0,1", "1,1;0,1", ">", "<=",
+    "complete", "extended", "theorem1", "oracle", "json", "csv", "sc", "all", "t33", "tenengolts", "lc", "--n",
+)
+
+
+@st.composite
+def argvs(draw):
+    """An argv over every subcommand's flags.  Half are in plain form: the
+    positional, then distinct flags of the subcommand each with a choice
+    or a non-negative integer.  The rest add `--flag=value`, abbreviated,
+    bare, repeated, foreign and unknown flags, missing or stray
+    positionals, negative and malformed values and `-h`."""
+    plain = draw(st.booleans())
+    command = draw(st.sampled_from([*SUBCOMMANDS] if plain else [*SUBCOMMANDS, "nonsense", "-h", None]))
+    if command is None:
+        return []
+    positionals, flags = SUBCOMMANDS.get(command, ([], dict.fromkeys(ANY_FLAG)))
+    argv = [command]
+    for choices in positionals:
+        if plain or draw(st.integers(0, 5)):
+            argv.append(draw(st.sampled_from(choices if plain else [*choices, "nonsense", "-1"])))
+    names = sorted(set(flags) - {"-h", "--help"} if plain else flags)
+    for flag in draw(st.lists(st.sampled_from(names), max_size=6, unique=plain)):
+        if plain:
+            argv += [flag, draw(st.sampled_from(flags[flag]) if flags[flag] else st.integers(0, 40).map(str))]
+            continue
+        flag = flag if draw(st.integers(0, 9)) else draw(st.sampled_from(ANY_FLAG))
+        value = draw(st.sampled_from(VALUES) | st.integers(-5, 40).map(str))
+        form = draw(st.sampled_from(["plain"] * 6 + ["equals", "abbreviated", "bare", "stray"]))
+        argv += {
+            "plain": [flag, value],
+            "equals": [f"{flag}={value}"],
+            "abbreviated": [flag[:-1], value],
+            "bare": [flag],
+            "stray": [value],
+        }[form]
+    return argv
+
+
+@settings(max_examples=200)
+@given(argvs())
+def test_main_parses_any_argv_as_the_nested_parser_does(argv):
+    assert parsed(ntcodes.cli._parse, argv) == parsed(NESTED_PARSER.parse_args, argv)
+
+
+def test_a_plain_request_is_read_without_argparse(capsys, monkeypatch):
     parsers = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -1026,7 +1113,10 @@ def test_a_request_is_parsed_once_by_its_subcommand(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
     assert run(capsys, "card", *TENENGOLTS_33) == (0, "5\n", "")
-    assert parsers == ["ntcodes card"]
+    assert parsers == []
+    # an abbreviated flag is no plain request: the full parser reads it
+    assert ntcodes.cli._parse(["enum", *TENENGOLTS_33, "--kin", "complete"]).kind == "complete"
+    assert parsers == ["ntcodes", "ntcodes enum"]
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):

@@ -1404,7 +1404,9 @@ def test_residue_pass_layout_rule_at_its_boundaries(spec, kind, budget, star, mo
 
 
 def test_state_count_has_one_home():
-    # every pass's bounds and layout choice read its states off `_states`
+    # every pass's bounds and layout choice read its states off `_states`;
+    # `_residue_pass` caps only the (n + 1)^(r - 1) packed tau digits of a
+    # state, so that a large alphabet never builds that power
     tree = ast.parse(inspect.getsource(enumerators))
     callers = {
         func.name
@@ -1413,7 +1415,7 @@ def test_state_count_has_one_home():
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "capped_power"
     }
-    assert callers == {"_states"}
+    assert callers == {"_states", "_residue_pass"}
 
 
 def test_every_route_is_asked_of_compute():
