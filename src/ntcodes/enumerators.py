@@ -29,21 +29,26 @@ carries.  W_full is the product of the enumerators of positions 0..k-1
 and k..n-1, so theorem 1 keeps its terms by one join on residues,
 `_kept`: a left term of residues rho pairs only with the right terms of
 residues a - rho (`theorem1_extended`).  At moduli 1 the join keeps every
-term, which is `full_space_enumerator`.  A custom statistic has no
-increments, so theorem 1 refuses it and `compute` sends it to the oracle;
-its full space is the oracle's tally at moduli 1.
+term, which is `full_space_enumerator`.  Below kind "extended" the kept
+keys are read straight at the kind (`_PackedSpace.read`): the type
+vector's digits, or the Hamming weight n - tau_0, or the sum of the
+counts.  A custom statistic has no increments, so theorem 1 refuses it
+and `compute` sends it to the oracle; its full space is the oracle's
+tally at moduli 1.
 
 The passes read n, r, the statistics and k, never a modulus or a
-residue: those enter only at the join.  So theorem 1 keeps the halves its
-passes return in `_PASSES`, one least recently used map keyed by (n, r,
-statistics, k), and a later code over the same statistics pays only the
-join at its own residues and the unpacking.  The single pass is the
-entry at k = n, whose right half is the empty word, built like every
-entry from position 0: `full_space_enumerator` and theorem 1's one
-fallback share it.  Every budget check runs before the lookup, so a
-refusal reads the same either way, and `_kept` checks every half, kept
-or fresh, for a negative count.  The map holds at most
-`_PASSES_SIZE` terms; an entry larger than that is not kept.
+residue.  So theorem 1 keeps the halves its passes return in `_PASSES`,
+one least recently used map keyed by (n, r, statistics, k), each half's
+terms grouped by their residues mod the moduli of the last join
+(`_grouped`).  A later code over the same statistics pays only the join,
+one lookup per left class, and the read at its kind; at other moduli the
+entry is grouped again first, in place.  The single pass is the entry at
+k = n, whose right half is the empty word, built like every entry from
+position 0: `full_space_enumerator` and theorem 1's one fallback share
+it.  Every budget check runs before the lookup, so a refusal reads the
+same either way, and each entry's halves are checked once for a negative
+count, when they are built.  The map holds at most `_PASSES_SIZE` terms;
+an entry larger than that is not kept.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
@@ -291,7 +296,8 @@ class _PackedSpace:
     `radices[i]` and place value `strides[i]`, the product of the radices
     before it: one digit per statistic, then one per tau_x.  Each radix is
     1 + the largest value its exponent can take, so no digit carries into
-    the next and `unpack` reads the exponents back."""
+    the next and `unpack` reads the exponents back, `read` the terms at
+    any kind."""
 
     __slots__ = ("variables", "radices", "strides")
 
@@ -314,9 +320,26 @@ class _PackedSpace:
             raise IntegralityError(f"packed key carries {count_text(key)} past its last digit")
         return tuple(exps)
 
-    def poly(self, terms: dict) -> MultiPoly:
-        """The {key: count} terms, unpacked into one MultiPoly."""
-        return MultiPoly(self.variables, {self.unpack(key): count for key, count in terms.items()})
+    def read(self, terms: dict, kind: str):
+        """The {key: count} terms as the polynomial of `kind`, or their
+        number of words at "cardinality", the sum of the counts: "extended"
+        unpacks every digit; "complete" reads the type vector tau, the
+        digits of key // its stride, and "hamming" the weight n - tau_0.
+        Counts of equal images add up, as `specialize` adds them."""
+        if kind == "cardinality":
+            return sum(terms.values())
+        if kind == "extended":
+            return MultiPoly(self.variables, {self.unpack(key): count for key, count in terms.items()})
+        s = self.variables.index("w0")
+        stride, taus = self.strides[s], {}
+        for key, count in terms.items():
+            taus[key // stride] = taus.get(key // stride, 0) + count
+        images: dict = {}
+        for tau, count in taus.items():
+            exps = self.unpack(tau * stride)[s:]
+            image = exps if kind == "complete" else (self.radices[s] - 1 - exps[0],)
+            images[image] = images.get(image, 0) + count
+        return MultiPoly(self.variables[s:] if kind == "complete" else ("w",), images)
 
 
 def _states(r: int, length: int, digits, tau: bool) -> int:
@@ -374,57 +397,73 @@ def full_space_enumerator(n: int, r: int, stats, budget: int | None = None) -> M
     if any(st.kind == "custom" for st in stats):
         return compute(CodeSpec(n, r, tuple(cons)), "extended", "oracle", budget).poly
     space, kept = _theorem1_terms(n, r, cons, budget, n)
-    return space.poly(kept)
+    return space.read(kept, "extended")
 
 
 # ---------------------------------------------------------------------------
 # the character-sum engine
 
-def _kept(space: _PackedSpace, cons, left: dict, right: dict, limit: int):
-    """The code's terms, {key: count}, by theorem 1's one join: each pair of
-    a left and a right term of the same start p whose statistic digits add
-    up to the code's residues, keys added and counts multiplied, or None
-    where the pairs outnumber `limit`.  The right keys are grouped by the
-    residues a left key needs, (a_i - key // stride % radix) % m_i, and the
-    pairs are counted before any is formed.  A negative count of either
-    half raises IntegralityError, with its exponents, before any match."""
-    for half in (*left.values(), *right.values()):
-        if min(half.values(), default=0) < 0:
-            key, coeff = next((key, coeff) for key, coeff in half.items() if coeff < 0)
-            raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.unpack(key)}")
-    digits = list(zip(space.strides, space.radices, cons))
+def _places(moduli) -> list:
+    """The place value of each residue in a class number, the product of
+    the moduli before it, and last that of the start digit, the product
+    of them all."""
+    return [prod(moduli[:i]) for i in range(len(moduli) + 1)]
 
-    def residues(keys, need: bool):
-        # rho_i, or with `need` a_i - rho_i, mod m_i; without constraints ()
-        columns = [
-            [(c.a - key // stride % radix if need else key // stride % radix) % c.m for key in keys]
-            for stride, radix, c in digits
-        ]
-        return zip(*columns) if digits else itertools.repeat(())
 
-    matched = []
-    for p, terms in right.items():
-        groups: dict = {}
-        for need, key in zip(residues(terms, True), terms):
-            groups.setdefault(need, []).append((key, terms[key]))
-        found: dict = {}
-        for rho, key in zip(residues(left[p], False), left[p]):
-            if rho in groups:
-                found.setdefault(rho, []).append(key)
-        matched += [(left[p], keys, groups[rho]) for rho, keys in found.items()]
-    if sum(len(keys) * len(group) for _, keys, group in matched) > limit:
+def _kept(cons, left: dict, right: dict, limit: int):
+    """The code's terms, {key: count}, by theorem 1's one join of halves
+    grouped at the moduli of `cons` (`_grouped`): each pair of a left and a
+    right term of the same start p whose statistic residues add up to the
+    code's a_i mod m_i, keys added and counts multiplied, or None where the
+    pairs outnumber `limit`.  Each left class of residues rho looks up the
+    one right class of its start and residues a - rho, and the pairs are
+    counted before any is formed."""
+    *places, top = _places([c.m for c in cons])
+    # the class number of a - rho for every left class at once, one residue at a time
+    needs = [c - c % top for c in left]
+    for con, place in zip(cons, places):
+        needs = [need + (con.a - c // place) % con.m * place for need, c in zip(needs, left)]
+    matched = [(terms, group) for terms, group in zip(left.values(), map(right.get, needs)) if group]
+    if sum(len(terms) * len(group) for terms, group in matched) > limit:
         return None
     kept: dict = {}
-    for terms, keys, group in matched:
+    get = kept.get
+    for terms, group in matched:
         for rk, rc in group:
-            for lk in keys:
-                kept[lk + rk] = kept.get(lk + rk, 0) + terms[lk] * rc
+            for lk, lc in terms:
+                key = lk + rk
+                kept[key] = get(key, 0) + lc * rc
     return kept
 
 
+def _grouped(space: _PackedSpace, moduli: tuple, starts) -> dict:
+    """A half's terms as {c: ((key, count), ...)}, grouped by their class
+    number c = sum_i rho_i place_i + q place_s (`_places`): their
+    statistic residues rho_i = key // stride % radix % m_i and the start
+    digit q of their start symbol p, 0 for None and p + 1 for a symbol.
+    `starts` gives (q, (key, count) pairs): each p's states of a pass, or
+    an entry's classes.  A half is one dict, its class numbers ints, small
+    ones shared, and each class one tuple: grouped per start symbol by
+    residue tuples into lists, the `brute-force` benchmark's store held
+    82% more bytes."""
+    *places, top = _places(moduli)
+    terms, numbers = [], []
+    for q, pairs in starts:
+        numbers += [q * top] * len(pairs)
+        terms += pairs
+    for stride, radix, m, place in zip(space.strides, space.radices, moduli, places):
+        numbers = [c + key // stride % radix % m * place for c, (key, _) in zip(numbers, terms)]
+    classes: dict = {}
+    for c, term in zip(numbers, terms):
+        classes.setdefault(c, []).append(term)
+    return {c: tuple(group) for c, group in classes.items()}
+
+
 #: theorem 1's exact passes by all they read, least recently used first:
-#: (n, r, statistics, k) -> (size, space, left, right), the left half's
-#: states and the right halves by start symbol, `size` the terms they hold.
+#: (n, r, statistics, k) -> (size, space, moduli, left, right), the left
+#: half's terms and the right halves' of every start symbol, grouped by
+#: start and statistic residues mod `moduli` (`_grouped`), `size` the terms
+#: they hold.
 #: A plain dict in insertion order: iterating an OrderedDict's values hashes
 #: every key again, each statistic by a Python-level __hash__
 _PASSES: dict = {}
@@ -433,28 +472,48 @@ _PASSES: dict = {}
 _PASSES_SIZE = 1 << 13
 
 
-def _passes(n: int, r: int, stats, k: int):
-    """Theorem 1's exact passes split at k, from `_PASSES` or built and kept
-    there: (size, space, left, right), the left half's states over
-    positions 0..k-1 from the empty word, the right halves' over k..n-1,
-    one per start symbol, and the terms they hold.  Every entry is built
-    so; at k = n the left half is the single pass and the right half is
-    the empty word.  A hit only becomes the most recently used entry.  A
-    new entry drops the least recently used until the sizes add up to at
-    most _PASSES_SIZE; one larger than that on its own is not kept."""
+def _passes(n: int, r: int, stats, k: int, moduli: tuple):
+    """Theorem 1's exact passes split at k, grouped at `moduli`, from
+    `_PASSES` or built and kept there: (size, space, moduli, left, right),
+    the left half's states over positions 0..k-1 from the empty word and
+    the right halves' over k..n-1, one per start symbol, their terms
+    grouped by start and statistic residues mod `moduli` (`_grouped`), and
+    the number of terms they hold.  Every entry is built so; at k = n the left
+    half is the single pass and the right half is the empty word.  A new
+    entry's states are checked for a negative count before they are
+    grouped: IntegralityError, with the term's exponents.  A hit at the
+    entry's moduli groups nothing and only becomes the most recently used
+    entry; at other moduli the entry's terms are grouped again and that
+    entry replaces it, the most recently used.  No stored term is ever
+    changed.  A new entry drops the least recently used until the sizes
+    add up to at most _PASSES_SIZE; one larger than that on its own is not
+    kept."""
     key = (n, r, tuple(stats), k)
     entry = _PASSES.pop(key, None)
-    if entry is None:
-        space, run = _exact_pass(n, r, stats)
-        left = run(range(k), {None: {0: 1}})
-        right = {None: {0: 1}} if k == n else {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
-        size = sum(map(len, (*left.values(), *right.values())))
-        entry = (size, space, left, right)
-        if size > _PASSES_SIZE:
-            return entry
-        total = size + sum(held[0] for held in _PASSES.values())
-        while total > _PASSES_SIZE:
-            total -= _PASSES.pop(next(iter(_PASSES)))[0]
+    if entry is not None:
+        if entry[2] != moduli:
+            size, space, held, *halves = entry
+            top = prod(held)
+            starts = (((c // top, terms) for c, terms in half.items()) for half in halves)
+            entry = (size, space, moduli, *(_grouped(space, moduli, half) for half in starts))
+        _PASSES[key] = entry
+        return entry
+    space, run = _exact_pass(n, r, stats)
+    left = run(range(k), {None: {0: 1}})
+    right = {None: {0: 1}} if k == n else {p: run(range(k, n), {p: {0: 1}})[None] for p in left}
+    states = (*left.values(), *right.values())
+    for terms in states:
+        if min(terms.values(), default=0) < 0:
+            term, coeff = next((term, coeff) for term, coeff in terms.items() if coeff < 0)
+            raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.unpack(term)}")
+    size = sum(map(len, states))
+    starts = (((0 if p is None else p + 1, terms.items()) for p, terms in half.items()) for half in (left, right))
+    entry = (size, space, moduli, *(_grouped(space, moduli, half) for half in starts))
+    if size > _PASSES_SIZE:
+        return entry
+    total = size + sum(held[0] for held in _PASSES.values())
+    while total > _PASSES_SIZE:
+        total -= _PASSES.pop(next(iter(_PASSES)))[0]
     _PASSES[key] = entry
     return entry
 
@@ -473,11 +532,14 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
     budget.
 
     The passes come from `_passes`, kept in `_PASSES` under (n, r,
-    statistics, k): the moduli and residues enter only at the join, so a
-    later call over the same key runs no pass.  The budget checks above
-    come before the lookup, and the one after an overflowing join after
-    it, as without the map."""
+    statistics, k) and grouped at the moduli: the residues enter only at
+    the join, so a later call over the same key runs no pass, and at the
+    same moduli groups nothing.  The budget checks above come before the
+    lookup, and the one after an overflowing join after it, as without the
+    map.  A custom statistic has no increments and raises ValueError."""
     stats = [c.stat for c in cons]
+    if any(st.kind == "custom" for st in stats):
+        raise ValueError("theorem 1 needs built-in statistics: a custom statistic has no increments")
     if any(x < 0 for st in stats for x in st.form.h or ()):
         raise ValueError("full-space enumerators need non-negative weights")
 
@@ -491,12 +553,13 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
         _check_pass(single, budget)
         k = n
     _check_tables(r, stats, r, budget)
-    _, space, left, right = _passes(n, r, stats, k)
-    kept = _kept(space, cons, left, right, min(single, limit))
+    moduli = tuple(c.m for c in cons)
+    _, space, _, left, right = _passes(n, r, stats, k, moduli)
+    kept = _kept(cons, left, right, min(single, limit))
     if kept is None:
         _check_pass(single, budget)
-        _, space, left, right = _passes(n, r, stats, n)
-        kept = _kept(space, cons, left, right, single)
+        _, space, _, left, right = _passes(n, r, stats, n, moduli)
+        kept = _kept(cons, left, right, single)
     return space, kept
 
 
@@ -523,10 +586,8 @@ def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
     IntegralityError.  Only the kept keys are unpacked.  A custom
     statistic has no increments and raises ValueError.
     """
-    if any(c.stat.kind == "custom" for c in spec.constraints):
-        raise ValueError("theorem 1 needs built-in statistics: a custom statistic has no increments")
     space, kept = _theorem1_terms(spec.n, spec.r, spec.constraints, budget, spec.n // 2)
-    return Enumerator("extended", space.poly(kept), "character_sum", spec)
+    return Enumerator("extended", space.read(kept, "extended"), "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +828,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     - "auto" at "extended", and "theorem1": theorem 1 ("character_sum"),
       which refuses a custom statistic; below "extended" it gets the spec
       with its negative linear weights reduced mod their moduli, which
-      changes only the z-exponents the kind drops.
+      changes only the z-exponents the kind drops, and its kept keys are
+      read straight at the kind, with no extended enumerator built.
 
     The character sum of one linear congruence of modulus m,
     (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), is by
@@ -812,12 +874,10 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         if kind == "cardinality":
             return terms
         return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "oracle", spec)
-    if kind == "extended":
-        base = theorem1_extended(spec, budget)
-    else:
-        base = theorem1_extended(_nonnegative_weights(spec), budget)
-        base.spec = spec
-    return specialize(base, kind)
+    weighted = spec if kind == "extended" else _nonnegative_weights(spec)
+    space, kept = _theorem1_terms(n, r, weighted.constraints, budget, n // 2)
+    result = space.read(kept, kind)
+    return result if kind == "cardinality" else Enumerator(kind, result, "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------

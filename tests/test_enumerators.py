@@ -267,7 +267,7 @@ def test_transfer_full_space_matches_oracle_for_every_statistic(case):
         assert full_space_enumerator(n, r, stats) == expected
     # built by the exact pass, not scanned
     assert exact_pass.call_count == 2 and not scan.called
-    assert space.poly(kept) == expected
+    assert space.read(kept, "extended") == expected
     # one packed key per full-space term
     assert len(kept) == len(expected.terms)
 
@@ -548,7 +548,7 @@ def test_theorem1_join_at_every_split_point(spec):
 
     space, single = kept(spec.n)
     expected = compute(spec, "extended", "oracle").poly
-    assert (space.variables, space.poly(single)) == (expected.variables, expected)
+    assert (space.variables, space.read(single, "extended")) == (expected.variables, expected)
     for k in range(spec.n):
         assert kept(k)[1] == single
 
@@ -571,8 +571,37 @@ def test_kept_forms_the_pairs_of_a_naive_join(spec, data):
             if all(((lk + rk) // stride % radix - c.a) % c.m == 0 for stride, radix, c in digits):
                 pairs += 1
                 expected[lk + rk] += lc * rc
-    assert enumerators._kept(space, cons, left, right, pairs) == expected
-    assert enumerators._kept(space, cons, left, right, pairs - 1) is None
+    # the same halves, grouped at the code's moduli
+    _, _, _, left, right = enumerators._passes(n, r, stats, k, tuple(c.m for c in cons))
+    assert enumerators._kept(cons, left, right, pairs) == expected
+    assert enumerators._kept(cons, left, right, pairs - 1) is None
+
+
+@given(split_specs().filter(lambda spec: prod(c.m for c in spec.constraints) <= 64))
+# the join at a = 2 keeps nothing; at a = 0 its 4 pairs outnumber the single pass's 3 terms
+@example(lc(2, 3, 2, (0, 0), 2))
+@example(CodeSpec(3, 2, ((SIGMA, 4, 1), (OMEGA, 8, 5))))
+def test_one_entry_answers_every_residue_tuple(spec):
+    # after one join, every a in prod Z_{m_i} is answered from the kept
+    # halves as the oracle answers it, with no pass run; only where a join's
+    # pairs outnumber the single pass's bound is that pass run, once, and
+    # kept.  The answers add up to the full space
+    n, r, cons = spec.n, spec.r, spec.constraints
+    stats = tuple(c.stat for c in cons)
+    theorem1_extended(spec)
+    single = (n, r, stats, n) in enumerators._PASSES
+    answers = []
+    with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
+        for a in itertools.product(*(range(c.m) for c in cons)):
+            code = CodeSpec(n, r, tuple((c.stat, c.m, ai) for c, ai in zip(cons, a)))
+            answers.append((code, theorem1_extended(code).poly))
+    assert exact_pass.call_count == (not single and (n, r, stats, n) in enumerators._PASSES)
+    total = Counter()
+    for code, poly in answers:
+        assert poly == compute(code, "extended", "oracle").poly
+        total.update(poly.terms)
+    full = full_space_enumerator(n, r, stats)
+    assert (poly.variables, dict(total)) == (full.variables, full.terms)
 
 
 @given(split_specs())
@@ -594,7 +623,7 @@ def test_theorem1_is_independent_of_the_oracle(spec):
         space, single = enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, spec.n)
         for k in range(spec.n):
             assert enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)[1] == single
-        assert theorem1_extended(spec).poly == space.poly(single)
+        assert theorem1_extended(spec).poly == space.read(single, "extended")
         with pytest.raises(ValueError, match="custom statistic"):
             theorem1_extended(with_custom)
     assert compute(with_custom, "cardinality") == compute(with_custom, "cardinality", "oracle")
@@ -670,7 +699,7 @@ def test_split_point_is_read_off_the_statistics(monkeypatch, spec, budget, refus
     assert runs[1 + starts :] in ([], [range(n)])
 
 
-def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch):
+def test_theorem1_falls_back_to_the_single_pass_past_its_bound(monkeypatch):
     # zero weights put every term at residue 0: the halves' 495 terms each
     # would make 495^2 = 245025 pairs, over the single pass's bound of
     # C(20, 4) = 4845 terms, so the single pass runs over positions 0..15
@@ -691,7 +720,7 @@ def test_theorem1_continues_the_left_half_past_the_single_pass_bound(monkeypatch
     assert result.cardinality() == 5**16
 
 
-def test_theorem1_continues_the_left_half_where_the_halves_do_not_fit(monkeypatch):
+def test_theorem1_runs_the_single_pass_where_the_halves_do_not_fit(monkeypatch):
     # delta over [0, 6)^5: the right half's 6 starts of 216 terms each make
     # 1296, over the single pass's bound of 1260; under a budget between the
     # two the single pass runs, with no half, and answers
@@ -884,6 +913,34 @@ def test_lc_closed_hamming_matches_oracle(case):
     n, m, r, h, a = case
     spec = CodeSpec(n, r, ((linear(h), m, a),))
     assert compute(lc(n, m, r, h, a), "hamming", "closed").poly == hamming_oracle(spec)
+
+
+@given(
+    split_specs() | lc_cases().map(lambda case: lc(*case)),
+    st.sampled_from(["complete", "hamming", "cardinality"]),
+)
+@example(make_family("lc", n=4, m=3, r=2, h=(-3, -7, 2, 5), a=2), "complete")
+@example(CodeSpec(3, 3, ((linear((-3, 4, -1)), 9, 2), (DELTA, 1, 0))), "hamming")
+def test_theorem1_reads_its_kept_keys_at_every_kind(spec, kind):
+    # below "extended" theorem 1 reads its kept keys straight at the kind,
+    # building no extended enumerator: the projection of theorem 1's
+    # extended enumerator, with negative weights reduced, and the oracle's
+    # answer, labelled as theorem 1's and tagged with the spec asked
+    with (
+        mock.patch.object(enumerators, "MultiPoly", wraps=MultiPoly) as built,
+        mock.patch.object(enumerators, "specialize", side_effect=AssertionError("specialized")),
+    ):
+        got = compute(spec, kind, "theorem1")
+    projected = specialize(theorem1_extended(enumerators._nonnegative_weights(spec)), kind)
+    expected = compute(spec, kind, "oracle")
+    if kind == "cardinality":
+        assert got == projected == expected
+        assert not built.called
+        return
+    assert (got.kind, got.method, got.spec) == (kind, "character_sum", spec)
+    assert (got.poly.variables, got.poly) == (expected.poly.variables, expected.poly)
+    assert got.poly == projected.poly
+    assert [call.args[0] for call in built.call_args_list] == [got.poly.variables]
 
 
 def test_lc_closed_hamming_equals_twisted_point_sum():
@@ -1144,8 +1201,8 @@ def test_kept_passes_refuse_as_fresh_ones(spec, warm, budget, refusal):
 def _sizes() -> dict:
     """The kept entries' sizes by key, least recently used first, each checked
     to be the terms its passes hold."""
-    for size, _, left, right in enumerators._PASSES.values():
-        assert size == sum(len(terms) for states in (left, right) for terms in states.values())
+    for size, _, _, left, right in enumerators._PASSES.values():
+        assert size == sum(len(terms) for half in (left, right) for terms in half.values())
     return {key: entry[0] for key, entry in enumerators._PASSES.items()}
 
 
@@ -1190,7 +1247,7 @@ def test_mutating_an_answer_leaves_the_kept_passes_alone():
     assert (theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)) == expected
 
 
-def test_theorem1_keeps_the_continued_pass_where_the_join_overflows(monkeypatch):
+def test_theorem1_keeps_the_single_pass_where_the_join_overflows(monkeypatch):
     # levenshtein n=24 m=7: at a = 0 and a = 3 the halves' pairs outnumber
     # the single pass's bound, so each code joins the single pass over
     # 0..23; it is run once and kept with the halves
@@ -1240,15 +1297,15 @@ def test_a_cold_overflowing_join_falls_back_to_the_single_pass(spec):
         return None if len(joins) == 1 else join(*args)
 
     def single() -> tuple:
-        size, space, left, right = enumerators._PASSES[key]
-        return size, space.variables, space.radices, left, right
+        size, space, moduli, left, right = enumerators._PASSES[key]
+        return size, space.variables, space.radices, moduli, left, right
 
     enumerators._PASSES.clear()
     with mock.patch.object(enumerators, "_kept", overflowing):
         space, kept = enumerators._theorem1_terms(n, r, cons, None, n // 2)
     expected = compute(spec, "extended", "oracle").poly
     assert len(joins) == 2
-    assert (space.variables, space.poly(kept)) == (expected.variables, expected)
+    assert (space.variables, space.read(kept, "extended")) == (expected.variables, expected)
     fallback = single()
     enumerators._PASSES.clear()
     enumerators._theorem1_terms(n, r, cons, None, n)
@@ -1258,7 +1315,9 @@ def test_a_cold_overflowing_join_falls_back_to_the_single_pass(spec):
 def test_kept_passes_are_plain_terms():
     # split, overflowing, unsplit and full-space entries alike: each key is
     # (n, r, statistics, k), each value an immutable tuple of no callable,
-    # and its size the terms it holds
+    # its size the terms it holds, and each term a (key, count) pair of
+    # integers in a tuple filed under the class number of its start and its
+    # statistic residues mod the entry's moduli
     theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
     theorem1_extended(CodeSpec(5, 6, ((DELTA, 3, 1),)), budget=1270)
     theorem1_extended(make_family("tenengolts", n=6, r=3, a1=1, a2=2))
@@ -1266,6 +1325,16 @@ def test_kept_passes_are_plain_terms():
     assert len(_sizes()) == 5
     for key, entry in enumerators._PASSES.items():
         assert len(key) == 4 and type(entry) is tuple and not any(map(callable, entry))
+        _, space, moduli, left, right = entry
+        assert len(moduli) == len(key[2])
+        *places, top = enumerators._places(moduli)
+        digits = list(zip(space.strides, space.radices, moduli, places))
+        for c, terms in (item for half in (left, right) for item in half.items()):
+            # the start digit: 0 for no last symbol, else the last symbol + 1
+            assert type(terms) is tuple and c // top <= key[1]
+            for term in terms:
+                assert type(term) is tuple and list(map(type, term)) == [int, int]
+                assert c % top == sum(term[0] // stride % radix % m * place for stride, radix, m, place in digits)
 
 
 @pytest.mark.parametrize("kind", ["extended", "hamming"])
