@@ -8,29 +8,27 @@ enumerator and cardinality, the sweeps' and tables' included, comes from
 decimal; exit codes are 0 success, 1 verification mismatch, 2 usage,
 3 budget exceeded, 4 internal integrality violation.
 
-`main(argv)` may be called repeatedly in one process: it builds its
-parser on the first call and reuses it for every later one.  A plain
-request, `command [positional] --flag value ...` with every flag spelled
-out in full and given at most once and every value non-empty and not
-starting with `-`, is read straight off its subcommand's flag table, which
-is built once from that parser's actions: each value is converted by its
-flag's own type and checked against its choices, and the required flags
-are checked, as argparse would.  Every other argv (help, abbreviations,
+`_COMMANDS` declares the subcommands and their arguments once, and
+`main(argv)` may be called repeatedly in one process.  A plain request,
+`command [positional] --flag value ...` with every flag spelled out in
+full and given at most once and every value non-empty and not starting
+with `-`, is read straight off that table: each value is converted by its
+flag's type and checked against its choices, and the required flags are
+checked, as argparse would.  Every other argv (help, abbreviations,
 `--flag=value`, negative values, repeated or unknown flags) and every
-value a type or a choice refuses goes to the full parser, so every usage,
-help and error text is argparse's own.  `build_parser()` returns a fresh
-full parser on each call.  Importing the module loads no `dataclasses`,
-`inspect`, `json` or `csv`: `--format json|csv` loads its module on first
-use.
+value a type or a choice refuses goes to one argparse parser built from
+the same table when first needed, so every usage, help and error text is
+argparse's own.  Importing the module and reading plain requests load no
+`argparse`, `dataclasses`, `inspect`, `json` or `csv`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import random
 import sys
+import types
 
 from .codes import (
     DEFAULT_BUDGET,
@@ -65,19 +63,6 @@ _FAMILY_PARAMS = {
 }
 
 
-# parsers of --h and --H; argparse names one in its usage error, as it
-# names int in "invalid int value"
-def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
-
-def int_matrix(text: str) -> list[tuple[int, ...]]:
-    return [int_list(row) for row in text.split(";") if row.strip() != ""]
-
-
-#: --H, the parity-check matrix of linear_code and macwilliams
-_MATRIX_FLAG = {"dest": "rows", "type": int_matrix, "metavar": "H"}
-
-
 def _family_params(args) -> dict:
     """The constructor arguments, parsed and defaulted by their flags."""
     params = {name: getattr(args, name) for name in _FAMILY_PARAMS[args.family]}
@@ -88,12 +73,16 @@ def _family_params(args) -> dict:
 
 
 def _budget(args):
-    budget = getattr(args, "budget", None)
+    budget = args.budget
     if budget is None:
         env = os.environ.get("CODES_BUDGET")
         if not env:
             return None
-        budget = int(env)
+        try:
+            budget = int(env)
+        except ValueError:
+            shown = repr(env) if len(env) <= 40 else f"{env[:40]!r}... ({len(env)} characters)"
+            raise ValueError(f"CODES_BUDGET must be a non-negative integer, got {shown}") from None
     if budget < 0:
         raise ValueError(f"the budget must be non-negative, got {budget}")
     return budget
@@ -152,9 +141,9 @@ def _check(checks, label, spec, kinds, budget):
     checks.append((label, ok))
 
 
-def _verify_tenengolts(checks, max_n, max_r, budget):
-    for n in range(1, max_n + 1):
-        for r in range(2, max_r + 1):
+def _verify_tenengolts(checks, rng, args, budget):
+    for n in range(1, args.max_n + 1):
+        for r in range(2, args.max_r + 1):
             for variant in VARIANTS:
                 for a1 in range(n):
                     for a2 in range(r):
@@ -163,14 +152,14 @@ def _verify_tenengolts(checks, max_n, max_r, budget):
                         _check(checks, label, spec, ("hamming", "cardinality"), budget)
 
 
-def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
-    if max_n < 1 or max_m < 1:
+def _verify_lc(checks, rng, args, budget, binary):
+    if args.max_n < 1 or args.max_m < 1:
         return
     label = "blc" if binary else "lc"
-    for i in range(count):
+    for i in range(args.count):
         r = 2 if binary else rng.randint(2, 4)
-        n = rng.randint(1, max_n)
-        m = rng.randint(1, max_m)
+        n = rng.randint(1, args.max_n)
+        m = rng.randint(1, args.max_m)
         bound = max(m, 2)
         h = tuple(rng.randrange(1 - bound, bound) for _ in range(n))
         a = rng.randrange(m)
@@ -178,32 +167,32 @@ def _verify_lc(checks, rng, count, max_n, max_m, budget, binary):
         _check(checks, f"{label} i={i} n={n} m={m} r={r} a={a}", spec, ("hamming",), budget)
 
 
-def _verify_sc(checks, rng, count, max_n, max_m, budget):
-    if max_n < 2 or max_m < 1:
+def _verify_sc(checks, rng, args, budget):
+    if args.max_n < 2 or args.max_m < 1:
         return
     pool = (OMEGA, SIGMA, DELTA, GAMMA_GT)
-    for i in range(count):
+    for i in range(args.count):
         s = rng.randint(2, 3)
         stats = rng.sample(pool, s)
-        n = rng.randint(2, min(max_n, 5))
+        n = rng.randint(2, min(args.max_n, 5))
         r = rng.randint(2, 3)
         cons = []
         for st in stats:
-            m = rng.randint(1, min(max_m, 6))
+            m = rng.randint(1, min(args.max_m, 6))
             cons.append((st, m, rng.randrange(m)))
         kinds = ",".join(st.kind for st in stats)
         label = f"sc i={i} n={n} r={r} stats={kinds}"
         _check(checks, label, CodeSpec(n, r, tuple(cons)), ("extended",), budget)
 
 
-def _verify_macwilliams(checks, rng, count, max_n, budget):
-    if max_n < 1:
+def _verify_macwilliams(checks, rng, args, budget):
+    if args.max_n < 1:
         return
     made = 0
-    while made < count:
+    while made < args.count:
         r = rng.randint(2, 6)
-        s = rng.randint(1, min(3, max_n))
-        n = rng.randint(s, max_n)
+        s = rng.randint(1, min(3, args.max_n))
+        n = rng.randint(s, args.max_n)
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
         # a rank-deficient draw is skipped before its kernel is scanned
         if len(row_span(r, rows, budget)) != r**s:
@@ -213,25 +202,27 @@ def _verify_macwilliams(checks, rng, count, max_n, budget):
         made += 1
 
 
+#: verify's sweeps by `--family`, in the order they draw from the one rng
+_SWEEPS = {
+    "tenengolts": _verify_tenengolts,
+    "lc": functools.partial(_verify_lc, binary=False),
+    "blc": functools.partial(_verify_lc, binary=True),
+    "sc": _verify_sc,
+    "macwilliams": _verify_macwilliams,
+}
+
+
 def _cmd_verify(args) -> int:
     if args.count < 0:
         raise ValueError(f"the count must be non-negative, got {args.count}")
     budget = _budget(args)
     rng = random.Random(args.seed)
     checks: list[tuple[str, bool]] = []
-    family = args.family
-    if family in ("tenengolts", "all"):
-        _verify_tenengolts(checks, args.max_n, args.max_r, budget)
-    if family in ("lc", "all"):
-        _verify_lc(checks, rng, args.count, args.max_n, args.max_m, budget, binary=False)
-    if family in ("blc", "all"):
-        _verify_lc(checks, rng, args.count, args.max_n, args.max_m, budget, binary=True)
-    if family in ("sc", "all"):
-        _verify_sc(checks, rng, args.count, args.max_n, args.max_m, budget)
-    if family in ("macwilliams", "all"):
-        _verify_macwilliams(checks, rng, args.count, args.max_n, budget)
+    for family, sweep in _SWEEPS.items():
+        if args.family in (family, "all"):
+            sweep(checks, rng, args, budget)
     if not checks:
-        raise ValueError(f"verify --family {family} selected no checks: its sweep bounds are empty")
+        raise ValueError(f"verify --family {args.family} selected no checks: its sweep bounds are empty")
     mismatches = sum(1 for _, ok in checks if not ok)
     if args.format == "json":
         _json_print({"checks": [{"check": label, "ok": ok} for label, ok in checks], "mismatches": mismatches})
@@ -336,143 +327,151 @@ def _cmd_macwilliams(args) -> int:
 # parser
 
 
-def _add_family_flags(parser) -> None:
-    parser.add_argument("family", choices=sorted(FAMILIES))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--a", type=int, default=0)
-    parser.add_argument("--a1", type=int)
-    parser.add_argument("--a2", type=int)
-    parser.add_argument("--b", type=int)
-    parser.add_argument("--c", type=int)
-    parser.add_argument("--t", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--parity", type=int)
-    parser.add_argument("--variant", choices=VARIANTS, default=">")
-    parser.add_argument("--h", type=int_list, help="comma-separated weight vector, e.g. 1,2,3,4")
-    parser.add_argument("--H", **_MATRIX_FLAG, help="semicolon-separated matrix rows, e.g. 1,1;0,1")
+# parsers of --h and --H; argparse names one in its usage error, as it
+# names int in "invalid int value"
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+
+def int_matrix(text: str) -> list[tuple[int, ...]]:
+    return [int_list(row) for row in text.split(";") if row.strip() != ""]
 
 
-def _add_budget_flag(parser) -> None:
-    parser.add_argument("--budget", type=int, help=f"enumeration budget (default {DEFAULT_BUDGET})")
+#: --H, the parity-check matrix of linear_code and macwilliams
+_MATRIX_FLAG = {"dest": "rows", "type": int_matrix, "metavar": "H"}
+
+#: enum's and card's family and the flags of its constructor parameters
+_FAMILY_ARGS = (
+    ("family", {"choices": sorted(FAMILIES)}),
+    ("--n", {"type": int}),
+    ("--r", {"type": int}),
+    ("--m", {"type": int}),
+    ("--a", {"type": int, "default": 0}),
+    ("--a1", {"type": int}),
+    ("--a2", {"type": int}),
+    ("--b", {"type": int}),
+    ("--c", {"type": int}),
+    ("--t", {"type": int}),
+    ("--p", {"type": int}),
+    ("--parity", {"type": int}),
+    ("--variant", {"choices": VARIANTS, "default": ">"}),
+    ("--h", {"type": int_list, "help": "comma-separated weight vector, e.g. 1,2,3,4"}),
+    ("--H", {**_MATRIX_FLAG, "help": "semicolon-separated matrix rows, e.g. 1,1;0,1"}),
+)
+_KIND_ARG = ("--kind", {"choices": KINDS, "default": "hamming"})
+_METHOD_ARG = ("--method", {"choices": METHODS, "default": "auto"})
+_BUDGET_ARG = ("--budget", {"type": int, "help": f"enumeration budget (default {DEFAULT_BUDGET})"})
+_COMMON_ARGS = (("--format", {"choices": ("text", "json", "csv"), "default": "text"}), _BUDGET_ARG)
+
+#: the one declaration of the command line, read by build_parser() and by
+#: the plain reader: {subcommand: (its help, its arguments in order as the
+#: (name, options) pairs add_argument takes, its set_defaults)}
+_COMMANDS = {
+    "enum": (
+        "compute a weight enumerator",
+        (*_FAMILY_ARGS, _KIND_ARG, _METHOD_ARG, *_COMMON_ARGS),
+        {"handler": _cmd_compute},
+    ),
+    "card": (
+        "compute a cardinality",
+        (*_FAMILY_ARGS, _METHOD_ARG, *_COMMON_ARGS),
+        {"handler": _cmd_compute, "kind": "cardinality"},
+    ),
+    "verify": (
+        "sweep the chosen routes against brute force",
+        (
+            ("--family", {"choices": (*_SWEEPS, "all"), "default": "all"}),
+            ("--max-n", {"type": int, "default": 4}),
+            ("--max-r", {"type": int, "default": 3}),
+            ("--max-m", {"type": int, "default": 8}),
+            ("--count", {"type": int, "default": 10}),
+            ("--seed", {"type": int, "default": 0}),
+            *_COMMON_ARGS,
+        ),
+        {"handler": _cmd_verify},
+    ),
+    "table": (
+        "print a desk-reference table",
+        (("name", {"choices": ("t33", "t23", "t33enum")}), _BUDGET_ARG),
+        {"handler": _cmd_table},
+    ),
+    "macwilliams": (
+        "duality report for a linear code over Z_r",
+        (
+            ("--r", {"type": int, "required": True}),
+            ("--H", {**_MATRIX_FLAG, "required": True, "help": "matrix rows, e.g. 1,1;0,1"}),
+            *_COMMON_ARGS,
+        ),
+        {"handler": _cmd_macwilliams},
+    ),
+}
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    _add_budget_flag(parser)
+def build_parser():
+    """A fresh full parser of `_COMMANDS`; the first one loads argparse."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ntcodes",
         description="exact weight enumerators and cardinalities for congruence-defined codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_enum = sub.add_parser("enum", help="compute a weight enumerator")
-    _add_family_flags(p_enum)
-    p_enum.add_argument("--kind", choices=KINDS, default="hamming")
-    p_enum.add_argument("--method", choices=METHODS, default="auto")
-    _add_common_flags(p_enum)
-    p_enum.set_defaults(handler=_cmd_compute)
-
-    p_card = sub.add_parser("card", help="compute a cardinality")
-    _add_family_flags(p_card)
-    p_card.add_argument("--method", choices=METHODS, default="auto")
-    _add_common_flags(p_card)
-    p_card.set_defaults(handler=_cmd_compute, kind="cardinality")
-
-    p_verify = sub.add_parser("verify", help="sweep the chosen routes against brute force")
-    p_verify.add_argument(
-        "--family",
-        choices=("tenengolts", "lc", "blc", "sc", "macwilliams", "all"),
-        default="all",
-    )
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=4)
-    p_verify.add_argument("--max-r", dest="max_r", type=int, default=3)
-    p_verify.add_argument("--max-m", dest="max_m", type=int, default=8)
-    p_verify.add_argument("--count", type=int, default=10)
-    p_verify.add_argument("--seed", type=int, default=0)
-    _add_common_flags(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_table = sub.add_parser("table", help="print a desk-reference table")
-    p_table.add_argument("name", choices=("t33", "t23", "t33enum"))
-    _add_budget_flag(p_table)
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_mac = sub.add_parser("macwilliams", help="duality report for a linear code over Z_r")
-    p_mac.add_argument("--r", type=int, required=True)
-    p_mac.add_argument("--H", **_MATRIX_FLAG, required=True, help="matrix rows, e.g. 1,1;0,1")
-    _add_common_flags(p_mac)
-    p_mac.set_defaults(handler=_cmd_macwilliams)
-
+    for command, (text, arguments, defaults) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=text)
+        for name, options in arguments:
+            subparser.add_argument(name, **options)
+        subparser.set_defaults(**defaults)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # main's own parser, kept apart from those build_parser() hands out;
-    # parse_args leaves it unchanged, so one parser serves every call
-    return build_parser()
+#: main's own parser, kept apart from those build_parser() hands out;
+#: parse_args leaves it unchanged, so one parser serves every call
+_parser = functools.cache(build_parser)
 
 
 @functools.cache
-def _flag_tables() -> dict:
-    """{subcommand: its plain-form table}, read off the actions of main's
-    parser: the positionals, {option string: action} of the flags that
-    store one value, the dests argparse requires, and the Namespace's
-    defaults, those of `set_defaults` and of every action."""
-    tables = {}
-    commands = next(action.choices for action in _parser()._actions if action.dest == "command")
-    for command, sub in commands.items():
-        stores = [action for action in sub._actions if type(action) is argparse._StoreAction]
-        defaults = {
-            action.dest: action.default for action in sub._actions if action.default is not argparse.SUPPRESS
-        }
-        tables[command] = (
-            [action for action in stores if not action.option_strings],
-            {flag: action for action in stores for flag in action.option_strings},
-            {action.dest for action in stores if action.required},
-            {**sub._defaults, **defaults},
-        )
-    return tables
+def _plain_form(command):
+    """A subcommand's arguments as the plain reader reads them: positional
+    names, {name: (dest, type, choices)}, required dests and defaults."""
+    _, arguments, defaults = _COMMANDS[command]
+    dests = {name: options.get("dest", name.lstrip("-").replace("-", "_")) for name, options in arguments}
+    form = {name: (dests[name], options.get("type", str), options.get("choices")) for name, options in arguments}
+    required = {dests[name] for name, options in arguments if options.get("required")}
+    namespace = {dests[name]: options.get("default") for name, options in arguments}
+    return [name for name in form if name[0] != "-"], form, required, {**namespace, **defaults}
 
 
-def _read_plain(argv) -> argparse.Namespace | None:
-    """The Namespace of a plain request, or None for any other argv or for
+def _read_plain(argv):
+    """The namespace of a plain request, or None for any other argv or for
     a value its flag's type or choices refuse."""
-    table = _flag_tables().get(argv[0]) if argv else None
-    if table is None:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    positionals, flags, required, defaults = table
+    positionals, form, required, defaults = _plain_form(argv[0])
     head = 1 + len(positionals)
     if len(argv) < head or (len(argv) - head) % 2:
         return None
-    pairs = [*zip(positionals, argv[1:head])]
-    pairs += [(flags.get(flag), text) for flag, text in zip(argv[head::2], argv[head + 1 :: 2])]
+    # the positionals are read first: one's name in a flag's place repeats it
+    names = [*positionals, *argv[head::2]]
     values = {}
-    for action, text in pairs:
-        if action is None or action.dest in values or not text or text[0] == "-":
+    for name, text in zip(names, [*argv[1:head], *argv[head + 1 :: 2]]):
+        if name not in form or form[name][0] in values or not text or text[0] == "-":
             return None
+        dest, parse, choices = form[name]
         try:
-            value = (action.type or str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # refused by argparse, in its words
+            value = parse(text)
+        except (TypeError, ValueError):  # refused by argparse, in its words
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
+        values[dest] = value
     if not required <= values.keys():
         return None
-    return argparse.Namespace(**{**defaults, **values, "command": argv[0]})
+    return types.SimpleNamespace(**{**defaults, **values, "command": argv[0]})
 
 
-def _parse(argv) -> argparse.Namespace:
-    """argv's flags: a plain request's read off its subcommand's flag
-    table, any other argv's parsed by the full parser."""
-    args = _read_plain(argv)
-    return _parser().parse_args(argv) if args is None else args
+def _parse(argv):
+    """argv's flags: a plain request's read off `_COMMANDS`, any other
+    argv's parsed by the full parser."""
+    return _read_plain(argv) or _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import inspect
@@ -761,6 +762,24 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "env, shown",
+    [
+        ("abc", "'abc'"),
+        (" 1.5", "' 1.5'"),
+        ("7" * 5000 + "x", f"{'7' * 40!r}... (5001 characters)"),
+    ],
+    ids=["letters", "decimal", "long"],
+)
+def test_a_malformed_budget_env_is_named_in_its_error(capsys, monkeypatch, env, shown):
+    monkeypatch.setenv("CODES_BUDGET", env)
+    argv = ("card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
+    expected = f"error: CODES_BUDGET must be a non-negative integer, got {shown}\n"
+    assert run(capsys, *argv) == (2, "", expected)
+    # a --budget flag overrides the variable without reading it
+    assert run(capsys, *argv, "--budget", "100") == (0, "5\n", "")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("card", "tenengolts", "--n", "4", "--r", "2", "--a1", "0", "--a2", "0"),
@@ -930,7 +949,8 @@ def test_main_reuses_its_parser_without_carrying_state(capsys, monkeypatch):
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     argv = ("card", *TENENGOLTS_33)
-    main(list(argv))
+    # a plain request builds no parser: an argv argparse reads builds main's
+    assert outcome(capsys, ("enum", "nonsense"))[0] == 2
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -976,15 +996,22 @@ def test_importing_the_cli_loads_no_module_a_request_does_not_use():
         f"sys.path.insert(0, {str(src)!r})\n"
         "before = set(sys.modules)\n"
         "import ntcodes, ntcodes.cli\n"
-        "unused = {'dataclasses', 'inspect', 'json', 'csv'}\n"
+        "unused = {'argparse', 'gettext', 'dataclasses', 'inspect', 'json', 'csv'}\n"
         "print(sorted(unused & (set(sys.modules) - before)))\n"
+        "ntcodes.cli.main(['card', 'tenengolts', '--n', '3', '--r', '3', '--a1', '0', '--a2', '0'])\n"
         "for fmt in ('json', 'csv'):\n"
         "    ntcodes.cli.main(['enum', 'tenengolts', '--n', '3', '--r', '3', '--a1', '0', '--a2', '0', '--format', fmt])\n"
-        "print(sorted(unused & (set(sys.modules) - before)))\n",
+        "print(sorted(unused & (set(sys.modules) - before)))\n"
+        "try:\n"
+        "    ntcodes.cli.main(['card', '--help'])\n"
+        "except SystemExit as stop:\n"
+        "    print('exit', stop.code, sorted({'argparse'} & set(sys.modules)))\n",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    lines = done.stdout.splitlines()
+    assert lines[:8] == [
         "[]",
+        "5",
         '{"kind": "hamming", "variables": ["w"], "terms": [{"exp": [0], "coef": "1"}, {"exp": [2], "coef": "2"}, '
         '{"exp": [3], "coef": "2"}], "cardinality": "5", "method": "closed_form"}',
         "w,coefficient",
@@ -993,6 +1020,18 @@ def test_importing_the_cli_loads_no_module_a_request_does_not_use():
         "3,2",
         "['csv', 'json']",
     ]
+    # help is argparse's own: it loads argparse and exits 0
+    assert lines[8].startswith("usage: ntcodes card") and lines[-1] == "exit 0 ['argparse']"
+
+
+def test_the_cli_reads_no_private_argparse_name():
+    # argparse is driven through its public calls alone: no attribute named
+    # with one leading underscore, and of argparse itself only ArgumentParser
+    tree = ast.parse(Path(ntcodes.cli.__file__).read_text())
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert [node.attr for node in attributes if re.match(r"_(?!_)", node.attr)] == []
+    named = {node.attr for node in attributes if isinstance(node.value, ast.Name) and node.value.id == "argparse"}
+    assert named == {"ArgumentParser"}
 
 
 # argvs whose parse by main must match the nested parse: plain requests,
@@ -1027,6 +1066,8 @@ PARSE_CASES = (
     ("macwilliams", "--H", "1,1;0,1", "--r", "3", "--budget", "-1"),
     ("verify", "--max-n", "3", "--max-n", "4"),
     ("card", "tenengolts", "--n", "3", "--", "--r", "3"),
+    ("table", "t33", "name", "t23"),
+    ("card", *TENENGOLTS_33, "family", "lc"),
 )
 
 
@@ -1167,3 +1208,121 @@ def test_every_constructor_parameter_has_a_flag(command, family):
         argv += [f"--{flag}", ">" if name == "variant" else "1"]
     args = build_parser().parse_args(argv)
     assert tuple(_family_params(args)) == params
+
+
+# the command line as the parser held it before it was declared by one
+# table, captured from that parser's actions; each argument is (option
+# strings, dest, type, choices, default, required, metavar, help), its
+# type by name.  It is argparse's data, not its rendered help, whose layout
+# changes between Python versions.
+FAMILY_DECLARATION = (
+    (
+        (), "family", None,
+        (
+            "an_code", "binary_vt", "blc", "exponential_coefficient", "han_vinck_morita", "helberg", "lc",
+            "le_nguyen", "levenshtein", "linear_code", "nonbinary_svt", "odd_coefficient", "shifted_vt",
+            "tenengolts", "ternary_integer",
+        ),
+        None, True, None, None,
+    ),
+    (("--n",), "n", "int", None, None, False, None, None),
+    (("--r",), "r", "int", None, None, False, None, None),
+    (("--m",), "m", "int", None, None, False, None, None),
+    (("--a",), "a", "int", None, 0, False, None, None),
+    (("--a1",), "a1", "int", None, None, False, None, None),
+    (("--a2",), "a2", "int", None, None, False, None, None),
+    (("--b",), "b", "int", None, None, False, None, None),
+    (("--c",), "c", "int", None, None, False, None, None),
+    (("--t",), "t", "int", None, None, False, None, None),
+    (("--p",), "p", "int", None, None, False, None, None),
+    (("--parity",), "parity", "int", None, None, False, None, None),
+    (("--variant",), "variant", None, (">", ">=", "<", "<="), ">", False, None, None),
+    (("--h",), "h", "int_list", None, None, False, None, "comma-separated weight vector, e.g. 1,2,3,4"),
+    (("--H",), "rows", "int_matrix", None, None, False, "H", "semicolon-separated matrix rows, e.g. 1,1;0,1"),
+)
+METHOD_DECLARATION = (("--method",), "method", None, ("auto", "closed", "theorem1", "oracle"), "auto", False, None, None)
+FORMAT_DECLARATION = (("--format",), "format", None, ("text", "json", "csv"), "text", False, None, None)
+BUDGET_DECLARATION = (
+    ("--budget",), "budget", "int", None, None, False, None, "enumeration budget (default 10000000)"
+)
+DECLARATION = (
+    "ntcodes",
+    "exact weight enumerators and cardinalities for congruence-defined codes",
+    [
+        (
+            "enum", "compute a weight enumerator", {"handler": "_cmd_compute"},
+            [
+                *FAMILY_DECLARATION,
+                (("--kind",), "kind", None, ("extended", "complete", "hamming"), "hamming", False, None, None),
+                METHOD_DECLARATION,
+                FORMAT_DECLARATION,
+                BUDGET_DECLARATION,
+            ],
+        ),
+        (
+            "card", "compute a cardinality", {"handler": "_cmd_compute", "kind": "cardinality"},
+            [*FAMILY_DECLARATION, METHOD_DECLARATION, FORMAT_DECLARATION, BUDGET_DECLARATION],
+        ),
+        (
+            "verify", "sweep the chosen routes against brute force", {"handler": "_cmd_verify"},
+            [
+                (
+                    ("--family",), "family", None, ("tenengolts", "lc", "blc", "sc", "macwilliams", "all"), "all",
+                    False, None, None,
+                ),
+                (("--max-n",), "max_n", "int", None, 4, False, None, None),
+                (("--max-r",), "max_r", "int", None, 3, False, None, None),
+                (("--max-m",), "max_m", "int", None, 8, False, None, None),
+                (("--count",), "count", "int", None, 10, False, None, None),
+                (("--seed",), "seed", "int", None, 0, False, None, None),
+                FORMAT_DECLARATION,
+                BUDGET_DECLARATION,
+            ],
+        ),
+        (
+            "table", "print a desk-reference table", {"handler": "_cmd_table"},
+            [((), "name", None, ("t33", "t23", "t33enum"), None, True, None, None), BUDGET_DECLARATION],
+        ),
+        (
+            "macwilliams", "duality report for a linear code over Z_r", {"handler": "_cmd_macwilliams"},
+            [
+                (("--r",), "r", "int", None, None, True, None, None),
+                (("--H",), "rows", "int_matrix", None, None, True, "H", "matrix rows, e.g. 1,1;0,1"),
+                FORMAT_DECLARATION,
+                BUDGET_DECLARATION,
+            ],
+        ),
+    ],
+)
+
+
+def declaration(parser):
+    """prog, description and each subcommand's name, help, set_defaults and
+    arguments but help, in order, as the parser holds them."""
+
+    def argument(action):
+        choices = None if action.choices is None else tuple(action.choices)
+        return (
+            tuple(action.option_strings), action.dest, getattr(action.type, "__name__", action.type), choices,
+            action.default, action.required, action.metavar, action.help,
+        )
+
+    commands = next(action for action in parser._actions if action.dest == "command")
+    helps = {action.dest: action.help for action in commands._choices_actions}
+    return (
+        parser.prog,
+        parser.description,
+        [
+            (
+                name, helps[name], {key: getattr(value, "__name__", value) for key, value in sub._defaults.items()},
+                [argument(action) for action in sub._actions if not isinstance(action, argparse._HelpAction)],
+            )
+            for name, sub in commands.choices.items()
+        ],
+    )
+
+
+def test_the_parser_declares_what_it_declared_before_the_table():
+    parser = build_parser()
+    assert declaration(parser) == DECLARATION
+    assert next(action for action in parser._actions if action.dest == "command").required
