@@ -45,15 +45,6 @@ STAT_KINDS = (
     "custom",
 )
 
-#: gamma-variant statistic kind keyed by the comparison it counts
-VARIANT_STATS = {
-    ">": "gamma_gt",
-    ">=": "gamma_ge",
-    "<": "lambda_lt",
-    "<=": "lambda_le",
-}
-
-
 class BudgetExceededError(Exception):
     """Exhaustive enumeration would visit more words than the budget allows."""
 
@@ -223,6 +214,12 @@ GAMMA_GE = Statistic("gamma_ge")
 LAMBDA_LT = Statistic("lambda_lt")
 LAMBDA_LE = Statistic("lambda_le")
 DELTA = Statistic("delta")
+
+#: the shared gamma-variant statistic keyed by the comparison it counts
+_VARIANT_RECORDS = {">": GAMMA_GT, ">=": GAMMA_GE, "<": LAMBDA_LT, "<=": LAMBDA_LE}
+
+#: gamma-variant statistic kind keyed by the comparison it counts
+VARIANT_STATS = {variant: stat.kind for variant, stat in _VARIANT_RECORDS.items()}
 
 
 def linear(h) -> Statistic:
@@ -412,14 +409,22 @@ def tenengolts(n: int, r: int, a1: int, a2: int, variant: str = ">") -> CodeSpec
     `variant` picks the comparison in the descent statistic; the plain code
     uses ">".
     """
+    stat = _check_tenengolts(n, r, a1, a2, variant)
+    return CodeSpec(n, r, (Constraint(stat, n, a1), Constraint(SIGMA, r, a2)))
+
+
+def _check_tenengolts(n: int, r: int, a1: int, a2: int, variant: str) -> Statistic:
+    """The descent statistic of the descent/sum code's variant, once its
+    parameters pass their checks: n and r, then a1, then a2, then the
+    variant; the first to fail raises ValueError."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     _check_range(a1, n, "a1")
     _check_range(a2, r, "a2")
-    if variant not in VARIANT_STATS:
+    stat = _VARIANT_RECORDS.get(variant)
+    if stat is None:
         raise ValueError(f"variant must be one of {sorted(VARIANT_STATS)}, got {variant!r}")
-    stat = Statistic(VARIANT_STATS[variant])
-    return CodeSpec(n, r, ((stat, n, a1), (SIGMA, r, a2)))
+    return stat
 
 
 def shifted_vt(n: int, m: int, a: int, parity: int) -> CodeSpec:

@@ -72,6 +72,7 @@ from .codes import (
     CodeSpec,
     Constraint,
     Record,
+    _check_tenengolts,
     budget_limit,
     capped_power,
     check_budget,
@@ -771,8 +772,9 @@ def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">")
     added smallest power first (largest d first), so each addition copies
     a total about the size of its own term, not of r^n; and r^k is odd^k
     shifted left by e k bits, r = odd 2^e, since r**k squares its way up
-    even when r is a power of two."""
-    tenengolts_spec(n, r, a1, a2, variant)  # checks the parameters
+    even when r is a power of two.  It checks the parameters as
+    `codes.tenengolts` does, with the same messages, and builds no spec."""
+    _check_tenengolts(n, r, a1, a2, variant)
     e = (r & -r).bit_length() - 1
     odd = r >> e
     total = 0
@@ -851,8 +853,8 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         method = "oracle"
     if method in ("auto", "closed"):
         closed = kind in ("hamming", "cardinality")
-        variant = _VARIANT_OF_STAT.get(cons[0].stat.kind)
-        if closed and variant and [(c.stat, c.m) for c in cons] == [(cons[0].stat, n), (SIGMA, r)]:
+        variant = _VARIANT_OF_STAT.get(cons[0].stat.kind) if closed and len(cons) == 2 else None
+        if variant and cons[0].m == n and cons[1].stat.kind == "sigma" and cons[1].m == r:
             check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
             args = (n, r, cons[0].a, cons[1].a, variant)
             if kind == "cardinality":

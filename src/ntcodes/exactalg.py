@@ -21,6 +21,7 @@ all exact.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .numtheory import divisors, mobius
 
@@ -152,9 +153,14 @@ class CycElement:
         return f"CycElement({self.order}, {body})"
 
 
-def _term_sort_key(exps):
-    # canonical order: ascending total degree, ties by descending lex
-    return (sum(exps), tuple(-e for e in exps))
+def _first_bad_term(exponents, width: int) -> None:
+    """Raise ValueError for the first exponent vector, in the order given,
+    that does not have `width` entries or has a negative entry."""
+    for exps in exponents:
+        if len(exps) != width:
+            raise ValueError(f"exponent vector {exps} does not match {width} variables")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
 
 
 class MultiPoly:
@@ -172,16 +178,13 @@ class MultiPoly:
         width = len(variables)
         clean = {}
         if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != width:
-                    raise ValueError(
-                        f"exponent vector {exps} does not match {width} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if coeff:
-                    clean[exps] = coeff
+            # every term is checked, zero coefficients too, in bulk; a
+            # failed check names the first bad term
+            exponents = list(map(tuple, terms))
+            entries = itertools.chain.from_iterable(exponents)
+            if set(map(len, exponents)) != {width} or min(entries, default=0) < 0:
+                _first_bad_term(exponents, width)
+            clean = {exps: coeff for exps, coeff in zip(exponents, terms.values()) if coeff}
         self.variables = variables
         self.terms = clean
 
@@ -189,8 +192,11 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         """Terms in canonical order: ascending total degree, then descending
-        lexicographic exponent (the order used by the text format)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_sort_key)]
+        lexicographic exponent (the order used by the text format): the
+        exponents sorted descending, then stably by total degree."""
+        order = sorted(self.terms, reverse=True)
+        order.sort(key=sum)
+        return [(e, self.terms[e]) for e in order]
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

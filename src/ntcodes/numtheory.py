@@ -2,8 +2,9 @@
 
 Factorization, Euler's totient, the Mobius function, divisor lists, and
 Ramanujan's sums, all over plain Python integers.  `ramanujan_sums` gives
-c_d(a) at every d | n from one factorization of n, since c_d is
-multiplicative in d; `ramanujan_sum` reads one entry of that table.
+c_d(a) at every d | n, d ascending, from one factorization of n and one
+sort, since c_d is multiplicative in d; `ramanujan_sum` reads one entry
+of that table.
 Inputs are desk-scale by design, so trial division is enough.
 """
 
@@ -83,17 +84,20 @@ def ramanujan_sums(n: int, a: int) -> dict[int, int]:
     c_d(a) is the sum of e(a*j/d) over j in [1, d] coprime to d.  It is
     multiplicative in d, and at a prime power c_(p^e)(a) is phi(p^e) when
     p^e | a, -p^(e-1) when only p^(e-1) | a, and 0 otherwise; the defining
-    exponential sum is kept only as a test oracle.
+    exponential sum is kept only as a test oracle.  Each prime power of n
+    extends one list of (d, c_d(a)) pairs, which is sorted once at the end:
+    the closed forms of `enumerators` rely on d ascending.
     """
-    table = {1: 1}
+    pairs = [(1, 1)]
     for p, e in factorize(n):
-        powers = [p**k for k in range(e + 1)]
-        local = [1] + [
-            q - below if a % q == 0 else -below if a % below == 0 else 0
-            for below, q in zip(powers, powers[1:])
-        ]
-        table = {d * q: c * cq for d, c in table.items() for q, cq in zip(powers, local)}
-    return dict(sorted(table.items()))
+        local, below = [(1, 1)], 1  # (p^k, c_(p^k)(a)) for k = 0..e
+        for _ in range(e):
+            q = below * p
+            local.append((q, q - below if a % q == 0 else -below if a % below == 0 else 0))
+            below = q
+        pairs = [(d * q, c * cq) for d, c in pairs for q, cq in local]
+    pairs.sort()
+    return dict(pairs)
 
 
 def ramanujan_sum(d: int, a: int) -> int:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -12,16 +13,19 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ntcodes.cli
+import ntcodes.codes
 import ntcodes.macwilliams
-from ntcodes.cli import _family_params, build_parser, main
+import ntcodes.numtheory
+from ntcodes.cli import VARIANTS, _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
-from ntcodes.enumerators import enumerator_from_dict, tenengolts_hamming
+from ntcodes.enumerators import enumerator_from_dict, tenengolts_cardinality, tenengolts_hamming
 
 
 def run(capsys, *argv):
@@ -1158,6 +1162,71 @@ def test_a_plain_request_is_read_without_argparse(capsys, monkeypatch):
     # an abbreviated flag is no plain request: the full parser reads it
     assert ntcodes.cli._parse(["enum", *TENENGOLTS_33, "--kin", "complete"]).kind == "complete"
     assert parsers == ["ntcodes", "ntcodes enum"]
+
+
+#: (n, r, a1, a2, variant) the descent/sum code refuses, and its message:
+#: n and r are checked first, then a1, then a2, then the variant
+TENENGOLTS_REFUSALS = [
+    ((0, 3, 0, 0, ">"), "n and r must be positive"),
+    ((3, 0, 0, 0, ">"), "n and r must be positive"),
+    ((3, 3, 3, 0, ">"), "a1 must lie in [0, 3), got 3"),
+    ((3, 3, -1, 0, ">"), "a1 must lie in [0, 3), got -1"),
+    ((3, 3, 0, 3, ">"), "a2 must lie in [0, 3), got 3"),
+    ((3, 3, 0, 0, "!="), "variant must be one of ['<', '<=', '>', '>='], got '!='"),
+    ((0, 0, -1, 9, "!="), "n and r must be positive"),
+    ((3, 3, 5, 7, "!="), "a1 must lie in [0, 3), got 5"),
+    ((3, 3, 0, 7, "!="), "a2 must lie in [0, 3), got 7"),
+]
+
+
+@pytest.mark.parametrize("params, message", TENENGOLTS_REFUSALS)
+def test_tenengolts_parameter_checks_agree_everywhere(capsys, params, message):
+    for build in (ntcodes.codes.tenengolts, tenengolts_cardinality, tenengolts_hamming):
+        with pytest.raises(ValueError) as raised:
+            build(*params)
+        assert str(raised.value) == message, build.__name__
+    n, r, a1, a2, variant = params
+    argv = ["card", "tenengolts", "--n", str(n), "--r", str(r), "--a1", str(a1), "--a2", str(a2)]
+    argv += ["--variant", variant]
+    if variant in VARIANTS:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        return
+    # --variant's choices refuse an unknown variant in argparse's words, before any family is built
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --variant: invalid choice: '!=' (choose from '>', '>=', '<', '<=')\n"
+    )
+
+
+def counting_builds(monkeypatch, cls):
+    """The argument tuples of every instance of `cls` built from here on."""
+    built = []
+    real = cls.__init__
+
+    @functools.wraps(real)
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+def test_descent_sum_requests_build_one_spec_and_no_statistic(capsys, monkeypatch):
+    # a descent/sum request takes its statistic from the shared records and
+    # its parameter checks from one helper, so nothing is built twice
+    family = ("tenengolts", "--n", "12", "--r", "3", "--a1", "5", "--a2", "1", "--variant", "<")
+    expected = f"{tenengolts_cardinality(12, 3, 5, 1, '<')}\n"
+    statistics = counting_builds(monkeypatch, ntcodes.codes.Statistic)
+    specs = counting_builds(monkeypatch, ntcodes.codes.CodeSpec)
+    with mock.patch.object(ntcodes.numtheory, "factorize", wraps=ntcodes.numtheory.factorize) as factorize:
+        assert run(capsys, "card", *family) == (0, expected, "")
+    assert (statistics, len(specs), factorize.call_count) == ([], 1, 1)
+    code, out, _ = run(capsys, "enum", *family, "--kind", "hamming")
+    assert (code, statistics) == (0, [])
+    assert out == f"{tenengolts_hamming(12, 3, 5, 1, '<').poly}\n"
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):

@@ -330,6 +330,17 @@ def test_count_text_exact_below_two_to_the_64():
     assert count_text(-(2**64) + 1) == str(-(2**64) + 1) and count_text(-(2**70)) == "-2^70"
 
 
+def test_tenengolts_variants_share_the_module_records():
+    records = ntcodes.codes._VARIANT_RECORDS
+    kinds = {">": "gamma_gt", ">=": "gamma_ge", "<": "lambda_lt", "<=": "lambda_le"}
+    assert ntcodes.codes.VARIANT_STATS == kinds and list(records) == list(kinds)
+    for variant, stat in records.items():
+        assert stat is getattr(ntcodes.codes, stat.kind.upper())
+        descent, sums = make_family("tenengolts", n=6, r=3, a1=1, a2=2, variant=variant).constraints
+        assert (descent.stat, descent.m, descent.a) == (stat, 6, 1) and descent.stat is stat
+        assert (sums.stat, sums.m, sums.a) == (SIGMA, 3, 2)
+
+
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
         make_family("tenengolts", n=3, r=3, a1=3, a2=0)

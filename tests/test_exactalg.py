@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cyclotomic_reference import add, convolve, fold, value
@@ -177,6 +177,61 @@ def test_equality_compares_variable_lists():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MultiPoly(("w",), {(-1,): 1})
+
+
+def reference_term_sort_key(exps):
+    # the canonical order as one key: ascending total degree, ties by descending lex
+    return (sum(exps), tuple(-e for e in exps))
+
+
+def reference_first_bad_term(exponents, width):
+    # the term-by-term check: the message for the first bad exponent vector
+    for exps in exponents:
+        if len(exps) != width:
+            return f"exponent vector {exps} does not match {width} variables"
+        if any(e < 0 for e in exps):
+            return f"negative exponent in {exps}"
+    return None
+
+
+@st.composite
+def tied_exponent_sets(draw):
+    # small entries over a few variables: many terms share a total degree
+    width = draw(st.integers(0, 4))
+    return width, draw(st.sets(st.tuples(*[st.integers(0, 3)] * width), max_size=40))
+
+
+@given(tied_exponent_sets(), st.randoms(use_true_random=False))
+def test_sorted_terms_follow_the_reference_key(case, rng):
+    width, exponents = case
+    exponents = list(exponents)
+    rng.shuffle(exponents)
+    poly = MultiPoly([f"x{i}" for i in range(width)], {exps: i + 1 for i, exps in enumerate(exponents)})
+    expected = sorted(exponents, key=reference_term_sort_key)
+    assert [exps for exps, _ in poly.sorted_terms()] == expected
+    assert all(poly.terms[exps] == coeff for exps, coeff in poly.sorted_terms())
+
+
+@given(
+    st.integers(0, 3),
+    st.dictionaries(
+        st.lists(st.integers(-1, 3), min_size=0, max_size=4).map(tuple), st.integers(-1, 1), max_size=8
+    ),
+)
+@example(2, {(0, 1): 0, (2, 0): 3})
+@example(1, {(1,): 2, (-1,): 0})
+@example(1, {(1,): 1, (0, 0): 1, (-1,): 1})
+@example(2, {(1, 0): 1, (0, -1): 0, (1, 2, 3): 1})
+def test_multipoly_checks_every_term_and_names_the_first_bad_one(width, terms):
+    # zero coefficients are checked too, though they are not kept
+    message = reference_first_bad_term(list(terms), width)
+    variables = [f"x{i}" for i in range(width)]
+    if message is None:
+        assert MultiPoly(variables, terms).terms == {exps: c for exps, c in terms.items() if c}
+    else:
+        with pytest.raises(ValueError) as raised:
+            MultiPoly(variables, terms)
+        assert str(raised.value) == message
 
 
 def test_evaluate_at_ones_counts_terms():

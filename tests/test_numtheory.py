@@ -142,6 +142,19 @@ def test_ramanujan_sums_match_the_totient_mobius_formula(n, a):
     assert ramanujan_sums(n, a) == {d: ramanujan_reference(d, a) for d in divisors(n)}
 
 
+def test_ramanujan_sums_come_in_ascending_divisor_order():
+    # the descent/sum closed forms read d ascending (the cardinality adds
+    # its terms smallest power first), and dict equality ignores order;
+    # a = g for each g | n puts a in every gcd class of n
+    for n in range(1, 501):
+        divs = divisors(n)
+        for a in divs:
+            assert list(ramanujan_sums(n, a)) == divs, (n, a)
+    divs = divisors(720720)
+    for a in (0, 1, 7, 16, 360360, 720719):
+        assert list(ramanujan_sums(720720, a)) == divs, a
+
+
 def test_ramanujan_sums_factor_n_once(monkeypatch):
     calls = []
     real = numtheory.factorize
