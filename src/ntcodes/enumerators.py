@@ -55,7 +55,15 @@ statistics' residues, in the keyed or the cyclic layout that
 `_digit_congruence` picks.  Every pass's size is the count of `_states`.
 It evaluates the linear-congruence character sum, `compute`'s closed form
 for one congruence at "hamming", and answers every spec without a closed
-form below kind "extended".
+form below kind "extended"; where it is refused, "auto" asks theorem 1.
+Its pass counts every residue class and reads n, r, the statistics, the
+moduli, the kind and the budget in force, never a residue.  So it keeps
+its final states in `_RESIDUE_PASSES`, a second least recently used map
+keyed by those, and a later request over the same congruences at other
+residues pays only the read-out at its own (`_residue_read`).  Only a
+pass whose checks passed is kept, so a refusal reads the same either
+way.  That map holds at most `_RESIDUE_PASSES_BYTES` bytes of counts;
+`_keep` evicts from both maps.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ from typing import Optional
 from .codes import (
     SIGMA,
     VARIANT_STATS,
+    BudgetExceededError,
     CodeSpec,
     Constraint,
     Record,
@@ -473,6 +482,21 @@ _PASSES: dict = {}
 _PASSES_SIZE = 1 << 13
 
 
+def _keep(store: dict, key, entry: tuple, cap: int) -> None:
+    """Keep `entry` under `key` as the most recently used entry of `store`,
+    a plain dict in least recently used order whose entries each lead with
+    their size: the least recently used are dropped until the sizes add up
+    to at most `cap`.  An entry larger than `cap` on its own is not kept,
+    and drops none."""
+    size = entry[0]
+    if size > cap:
+        return
+    total = size + sum(held[0] for held in store.values())
+    while total > cap:
+        total -= store.pop(next(iter(store)))[0]
+    store[key] = entry
+
+
 def _passes(n: int, r: int, stats, k: int, moduli: tuple):
     """Theorem 1's exact passes split at k, grouped at `moduli`, from
     `_PASSES` or built and kept there: (size, space, moduli, left, right),
@@ -510,12 +534,7 @@ def _passes(n: int, r: int, stats, k: int, moduli: tuple):
     size = sum(map(len, states))
     starts = (((0 if p is None else p + 1, terms.items()) for p, terms in half.items()) for half in (left, right))
     entry = (size, space, moduli, *(_grouped(space, moduli, half) for half in starts))
-    if size > _PASSES_SIZE:
-        return entry
-    total = size + sum(held[0] for held in _PASSES.values())
-    while total > _PASSES_SIZE:
-        total -= _PASSES.pop(next(iter(_PASSES)))[0]
-    _PASSES[key] = entry
+    _keep(_PASSES, key, entry, _PASSES_SIZE)
     return entry
 
 
@@ -610,13 +629,28 @@ def _digit_congruence(n: int, r: int, cons, kind: str, digits, keyed: int, budge
     return None
 
 
+#: the residue pass's final states by all its checks and the pass read,
+#: least recently used first: (n, r, statistics, moduli, kind, budget in
+#: force) -> (size, states, strides, head, star, width, digit bytes, packed
+#: axes, keyed axes), never the residues a_i, and `size` the bytes its
+#: counts hold, 64 per term besides each count's own.  A plain dict in
+#: insertion order, as _PASSES
+_RESIDUE_PASSES: dict = {}
+
+#: the most bytes that _RESIDUE_PASSES holds in all: 64 KiB keeps every
+#: repeat of the `closed-forms` benchmark (entries of at most 17 KB), and
+#: raised the `brute-force` one's peak RSS by under 1%
+_RESIDUE_PASSES_BYTES = 1 << 16
+
+
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator of kind "complete" or "hamming", or its
     cardinality, from the `_transfer` pass over the statistics' residues
     mod m_i (built-in statistics, any integer weights), read at the code's
-    residues a_i.  Labelled "transfer".  A state's key is one integer: a
-    residue digit of radix 2 m_i per keyed residue, then any keyed tau_x
-    or Hamming weight, of radix n + 1, exact digits that never wrap.
+    residues a_i (`_residue_read`).  Labelled "transfer".  A state's key is
+    one integer: a residue digit of radix 2 m_i per keyed residue, then any
+    keyed tau_x or Hamming weight, of radix n + 1, exact digits that never
+    wrap.
 
     Keyed layout: every residue is in the keys, and the Hamming weight, or
     tau with tau_x at digit (n+1)^(x-1), is packed into each count as
@@ -639,8 +673,24 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     bound is the keyed layout's states.  Then the n positions, the n r
     symbol steps, and the increment tables and, at "complete", the places
     of the r - 1 tau digits (`_check_tables`) are checked against the
-    budget."""
+    budget.
+
+    The pass and every check above read n, r, the statistics, the moduli,
+    the kind and the budget in force, never a residue.  So its final
+    states and the layout the read-out needs are kept in
+    `_RESIDUE_PASSES` under those, and a later request over the same
+    congruences at other residues skips the checks, the layout choice,
+    the increment tables and the pass, and pays only the read-out.  A
+    refused request keeps nothing, so a hit has passed the very checks a
+    miss would run.  A new entry drops the least recently used until the
+    entries' bytes add up to at most _RESIDUE_PASSES_BYTES; one larger
+    than that on its own is not kept."""
     n, r, cons = spec.n, spec.r, spec.constraints
+    key = (n, r, tuple(c.stat for c in cons), tuple(c.m for c in cons), kind, budget_limit(budget))
+    entry = _RESIDUE_PASSES.pop(key, None)
+    if entry is not None:
+        _RESIDUE_PASSES[key] = entry
+        return _residue_read(spec, kind, entry)
     held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
     axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
     keyed = _states(r, n, held, False)  # the keyed layout's states
@@ -677,7 +727,22 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     shifts = [0] + [width * place if axes else 0 for place in places]
     unit = [0] + [head * place if tail else 0 for place in places]
     states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
-    target = sum(c.a * d[2] for c, d in zip(cons, digits))
+    nbytes = sum(64 * len(terms) + sum(map(int.bit_length, terms.values())) // 8 for terms in states.values())
+    entry = (nbytes, states, [d[2] for d in digits], head, star, width, size, axes, tail)
+    _keep(_RESIDUE_PASSES, key, entry, _RESIDUE_PASSES_BYTES)
+    return _residue_read(spec, kind, entry)
+
+
+def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
+    """The read-out of a residue pass's entry (`_residue_pass`) at the
+    spec's residues a_i: the counts of the keys whose residue digits below
+    `head`, at `strides`, are the a_i, in the cyclic layout only their
+    digit a* of `width` bits, added up by the keyed tau or Hamming weight
+    above `head`; then the `axes` packed digits of `size` bytes each.  It
+    reads the entry's states and never writes them."""
+    n, cons = spec.n, spec.constraints
+    _, states, strides, head, star, width, size, axes, tail = entry
+    target = sum(c.a * stride for c, stride in zip(cons, strides))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
     tau, kept = _PackedSpace((), [n + 1] * tail), Counter()  # keyed tau or Hamming weight, above `head`
     for terms in states.values():
@@ -692,12 +757,12 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
             (i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))
         ]
     terms = {}
-    for head, packed in kept.items():
+    for keyed, packed in kept.items():
         raw = packed.to_bytes(size * (n + 1) ** axes, "little")
         for i, exps in cells:
             count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
             if count:
-                exps = head + exps
+                exps = keyed + exps
                 terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
     return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "transfer", spec)
 
@@ -749,7 +814,13 @@ def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> 
     """Hamming weight enumerator of the r-ary descent/sum code: the one
     divisor sum over d | n of `_descent_sum`, its weights folded by
     sum_{e | g} c_e(a) = g [g | a], expanded in integers and divided by n r."""
-    spec = tenengolts_spec(n, r, a1, a2, variant)
+    return _descent_sum_hamming(tenengolts_spec(n, r, a1, a2, variant), variant)
+
+
+def _descent_sum_hamming(spec: CodeSpec, variant: str) -> Enumerator:
+    """`tenengolts_hamming` of a checked descent/sum spec: a descent
+    statistic of `variant` mod n, then sigma mod r."""
+    n, r, a1, a2 = spec.n, spec.r, spec.constraints[0].a, spec.constraints[1].a
     coeffs = [0] * (n + 1)
     for d, k, p, q in _descent_sum(n, r, a1, a2, variant):
         # C(k, i), p (r-1)^i and q (-1)^i, each stepped from i to i + 1
@@ -833,6 +904,10 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
       changes only the z-exponents the kind drops, and its kept keys are
       read straight at the kind, with no extended enumerator built.
 
+    Where "auto" takes the residue pass and its budget refuses it, theorem
+    1 answers as under "theorem1"; where theorem 1 is refused too, the
+    residue pass's refusal is raised, so its message is the one printed.
+
     The character sum of one linear congruence of modulus m,
     (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), is by
     orthogonality the coefficient of x^a in prod_j (1 + w sum_{k>=1}
@@ -849,6 +924,7 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
     n, r, cons = spec.n, spec.r, spec.constraints
+    refusal = None  # the residue pass's, which "auto" passes over to theorem 1
     if method == "auto" and any(c.stat.kind == "custom" for c in cons):
         method = "oracle"
     if method in ("auto", "closed"):
@@ -856,28 +932,38 @@ def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None 
         variant = _VARIANT_OF_STAT.get(cons[0].stat.kind) if closed and len(cons) == 2 else None
         if variant and cons[0].m == n and cons[1].stat.kind == "sigma" and cons[1].m == r:
             check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
-            args = (n, r, cons[0].a, cons[1].a, variant)
             if kind == "cardinality":
-                return tenengolts_cardinality(*args)
-            return tenengolts_hamming(*args)
+                return tenengolts_cardinality(n, r, cons[0].a, cons[1].a, variant)
+            return _descent_sum_hamming(spec, variant)
         form = cons[0].stat.form
         closed = closed and len(cons) == 1 and form is not None and not form.reads
         if method == "closed" and not closed:
             stats = ", ".join(c.stat.kind for c in cons)
             raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
         if kind != "extended":
-            result = _residue_pass(spec, kind, budget)
-            if closed and kind == "hamming":
-                # the character sum of a linear congruence, evaluated by the residue pass
-                result.method = "closed_form"
-            return result
+            try:
+                result = _residue_pass(spec, kind, budget)
+            except BudgetExceededError as error:
+                if method == "closed":
+                    raise
+                refusal = error
+            else:
+                if closed and kind == "hamming":
+                    # the character sum of a linear congruence, evaluated by the residue pass
+                    result.method = "closed_form"
+                return result
     if method == "oracle":
         terms = _scan_terms(spec, kind, budget)
         if kind == "cardinality":
             return terms
         return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "oracle", spec)
     weighted = spec if kind == "extended" else _nonnegative_weights(spec)
-    space, kept = _theorem1_terms(n, r, weighted.constraints, budget, n // 2)
+    try:
+        space, kept = _theorem1_terms(n, r, weighted.constraints, budget, n // 2)
+    except BudgetExceededError:
+        if refusal is None:
+            raise
+        raise refusal from None
     result = space.read(kept, kind)
     return result if kind == "cardinality" else Enumerator(kind, result, "character_sum", spec)
 

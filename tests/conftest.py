@@ -8,6 +8,8 @@ settings.load_profile("exact")
 
 
 @pytest.fixture(autouse=True)
-def forget_theorem1_passes():
-    """Each test starts with no theorem 1 pass kept from an earlier one."""
+def forget_kept_passes():
+    """Each test starts with no theorem 1 or residue pass kept from an
+    earlier one."""
     enumerators._PASSES.clear()
+    enumerators._RESIDUE_PASSES.clear()

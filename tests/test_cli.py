@@ -25,7 +25,7 @@ import ntcodes.macwilliams
 import ntcodes.numtheory
 from ntcodes.cli import VARIANTS, _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
-from ntcodes.enumerators import enumerator_from_dict, tenengolts_cardinality, tenengolts_hamming
+from ntcodes.enumerators import _descent_sum_hamming, enumerator_from_dict, tenengolts_cardinality, tenengolts_hamming
 
 
 def run(capsys, *argv):
@@ -96,12 +96,13 @@ def test_card_json_holds_the_text_cardinality(capsys):
     assert code == 0 and json.loads(out) == {"cardinality": text.strip()}
 
 
-def _wrong_hamming(n, r, a1, a2, variant=">"):
+def _wrong_hamming(spec, variant):
+    # the descent/sum Hamming form that `compute` calls, wrong at a1 = 0, a2 = 1
     from ntcodes.enumerators import Enumerator
     from ntcodes.exactalg import MultiPoly
 
-    poly = tenengolts_hamming(n, r, a1, a2, variant).poly
-    if (a1, a2) == (0, 1):
+    poly = _descent_sum_hamming(spec, variant).poly
+    if tuple(c.a for c in spec.constraints) == (0, 1):
         poly = MultiPoly(("w",), {(0,): 999})
     return Enumerator("hamming", poly, "closed_form")
 
@@ -116,7 +117,7 @@ def _wrong_hamming(n, r, a1, a2, variant=">"):
 )
 def test_verify_json_lists_the_text_checks(capsys, monkeypatch, argv, wrong):
     if wrong:
-        monkeypatch.setattr("ntcodes.enumerators.tenengolts_hamming", _wrong_hamming)
+        monkeypatch.setattr("ntcodes.enumerators._descent_sum_hamming", _wrong_hamming)
     text_code, text, _ = run(capsys, *argv)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == text_code == (1 if wrong else 0)
@@ -193,10 +194,10 @@ def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
     from ntcodes.enumerators import Enumerator
     from ntcodes.exactalg import MultiPoly
 
-    def wrong(n, r, a1, a2, variant=">"):
+    def wrong(spec, variant):
         return Enumerator("hamming", MultiPoly(("w",), {(0,): 999}), "closed_form")
 
-    monkeypatch.setattr("ntcodes.enumerators.tenengolts_hamming", wrong)
+    monkeypatch.setattr("ntcodes.enumerators._descent_sum_hamming", wrong)
     code, out, _ = run(capsys, "verify", "--family", "tenengolts", "--max-n", "2", "--max-r", "2")
     assert code == 1
     assert "MISMATCH" in out
@@ -546,6 +547,36 @@ def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
     code, out, err = run(capsys, "card", "ternary_integer", "--n", "30", "--a", "5")
     assert code == 3 and out == ""
     assert f"up to {2**31 + 1} terms exceeds the budget" in err
+
+
+@pytest.mark.parametrize(
+    "family, params, kind, expected",
+    [
+        ("ternary_integer", {"n": 24, "a": 5}, "cardinality", None),
+        ("helberg", {"n": 30, "t": 3, "a": 0}, "cardinality", None),
+        ("le_nguyen", {"n": 20, "r": 3, "t": 3, "a": 0}, "cardinality", None),
+        ("ternary_integer", {"n": 16, "a": 5}, "complete", None),
+        # theorem 1 takes seconds here, so its answer is written out, not run twice
+        ("exponential_coefficient", {"n": 40, "m": 40, "a": 0}, "cardinality", "1\n"),
+    ],
+)
+def test_auto_falls_through_a_residue_pass_refusal_to_theorem1(capsys, family, params, kind, expected):
+    # the residue pass's bound is past the default budget and theorem 1's
+    # halves fit it: "auto" answers as "--method theorem1" does
+    with pytest.raises(ntcodes.codes.BudgetExceededError, match="^residue transfer pass of up to"):
+        ntcodes.enumerators._residue_pass(ntcodes.codes.make_family(family, **params), kind, None)
+    argv = ("card", family) if kind == "cardinality" else ("enum", family, "--kind", kind)
+    argv += tuple(token for name, value in params.items() for token in (f"--{name}", str(value)))
+    if expected is None:
+        expected = run(capsys, *argv, "--method", "theorem1")[1]
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_auto_refuses_with_the_residue_pass_message_where_theorem1_refuses_too(capsys):
+    argv = ("card", "ternary_integer", "--n", "30", "--a", "0")
+    assert run(capsys, *argv, "--method", "theorem1")[0] == 3
+    error = f"error: residue transfer pass of up to {2**31 + 1} terms exceeds the budget 10000000\n"
+    assert run(capsys, *argv) == (3, "", error)
 
 
 def test_card_an_code_p31_refused_before_any_weight_exists(capsys):
@@ -1224,8 +1255,12 @@ def test_descent_sum_requests_build_one_spec_and_no_statistic(capsys, monkeypatc
     with mock.patch.object(ntcodes.numtheory, "factorize", wraps=ntcodes.numtheory.factorize) as factorize:
         assert run(capsys, "card", *family) == (0, expected, "")
     assert (statistics, len(specs), factorize.call_count) == ([], 1, 1)
-    code, out, _ = run(capsys, "enum", *family, "--kind", "hamming")
-    assert (code, statistics) == (0, [])
+    # the Hamming form takes the spec that `compute` read: it builds none
+    # and checks no parameter again
+    specs.clear()
+    with mock.patch.object(ntcodes.codes, "_check_tenengolts", wraps=ntcodes.codes._check_tenengolts) as checks:
+        code, out, _ = run(capsys, "enum", *family, "--kind", "hamming")
+    assert (code, statistics, len(specs), checks.call_count) == (0, [], 1, 1)
     assert out == f"{tenengolts_hamming(12, 3, 5, 1, '<').poly}\n"
 
 

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import copy
 import inspect
 import itertools
 import random
@@ -1004,11 +1006,13 @@ def test_residue_pass_packed_type_vectors_at_their_widest(r, excess, monkeypatch
 
 
 @st.composite
-def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0, 5)):
+def residue_pass_cases(
+    draw, alphabets=st.integers(1, 3), lengths=st.integers(0, 5), moduli=st.integers(1, 7) | st.integers(8, 250)
+):
     """Specs over every built-in statistic, linear weights negative and
-    zero included, with 1-3 constraints, moduli from 1 to past n + 1 and
-    r^n, and r and n drawn from `alphabets` and `lengths` (by default r
-    down to 1)."""
+    zero included, with 1-3 constraints, moduli drawn from `moduli` (by
+    default from 1 to past n + 1 and r^n), and r and n drawn from
+    `alphabets` and `lengths` (by default r down to 1)."""
     n = draw(lengths)
     r = draw(alphabets)
     weights = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(linear)
@@ -1016,7 +1020,7 @@ def residue_pass_cases(draw, alphabets=st.integers(1, 3), lengths=st.integers(0,
     cons = []
     for _ in range(draw(st.integers(1, 3))):
         # past n + 1 and r^n (3^5 = 243) too, where the layouts part
-        m = draw(st.integers(1, 7) | st.integers(8, 250))
+        m = draw(moduli)
         cons.append((draw(stat), m, draw(st.integers(0, m - 1))))
     return CodeSpec(n, r, tuple(cons))
 
@@ -1108,14 +1112,17 @@ def test_residue_pass_budget_counts_states_per_last_symbol():
     spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
     for kind, bound in [("cardinality", 234), ("hamming", 41 * 234), ("complete", 861 * 78)]:
         with pytest.raises(BudgetExceededError, match=f"up to {bound} terms exceeds"):
-            compute(spec, kind, budget=bound - 1)
+            enumerators._residue_pass(spec, kind, bound - 1)
     assert compute(spec, "cardinality", budget=234) == compute(spec, "hamming").cardinality()
     # r^n caps the states, not the digits each holds: min(2^3, 100 * 2) * (3 + 1)
     # packed, against min(2^3, C(4, 1) * 100) with tau in the keys
     small = CodeSpec(3, 2, ((linear((1, 2, 3)), 100, 0), (SIGMA, 2, 0)))
     with pytest.raises(BudgetExceededError, match="up to 8 terms exceeds"):
-        compute(small, "complete", budget=7)
+        enumerators._residue_pass(small, "complete", 7)
     expected = compute(small, "complete", "oracle").poly
+    # "auto" passes the residue pass's refusal over to theorem 1, which fits 7
+    assert compute(small, "complete", budget=7).method == "character_sum"
+    assert compute(small, "complete", budget=7).poly == expected
     assert compute(small, "complete", budget=8).poly == expected
     assert compute(small, "complete", budget=32).poly == expected
 
@@ -1380,7 +1387,7 @@ def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, key
     # the packed digits falls back to the keys, whose bound it then meets
     spec = make_family("tenengolts", n=n, r=r, a1=0, a2=0)
     with pytest.raises(BudgetExceededError, match=f"up to {keyed} terms exceeds"):
-        compute(spec, "complete", budget=keyed - 1)
+        enumerators._residue_pass(spec, "complete", keyed - 1)
     enum = compute(spec, "complete")
     assert enum.method == "transfer"
     assert enum.cardinality() == tenengolts_cardinality(n, r, 0, 0)
@@ -1547,6 +1554,8 @@ def test_no_transfer_run_outgrows_its_states(spec):
                 return stars[-1]
 
             patch, runs = _stepped_runs()
+            # each forced layout runs its own pass, none kept by an earlier one
+            enumerators._RESIDUE_PASSES.clear()
             with (
                 patch,
                 mock.patch.object(enumerators, "_digit_congruence", layout),
@@ -1574,6 +1583,192 @@ def test_no_transfer_run_outgrows_its_states(spec):
                 tops = [st.form.top(r, lo, hi) for st in stats]
                 bound = enumerators._states(r, hi - lo, zip(stats, [1 + top for top in tops]), True)
                 assert max(entries) <= bound, (k, positions, empty)
+
+
+#: the residue pass's layouts, each forced: (name, whether a congruence is
+#: carried cyclically, _PACKED_EXCESS).  At "complete" the keyed layout
+#: packs tau into the counts or keeps it in the keys; the cyclic one keys it
+RESIDUE_LAYOUTS = [("keyed", False, 10**9), ("cyclic", True, 10**9), ("tau_keyed", False, 0)]
+
+
+def _forced_layout(cyclic: bool, excess: int):
+    """Patches that force the residue pass's layout: the first congruence of
+    largest modulus cyclic, or none, and tau packed up to `excess` times its
+    keyed bound."""
+    def layout(n, r, cons, *_):
+        moduli = [c.m for c in cons]
+        return moduli.index(max(moduli)) if cyclic else None
+
+    return (
+        mock.patch.object(enumerators, "_digit_congruence", layout),
+        mock.patch.object(enumerators, "_PACKED_EXCESS", excess),
+    )
+
+
+def _at(spec, residues) -> CodeSpec:
+    return CodeSpec(spec.n, spec.r, tuple((c.stat, c.m, a) for c, a in zip(spec.constraints, residues)))
+
+
+@given(
+    residue_pass_cases(),
+    st.sampled_from(["complete", "hamming", "cardinality"]),
+    st.sampled_from(RESIDUE_LAYOUTS),
+    st.data(),
+)
+@example(make_family("nonbinary_svt", n=4, r=3, m=5, a=1, b=0, c=2), "complete", RESIDUE_LAYOUTS[1], None)
+def test_kept_residue_pass_reads_as_a_fresh_one(spec, kind, layout, data):
+    # a later request over the same congruences at other residues reads the
+    # kept states, runs no pass, and answers as a fresh pass and the oracle
+    # do, in every layout; no read changes the kept entry
+    name, cyclic, excess = layout
+    moduli = [c.m for c in spec.constraints]
+    residues = [tuple(c.a for c in spec.constraints)]
+    if data is not None:
+        residues += [data.draw(st.tuples(*(st.integers(0, m - 1) for m in moduli)), label="a") for _ in range(3)]
+    codes_at = [_at(spec, a) for a in residues]
+    patches = _forced_layout(cyclic, excess)
+    with patches[0], patches[1]:
+        fresh = []
+        for code in codes_at:
+            enumerators._RESIDUE_PASSES.clear()
+            fresh.append(enumerators._residue_pass(code, kind, None))
+        enumerators._RESIDUE_PASSES.clear()
+        passes, transfer = [], enumerators._transfer
+
+        def copied(*args):
+            # a copy of the states the pass returns, before any read
+            run = transfer(*args)
+            return lambda *state: passes.append(run(*state)) or copy.deepcopy(passes[-1])
+
+        with mock.patch.object(enumerators, "_transfer", copied):
+            enumerators._residue_pass(codes_at[-1], kind, None)
+        [(_, states, *_)] = enumerators._RESIDUE_PASSES.values()
+        with mock.patch.object(enumerators, "_transfer", wraps=transfer) as spy:
+            warm = [enumerators._residue_pass(code, kind, None) for code in codes_at]
+    assert not spy.called
+    assert warm == fresh and [states] == passes
+    for code, got in zip(codes_at, warm):
+        expected = compute(code, kind, "oracle")
+        assert got == expected if kind == "cardinality" else got.poly == expected.poly, name
+
+
+def _whole_space(n: int, r: int, kind: str):
+    """[0, r)^n at `kind`: r^n words, (1 + (r - 1) w)^n, or (w_0 + ... + w_(r-1))^n."""
+    if kind == "cardinality":
+        return r**n
+    if kind == "hamming":
+        return {(k,): comb(n, k) * (r - 1) ** k for k in range(n + 1) if r > 1 or k == 0}
+    return {tau: factorial(n) // prod(map(factorial, tau)) for tau in compositions(n, r)}
+
+
+@given(
+    residue_pass_cases(moduli=st.integers(1, 7)),
+    st.sampled_from(["complete", "hamming", "cardinality"]),
+    st.sampled_from(RESIDUE_LAYOUTS),
+)
+def test_every_residue_from_one_kept_pass_adds_up_to_the_whole_space(spec, kind, layout):
+    # the codes at every residue tuple partition [0, r)^n: read from the one
+    # kept pass, their results add up to the whole space at each kind
+    _, cyclic, excess = layout
+    n, r = spec.n, spec.r
+    patches = _forced_layout(cyclic, excess)
+    with patches[0], patches[1]:
+        enumerators._residue_pass(spec, kind, None)
+        with mock.patch.object(enumerators, "_transfer", wraps=enumerators._transfer) as transfer:
+            results = [
+                enumerators._residue_pass(_at(spec, a), kind, None)
+                for a in itertools.product(*(range(c.m) for c in spec.constraints))
+            ]
+    assert not transfer.called
+    if kind == "cardinality":
+        assert sum(results) == _whole_space(n, r, kind)
+        return
+    total = Counter()
+    for enum in results:
+        total.update(enum.poly.terms)
+    assert dict(total) == _whole_space(n, r, kind)
+
+
+def _residue_entries() -> dict:
+    """The residue pass's kept entries' byte sizes by key, least recently
+    used first."""
+    return {key: entry[0] for key, entry in enumerators._RESIDUE_PASSES.items()}
+
+
+def test_kept_residue_pass_refuses_as_a_fresh_one(monkeypatch):
+    # nonbinary_svt n=40 m=13 at "hamming": 41 * 234 = 9594 terms.  Entries
+    # for its congruences at other residues and budgets are kept, none at
+    # 9593, so the request there runs every check and is refused as cold
+    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 1 << 20)
+    spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
+    refusal = "^residue transfer pass of up to 9594 terms exceeds the budget 9593$"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        enumerators._residue_pass(spec, "hamming", 9593)
+    assert enumerators._RESIDUE_PASSES == {}
+    other = make_family("nonbinary_svt", n=40, r=3, m=13, a=5, b=1, c=2)
+    for budget in (None, 9594, 10**5):
+        enumerators._residue_pass(other, "hamming", budget)
+    kept = _residue_entries()
+    assert [key[-1] for key in kept] == [10**7, 9594, 10**5]
+    for code in (spec, other):
+        with (
+            mock.patch.object(enumerators, "_transfer", wraps=enumerators._transfer) as transfer,
+            pytest.raises(BudgetExceededError, match=refusal),
+        ):
+            enumerators._residue_pass(code, "hamming", 9593)
+        assert not transfer.called and _residue_entries() == kept
+
+
+def test_kept_residue_pass_is_read_at_its_own_budget_only():
+    # an entry built at the default budget is not read at a smaller one, even
+    # where the smaller budget fits: that request runs its own checks and pass
+    spec = make_family("nonbinary_svt", n=12, r=3, m=5, a=0, b=0, c=0)
+    expected = enumerators._residue_pass(spec, "complete", None)
+    with mock.patch.object(enumerators, "_transfer", wraps=enumerators._transfer) as transfer:
+        enumerators._residue_pass(_at(spec, (1, 1, 1)), "complete", None)
+        assert not transfer.called
+        assert enumerators._residue_pass(spec, "complete", 10**6) == expected
+        assert transfer.call_count == 1
+    assert [key[-1] for key in _residue_entries()] == [10**7, 10**6]
+
+
+def test_a_residue_pass_hit_builds_no_table_and_runs_no_pass():
+    # the second request over the same congruences, at another residue, only
+    # reads: no check, no layout choice, no increment table, no pass
+    enumerators._residue_pass(make_family("le_nguyen", n=5, r=3, t=2, a=7), "hamming", None)
+    second = make_family("le_nguyen", n=5, r=3, t=2, a=3)
+    names = ("_transfer", "_increment_tables", "_digit_congruence", "check_budget", "_states")
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(enumerators, name, wraps=getattr(enumerators, name))) for name in names]
+        got = compute(second, "hamming")
+    assert [spy.call_count for spy in spies] == [0] * len(names)
+    assert got.poly == compute(second, "hamming", "oracle").poly
+
+
+def test_kept_residue_passes_stay_within_their_bytes(monkeypatch):
+    # least recently used out first: with room for two entries, asking the
+    # first again and then a third drops the second
+    specs = [make_family("nonbinary_svt", n=n, r=3, m=7, a=0, b=0, c=0) for n in (7, 8, 6)]
+    for spec in specs[:2]:
+        enumerators._residue_pass(spec, "complete", None)
+    (seven, size), (eight, more) = _residue_entries().items()
+    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", size + more)
+    enumerators._residue_pass(_at(specs[0], (1, 1, 1)), "complete", None)
+    enumerators._residue_pass(specs[2], "complete", None)
+    kept = _residue_entries()
+    assert len(kept) == 2 and list(kept)[0] == seven and eight not in kept
+    # an entry larger than the cap is not kept, and drops none, though it answers
+    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 1000)
+    big = make_family("nonbinary_svt", n=9, r=3, m=7, a=0, b=0, c=0)
+    assert enumerators._residue_pass(big, "complete", None).poly == compute(big, "complete", "oracle").poly
+    assert _residue_entries() == kept
+    # any sequence: the bytes never add up past the cap
+    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 20_000)
+    enumerators._RESIDUE_PASSES.clear()
+    for n in range(1, 10):
+        for kind in ("cardinality", "hamming", "complete"):
+            enumerators._residue_pass(make_family("nonbinary_svt", n=n, r=3, m=7, a=0, b=0, c=0), kind, None)
+            assert sum(_residue_entries().values()) <= 20_000
 
 
 def test_tenengolts_hamming_paper_example():
