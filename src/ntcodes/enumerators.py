@@ -632,9 +632,12 @@ def _digit_congruence(n: int, r: int, cons, kind: str, digits, keyed: int, budge
 #: the residue pass's final states by all its checks and the pass read,
 #: least recently used first: (n, r, statistics, moduli, kind, budget in
 #: force) -> (size, states, strides, head, star, width, digit bytes, packed
-#: axes, keyed axes), never the residues a_i, and `size` the bytes its
-#: counts hold, 64 per term besides each count's own.  A plain dict in
-#: insertion order, as _PASSES
+#: axes, keyed axes), never the residues a_i, and `size` an estimate of
+#: the bytes its counts hold: 64 per term besides each count's own.  With
+#: its dicts and int objects an entry measured 1.2 to 2.3 times that
+#: (`sys.getsizeof`, Python 3.11), so the map's resident size stays under
+#: about 2.3 times _RESIDUE_PASSES_BYTES.  A plain dict in insertion order,
+#: as _PASSES
 _RESIDUE_PASSES: dict = {}
 
 #: the most bytes that _RESIDUE_PASSES holds in all: 64 KiB keeps every
@@ -727,10 +730,12 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     shifts = [0] + [width * place if axes else 0 for place in places]
     unit = [0] + [head * place if tail else 0 for place in places]
     states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
-    nbytes = sum(64 * len(terms) + sum(map(int.bit_length, terms.values())) // 8 for terms in states.values())
-    entry = (nbytes, states, [d[2] for d in digits], head, star, width, size, axes, tail)
-    _keep(_RESIDUE_PASSES, key, entry, _RESIDUE_PASSES_BYTES)
-    return _residue_read(spec, kind, entry)
+    layout = (states, [d[2] for d in digits], head, star, width, size, axes, tail)
+    nbytes = 64 * sum(map(len, states.values()))
+    if nbytes <= _RESIDUE_PASSES_BYTES:  # else too large to keep, whatever its counts' bit lengths
+        nbytes += sum(sum(map(int.bit_length, terms.values())) // 8 for terms in states.values())
+        _keep(_RESIDUE_PASSES, key, (nbytes, *layout), _RESIDUE_PASSES_BYTES)
+    return _residue_read(spec, kind, (nbytes, *layout))
 
 
 def _residue_read(spec: CodeSpec, kind: str, entry: tuple):

@@ -550,25 +550,22 @@ def test_card_ternary_integer_refused_before_the_residue_pass(capsys):
 
 
 @pytest.mark.parametrize(
-    "family, params, kind, expected",
+    "family, params, kind",
     [
-        ("ternary_integer", {"n": 24, "a": 5}, "cardinality", None),
-        ("helberg", {"n": 30, "t": 3, "a": 0}, "cardinality", None),
-        ("le_nguyen", {"n": 20, "r": 3, "t": 3, "a": 0}, "cardinality", None),
-        ("ternary_integer", {"n": 16, "a": 5}, "complete", None),
-        # theorem 1 takes seconds here, so its answer is written out, not run twice
-        ("exponential_coefficient", {"n": 40, "m": 40, "a": 0}, "cardinality", "1\n"),
+        ("ternary_integer", {"n": 24, "a": 5}, "cardinality"),
+        ("helberg", {"n": 30, "t": 3, "a": 0}, "cardinality"),
+        ("le_nguyen", {"n": 20, "r": 3, "t": 3, "a": 0}, "cardinality"),
+        ("ternary_integer", {"n": 16, "a": 5}, "complete"),
     ],
 )
-def test_auto_falls_through_a_residue_pass_refusal_to_theorem1(capsys, family, params, kind, expected):
+def test_auto_falls_through_a_residue_pass_refusal_to_theorem1(capsys, family, params, kind):
     # the residue pass's bound is past the default budget and theorem 1's
     # halves fit it: "auto" answers as "--method theorem1" does
     with pytest.raises(ntcodes.codes.BudgetExceededError, match="^residue transfer pass of up to"):
         ntcodes.enumerators._residue_pass(ntcodes.codes.make_family(family, **params), kind, None)
     argv = ("card", family) if kind == "cardinality" else ("enum", family, "--kind", kind)
     argv += tuple(token for name, value in params.items() for token in (f"--{name}", str(value)))
-    if expected is None:
-        expected = run(capsys, *argv, "--method", "theorem1")[1]
+    expected = run(capsys, *argv, "--method", "theorem1")[1]
     assert run(capsys, *argv) == (0, expected, "")
 
 

@@ -1074,12 +1074,14 @@ def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
     expected = compute(spec, "complete", "theorem1")
     rule = enumerators._digit_congruence
     # tau in the keys, in the layout the rule picks and in the keyed one; then
-    # tau packed wherever the rule keeps the keyed layout
+    # tau packed wherever the rule keeps the keyed layout; each layout runs
+    # its own pass, not the one kept by the layout before
     for excess, layout in [(0, rule), (0, lambda *args: None), (10**9, rule)]:
         with (
             mock.patch.object(enumerators, "_PACKED_EXCESS", excess),
             mock.patch.object(enumerators, "_digit_congruence", layout),
         ):
+            enumerators._RESIDUE_PASSES.clear()
             got = compute(spec, "complete")
         assert got.method == "transfer"
         assert got.poly.variables == expected.poly.variables
