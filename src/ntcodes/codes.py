@@ -17,16 +17,29 @@ prefix part, a suffix part and a term for the pair straddling the split,
 k U + D, so a table of suffixes keyed by their residues answers each prefix
 in r lookups, O(r^ceil(n/2) + |C|) word visits instead of r^n.
 
-Every word the scan yields is rechecked from the definitions
-(`_membership_test`), and the oracle's tally of the codewords by kind is
-`enumerators._scan_terms`.
+Every codeword the scan matches is rechecked apart from its table.  A
+statistic that reads no previous symbol (omega, sigma, linear) is the
+weighted sum sum_j h_j x_j of `Form.weights`, so each suffix carries,
+and each prefix once, its own sum, built position by position from the
+weights alone, not from `Form.split` or the table key; a codeword's
+recheck is one compare, (prefix sum + suffix sum) = a (mod m), and a
+wrong split or table key hands a prefix a suffix whose sum does not
+complete it.  A statistic that reads the previous symbol is evaluated
+on the whole word.  The oracle's tally by kind (`tally_codewords`, read
+by `enumerators._scan_terms`) adds a prefix's key to a suffix's in the
+same way, the Hamming weight, the type vector or the values, so where
+no statistic reads the previous symbol a codeword costs O(1) and no
+word is built.  Words are built for `enumerate_codewords`, for
+statistics that read the previous symbol, and by the plain scan
+(custom statistics, n < 2).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from math import isqrt
+from collections import Counter
+from math import isqrt, prod
 from typing import Callable, NamedTuple, Optional
 
 from .exactalg import IntegralityError, count_text
@@ -320,49 +333,227 @@ def is_member(spec: CodeSpec, word) -> bool:
     return _membership_test(spec)(word)
 
 
+def _check_scan(spec: CodeSpec, budget: int | None) -> None:
+    """Refuse, before any work, a scan of more than `budget` words (default
+    10**7), counting all r^n words whatever the scan visits."""
+    words = capped_power(spec.r, spec.n, budget_limit(budget) + 1)
+    check_budget(words, budget, f"enumerating {spec.r}^{spec.n} words")
+
+
+def _splits(spec: CodeSpec) -> bool:
+    """Whether the split scan applies: words of length n >= 2 and built-in
+    statistics; otherwise every word of [0, r)^n is tested."""
+    return spec.n >= 2 and all(c.stat.kind != "custom" for c in spec.constraints)
+
+
+def _words(spec: CodeSpec):
+    """The codewords of the spec in lexicographic order, from the split
+    scan, or from every word filtered by the membership test."""
+    if _splits(spec):
+        return _split_words(spec, _split_scan(spec))
+    test = _membership_test(spec)
+    return (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
+
+
 def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
     """Generate the codewords of the spec in lexicographic order.
 
     Refuses at call time to scan more than `budget` words (default 10**7),
     counting all r^n words.  Words of length n >= 2 under built-in
-    statistics come from a meet-in-the-middle scan: a table of the
+    statistics come from the split scan (`_split_scan`): a table of the
     r^(n - n//2) suffixes keyed by first symbol and statistic residues,
     probed by each of the r^(n//2) prefixes with the residues that complete
-    it.  Every word it yields is rechecked against the definition of the
-    spec, and a failed recheck raises IntegralityError.  Custom statistics
-    and shorter words take the plain scan of all r^n words.
+    it.  Every word it yields is rechecked, and a failed recheck raises
+    IntegralityError.  A congruence whose statistic reads no previous
+    symbol costs O(1) a word: one compare of the prefix's weighted sum
+    plus the suffix's with a, each built from `Form.weights` alone and so
+    independent of `Form.split` and the table key.  Any other is evaluated
+    on the whole word.  This generator builds every word it yields; the
+    oracle's tally (`tally_codewords`) builds none where no statistic
+    reads the previous symbol.  Custom statistics and shorter words take
+    the plain scan of all r^n words.
     """
-    words = capped_power(spec.r, spec.n, budget_limit(budget) + 1)
-    check_budget(words, budget, f"enumerating {spec.r}^{spec.n} words")
-    test = _membership_test(spec)
-    if spec.n < 2 or any(c.stat.kind == "custom" for c in spec.constraints):
-        return (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
-    return _split_scan(spec, test)
+    _check_scan(spec, budget)
+    return _words(spec)
 
 
-def _split_scan(spec: CodeSpec, test: Callable):
-    """The codewords of a spec with n >= 2 and built-in statistics, in
-    lexicographic order, by the meet-in-the-middle scan of
-    `enumerate_codewords`."""
+def tally_codewords(spec: CodeSpec, kind: str, budget: int | None = None):
+    """The oracle's tally of the spec's codewords: their number at kind
+    "cardinality", else {key: count} with one key per codeword, its
+    Hamming weight (a 1-tuple) at "hamming", its type vector at
+    "complete", and at "extended" its statistic values followed by its
+    type vector.  Refuses the scan as `enumerate_codewords` does.
+
+    Where no statistic reads the previous symbol, a codeword's values,
+    Hamming weight and type vector are its prefix's plus its suffix's, so
+    the split scan carries each prefix's key and each suffix's, packed in
+    one integer (`_packing`), besides their weighted sums: a codeword costs
+    one residue compare for its recheck and one key addition for its
+    tally, and builds no word.  Otherwise, and on the plain scan, every
+    codeword is built and keyed from its symbols, its statistics
+    evaluated from their definitions (`_word_tally`)."""
+    _check_scan(spec, budget)
+    if not _splits(spec) or any(c.stat.form.reads for c in spec.constraints):
+        return _word_tally(_words(spec), spec, kind)
+    place, strides, radices, lows = _packing(spec, kind)
+    tally: dict = {}
+    get = tally.get
+    for _, head_key, groups in _split_scan(spec, place, strides):
+        for tail_key, count in groups.items():
+            key = head_key + tail_key
+            tally[key] = get(key, 0) + count
+    if kind == "cardinality":
+        return sum(tally.values())
+    return {_unpack(key, radices, lows): count for key, count in tally.items()}
+
+
+def _word_tally(words, spec: CodeSpec, kind: str):
+    """`tally_codewords` over codewords built in full: each keyed from its
+    symbols, and at "extended" from its statistics evaluated on it."""
+    n, r = spec.n, spec.r
+    if kind == "cardinality":
+        return sum(1 for _ in words)
+    if kind == "hamming":
+        zeros = Counter(map(tuple.count, words, itertools.repeat(0)))
+        return {(n - z,): count for z, count in zeros.items()}
+    if kind == "complete":
+        return Counter(map(type_vector, words, itertools.repeat(r)))
+    values = [statistic_evaluator(c.stat, n) for c in spec.constraints]
+    return Counter(tuple([value(word) for value in values]) + type_vector(word, r) for word in words)
+
+
+def _packing(spec: CodeSpec, kind: str):
+    """How the split scan packs a part's tally key in one integer, as
+    (place, strides, radices, lows): the key of a prefix or suffix is
+    place[x] summed over its symbols x plus each constraint's weighted
+    sum times its stride, so a codeword's key is its prefix's plus its
+    suffix's.  Digit i of that key, of radix `radices[i]`, is its value
+    minus `lows[i]` (`_unpack`), and no digit carries: at "extended" each
+    statistic's, of radix 1 + (r-1) sum_j |h_j|, then the type vector's
+    tau_x in base n+1; the type vector alone at "complete"; the Hamming
+    weight at "hamming"; and no digit at "cardinality"."""
+    n, r = spec.n, spec.r
+    if kind == "cardinality":
+        return [0] * r, [], [], []
+    if kind == "hamming":
+        return [0] + [1] * (r - 1), [], [n + 1], [0]
+    strides, radices, lows = [], [], []
+    if kind == "extended":
+        for c in spec.constraints:
+            h = c.stat.form.weights(n) or ()
+            strides.append(prod(radices))
+            lows.append((r - 1) * sum(x for x in h if x < 0))
+            radices.append(1 + (r - 1) * sum(map(abs, h)))
+    stride = prod(radices)
+    place = [stride * (n + 1) ** x for x in range(r)]
+    return place, strides, radices + [n + 1] * r, lows + [0] * r
+
+
+def _unpack(key: int, radices, lows) -> tuple:
+    """The values packed in a codeword's key (`_packing`); anything left
+    past the last digit means a digit carried, and raises IntegralityError."""
+    values = []
+    for radix, low in zip(radices, lows):
+        key, digit = divmod(key - low, radix)
+        values.append(digit + low)
+    if key:
+        raise IntegralityError(f"tally key carries {count_text(key)} past its last digit")
+    return tuple(values)
+
+
+def _split_scan(spec: CodeSpec, place=None, strides=()):
+    """The meet-in-the-middle scan of `enumerate_codewords`, for n >= 2 and
+    built-in statistics: for each prefix, then each first suffix symbol,
+    in lexicographic order, (prefix, its key, entry), the entry the
+    suffixes that complete the prefix, in lexicographic order, or with
+    `place` given {suffix key: count}.
+
+    The table is keyed by `Form.split`'s suffix evaluators.  Apart from
+    them, each suffix carries, and each prefix once, its weighted sum
+    from `Form.weights` for each congruence whose statistic reads no
+    previous symbol, and its key, packed as `_packing` says; both are
+    built position by position over all parts at once (`_part_sums`).
+    Before an entry is handed on, every word it completes is rechecked,
+    (prefix sum + suffix sum) = a (mod m) for each such congruence, as
+    one compare of the suffix's residues with those the prefix needs; a
+    failure raises IntegralityError."""
     n, r = spec.n, spec.r
     k = n // 2
     halves = [(c.stat.form.split(n, k, r), c.m, c.a) for c in spec.constraints]
     suffix_values = [(suffix, m) for (_, suffix, _), m, _ in halves]
+    free = [(c.stat.form.weights(n), c.m, c.a) for c in spec.constraints if not c.stat.form.reads]
+    symbols = range(r)
+
+    def sums(weights) -> list:
+        return _part_sums([[w * x for x in symbols] for w in weights])
+
+    def rows(columns):  # one tuple per part of its value in each column
+        return zip(*columns) if columns else itertools.repeat(())
+
+    def keys(lo, hi):
+        if place is None:
+            return itertools.repeat(None)
+        weights = [sum(h[j] * stride for (h, _, _), stride in zip(free, strides)) for j in range(lo, hi)]
+        return _part_sums([[p + w * x for x, p in enumerate(place)] for w in weights])
+
     table: dict = {}
-    for tail in itertools.product(range(r), repeat=n - k):
+    tails = itertools.product(symbols, repeat=n - k)
+    residues = rows([[s % m for s in sums(h[k:])] for h, m, _ in free])
+    for tail, found, tail_key in zip(tails, residues, keys(k, n)):
         key = (tail[0], *[value(tail) % m for value, m in suffix_values])
-        table.setdefault(key, []).append(tail)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = ([], [], {})
+        entry[0].append(found)
+        entry[1].append(tail)
+        if place is not None:
+            groups = entry[2]
+            groups[tail_key] = groups.get(tail_key, 0) + 1
     get = table.get
-    for head in itertools.product(range(r), repeat=k):
+    heads = itertools.product(symbols, repeat=k)
+    # the residues a - (prefix sum) that each suffix's must equal
+    residues = rows([[(a - s) % m for s in sums(h[:k])] for h, m, a in free])
+    for head, need, head_key in zip(heads, residues, keys(0, k)):
         last = head[-1]
         # per constraint: the suffix value still needed, before the boundary
         needs = [(a - prefix(head), boundary[last], m) for (prefix, _, boundary), m, a in halves]
-        for first in range(r):
-            for tail in get((first, *[(need - row[first]) % m for need, row, m in needs]), ()):
-                word = head + tail
-                if not test(word):
-                    raise IntegralityError(f"split scan yielded the non-codeword {word}")
-                yield word
+        for first in symbols:
+            entry = get((first, *[(value - row[first]) % m for value, row, m in needs]))
+            if entry is None:
+                continue
+            found, suffixes, groups = entry
+            if found.count(need) != len(found):
+                tail = next(t for t, x in zip(suffixes, found) if x != need)
+                raise IntegralityError(f"split scan matched the non-codeword {head + tail}")
+            yield head, head_key, suffixes if place is None else groups
+
+
+def _part_sums(rows) -> list:
+    """sum_j rows[j][x_j] for every word x over the positions of `rows`, in
+    lexicographic order: one pass per position, each extending the sums
+    of the words one symbol shorter by each step of its row."""
+    sums = [0]
+    for row in rows:
+        sums = [s + step for s in sums for step in row]
+    return sums
+
+
+def _split_words(spec: CodeSpec, scan):
+    """The codewords of the split scan `scan`, each built from its prefix
+    and suffix; each congruence whose statistic reads the previous symbol
+    rechecks every word by evaluating the statistic on it in full."""
+    reading = tuple(c for c in spec.constraints if c.stat.form.reads)
+    if not reading:
+        for head, _, tails in scan:
+            yield from map(head.__add__, tails)
+        return
+    test = _membership_test(CodeSpec(spec.n, spec.r, reading))
+    for head, _, tails in scan:
+        for tail in tails:
+            word = head + tail
+            if not test(word):
+                raise IntegralityError(f"split scan matched the non-codeword {word}")
+            yield word
 
 
 def weight_sequence(t: int, r: int, length: int) -> list[int]:

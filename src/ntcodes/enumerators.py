@@ -85,9 +85,8 @@ from .codes import (
     budget_limit,
     capped_power,
     check_budget,
-    enumerate_codewords,
     linear,
-    statistic_evaluator,
+    tally_codewords,
     tenengolts as tenengolts_spec,
     type_vector,
 )
@@ -141,30 +140,20 @@ def _variables(spec: CodeSpec, kind: str) -> tuple[str, ...]:
 
 
 def _scan_terms(spec: CodeSpec, kind: str, budget: int | None):
-    """The oracle's one tally of the scanned codewords: their number at
-    kind "cardinality", else {key: count} with one key per codeword, its
-    Hamming weight n - word.count(0) at "hamming", its type vector at
-    "complete", and at "extended" its statistic values, evaluated from
-    their definitions, followed by its type vector."""
-    n, r = spec.n, spec.r
-    words = enumerate_codewords(spec, budget)
-    if kind == "cardinality":
-        return sum(1 for _ in words)
-    if kind == "hamming":
-        zeros = Counter(map(tuple.count, words, itertools.repeat(0)))
-        return {(n - z,): count for z, count in zeros.items()}
-    if kind == "complete":
-        return Counter(map(type_vector, words, itertools.repeat(r)))
-    evaluators = [statistic_evaluator(c.stat, n) for c in spec.constraints]
-    terms: dict = {}
-    for word in words:
-        rho = tuple(value(word) for value in evaluators)
-        if any(v < 0 for v in rho):
-            raise ValueError(
-                "a statistic took a negative value; enumerator exponents must be non-negative"
-            )
-        key = rho + type_vector(word, r)
-        terms[key] = terms.get(key, 0) + 1
+    """The oracle's one tally of the scanned codewords, `codes.tally_codewords`:
+    their number at kind "cardinality", else {key: count} with one key per
+    codeword, its Hamming weight at "hamming", its type vector at
+    "complete", and at "extended" its statistic values, then its type
+    vector; a negative statistic value raises ValueError there.  Where no
+    statistic reads the previous symbol, each codeword costs O(1): its
+    recheck compares a prefix's weighted sum plus a suffix's, from
+    `Form.weights` and so independent of the split and its table, and its
+    key is the prefix's key plus the suffix's, with no word built.  Specs
+    with a statistic that reads the previous symbol, custom statistics and
+    n < 2 still build each codeword and key it from its symbols."""
+    terms = tally_codewords(spec, kind, budget)
+    if kind == "extended" and any(v < 0 for key in terms for v in key[: spec.s]):
+        raise ValueError("a statistic took a negative value; enumerator exponents must be non-negative")
     return terms
 
 
@@ -743,32 +732,44 @@ def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
     spec's residues a_i: the counts of the keys whose residue digits below
     `head`, at `strides`, are the a_i, in the cyclic layout only their
     digit a* of `width` bits, added up by the keyed tau or Hamming weight
-    above `head`; then the `axes` packed digits of `size` bytes each.  It
-    reads the entry's states and never writes them."""
+    above `head`, whose digits are then read off all kept keys at once;
+    then the `axes` packed digits of `size` bytes each.  It reads the
+    entry's states and never writes them."""
     n, cons = spec.n, spec.constraints
     _, states, strides, head, star, width, size, axes, tail = entry
     target = sum(c.a * stride for c, stride in zip(cons, strides))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
-    tau, kept = _PackedSpace((), [n + 1] * tail), Counter()  # keyed tau or Hamming weight, above `head`
+    kept: dict = {}  # the counts by their keyed tau or Hamming weight, the digits above `head`
     for terms in states.values():
         for key, count in terms.items():
             if key % head == target:
-                kept[tau.unpack(key // head)] += count >> offset & digit
+                above = key // head
+                kept[above] = kept.get(above, 0) + (count >> offset & digit)
     if kind == "cardinality":
         return sum(kept.values())
-    cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
-    for axis in range(axes):
-        cells = [
-            (i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))
-        ]
-    terms = {}
-    for keyed, packed in kept.items():
-        raw = packed.to_bytes(size * (n + 1) ** axes, "little")
-        for i, exps in cells:
-            count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
-            if count:
-                exps = keyed + exps
-                terms[(n - sum(exps),) + exps if kind == "complete" else exps] = count
+    top = (n + 1) ** tail
+    if max(kept, default=0) >= top:
+        raise IntegralityError(f"packed key carries {count_text(max(kept) // top)} past its last digit")
+
+    def image(exps):  # tau_0 is what the other symbols leave of n
+        return (n - sum(exps), *exps) if kind == "complete" else exps
+
+    # the keyed digits, read off all keys at once: tau_1.. or the Hamming weight
+    digits = [[above // (n + 1) ** x % (n + 1) for above in kept] for x in range(tail)]
+    keyed = zip(zip(*digits) if digits else itertools.repeat(()), kept.values())
+    if not axes:
+        terms = {image(exps): count for exps, count in keyed if count}
+    else:
+        cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
+        for axis in range(axes):
+            cells = [(i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))]
+        terms = {}
+        for front, packed in keyed:
+            raw = packed.to_bytes(size * (n + 1) ** axes, "little")
+            for i, exps in cells:
+                count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
+                if count:
+                    terms[image(front + exps)] = count
     return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "transfer", spec)
 
 

@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ntcodes.codes
@@ -37,7 +37,7 @@ from ntcodes.codes import (
     weight_sequence,
 )
 from ntcodes.codes import _membership_test, check_budget
-from ntcodes.enumerators import compute
+from ntcodes.enumerators import _scan_terms, compute
 from ntcodes.exactalg import IntegralityError
 from statistic_reference import reference_statistic
 
@@ -542,6 +542,78 @@ def test_split_scan_equals_plain_scan(spec):
     assert list(enumerate_codewords(spec)) == plain_scan(spec)
 
 
+TALLY_KINDS = ("cardinality", "hamming", "complete", "extended")
+
+#: the built-in kinds whose increments read no previous symbol, and the rest
+FREE_KINDS = ("omega", "sigma", "linear")
+READING_KINDS = tuple(kind for kind in BUILTIN_KINDS if kind not in FREE_KINDS)
+
+
+def plain_tally(spec, kind, words=None):
+    """Reference: the oracle's per-word tally before the split scan carried
+    keys, over every word of [0, r)^n that `is_member` accepts (or
+    `words`): its number at "cardinality", else each codeword keyed by its
+    Hamming weight, its type vector, or at "extended" its statistic values,
+    each from `reference_statistic`, then its type vector; a negative value
+    there raises ValueError."""
+    n, r = spec.n, spec.r
+    if words is None:
+        words = [w for w in itertools.product(range(r), repeat=n) if is_member(spec, w)]
+    if kind == "cardinality":
+        return len(words)
+    terms = {}
+    for word in words:
+        tau = tuple(word.count(x) for x in range(r))
+        if kind == "hamming":
+            key = (n - tau[0],)
+        elif kind == "complete":
+            key = tau
+        else:
+            values = tuple(reference_statistic(c.stat, word) for c in spec.constraints)
+            if any(v < 0 for v in values):
+                raise ValueError("a statistic took a negative value")
+            key = values + tau
+        terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
+@st.composite
+def tally_specs(draw):
+    """Specs of 1-3 built-in constraints whose statistics all read no
+    previous symbol, all read it, or some of each."""
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(1, 4 if n <= 6 else 3))
+    mode = draw(st.sampled_from(("free", "reading", "mixed")))
+    if mode == "mixed":
+        pools = draw(st.permutations([FREE_KINDS, READING_KINDS, BUILTIN_KINDS][: draw(st.integers(2, 3))]))
+    else:
+        pools = [FREE_KINDS if mode == "free" else READING_KINDS] * draw(st.integers(1, 3))
+    constraints = []
+    for pool in pools:
+        h = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        m = draw(st.integers(1, 9))
+        constraints.append((builtin_statistic(draw(st.sampled_from(pool)), h), m, draw(st.integers(0, m - 1))))
+    return CodeSpec(n, r, tuple(constraints))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tally_specs())
+@example(CodeSpec(3, 2, ((linear((-1, 2, 0)), 1, 0),)))
+@example(CodeSpec(5, 3, ((linear((-6, 0, 6, -1, 3)), 4, 1), (DELTA, 2, 1))))
+@example(CodeSpec(1, 3, ((SIGMA, 2, 0),)))
+def test_tally_equals_plain_tally(spec):
+    words = [w for w in itertools.product(range(spec.r), repeat=spec.n) if is_member(spec, w)]
+    for kind in TALLY_KINDS:
+        try:
+            expected = plain_tally(spec, kind, words)
+        except ValueError:
+            with pytest.raises(ValueError, match="negative value"):
+                _scan_terms(spec, kind, None)
+            continue
+        got = _scan_terms(spec, kind, None)
+        assert (got if kind == "cardinality" else dict(got)) == expected, kind
+
+
 def test_split_scan_every_kind_and_length():
     for kind in BUILTIN_KINDS:
         for n in range(9):
@@ -578,7 +650,7 @@ def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
     with pytest.raises(IntegralityError, match="non-codeword"):
         list(enumerate_codewords(spec))
     # the oracle's tally rechecks every codeword at every kind
-    for kind in ("cardinality", "hamming", "complete", "extended"):
+    for kind in TALLY_KINDS:
         with pytest.raises(IntegralityError, match="non-codeword"):
             compute(spec, kind, "oracle")
     # two constraints: the multi-constraint recheck
@@ -586,6 +658,94 @@ def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
     for request in (["card", *argv], ["enum", *argv, "--kind", "hamming"]):
         assert main(request) == 4
         assert "non-codeword" in capsys.readouterr().err
+
+
+def _off_by_one_suffix(split):
+    def mutant(form, n, k, r):
+        prefix, suffix, boundary = split(form, n, k, r)
+        return prefix, (lambda word: suffix(word) + 1), boundary
+
+    return mutant
+
+
+def _corrupted_table_key(split):
+    # the pair across the split adds one more than it should, so each
+    # prefix looks up the table key of the wrong suffix residues
+    def mutant(form, n, k, r):
+        prefix, suffix, boundary = split(form, n, k, r)
+        return prefix, suffix, tuple(tuple(x + 1 for x in row) for row in boundary)
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_off_by_one_suffix, _corrupted_table_key])
+def test_tally_recheck_raises_integrality_error(monkeypatch, capsys, mutant):
+    # the tally path, where no statistic reads the previous symbol: every
+    # codeword it counts is rechecked from the weights, apart from the
+    # table, so a wrong suffix residue or table key raises at every kind
+    h = (1, 2, 0, 4, 3, 1)
+    spec = lc(6, 5, 3, h, 2)
+    two = CodeSpec(6, 3, ((linear(h), 5, 2), (OMEGA, 4, 1)))
+    monkeypatch.setattr(ntcodes.codes.Form, "split", mutant(ntcodes.codes.Form.split))
+    for code in (spec, two):
+        for kind in TALLY_KINDS:
+            with pytest.raises(IntegralityError, match="non-codeword"):
+                compute(code, kind, "oracle")
+        with pytest.raises(IntegralityError, match="non-codeword"):
+            list(enumerate_codewords(code))
+    argv = ["lc", "--n", "6", "--m", "5", "--r", "3", "--h", "1,2,0,4,3,1", "--a", "2", "--method", "oracle"]
+    for request in (["card", *argv], *(["enum", *argv, "--kind", kind] for kind in TALLY_KINDS[1:])):
+        assert main(request) == 4
+        assert "non-codeword" in capsys.readouterr().err
+
+
+def test_lc_oracle_builds_no_word(monkeypatch):
+    # an lc request at "cardinality" or "hamming" adds each prefix's key to
+    # each suffix's: no product of length n, no word built, no full-word
+    # membership test or statistic evaluation
+    h = [random.Random(48).randrange(1, 13) for _ in range(16)]
+    spec = lc(16, 13, 2, h, 5)
+    expected = {kind: compute(spec, kind, "theorem1") for kind in ("cardinality", "hamming")}
+    repeats = []
+    product = itertools.product
+
+    def recording_product(*args, repeat=1):
+        repeats.append(repeat)
+        return product(*args, repeat=repeat)
+
+    def refuse(*_args):
+        raise AssertionError("a whole word was built or tested")
+
+    monkeypatch.setattr(itertools, "product", recording_product)
+    for name in ("_membership_test", "_congruence_test", "statistic_evaluator", "_split_words", "_word_tally"):
+        monkeypatch.setattr(ntcodes.codes, name, refuse)
+    assert compute(spec, "cardinality", "oracle") == expected["cardinality"]
+    assert compute(spec, "hamming", "oracle").poly == expected["hamming"].poly
+    assert repeats == [8, 8] * 2
+
+
+def test_tenengolts_oracle_evaluates_every_codeword_in_full(monkeypatch):
+    # the descent statistic reads the previous symbol: its recheck and its
+    # value at "extended" still evaluate it on each whole codeword
+    spec = make_family("tenengolts", n=6, r=3, a1=2, a2=1)
+    codewords = plain_scan(spec)
+    evaluator, evaluated = ntcodes.codes.statistic_evaluator, []
+
+    def recording(stat, n):
+        value = evaluator(stat, n)
+
+        def record(word):
+            evaluated.append((stat.kind, word))
+            return value(word)
+
+        return record
+
+    monkeypatch.setattr(ntcodes.codes, "statistic_evaluator", recording)
+    for kind in TALLY_KINDS:
+        evaluated.clear()
+        compute(spec, kind, "oracle")
+        assert {word for stat, word in evaluated if stat == "gamma_gt"} == set(codewords), kind
+        assert {word for stat, word in evaluated if stat == "sigma"} == (set(codewords) if kind == "extended" else set())
 
 
 def test_codes_imports_nothing_from_enumerators():

@@ -620,7 +620,8 @@ def test_theorem1_is_independent_of_the_oracle(spec):
     with (
         mock.patch.object(enumerators, "_scan_terms", refuse),
         mock.patch.object(codes, "enumerate_codewords", refuse),
-        mock.patch.object(enumerators, "enumerate_codewords", refuse),
+        mock.patch.object(codes, "tally_codewords", refuse),
+        mock.patch.object(enumerators, "tally_codewords", refuse),
     ):
         space, single = enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, spec.n)
         for k in range(spec.n):
@@ -1396,22 +1397,21 @@ def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, key
     assert specialize(enum, "hamming").poly == tenengolts_hamming(n, r, 0, 0).poly
 
 
-def test_residue_pass_decodes_keyed_type_vectors_by_unpack(monkeypatch):
+def test_residue_pass_decodes_keyed_type_vectors_without_unpack(monkeypatch):
     # r = 40, n = 2: 3^39 packed digits are past the budget, so tau stays in
-    # the keys, and each of the C(41, 2) type vectors' keys is read back by one
-    # unpack of 39 digits of radix n + 1 = 3
+    # the keys, and the read-out decodes the 39 digits of radix n + 1 = 3 of
+    # each of the C(41, 2) type vectors itself, with no `_PackedSpace`
     spec = lc(2, 7, 40, [1, 3], 2)
-    decoded, unpack = [], _PackedSpace.unpack
+    expected = compute(spec, "complete", "theorem1").poly
 
-    def spy(self, key):
-        decoded.append(self.radices)
-        return unpack(self, key)
+    def refuse(*_args):
+        raise AssertionError("the read-out built a packed space")
 
-    monkeypatch.setattr(_PackedSpace, "unpack", spy)
+    monkeypatch.setattr(enumerators, "_PackedSpace", refuse)
     enum = compute(spec, "complete")
-    assert enum.method == "transfer"
-    assert decoded == [(3,) * 39] * comb(41, 2)
-    assert enum.poly == compute(spec, "complete", "theorem1").poly
+    assert (enum.method, enum.poly) == ("transfer", expected)
+    # a kept entry is read the same way at another residue
+    assert compute(lc(2, 7, 40, [1, 3], 5), "complete").poly == compute(lc(2, 7, 40, [1, 3], 5), "complete", "oracle").poly
 
 
 def _digit_congruences(monkeypatch) -> list:
