@@ -28,7 +28,6 @@ from .enumerators import (
     tenengolts_cardinality,
     tenengolts_hamming,
     tenengolts_variant_transform,
-    theorem1_extended,
 )
 from .exactalg import (
     CycElement,

@@ -28,7 +28,7 @@ vector, each radix 1 + the largest value of its digit, so no digit
 carries.  W_full is the product of the enumerators of positions 0..k-1
 and k..n-1, so theorem 1 keeps its terms by one join on residues,
 `_kept`: a left term of residues rho pairs only with the right terms of
-residues a - rho (`theorem1_extended`).  At moduli 1 the join keeps every
+residues a - rho (`_theorem1_terms`).  At moduli 1 the join keeps every
 term, which is `full_space_enumerator`.  Below kind "extended" the kept
 keys are read straight at the kind (`_PackedSpace.read`): the type
 vector's digits, or the Hamming weight n - tau_0, or the sum of the
@@ -53,9 +53,9 @@ an entry larger than that is not kept.
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
 `_digit_congruence` picks.  Every pass's size is the count of `_states`.
-It evaluates the linear-congruence character sum, `compute`'s closed form
-for one congruence at "hamming", and answers every spec without a closed
-form below kind "extended"; where it is refused, "auto" asks theorem 1.
+It evaluates the linear-congruence character sum, the closed form for one
+congruence, and answers every spec without a closed form below kind
+"extended"; where it is refused, "auto" asks theorem 1 (`_ROUTES`).
 Its pass counts every residue class and reads n, r, the statistics, the
 moduli, the kind and the budget in force, never a residue.  So it keeps
 its final states in `_RESIDUE_PASSES`, a second least recently used map
@@ -94,7 +94,6 @@ from .exactalg import IntegralityError, MultiPoly, count_text, exact_quotient
 from .numtheory import ramanujan_sums
 
 KINDS = ("extended", "complete", "hamming")
-METHODS = ("auto", "closed", "theorem1", "oracle")
 
 #: the residue pass packs tau while its bound is at most this many times the
 #: bound of tau in the keys: up to here packing measured no more memory
@@ -119,10 +118,7 @@ class Enumerator(Record):
     _key = operator.attrgetter(*_fields)
 
     def __init__(self, kind: str, poly: MultiPoly, method: str, spec: Optional[CodeSpec] = None):
-        self.kind = kind
-        self.poly = poly
-        self.method = method
-        self.spec = spec
+        self.kind, self.poly, self.method, self.spec = kind, poly, method, spec
 
     def cardinality(self) -> int:
         """The number of codewords: the sum of the coefficients, which is
@@ -528,17 +524,33 @@ def _passes(n: int, r: int, stats, k: int, moduli: tuple):
 
 
 def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
-    """The packed space and the code's full-space terms, {key: count}: the
-    one join, `_kept`, of the exact passes over positions 0..k-1 and
-    k..n-1, k = n joining the single pass with the empty right half, whose
-    one term is the empty word (see `theorem1_extended`).  Both halves'
-    `_states` are read off the statistics before any pass, increment table
-    or stride of the type vector, the right half's counted once per start,
-    r when a descent statistic reads the previous symbol.  Any k answers,
-    with one fallback, the single pass at k = n: taken where the halves do
-    not fit the budget, or where the join's pairs outnumber the single
-    pass's bound or the budget, after that bound is checked against the
-    budget.
+    """The packed space and the code's terms, {key: count}, by theorem 1:
+    its extended enumerator is
+    (1/prod m_i) sum_u e(-sum_i u_i a_i/m_i) W_full(e(u_i/m_i) z_i, w).
+    A full-space term with statistic exponents k_i picks up the factor
+    prod_i e(u_i (k_i - a_i)/m_i), and sum_{u mod m} e(u(k - a)/m) is m
+    when m | k - a and 0 otherwise.  So the sum keeps exactly the terms
+    with k_i = a_i (mod m_i) for every constraint, with their coefficients.
+
+    Over [0, r)^n, W_full is the product of the enumerators of positions
+    0..k-1 and k..n-1, so keeping those terms is one join on residues,
+    `_kept`: a left term of statistic residues rho pairs only with right
+    terms of residues a - rho.  The exact pass runs on each half with the
+    full-length radices, so a left key plus a right key is the joined
+    word's key; when a descent statistic reads the previous symbol, the
+    right half starts once from each last symbol p of the left half and
+    joins only its terms.  k = n joins the single pass with the empty
+    right half, whose one term is the empty word.  A negative count of
+    either half raises IntegralityError.
+
+    Both halves' `_states`, and at least their positions, which only r = 1
+    leaves above the states, are read off the statistics before any pass,
+    increment table or stride of the type vector, the right half's counted
+    once per start, r when a descent statistic reads the previous symbol.
+    Any k answers, with one fallback, the single pass at k = n: taken where
+    the halves do not fit the budget, or where the join's pairs outnumber
+    the single pass's bound or the budget, after that bound is checked
+    against the budget, with its own message.
 
     The passes come from `_passes`, kept in `_PASSES` under (n, r,
     statistics, k) and grouped at the moduli: the residues enter only at
@@ -553,8 +565,9 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
         raise ValueError("full-space enumerators need non-negative weights")
 
     def states(lo: int, hi: int) -> int:
-        # the keys: each statistic's exact value on positions lo..hi-1, and tau
-        return _states(r, hi - lo, [(st, 1 + st.form.top(r, lo, hi)) for st in stats], True)
+        # the keys: each statistic's exact value on positions lo..hi-1, and tau;
+        # a pass steps once per position even when it holds one state
+        return max(hi - lo, _states(r, hi - lo, [(st, 1 + st.form.top(r, lo, hi)) for st in stats], True))
 
     single, limit = states(0, n), budget_limit(budget)
     starts = r if _reads_previous(stats) else 1
@@ -570,33 +583,6 @@ def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
         _, space, _, left, right = _passes(n, r, stats, n, moduli)
         kept = _kept(cons, left, right, single)
     return space, kept
-
-
-def theorem1_extended(spec: CodeSpec, budget: int | None = None) -> Enumerator:
-    """Extended enumerator of a congruence code from the full-space
-    enumerator, by theorem 1:
-    (1/prod m_i) sum_u e(-sum_i u_i a_i/m_i) W_full(e(u_i/m_i) z_i, w).
-
-    A full-space term with statistic exponents k_i picks up the factor
-    prod_i e(u_i (k_i - a_i)/m_i), and sum_{u mod m} e(u(k - a)/m) is m
-    when m | k - a and 0 otherwise.  So the sum keeps exactly the terms
-    with k_i = a_i (mod m_i) for every constraint, with their coefficients.
-
-    Over [0, r)^n, W_full is the product of the enumerators of positions
-    0..k-1 and k..n-1, so keeping those terms is a join on residues: a
-    left term of statistic residues rho pairs only with right terms of
-    residues a - rho.  The exact pass runs on each half with the
-    full-length radices, so a left key plus a right key is the joined
-    word's key; when a descent statistic reads the previous symbol, the
-    right half starts once from each last symbol p of the left half and
-    joins only its terms.  It splits at k = n // 2, with the one fallback
-    of `_theorem1_terms`; past the budget that single pass is refused with
-    its own message.  A negative count of either half raises
-    IntegralityError.  Only the kept keys are unpacked.  A custom
-    statistic has no increments and raises ValueError.
-    """
-    space, kept = _theorem1_terms(spec.n, spec.r, spec.constraints, budget, spec.n // 2)
-    return Enumerator("extended", space.read(kept, "extended"), "character_sum", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +622,10 @@ _RESIDUE_PASSES_BYTES = 1 << 16
 
 
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
-    """The spec's enumerator of kind "complete" or "hamming", or its
-    cardinality, from the `_transfer` pass over the statistics' residues
+    """The spec's enumerator polynomial of kind "complete" or "hamming", or
+    its cardinality, from the `_transfer` pass over the statistics' residues
     mod m_i (built-in statistics, any integer weights), read at the code's
-    residues a_i (`_residue_read`).  Labelled "transfer".  A state's key is
+    residues a_i (`_residue_read`).  A state's key is
     one integer: a residue digit of radix 2 m_i per keyed residue, then any
     keyed tau_x or Hamming weight, of radix n + 1, exact digits that never
     wrap.
@@ -770,7 +756,7 @@ def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
                 count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
                 if count:
                     terms[image(front + exps)] = count
-    return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "transfer", spec)
+    return MultiPoly(_variables(spec, kind), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -820,12 +806,13 @@ def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> 
     """Hamming weight enumerator of the r-ary descent/sum code: the one
     divisor sum over d | n of `_descent_sum`, its weights folded by
     sum_{e | g} c_e(a) = g [g | a], expanded in integers and divided by n r."""
-    return _descent_sum_hamming(tenengolts_spec(n, r, a1, a2, variant), variant)
+    spec = tenengolts_spec(n, r, a1, a2, variant)
+    return Enumerator("hamming", _descent_sum_hamming(spec, variant), "closed_form", spec)
 
 
-def _descent_sum_hamming(spec: CodeSpec, variant: str) -> Enumerator:
-    """`tenengolts_hamming` of a checked descent/sum spec: a descent
-    statistic of `variant` mod n, then sigma mod r."""
+def _descent_sum_hamming(spec: CodeSpec, variant: str) -> MultiPoly:
+    """The polynomial of `tenengolts_hamming` of a checked descent/sum spec:
+    a descent statistic of `variant` mod n, then sigma mod r."""
     n, r, a1, a2 = spec.n, spec.r, spec.constraints[0].a, spec.constraints[1].a
     coeffs = [0] * (n + 1)
     for d, k, p, q in _descent_sum(n, r, a1, a2, variant):
@@ -839,7 +826,7 @@ def _descent_sum_hamming(spec: CodeSpec, variant: str) -> Enumerator:
         for deg, c in enumerate(coeffs)
         if c
     }
-    return Enumerator("hamming", MultiPoly(("w",), terms), "closed_form", spec)
+    return MultiPoly(("w",), terms)
 
 
 def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
@@ -890,88 +877,101 @@ def _nonnegative_weights(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(spec.n, spec.r, cons)
 
 
-def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None = None):
-    """The spec's enumerator of the given kind, or its cardinality (an int)
-    at kind "cardinality": the one place a route is chosen, read off the
-    spec's congruences whatever family built it.
+def _is_descent_sum(spec: CodeSpec) -> bool:
+    """Whether the spec is a descent/sum code, whatever family built it: a
+    descent statistic mod n, then sigma mod r."""
+    cons = spec.constraints
+    descent = len(cons) == 2 and cons[0].stat.kind in _VARIANT_OF_STAT and cons[0].m == spec.n
+    return descent and cons[1].stat.kind == "sigma" and cons[1].m == spec.r
 
-    - "oracle", and "auto" on a custom statistic: the oracle's tally,
-      `_scan_terms` (label "oracle").
-    - "auto" or "closed" at "hamming" or "cardinality": a descent/sum code
-      (a descent statistic mod n, then sigma mod r) takes the divisor sums
-      of `tenengolts_hamming` / `tenengolts_cardinality`, and a single
-      omega, sigma or linear congruence its character sum by the residue
-      pass (label "closed_form"); "closed" raises ValueError on any other.
-    - "auto" on any other spec below "extended": the residue pass
-      ("transfer").
-    - "auto" at "extended", and "theorem1": theorem 1 ("character_sum"),
-      which refuses a custom statistic; below "extended" it gets the spec
-      with its negative linear weights reduced mod their moduli, which
-      changes only the z-exponents the kind drops, and its kept keys are
-      read straight at the kind, with no extended enumerator built.
 
-    Where "auto" takes the residue pass and its budget refuses it, theorem
-    1 answers as under "theorem1"; where theorem 1 is refused too, the
-    residue pass's refusal is raised, so its message is the one printed.
+def _divisor_sums(spec: CodeSpec, kind: str, budget: int | None):
+    """A descent/sum code's closed forms, once n fits the budget: the divisor
+    sums of `tenengolts_cardinality` and `tenengolts_hamming`."""
+    n, (descent, total) = spec.n, spec.constraints
+    check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
+    variant = _VARIANT_OF_STAT[descent.stat.kind]
+    if kind == "cardinality":
+        return tenengolts_cardinality(n, spec.r, descent.a, total.a, variant)
+    return _descent_sum_hamming(spec, variant)
 
-    The character sum of one linear congruence of modulus m,
-    (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)), is by
+
+def _is_linear_congruence(spec: CodeSpec) -> bool:
+    """Whether the spec is one omega, sigma or linear congruence, whose
+    character sum is a closed form.  For modulus m,
+    (1/m) sum_u e(-au/m) prod_j (1 + w sum_{k>=1} e(h_j k u/m)) is by
     orthogonality the coefficient of x^a in prod_j (1 + w sum_{k>=1}
     x^(h_j k)) taken in Z[x]/(x^m - 1).  The residue pass reads that
     coefficient in integer arithmetic, for any integer weights: the
     residues mod m are in the keys, or the cyclic digits of each count,
     rotated by h_j k digits by position j's factor.  No twisted point and
-    no division by m, so no integrality sentinel can fire.
+    no division by m, so no integrality sentinel can fire."""
+    form = spec.constraints[0].stat.form
+    return len(spec.constraints) == 1 and form is not None and not form.reads
 
-    `budget` bounds every route before its work starts.
-    """
+
+def _theorem1(spec: CodeSpec, kind: str, budget: int | None):
+    """Theorem 1's kept terms (`_theorem1_terms`), split at n // 2 and read
+    straight at the kind.  Below "extended" it gets the spec with its
+    negative linear weights reduced mod their moduli, which changes only
+    the z-exponents the kind drops."""
+    weighted = spec if kind == "extended" else _nonnegative_weights(spec)
+    space, kept = _theorem1_terms(spec.n, spec.r, weighted.constraints, budget, spec.n // 2)
+    return space.read(kept, kind)
+
+
+def _oracle(spec: CodeSpec, kind: str, budget: int | None):
+    """The oracle's tally of the scanned codewords, `_scan_terms`."""
+    terms = _scan_terms(spec, kind, budget)
+    return terms if kind == "cardinality" else MultiPoly(_variables(spec, kind), terms)
+
+
+def _every_spec(spec: CodeSpec) -> bool:
+    return True
+
+
+#: every route, in the order "auto" asks them: (label, the methods that select
+#: it, its kinds, whether it admits a spec, run(spec, kind, budget) -> the
+#: polynomial, or the cardinality).  Theorem 1 refuses a custom statistic,
+#: which "auto" sends to the oracle
+_ROUTES = (
+    ("closed_form", ("auto", "closed"), ("hamming", "cardinality"), _is_descent_sum, _divisor_sums),
+    ("closed_form", ("auto", "closed"), ("hamming", "cardinality"), _is_linear_congruence, _residue_pass),
+    ("transfer", ("auto",), ("complete", "hamming", "cardinality"), _every_spec, _residue_pass),
+    ("character_sum", ("auto", "theorem1"), (*KINDS, "cardinality"), _every_spec, _theorem1),
+    ("oracle", ("oracle",), (*KINDS, "cardinality"), _every_spec, _oracle),
+)
+METHODS = tuple(dict.fromkeys(method for route in _ROUTES for method in route[1]))
+
+
+def compute(spec: CodeSpec, kind: str, method: str = "auto", budget: int | None = None):
+    """The spec's enumerator of the given kind, or its cardinality (an int)
+    at kind "cardinality": the one place a route is chosen.  "auto" on a
+    custom statistic asks the oracle; otherwise the first row of `_ROUTES`
+    that the method, the kind and the spec admit answers, labelled by its
+    row.  A row the budget refuses passes to the next admitted one whose
+    run was not refused yet, and the first refusal is raised where all
+    are.  Where none is admitted, which only "closed" leaves, it raises
+    ValueError.  `budget` bounds every route before its work starts."""
     if kind != "cardinality" and kind not in KINDS:
         raise ValueError(f"unknown enumerator kind {kind!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, choose one of {', '.join(METHODS)}")
-    n, r, cons = spec.n, spec.r, spec.constraints
-    refusal = None  # the residue pass's, which "auto" passes over to theorem 1
-    if method == "auto" and any(c.stat.kind == "custom" for c in cons):
+    if method == "auto" and any(c.stat.kind == "custom" for c in spec.constraints):
         method = "oracle"
-    if method in ("auto", "closed"):
-        closed = kind in ("hamming", "cardinality")
-        variant = _VARIANT_OF_STAT.get(cons[0].stat.kind) if closed and len(cons) == 2 else None
-        if variant and cons[0].m == n and cons[1].stat.kind == "sigma" and cons[1].m == r:
-            check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
-            if kind == "cardinality":
-                return tenengolts_cardinality(n, r, cons[0].a, cons[1].a, variant)
-            return _descent_sum_hamming(spec, variant)
-        form = cons[0].stat.form
-        closed = closed and len(cons) == 1 and form is not None and not form.reads
-        if method == "closed" and not closed:
-            stats = ", ".join(c.stat.kind for c in cons)
-            raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
-        if kind != "extended":
+    refusals: dict = {}  # the refusal of each run refused, in order
+    for label, methods, kinds, admits, run in _ROUTES:
+        if method in methods and kind in kinds and run not in refusals and admits(spec):
             try:
-                result = _residue_pass(spec, kind, budget)
-            except BudgetExceededError as error:
-                if method == "closed":
-                    raise
-                refusal = error
-            else:
-                if closed and kind == "hamming":
-                    # the character sum of a linear congruence, evaluated by the residue pass
-                    result.method = "closed_form"
-                return result
-    if method == "oracle":
-        terms = _scan_terms(spec, kind, budget)
-        if kind == "cardinality":
-            return terms
-        return Enumerator(kind, MultiPoly(_variables(spec, kind), terms), "oracle", spec)
-    weighted = spec if kind == "extended" else _nonnegative_weights(spec)
-    try:
-        space, kept = _theorem1_terms(n, r, weighted.constraints, budget, n // 2)
-    except BudgetExceededError:
-        if refusal is None:
-            raise
-        raise refusal from None
-    result = space.read(kept, kind)
-    return result if kind == "cardinality" else Enumerator(kind, result, "character_sum", spec)
+                result = run(spec, kind, budget)
+            except BudgetExceededError as refusal:
+                refusals[run] = refusal
+                continue
+            return result if kind == "cardinality" else Enumerator(kind, result, label, spec)
+    if refusals:
+        raise next(iter(refusals.values()))
+    stats = ", ".join(c.stat.kind for c in spec.constraints)
+    raise ValueError(f"no closed form for statistics ({stats}) at kind {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from ntcodes.enumerators import (
     specialize,
     tenengolts_cardinality,
     tenengolts_hamming,
-    theorem1_extended,
     w_variables,
 )
 from ntcodes.exactalg import IntegralityError, MultiPoly
@@ -130,7 +129,7 @@ def test_criterion_1_paper_value_regression():
 def test_criterion_2_paper_enumerator_regression():
     watch = Stopwatch(1.0)
     assert str(tenengolts_hamming(3, 3, 0, 0).poly) == "1 + 2*w^2 + 2*w^3"
-    extended = theorem1_extended(make_family("tenengolts", n=3, r=3, a1=0, a2=0))
+    extended = compute(make_family("tenengolts", n=3, r=3, a1=0, a2=0), "extended", "theorem1")
     assert str(specialize(extended, "complete").poly) == "w0^3 + 2*w0*w1*w2 + w1^3 + w2^3"
     assert str(specialize(extended, "hamming").poly) == "1 + 2*w^2 + 2*w^3"
     assert extended.poly == MultiPoly(
@@ -191,7 +190,7 @@ def test_criterion_3_oracle_equivalence_sweep():
             m = rng.randint(1, 6)
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec)
+        engine = compute(spec, "extended", "theorem1")
         assert engine.method == "character_sum"
         assert engine.poly == compute(spec, "extended", "oracle").poly
         checks += 1
@@ -271,7 +270,7 @@ def test_criterion_6_macwilliams():
         assert report.verified, f"duality failed at r={r} H={rows}"
         assert len(code.code) * len(code.dual) == r**n
         spec = make_family("linear_code", r=r, rows=rows)
-        complete = specialize(theorem1_extended(spec), "complete")
+        complete = specialize(compute(spec, "extended", "theorem1"), "complete")
         assert complete.poly == complete_weight_enumerator(code.code, r)
         verified += 1
     elapsed = watch.check("criterion 6")
@@ -304,7 +303,7 @@ def test_criterion_7_integrality_sentinel():
                     (SIGMA, rng.randint(1, 5), 1),
                 ),
             )
-            theorem1_extended(spec)
+            compute(spec, "extended", "theorem1")
         for _ in range(10):
             r, s = rng.randint(2, 5), rng.randint(1, 2)
             n = rng.randint(s, 5)

@@ -97,14 +97,12 @@ def test_card_json_holds_the_text_cardinality(capsys):
 
 
 def _wrong_hamming(spec, variant):
-    # the descent/sum Hamming form that `compute` calls, wrong at a1 = 0, a2 = 1
-    from ntcodes.enumerators import Enumerator
+    # the descent/sum Hamming polynomial that `compute` asks for, wrong at a1 = 0, a2 = 1
     from ntcodes.exactalg import MultiPoly
 
-    poly = _descent_sum_hamming(spec, variant).poly
     if tuple(c.a for c in spec.constraints) == (0, 1):
-        poly = MultiPoly(("w",), {(0,): 999})
-    return Enumerator("hamming", poly, "closed_form")
+        return MultiPoly(("w",), {(0,): 999})
+    return _descent_sum_hamming(spec, variant)
 
 
 @pytest.mark.parametrize(
@@ -191,11 +189,10 @@ def test_verify_all_families_small(capsys):
 
 
 def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
-    from ntcodes.enumerators import Enumerator
     from ntcodes.exactalg import MultiPoly
 
     def wrong(spec, variant):
-        return Enumerator("hamming", MultiPoly(("w",), {(0,): 999}), "closed_form")
+        return MultiPoly(("w",), {(0,): 999})
 
     monkeypatch.setattr("ntcodes.enumerators._descent_sum_hamming", wrong)
     code, out, _ = run(capsys, "verify", "--family", "tenengolts", "--max-n", "2", "--max-r", "2")
@@ -248,10 +245,12 @@ def test_verify_all_keeps_its_draws_labels_and_order(capsys, seed):
 
 
 def test_cli_binds_no_route_function():
-    # every route is picked by `compute`; the CLI names none of them
+    # every route is picked by `compute`; the CLI names none of them, nor
+    # any runner of its route table
     import ntcodes.cli
+    from ntcodes import enumerators
 
-    routes = ("tenengolts_hamming", "tenengolts_cardinality", "theorem1_extended")
+    routes = ("tenengolts_hamming", "tenengolts_cardinality", *(run.__name__ for *_, run in enumerators._ROUTES))
     assert not [name for name in routes if hasattr(ntcodes.cli, name)]
 
 

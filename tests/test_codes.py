@@ -767,7 +767,7 @@ KIND_TEST_SITES = {
     ("codes", "Statistic.__init__"),
     ("codes", "_stat_to_json"),
     ("codes", "_stat_from_json"),
-    ("enumerators", "compute"),
+    ("enumerators", "_is_descent_sum"),
 }
 
 

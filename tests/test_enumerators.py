@@ -40,6 +40,7 @@ from ntcodes.codes import (
 )
 from ntcodes.enumerators import (
     KINDS,
+    METHODS,
     Enumerator,
     _PackedSpace,
     argmax_cardinality,
@@ -52,7 +53,6 @@ from ntcodes.enumerators import (
     tenengolts_cardinality,
     tenengolts_hamming,
     tenengolts_variant_transform,
-    theorem1_extended,
     w_variables,
     z_variables,
 )
@@ -328,7 +328,7 @@ def test_increment_tables_sum_to_the_statistics(r):
         # the residue pass of one congruence
         (lambda: compute(lc(6, 7, 2, (1, 2, 3, 4, 5, 6), 0), "hamming"), 1),
         # theorem 1's exact pass of a descent statistic and sigma
-        (lambda: theorem1_extended(make_family("tenengolts", n=6, r=3, a1=0, a2=0)), 2),
+        (lambda: compute(make_family("tenengolts", n=6, r=3, a1=0, a2=0), "extended", "theorem1"), 2),
     ],
     ids=["macwilliams", "residue", "theorem1"],
 )
@@ -350,7 +350,7 @@ def test_custom_statistic_full_space_is_enumerated():
         full = full_space_enumerator(4, 3, (repeats, SIGMA))
         # theorem 1 has no increments to run: it refuses the statistic
         with pytest.raises(ValueError, match="custom statistic"):
-            theorem1_extended(spec)
+            compute(spec, "extended", "theorem1")
     assert scan.call_count == 1 and not exact_pass.called
     (scanned, kind, _), _ = scan.call_args
     assert kind == "extended"
@@ -376,27 +376,27 @@ def test_theorem1_matches_oracle_descent_sum():
             for a1 in range(n):
                 for a2 in range(r):
                     spec = make_family("tenengolts", n=n, r=r, a1=a1, a2=a2)
-                    engine = theorem1_extended(spec)
+                    engine = compute(spec, "extended", "theorem1")
                     assert engine.method == "character_sum"
                     assert engine.poly == compute(spec, "extended", "oracle").poly
 
 
 def test_theorem1_trivial_modulus_gives_full_space():
     spec = CodeSpec(3, 2, ((OMEGA, 1, 0),))
-    engine = theorem1_extended(spec)
+    engine = compute(spec, "extended", "theorem1")
     assert engine.poly == full_space_enumerator(3, 2, (OMEGA,))
 
 
 def test_theorem1_cardinality_example():
     spec = make_family("tenengolts", n=3, r=3, a1=1, a2=0)
-    assert specialize(theorem1_extended(spec), "cardinality") == 2
+    assert specialize(compute(spec, "extended", "theorem1"), "cardinality") == 2
 
 
 def test_theorem1_fast_path_and_forced_character_sum_agree():
     # mixed statistics take the transfer-built full space through the
     # residue join and keep the theorem-1 label
     spec = CodeSpec(4, 3, ((GAMMA_GT, 3, 1), (DELTA, 2, 1), (SIGMA, 3, 0)))
-    fast = theorem1_extended(spec)
+    fast = compute(spec, "extended", "theorem1")
     assert fast.method == "character_sum"
     assert fast.poly == compute(spec, "extended", "oracle").poly
 
@@ -446,7 +446,7 @@ def test_theorem1_rejects_negative_half_space_count(monkeypatch):
 
     monkeypatch.setattr(enumerators, "_exact_pass", negating)
     with pytest.raises(IntegralityError, match=r"negative full-space coefficient -1 for \(0, 4, 0, 0\)"):
-        theorem1_extended(spec)
+        compute(spec, "extended", "theorem1")
     # split at n // 2 = 4, refused before the join
     assert runs == [range(4), range(4, 8)]
 
@@ -478,7 +478,7 @@ def theorem1_specs(draw):
 @example(_top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE)))
 @example(_top_word_spec(5, 3, (linear((1, 2, 0, 3, 1)), LAMBDA_LE, DELTA)))
 def test_theorem1_matches_oracle_with_real_moduli(spec):
-    engine = theorem1_extended(spec)
+    engine = compute(spec, "extended", "theorem1")
     assert engine.method == "character_sum"
     expected = compute(spec, "extended", "oracle").poly
     assert (engine.poly.variables, engine.poly) == (expected.variables, expected)
@@ -487,7 +487,7 @@ def test_theorem1_matches_oracle_with_real_moduli(spec):
 def test_theorem1_top_word_is_kept():
     spec = _top_word_spec(4, 4, (OMEGA, SIGMA, GAMMA_GE))
     # omega 3 * 10, sigma 3 * 4 and gamma_ge 1 + 2 + 3 of the word 3333
-    assert theorem1_extended(spec).poly.terms == {(30, 12, 6, 0, 0, 0, 4): 1}
+    assert compute(spec, "extended", "theorem1").poly.terms == {(30, 12, 6, 0, 0, 0, 4): 1}
 
 
 def test_theorem1_builds_only_the_kept_terms(monkeypatch):
@@ -518,7 +518,7 @@ def test_theorem1_builds_only_the_kept_terms(monkeypatch):
 )
 def test_theorem1_budget_checked_before_expansion(spec):
     with pytest.raises(BudgetExceededError, match="budget 1000"):
-        theorem1_extended(spec, budget=1000)
+        compute(spec, "extended", "theorem1", budget=1000)
 
 
 @st.composite
@@ -590,13 +590,13 @@ def test_one_entry_answers_every_residue_tuple(spec):
     # kept.  The answers add up to the full space
     n, r, cons = spec.n, spec.r, spec.constraints
     stats = tuple(c.stat for c in cons)
-    theorem1_extended(spec)
+    compute(spec, "extended", "theorem1")
     single = (n, r, stats, n) in enumerators._PASSES
     answers = []
     with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
         for a in itertools.product(*(range(c.m) for c in cons)):
             code = CodeSpec(n, r, tuple((c.stat, c.m, ai) for c, ai in zip(cons, a)))
-            answers.append((code, theorem1_extended(code).poly))
+            answers.append((code, compute(code, "extended", "theorem1").poly))
     assert exact_pass.call_count == (not single and (n, r, stats, n) in enumerators._PASSES)
     total = Counter()
     for code, poly in answers:
@@ -626,9 +626,9 @@ def test_theorem1_is_independent_of_the_oracle(spec):
         space, single = enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, spec.n)
         for k in range(spec.n):
             assert enumerators._theorem1_terms(spec.n, spec.r, spec.constraints, None, k)[1] == single
-        assert theorem1_extended(spec).poly == space.read(single, "extended")
+        assert compute(spec, "extended", "theorem1").poly == space.read(single, "extended")
         with pytest.raises(ValueError, match="custom statistic"):
-            theorem1_extended(with_custom)
+            compute(with_custom, "extended", "theorem1")
     assert compute(with_custom, "cardinality") == compute(with_custom, "cardinality", "oracle")
     for kind in KINDS:
         got = compute(with_custom, kind)
@@ -692,10 +692,10 @@ def test_split_point_is_read_off_the_statistics(monkeypatch, spec, budget, refus
     runs = _recorded_runs(monkeypatch)
     if refusal:
         with pytest.raises(refusal[0], match=refusal[1]):
-            theorem1_extended(spec, budget)
+            compute(spec, "extended", "theorem1", budget)
         assert runs == []
         return
-    theorem1_extended(spec, budget)
+    compute(spec, "extended", "theorem1", budget)
     n, k = spec.n, spec.n // 2
     starts = spec.r if enumerators._reads_previous(c.stat for c in spec.constraints) else 1
     assert runs[: 1 + starts] == [range(k)] + [range(k, n)] * starts
@@ -712,7 +712,7 @@ def test_theorem1_falls_back_to_the_single_pass_past_its_bound(monkeypatch):
     runs = _recorded_runs(monkeypatch)
     tracemalloc.start()
     try:
-        result = theorem1_extended(spec)
+        result = compute(spec, "extended", "theorem1")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -729,11 +729,11 @@ def test_theorem1_runs_the_single_pass_where_the_halves_do_not_fit(monkeypatch):
     # two the single pass runs, with no half, and answers
     spec = CodeSpec(5, 6, ((DELTA, 3, 1),))
     runs = _recorded_runs(monkeypatch)
-    assert theorem1_extended(spec, budget=1270).poly == compute(spec, "extended", "oracle").poly
+    assert compute(spec, "extended", "theorem1", budget=1270).poly == compute(spec, "extended", "oracle").poly
     assert runs == [range(5)]
     refusal = "^full-space transfer pass of up to 1260 terms exceeds the budget 1259$"
     with pytest.raises(BudgetExceededError, match=refusal):
-        theorem1_extended(spec, budget=1259)
+        compute(spec, "extended", "theorem1", budget=1259)
     assert runs == [range(5)]
 
 
@@ -746,7 +746,7 @@ def test_theorem1_refuses_join_pairs_past_the_budget(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="pass of up to 531441 terms exceeds the budget 10000"):
-            theorem1_extended(spec, budget=10_000)
+            compute(spec, "extended", "theorem1", budget=10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -794,7 +794,7 @@ def test_theorem1_random_simultaneous_specs():
             m = rng.randint(1, 6)
             cons.append((st, m, rng.randrange(m)))
         spec = CodeSpec(n, r, tuple(cons))
-        engine = theorem1_extended(spec)
+        engine = compute(spec, "extended", "theorem1")
         assert engine.poly == compute(spec, "extended", "oracle").poly
 
 
@@ -803,7 +803,7 @@ def test_negative_weights_rejected_by_enumerator_paths():
 
     bad = CodeSpec(2, 2, ((linear((-1, 2)), 3, 0),))
     with pytest.raises(ValueError):
-        theorem1_extended(bad)
+        compute(bad, "extended", "theorem1")
     # the oracle complains only when a codeword actually hits a negative value
     member_negative = CodeSpec(2, 2, ((linear((-1, 2)), 3, 2),))
     with pytest.raises(ValueError):
@@ -934,7 +934,7 @@ def test_theorem1_reads_its_kept_keys_at_every_kind(spec, kind):
         mock.patch.object(enumerators, "specialize", side_effect=AssertionError("specialized")),
     ):
         got = compute(spec, kind, "theorem1")
-    projected = specialize(theorem1_extended(enumerators._nonnegative_weights(spec)), kind)
+    projected = specialize(compute(enumerators._nonnegative_weights(spec), "extended", "theorem1"), kind)
     expected = compute(spec, kind, "oracle")
     if kind == "cardinality":
         assert got == projected == expected
@@ -1149,10 +1149,10 @@ def test_theorem1_reuses_its_passes_at_other_moduli_and_residues():
     # the exact passes read n, r, the statistics and the split, never a
     # modulus or a residue: a later code over the same statistics joins the
     # kept halves at its own residues and runs no pass
-    theorem1_extended(make_family("shifted_vt", n=12, m=7, a=3, parity=0))
+    compute(make_family("shifted_vt", n=12, m=7, a=3, parity=0), "extended", "theorem1")
     later = make_family("shifted_vt", n=12, m=9, a=5, parity=1)
     with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
-        warm = theorem1_extended(later)
+        warm = compute(later, "extended", "theorem1")
     assert not exact_pass.called
     assert warm.poly == compute(later, "extended", "oracle").poly
 
@@ -1195,16 +1195,16 @@ def test_theorem1_answers_alike_from_kept_and_fresh_passes(spec, data):
 )
 def test_kept_passes_refuse_as_fresh_ones(spec, warm, budget, refusal):
     with pytest.raises(BudgetExceededError, match=refusal):
-        theorem1_extended(spec, budget)
+        compute(spec, "extended", "theorem1", budget)
     enumerators._PASSES.clear()
     other = CodeSpec(spec.n, spec.r, tuple((c.stat, c.m, (c.a + 1) % c.m) for c in spec.constraints))
-    theorem1_extended(other, warm)
+    compute(other, "extended", "theorem1", warm)
     kept = list(enumerators._PASSES)
     with (
         mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
         pytest.raises(BudgetExceededError, match=refusal),
     ):
-        theorem1_extended(spec, budget)
+        compute(spec, "extended", "theorem1", budget)
     assert not exact_pass.called and list(enumerators._PASSES) == kept
 
 
@@ -1220,41 +1220,41 @@ def test_kept_passes_stay_within_their_bound(monkeypatch):
     # least recently used out first: with room for the passes of n = 8 and
     # n = 9, asking n = 8 again and then n = 7 drops those of n = 9
     for n in (8, 9):
-        theorem1_extended(make_family("levenshtein", n=n, m=3, a=0))
+        compute(make_family("levenshtein", n=n, m=3, a=0), "extended", "theorem1")
     (eight, size), (nine, more) = _sizes().items()
     monkeypatch.setattr(enumerators, "_PASSES_SIZE", size + more)
-    theorem1_extended(make_family("levenshtein", n=8, m=5, a=1))
-    theorem1_extended(make_family("levenshtein", n=7, m=3, a=0))
+    compute(make_family("levenshtein", n=8, m=5, a=1), "extended", "theorem1")
+    compute(make_family("levenshtein", n=7, m=3, a=0), "extended", "theorem1")
     kept = list(_sizes())
     assert len(kept) == 2 and kept[0] == eight and nine not in kept
     # an entry larger than the bound is not kept, and drops none; the size
     # counts terms alone, so one of few terms over a wide alphabet is kept:
     # at n = 1, the empty left half and the right half's 100 words
     before = _sizes()
-    theorem1_extended(make_family("levenshtein", n=24, m=3, a=0))
+    compute(make_family("levenshtein", n=24, m=3, a=0), "extended", "theorem1")
     assert _sizes() == before
     monkeypatch.setattr(enumerators, "_PASSES_SIZE", 8192)
-    theorem1_extended(make_family("tenengolts", n=1, r=100, a1=0, a2=0))
+    compute(make_family("tenengolts", n=1, r=100, a1=0, a2=0), "extended", "theorem1")
     assert list(_sizes().values()) == [*before.values(), 101]
     # any sequence: the sizes never add up past the bound
     monkeypatch.setattr(enumerators, "_PASSES_SIZE", 300)
     enumerators._PASSES.clear()
     for n in range(1, 13):
         for family in (make_family("levenshtein", n=n, m=3, a=0), make_family("tenengolts", n=n, r=3, a1=0, a2=0)):
-            theorem1_extended(family)
+            compute(family, "extended", "theorem1")
             assert sum(_sizes().values()) <= 300
 
 
 def test_mutating_an_answer_leaves_the_kept_passes_alone():
     spec = make_family("tenengolts", n=6, r=3, a1=1, a2=2)
     stats = [c.stat for c in spec.constraints]
-    expected = theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)
-    for poly in (theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)):
+    expected = compute(spec, "extended", "theorem1").poly, full_space_enumerator(6, 3, stats)
+    for poly in (compute(spec, "extended", "theorem1").poly, full_space_enumerator(6, 3, stats)):
         for exps in list(poly.terms):
             poly.terms[exps] = -7
         poly.terms[(9,) * len(poly.variables)] = 1
     enumerators._theorem1_terms(6, 3, spec.constraints, None, 3)[1].clear()
-    assert (theorem1_extended(spec).poly, full_space_enumerator(6, 3, stats)) == expected
+    assert (compute(spec, "extended", "theorem1").poly, full_space_enumerator(6, 3, stats)) == expected
 
 
 def test_theorem1_keeps_the_single_pass_where_the_join_overflows(monkeypatch):
@@ -1265,7 +1265,7 @@ def test_theorem1_keeps_the_single_pass_where_the_join_overflows(monkeypatch):
     monkeypatch.setattr(enumerators, "_kept", lambda *args: joins.append(join(*args)) or joins[-1])
     for a in (0, 3):
         spec = make_family("levenshtein", n=24, m=7, a=a)
-        assert specialize(theorem1_extended(spec), "hamming").poly == compute(spec, "hamming").poly
+        assert specialize(compute(spec, "extended", "theorem1"), "hamming").poly == compute(spec, "hamming").poly
     assert [kept is None for kept in joins] == [True, False, True, False]
     assert runs == [range(12), range(12, 24), range(24)]
 
@@ -1275,7 +1275,7 @@ def test_the_single_pass_of_an_overflowing_join_is_the_full_space():
     # single pass, built from position 0, as the entry at k = n: the full
     # space over omega is that entry and runs no pass, and the single
     # pass's 2325 terms are held there alone, not under k = 12 as well
-    theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
+    compute(make_family("levenshtein", n=24, m=7, a=0), "extended", "theorem1")
     with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
         full = full_space_enumerator(24, 2, [OMEGA])
     assert not exact_pass.called
@@ -1286,7 +1286,7 @@ def test_the_single_pass_of_an_overflowing_join_is_the_full_space():
 def test_the_single_pass_where_the_halves_do_not_fit_is_the_full_space():
     # delta over [0, 6)^5 at budget 1270: the halves do not fit, so theorem 1
     # runs the single pass, kept at k = n, which the full space then reads
-    theorem1_extended(CodeSpec(5, 6, ((DELTA, 3, 1),)), budget=1270)
+    compute(CodeSpec(5, 6, ((DELTA, 3, 1),)), "extended", "theorem1", budget=1270)
     with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
         full = full_space_enumerator(5, 6, [DELTA])
     assert not exact_pass.called
@@ -1328,9 +1328,9 @@ def test_kept_passes_are_plain_terms():
     # its size the terms it holds, and each term a (key, count) pair of
     # integers in a tuple filed under the class number of its start and its
     # statistic residues mod the entry's moduli
-    theorem1_extended(make_family("levenshtein", n=24, m=7, a=0))
-    theorem1_extended(CodeSpec(5, 6, ((DELTA, 3, 1),)), budget=1270)
-    theorem1_extended(make_family("tenengolts", n=6, r=3, a1=1, a2=2))
+    compute(make_family("levenshtein", n=24, m=7, a=0), "extended", "theorem1")
+    compute(CodeSpec(5, 6, ((DELTA, 3, 1),)), "extended", "theorem1", budget=1270)
+    compute(make_family("tenengolts", n=6, r=3, a1=1, a2=2), "extended", "theorem1")
     full_space_enumerator(4, 3, [GAMMA_GT, SIGMA])
     assert len(_sizes()) == 5
     for key, entry in enumerators._PASSES.items():
@@ -1651,7 +1651,7 @@ def test_kept_residue_pass_reads_as_a_fresh_one(spec, kind, layout, data):
     assert warm == fresh and [states] == passes
     for code, got in zip(codes_at, warm):
         expected = compute(code, kind, "oracle")
-        assert got == expected if kind == "cardinality" else got.poly == expected.poly, name
+        assert got == (expected if kind == "cardinality" else expected.poly), name
 
 
 def _whole_space(n: int, r: int, kind: str):
@@ -1686,8 +1686,8 @@ def test_every_residue_from_one_kept_pass_adds_up_to_the_whole_space(spec, kind,
         assert sum(results) == _whole_space(n, r, kind)
         return
     total = Counter()
-    for enum in results:
-        total.update(enum.poly.terms)
+    for poly in results:
+        total.update(poly.terms)
     assert dict(total) == _whole_space(n, r, kind)
 
 
@@ -1762,7 +1762,7 @@ def test_kept_residue_passes_stay_within_their_bytes(monkeypatch):
     # an entry larger than the cap is not kept, and drops none, though it answers
     monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 1000)
     big = make_family("nonbinary_svt", n=9, r=3, m=7, a=0, b=0, c=0)
-    assert enumerators._residue_pass(big, "complete", None).poly == compute(big, "complete", "oracle").poly
+    assert enumerators._residue_pass(big, "complete", None) == compute(big, "complete", "oracle").poly
     assert _residue_entries() == kept
     # any sequence: the bytes never add up past the cap
     monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 20_000)
@@ -2018,7 +2018,7 @@ def test_theorem1_on_shifted_vt_product_form():
         a = rng.randrange(m)
         parity = rng.randrange(2)
         spec = make_family("shifted_vt", n=n, m=m, a=a, parity=parity)
-        engine = theorem1_extended(spec)
+        engine = compute(spec, "extended", "theorem1")
         assert engine.method == "character_sum"
         assert engine.poly == compute(spec, "extended", "oracle").poly
 
@@ -2039,7 +2039,7 @@ def test_theorem1_on_nonbinary_svt():
             c=rng.randrange(r),
         )
         oracle = compute(spec, "extended", "oracle")
-        assert theorem1_extended(spec).poly == oracle.poly
+        assert compute(spec, "extended", "theorem1").poly == oracle.poly
 
 
 #: (family, small parameters, whether a closed form applies at kinds
@@ -2140,15 +2140,112 @@ def test_linear_congruence_route_does_no_cyclotomic_arithmetic(family, params, m
 
 
 def test_route_choice_has_one_home():
-    # `compute` reads the congruences itself: no helper picks a closed form,
-    # and every spec below "extended" reaches the residue pass from one call
+    # every route is declared once, as a row of `_ROUTES`: no helper picks a
+    # closed form, and no function of the package calls a runner itself
     tree = ast.parse(inspect.getsource(enumerators))
     functions = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)]
     assert "_closed_form" not in {func.name for func in functions}
-    callers = [
-        func.name
-        for func in functions
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_residue_pass"
-    ]
-    assert callers == ["compute"]
+    runners = {run.__name__ for *_, run in enumerators._ROUTES}
+    table = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["_ROUTES"]
+    )
+    named = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in runners)
+    in_table = Counter(node.id for node in ast.walk(table) if isinstance(node, ast.Name) and node.id in runners)
+    assert named == in_table
+
+
+def _rows_agree_with_the_oracle(spec) -> set:
+    """Run each row of the route table that admits the spec, alone, at every
+    kind it declares: it answers as the oracle does, bit for bit, labelled
+    by its row.  The indices of the rows run."""
+    expected = {kind: compute(spec, kind, "oracle") for kind in (*KINDS, "cardinality")}
+    ran = set()
+    for index, row in enumerate(enumerators._ROUTES):
+        label, methods, kinds, admits, _ = row
+        if not admits(spec):
+            continue
+        ran.add(index)
+        with mock.patch.object(enumerators, "_ROUTES", (row,)):
+            for kind in kinds:
+                got = compute(spec, kind, methods[0])
+                if kind == "cardinality":
+                    assert got == expected[kind], (label, kind)
+                    continue
+                want = expected[kind].poly
+                assert (got.kind, got.method, got.poly.variables, got.poly) == (kind, label, want.variables, want)
+    return ran
+
+
+@st.composite
+def descent_sum_specs(draw):
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    a1, a2 = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1))
+    return make_family("tenengolts", n=n, r=r, a1=a1, a2=a2, variant=draw(st.sampled_from([">", ">=", "<", "<="])))
+
+
+@given(theorem1_specs() | descent_sum_specs())
+def test_every_route_that_admits_a_spec_matches_the_oracle(spec):
+    _rows_agree_with_the_oracle(spec)
+
+
+def test_route_cases_run_every_route():
+    # a new route is checked by adding its row: each row admits one of them
+    ran = set()
+    for family, params, _ in ROUTE_CASES:
+        ran |= _rows_agree_with_the_oracle(make_family(family, **params))
+    assert ran == set(range(len(enumerators._ROUTES)))
+
+
+def _spied_routes():
+    """A patch of `_ROUTES` whose runners record their names as they are
+    run, one spy per runner, and the record."""
+    calls, spies = [], {}
+    for *_, run in enumerators._ROUTES:
+
+        def spy(*args, run=run):
+            calls.append(run.__name__)
+            return run(*args)
+
+        spies.setdefault(run, spy)
+    routes = tuple((*row[:-1], spies[row[-1]]) for row in enumerators._ROUTES)
+    return mock.patch.object(enumerators, "_ROUTES", routes), calls
+
+
+def test_a_refused_runner_is_not_run_again():
+    # binary_vt n=8 at "hamming": the residue pass's bound of 81 terms is
+    # past 27, theorem 1 fits it.  Its closed-form row is refused, its
+    # transfer row not run, and theorem 1 answers
+    spec = make_family("binary_vt", n=8, a=0)
+    with pytest.raises(BudgetExceededError, match="residue transfer pass"):
+        enumerators._residue_pass(spec, "hamming", 27)
+    patch, calls = _spied_routes()
+    with patch:
+        got = compute(spec, "hamming", budget=27)
+    assert calls == ["_residue_pass", "_theorem1"]
+    assert got.method == "character_sum" and got.poly == compute(spec, "hamming", "oracle").poly
+    # "closed" selects no theorem 1 row: its one refusal is raised
+    patch, calls = _spied_routes()
+    with patch, pytest.raises(BudgetExceededError, match="residue transfer pass"):
+        compute(spec, "hamming", "closed", 27)
+    assert calls == ["_residue_pass"]
+
+
+def test_every_refusal_raises_the_first():
+    # a descent/sum code past the budget: the divisor sum, the residue pass
+    # and theorem 1 each refuse it, once, and the divisor sum's refusal is
+    # raised, at r = 1 too, where theorem 1 holds one state per position
+    for r in (3, 1):
+        spec = make_family("tenengolts", n=5000, r=r, a1=0, a2=0)
+        patch, calls = _spied_routes()
+        with patch, pytest.raises(BudgetExceededError, match="^descent/sum divisor sum over 5000 positions"):
+            compute(spec, "cardinality", budget=1000)
+        assert calls == ["_divisor_sums", "_residue_pass", "_theorem1"]
+
+
+def test_methods_are_read_off_the_routes():
+    assert METHODS == ("auto", "closed", "theorem1", "oracle")
+    assert set(METHODS) == {method for row in enumerators._ROUTES for method in row[1]}
+    with pytest.raises(ValueError, match="^unknown method 'fast', choose one of auto, closed, theorem1, oracle$"):
+        compute(make_family("binary_vt", n=3), "hamming", "fast")

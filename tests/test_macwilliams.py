@@ -13,7 +13,7 @@ import ntcodes
 import ntcodes.enumerators
 import ntcodes.macwilliams
 from ntcodes.codes import make_family, type_vector
-from ntcodes.enumerators import specialize, theorem1_extended, w_variables
+from ntcodes.enumerators import compute, specialize, w_variables
 from ntcodes.exactalg import MultiPoly
 from ntcodes.macwilliams import (
     _dual_at_characters,
@@ -117,7 +117,7 @@ def test_consistency_with_character_sum_complete_enumerator():
     for _ in range(6):
         code = random_full_rank_code(rng, max_r=4, max_n=5, max_s=2)
         spec = make_family("linear_code", r=code.r, rows=list(code.matrix))
-        complete = specialize(theorem1_extended(spec), "complete")
+        complete = specialize(compute(spec, "extended", "theorem1"), "complete")
         assert complete.poly == complete_weight_enumerator(code.code, code.r)
 
 
