@@ -346,13 +346,18 @@ def _splits(spec: CodeSpec) -> bool:
     return spec.n >= 2 and all(c.stat.kind != "custom" for c in spec.constraints)
 
 
-def _words(spec: CodeSpec):
+def _words(spec: CodeSpec, valued: bool = False):
     """The codewords of the spec in lexicographic order, from the split
-    scan, or from every word filtered by the membership test."""
+    scan, or from every word filtered by the membership test; with
+    `valued`, each as (word, its statistics' values)."""
     if _splits(spec):
-        return _split_words(spec, _split_scan(spec))
+        return _split_words(spec, _split_scan(spec), valued)
     test = _membership_test(spec)
-    return (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
+    words = (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
+    if not valued:
+        return words
+    values = [statistic_evaluator(c.stat, spec.n) for c in spec.constraints]
+    return ((word, tuple([value(word) for value in values])) for word in words)
 
 
 def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
@@ -394,7 +399,7 @@ def tally_codewords(spec: CodeSpec, kind: str, budget: int | None = None):
     evaluated from their definitions (`_word_tally`)."""
     _check_scan(spec, budget)
     if not _splits(spec) or any(c.stat.form.reads for c in spec.constraints):
-        return _word_tally(_words(spec), spec, kind)
+        return _word_tally(_words(spec, kind == "extended"), spec, kind)
     place, strides, radices, lows = _packing(spec, kind)
     tally: dict = {}
     get = tally.get
@@ -409,7 +414,8 @@ def tally_codewords(spec: CodeSpec, kind: str, budget: int | None = None):
 
 def _word_tally(words, spec: CodeSpec, kind: str):
     """`tally_codewords` over codewords built in full: each keyed from its
-    symbols, and at "extended" from its statistics evaluated on it."""
+    symbols, and at "extended", where `words` gives (word, its statistics'
+    values) pairs, from those values."""
     n, r = spec.n, spec.r
     if kind == "cardinality":
         return sum(1 for _ in words)
@@ -418,8 +424,7 @@ def _word_tally(words, spec: CodeSpec, kind: str):
         return {(n - z,): count for z, count in zeros.items()}
     if kind == "complete":
         return Counter(map(type_vector, words, itertools.repeat(r)))
-    values = [statistic_evaluator(c.stat, n) for c in spec.constraints]
-    return Counter(tuple([value(word) for value in values]) + type_vector(word, r) for word in words)
+    return Counter(values + type_vector(word, r) for word, values in words)
 
 
 def _packing(spec: CodeSpec, kind: str):
@@ -538,16 +543,31 @@ def _part_sums(rows) -> list:
     return sums
 
 
-def _split_words(spec: CodeSpec, scan):
+def _split_words(spec: CodeSpec, scan, valued: bool = False):
     """The codewords of the split scan `scan`, each built from its prefix
     and suffix; each congruence whose statistic reads the previous symbol
-    rechecks every word by evaluating the statistic on it in full."""
-    reading = tuple(c for c in spec.constraints if c.stat.form.reads)
+    rechecks every word by evaluating the statistic on it in full.  With
+    `valued`, each comes as (word, its statistics' values), each statistic
+    evaluated once a word: a recheck compares the value it yields."""
+    n, cons = spec.n, spec.constraints
+    if valued:
+        values = [statistic_evaluator(c.stat, n) for c in cons]
+        checks = [(i, c.m, c.a) for i, c in enumerate(cons) if c.stat.form.reads]
+        for head, _, tails in scan:
+            for tail in tails:
+                word = head + tail
+                found = tuple([value(word) for value in values])
+                for i, m, a in checks:
+                    if found[i] % m != a:
+                        raise IntegralityError(f"split scan matched the non-codeword {word}")
+                yield word, found
+        return
+    reading = tuple(c for c in cons if c.stat.form.reads)
     if not reading:
         for head, _, tails in scan:
             yield from map(head.__add__, tails)
         return
-    test = _membership_test(CodeSpec(spec.n, spec.r, reading))
+    test = _membership_test(CodeSpec(n, spec.r, reading))
     for head, _, tails in scan:
         for tail in tails:
             word = head + tail

@@ -37,18 +37,16 @@ and `compute` sends it to the oracle; its full space is the oracle's
 tally at moduli 1.
 
 The passes read n, r, the statistics and k, never a modulus or a
-residue.  So theorem 1 keeps the halves its passes return in `_PASSES`,
-one least recently used map keyed by (n, r, statistics, k), each half's
-terms grouped by their residues mod the moduli of the last join
-(`_grouped`).  A later code over the same statistics pays only the join,
-one lookup per left class, and the read at its kind; at other moduli the
-entry is grouped again first, in place.  The single pass is the entry at
-k = n, whose right half is the empty word, built like every entry from
-position 0: `full_space_enumerator` and theorem 1's one fallback share
-it.  Every budget check runs before the lookup, so a refusal reads the
-same either way, and each entry's halves are checked once for a negative
-count, when they are built.  The map holds at most `_PASSES_SIZE` terms;
-an entry larger than that is not kept.
+residue.  So theorem 1 keeps the halves its passes return under (n, r,
+statistics, k), each half's terms grouped by their residues mod the
+moduli of the last join (`_grouped`).  A later code over the same
+statistics pays only the join, one lookup per left class, and the read
+at its kind; at other moduli the entry is grouped again first, in place.
+The single pass is the entry at k = n, whose right half is the empty
+word, built like every entry from position 0: `full_space_enumerator`
+and theorem 1's one fallback share it.  Every budget check runs before
+the lookup, so a refusal reads the same either way, and each entry's
+halves are checked once for a negative count, when they are built.
 
 The residue pass (`_residue_pass`) counts the code itself, keyed by the
 statistics' residues, in the keyed or the cyclic layout that
@@ -58,12 +56,14 @@ congruence, and answers every spec without a closed form below kind
 "extended"; where it is refused, "auto" asks theorem 1 (`_ROUTES`).
 Its pass counts every residue class and reads n, r, the statistics, the
 moduli, the kind and the budget in force, never a residue.  So it keeps
-its final states in `_RESIDUE_PASSES`, a second least recently used map
-keyed by those, and a later request over the same congruences at other
-residues pays only the read-out at its own (`_residue_read`).  Only a
-pass whose checks passed is kept, so a refusal reads the same either
-way.  That map holds at most `_RESIDUE_PASSES_BYTES` bytes of counts;
-`_keep` evicts from both maps.
+its final states under those, and a later request over the same
+congruences at other residues pays only the read-out at its own
+(`_residue_read`).  Only a pass whose checks passed is kept, so a refusal
+reads the same either way.
+
+Both passes key their terms as one `_PackedSpace` describes, whose one
+`decode` reads every packed key, and keep their entries in one least
+recently used map, `_PASSES`, of at most `_PASSES_BYTES` bytes (`_keep`).
 """
 
 from __future__ import annotations
@@ -284,15 +284,16 @@ def _transfer(n: int, r: int, digits, unit, shifts, span: int):
 
 
 class _PackedSpace:
-    """The layout of a packed full-space enumerator: one mixed-radix
-    integer key per term.
+    """The one description of packed keys: one mixed-radix integer key per
+    term, and its one decoder, `decode`.
 
     Exponent i (of `variables`) is digit i of the key, of radix
     `radices[i]` and place value `strides[i]`, the product of the radices
-    before it: one digit per statistic, then one per tau_x.  Each radix is
-    1 + the largest value its exponent can take, so no digit carries into
-    the next and `unpack` reads the exponents back, `read` the terms at
-    any kind."""
+    before it.  Theorem 1's exact pass keys one digit per statistic, then
+    one per tau_x; the residue pass one per residue, then tau_0..tau_(r-1),
+    or tau_0 alone; the MacWilliams right side tau alone.
+    No digit carries into the next, so `decode` reads the digits back and
+    `read` the terms at any kind."""
 
     __slots__ = ("variables", "radices", "strides")
 
@@ -301,38 +302,39 @@ class _PackedSpace:
         self.radices = tuple(radices)
         self.strides = tuple(itertools.accumulate(self.radices[:-1], operator.mul, initial=1))
 
-    def pack(self, exps) -> int:
-        return sum(map(operator.mul, exps, self.strides))
-
-    def unpack(self, key: int) -> tuple:
-        """The exponents of a key; anything left past the last digit means
-        a digit carried, and raises IntegralityError."""
-        exps = []
-        for radix in self.radices:
-            key, digit = divmod(key, radix)
-            exps.append(digit)
-        if key:
-            raise IntegralityError(f"packed key carries {count_text(key)} past its last digit")
-        return tuple(exps)
+    def decode(self, keys, start: int = 0) -> list:
+        """The digits start.. of each of `keys`, a tuple per key, each key
+        given as key // strides[start]: one divmod loop per key.  Anything
+        left past the last digit means a digit carried, and raises
+        IntegralityError."""
+        radices, decoded = self.radices[start:], []
+        for key in keys:
+            digits = []
+            for radix in radices:
+                key, digit = divmod(key, radix)
+                digits.append(digit)
+            if key:
+                raise IntegralityError(f"packed key carries {count_text(key)} past its last digit")
+            decoded.append(tuple(digits))
+        return decoded
 
     def read(self, terms: dict, kind: str):
         """The {key: count} terms as the polynomial of `kind`, or their
         number of words at "cardinality", the sum of the counts: "extended"
-        unpacks every digit; "complete" reads the type vector tau, the
-        digits of key // its stride, and "hamming" the weight n - tau_0.
-        Counts of equal images add up, as `specialize` adds them."""
+        decodes every digit; "complete" reads the type vector tau, the
+        digits of key // the stride of w0, and "hamming" the weight
+        n - tau_0.  Counts of equal images add up, as `specialize` adds them."""
         if kind == "cardinality":
             return sum(terms.values())
         if kind == "extended":
-            return MultiPoly(self.variables, {self.unpack(key): count for key, count in terms.items()})
+            return MultiPoly(self.variables, dict(zip(self.decode(terms), terms.values())))
         s = self.variables.index("w0")
         stride, taus = self.strides[s], {}
         for key, count in terms.items():
             taus[key // stride] = taus.get(key // stride, 0) + count
-        images: dict = {}
-        for tau, count in taus.items():
-            exps = self.unpack(tau * stride)[s:]
-            image = exps if kind == "complete" else (self.radices[s] - 1 - exps[0],)
+        top, images = self.radices[s] - 1, {}
+        for exps, count in zip(self.decode(taus, s), taus.values()):
+            image = exps if kind == "complete" else (top - exps[0],)
             images[image] = images.get(image, 0) + count
         return MultiPoly(self.variables[s:] if kind == "complete" else ("w",), images)
 
@@ -454,32 +456,42 @@ def _grouped(space: _PackedSpace, moduli: tuple, starts) -> dict:
     return {c: tuple(group) for c, group in classes.items()}
 
 
-#: theorem 1's exact passes by all they read, least recently used first:
-#: (n, r, statistics, k) -> (size, space, moduli, left, right), the left
-#: half's terms and the right halves' of every start symbol, grouped by
-#: start and statistic residues mod `moduli` (`_grouped`), `size` the terms
-#: they hold.
+#: every transfer pass kept, by all it reads, least recently used first,
+#: each entry led by its size (`_keep`): theorem 1's halves (`_passes`)
+#: under (n, r, statistics, k) and the residue pass's final states
+#: (`_residue_pass`) under (n, r, statistics, moduli, kind, budget in
+#: force), keys of four and of six fields, so never equal.
 #: A plain dict in insertion order: iterating an OrderedDict's values hashes
 #: every key again, each statistic by a Python-level __hash__
 _PASSES: dict = {}
 
-#: the most terms that _PASSES holds in all
-_PASSES_SIZE = 1 << 13
+#: the most bytes, by `_keep`'s estimate, that _PASSES holds in all.  On the
+#: `brute-force` benchmark 512 KiB rebuilt about as many theorem-1 entries as
+#: a cap of 8192 terms on them alone, at 1.5% more peak RSS; 256 KiB matched
+#: that RSS with 39% more builds.  `closed-forms` and `theorem1` rebuild
+#: nothing at either
+_PASSES_BYTES = 1 << 19
 
+def _keep(key, states, *value) -> tuple:
+    """The entry (size, *value), kept under `key` as the most recently used
+    entry of _PASSES, `size` the bytes charged for the {key: count} dicts
+    `states`: 64 a term besides each count's own.  The least recently used
+    are dropped until the sizes add up to at most _PASSES_BYTES; an entry
+    larger than that on its own is not kept, and drops none.
 
-def _keep(store: dict, key, entry: tuple, cap: int) -> None:
-    """Keep `entry` under `key` as the most recently used entry of `store`,
-    a plain dict in least recently used order whose entries each lead with
-    their size: the least recently used are dropped until the sizes add up
-    to at most `cap`.  An entry larger than `cap` on its own is not kept,
-    and drops none."""
-    size = entry[0]
-    if size > cap:
-        return
-    total = size + sum(held[0] for held in store.values())
-    while total > cap:
-        total -= store.pop(next(iter(store)))[0]
-    store[key] = entry
+    With its dicts, tuples and int objects an entry measured 1.1 to 4.5
+    times its size (`sys.getsizeof` summed over them, Python 3.11, each
+    benchmark workload's entries at one seed): theorem 1's grouped halves
+    1.8 to 4.5 times, the residue pass's states 1.1 to 3.2 times.  So the
+    map's resident size stays under about 4.5 times _PASSES_BYTES."""
+    size = 64 * sum(map(len, states)) + sum(sum(map(int.bit_length, terms.values())) for terms in states) // 8
+    entry = (size, *value)
+    if size <= _PASSES_BYTES:
+        total = size + sum(held[0] for held in _PASSES.values())
+        while total > _PASSES_BYTES:
+            total -= _PASSES.pop(next(iter(_PASSES)))[0]
+        _PASSES[key] = entry
+    return entry
 
 
 def _passes(n: int, r: int, stats, k: int, moduli: tuple):
@@ -488,16 +500,14 @@ def _passes(n: int, r: int, stats, k: int, moduli: tuple):
     the left half's states over positions 0..k-1 from the empty word and
     the right halves' over k..n-1, one per start symbol, their terms
     grouped by start and statistic residues mod `moduli` (`_grouped`), and
-    the number of terms they hold.  Every entry is built so; at k = n the left
-    half is the single pass and the right half is the empty word.  A new
-    entry's states are checked for a negative count before they are
-    grouped: IntegralityError, with the term's exponents.  A hit at the
-    entry's moduli groups nothing and only becomes the most recently used
-    entry; at other moduli the entry's terms are grouped again and that
-    entry replaces it, the most recently used.  No stored term is ever
-    changed.  A new entry drops the least recently used until the sizes
-    add up to at most _PASSES_SIZE; one larger than that on its own is not
-    kept."""
+    their size.  Every entry is built so; at k = n the left half is the
+    single pass and the right half is the empty word.  A new entry's states
+    are checked for a negative count before they are grouped:
+    IntegralityError, with the term's exponents.  A hit at the entry's
+    moduli groups nothing and only becomes the most recently used entry; at
+    other moduli the entry's terms are grouped again and that entry
+    replaces it, the most recently used.  No stored term is ever changed.
+    A new entry is kept by `_keep`."""
     key = (n, r, tuple(stats), k)
     entry = _PASSES.pop(key, None)
     if entry is not None:
@@ -515,12 +525,9 @@ def _passes(n: int, r: int, stats, k: int, moduli: tuple):
     for terms in states:
         if min(terms.values(), default=0) < 0:
             term, coeff = next((term, coeff) for term, coeff in terms.items() if coeff < 0)
-            raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.unpack(term)}")
-    size = sum(map(len, states))
+            raise IntegralityError(f"negative full-space coefficient {count_text(coeff)} for {space.decode([term])[0]}")
     starts = (((0 if p is None else p + 1, terms.items()) for p, terms in half.items()) for half in (left, right))
-    entry = (size, space, moduli, *(_grouped(space, moduli, half) for half in starts))
-    _keep(_PASSES, key, entry, _PASSES_SIZE)
-    return entry
+    return _keep(key, states, space, moduli, *(_grouped(space, moduli, half) for half in starts))
 
 
 def _theorem1_terms(n: int, r: int, cons, budget: int | None, k: int):
@@ -604,40 +611,24 @@ def _digit_congruence(n: int, r: int, cons, kind: str, digits, keyed: int, budge
     return None
 
 
-#: the residue pass's final states by all its checks and the pass read,
-#: least recently used first: (n, r, statistics, moduli, kind, budget in
-#: force) -> (size, states, strides, head, star, width, digit bytes, packed
-#: axes, keyed axes), never the residues a_i, and `size` an estimate of
-#: the bytes its counts hold: 64 per term besides each count's own.  With
-#: its dicts and int objects an entry measured 1.2 to 2.3 times that
-#: (`sys.getsizeof`, Python 3.11), so the map's resident size stays under
-#: about 2.3 times _RESIDUE_PASSES_BYTES.  A plain dict in insertion order,
-#: as _PASSES
-_RESIDUE_PASSES: dict = {}
-
-#: the most bytes that _RESIDUE_PASSES holds in all: 64 KiB keeps every
-#: repeat of the `closed-forms` benchmark (entries of at most 17 KB), and
-#: raised the `brute-force` one's peak RSS by under 1%
-_RESIDUE_PASSES_BYTES = 1 << 16
-
-
 def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     """The spec's enumerator polynomial of kind "complete" or "hamming", or
     its cardinality, from the `_transfer` pass over the statistics' residues
     mod m_i (built-in statistics, any integer weights), read at the code's
-    residues a_i (`_residue_read`).  A state's key is
-    one integer: a residue digit of radix 2 m_i per keyed residue, then any
-    keyed tau_x or Hamming weight, of radix n + 1, exact digits that never
-    wrap.
+    residues a_i (`_residue_read`).  A state's key is one integer, laid out
+    by a `_PackedSpace`: a residue digit of radix 2 m_i per keyed residue,
+    of radix 1 for the cyclic one, then any keyed type vector,
+    tau_0..tau_(r-1), or tau_0 alone at "hamming", of radix n + 1, exact
+    digits that never wrap.
 
     Keyed layout: every residue is in the keys, and the Hamming weight, or
-    tau with tau_x at digit (n+1)^(x-1), is packed into each count as
+    tau_1.. with tau_x at digit (n+1)^(x-1), is packed into each count as
     Kronecker digits bit_length(r^n) rounded up to bytes wide, or tau
     stays in the keys.  Cyclic layout: the residues mod m* are the m*
     cyclic digits of each count, each bit_length(r^n) wide, and the keys
-    keep the other residues, the last symbol and the Hamming weight or
-    tau.  A symbol of increment k rotates the count by k digits, folded
-    back once per position; the code's count is digit a*.  No digit
+    keep the other residues, the last symbol and tau, or tau_0 at
+    "hamming".  A symbol of increment k rotates the count by k digits,
+    folded back once per position; the code's count is digit a*.  No digit
     carries: a state's counts are non-negative and sum to at most r^n.
     `_digit_congruence` picks the layout.
 
@@ -650,37 +641,34 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     times the bound of tau in the keys, tau stays in the keys, and that
     bound is the keyed layout's states.  Then the n positions, the n r
     symbol steps, and the increment tables and, at "complete", the places
-    of the r - 1 tau digits (`_check_tables`) are checked against the
-    budget.
+    of the r tau digits (`_check_tables`) are checked against the budget.
 
     The pass and every check above read n, r, the statistics, the moduli,
     the kind and the budget in force, never a residue.  So its final
-    states and the layout the read-out needs are kept in
-    `_RESIDUE_PASSES` under those, and a later request over the same
-    congruences at other residues skips the checks, the layout choice,
-    the increment tables and the pass, and pays only the read-out.  A
-    refused request keeps nothing, so a hit has passed the very checks a
-    miss would run.  A new entry drops the least recently used until the
-    entries' bytes add up to at most _RESIDUE_PASSES_BYTES; one larger
-    than that on its own is not kept."""
+    states and the layout the read-out needs are kept in `_PASSES` under
+    those, and a later request over the same congruences at other residues
+    skips the checks, the layout choice, the increment tables and the pass,
+    and pays only the read-out.  A refused request keeps nothing, so a hit
+    has passed the very checks a miss would run.  A new entry is kept by
+    `_keep`."""
     n, r, cons = spec.n, spec.r, spec.constraints
     key = (n, r, tuple(c.stat for c in cons), tuple(c.m for c in cons), kind, budget_limit(budget))
-    entry = _RESIDUE_PASSES.pop(key, None)
+    entry = _PASSES.pop(key, None)
     if entry is not None:
-        _RESIDUE_PASSES[key] = entry
+        _PASSES[key] = entry
         return _residue_read(spec, kind, entry)
     held = [(c.stat, c.m) for c in cons] + [(None, r)] * _reads_previous(c.stat for c in cons)
-    axes, tail = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
+    axes, taus = int(kind == "hamming"), 0  # digit axes packed; tau digits in the keys
     keyed = _states(r, n, held, False)  # the keyed layout's states
     held += [(None, n + 1)] * axes
     bound = _states(r, n, held, kind == "complete")
     if kind == "complete":
         limit = min(_PACKED_EXCESS * bound, budget_limit(budget))
         packed = keyed * capped_power(n + 1, r - 1, limit + 1)
-        if packed <= limit:
+        if packed <= limit and r > 1:  # at r = 1 the one tau digit, tau_0 = n, is keyed
             axes, bound = r - 1, packed
         else:
-            tail, keyed = r - 1, bound
+            taus, keyed = r, bound
     check_budget(bound, budget, f"residue transfer pass of up to {count_text(bound)} terms")
     # one step per position, and a weight vector of n entries: a bound of few
     # keys still refuses a length past the budget before r^n or the weights;
@@ -688,75 +676,58 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
     check_budget(n, budget, f"residue transfer pass over {count_text(n)} positions")
     check_budget(n * r, budget, f"residue transfer pass of {count_text(n * r)} symbol steps")
     star = _digit_congruence(n, r, cons, kind, held, keyed, budget)
-    _check_tables(r, [c.stat for c in cons], (r - 1) * (kind == "complete"), budget)
+    _check_tables(r, [c.stat for c in cons], r * (kind == "complete"), budget)
     bits = (r**n).bit_length()
-    size = -(-bits // 8)
-    width, span = 8 * size, 0  # keyed: Kronecker digits of whole bytes, sliced below
+    cell = -(-bits // 8)
+    width, span = 8 * cell, 0  # keyed: Kronecker digits of whole bytes, sliced below
     if star is not None:
-        # m* cyclic digits per count, each bit_length(r^n) wide; the Hamming weight or tau keyed
-        width, span, axes, tail = bits, cons[star].m * bits, 0, axes + tail
-    # the keyed residues' digits below `head`, the keyed tau_x or Hamming weight above
-    digits, head = [], 1
-    for i, c in enumerate(cons):
-        digits.append((c.stat, c.m, 0, width) if i == star else (c.stat, c.m, head, 0))
-        head *= 1 if i == star else 2 * c.m
-    # digit place of each symbol: tau_x's, the Hamming weight's 1, or none
-    places = [(n + 1) ** (x - 1) if kind == "complete" else int(kind == "hamming") for x in range(1, r)]
+        # m* cyclic digits per count, each bit_length(r^n) wide; tau, or tau_0, keyed
+        width, span, axes, taus = bits, cons[star].m * bits, 0, r if kind == "complete" else axes
+    # one digit per residue, m*'s of radix 1, always 0; then any keyed tau
+    radices = [1 if i == star else 2 * c.m for i, c in enumerate(cons)] + [n + 1] * taus
+    space = _PackedSpace(z_variables(len(cons)) + w_variables(taus), radices)
+    digits = [(c.stat, c.m, 0, width) if i == star else (c.stat, c.m, space.strides[i], 0) for i, c in enumerate(cons)]
+    # symbol x adds tau_x's stride where tau_x is keyed, and shifts by the
+    # digit place of its packed tau_x or Hamming weight
+    places = [(n + 1) ** (x - 1) if kind == "complete" else 1 for x in range(1, r)]
     shifts = [0] + [width * place if axes else 0 for place in places]
-    unit = [0] + [head * place if tail else 0 for place in places]
-    states = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})
-    layout = (states, [d[2] for d in digits], head, star, width, size, axes, tail)
-    nbytes = 64 * sum(map(len, states.values()))
-    if nbytes <= _RESIDUE_PASSES_BYTES:  # else too large to keep, whatever its counts' bit lengths
-        nbytes += sum(sum(map(int.bit_length, terms.values())) // 8 for terms in states.values())
-        _keep(_RESIDUE_PASSES, key, (nbytes, *layout), _RESIDUE_PASSES_BYTES)
-    return _residue_read(spec, kind, (nbytes, *layout))
+    unit = [*space.strides[len(cons) :], *[0] * (r - taus)]
+    terms = _transfer(n, r, digits, unit, shifts, span)(range(n), {None: {0: 1}})[None]
+    return _residue_read(spec, kind, _keep(key, [terms], terms, space, star, width, cell, axes))
 
 
 def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
     """The read-out of a residue pass's entry (`_residue_pass`) at the
-    spec's residues a_i: the counts of the keys whose residue digits below
-    `head`, at `strides`, are the a_i, in the cyclic layout only their
-    digit a* of `width` bits, added up by the keyed tau or Hamming weight
-    above `head`, whose digits are then read off all kept keys at once;
-    then the `axes` packed digits of `size` bytes each.  It reads the
-    entry's states and never writes them."""
+    spec's residues a_i: the counts of the keys whose residue digits are
+    the a_i, in the cyclic layout only their digit a* of `width` bits, by
+    the digits above the residues, which `decode` reads: tau_0..tau_(r-1),
+    or tau_0, or none where the counts pack `axes` digits of `cell` bytes
+    each, which are sliced out of their one count.  It reads the entry's
+    terms and never writes them."""
     n, cons = spec.n, spec.constraints
-    _, states, strides, head, star, width, size, axes, tail = entry
-    target = sum(c.a * stride for c, stride in zip(cons, strides))
+    _, terms, space, star, width, cell, axes = entry
+    head = prod(space.radices[: len(cons)])
+    # each residue a_i at its digit; m*'s digit, of radix 1, reads 0
+    target = sum(c.a % radix * stride for c, radix, stride in zip(cons, space.radices, space.strides))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
-    kept: dict = {}  # the counts by their keyed tau or Hamming weight, the digits above `head`
-    for terms in states.values():
-        for key, count in terms.items():
-            if key % head == target:
-                above = key // head
-                kept[above] = kept.get(above, 0) + (count >> offset & digit)
+    kept = {key // head: count >> offset & digit for key, count in terms.items() if key % head == target}
     if kind == "cardinality":
         return sum(kept.values())
-    top = (n + 1) ** tail
-    if max(kept, default=0) >= top:
-        raise IntegralityError(f"packed key carries {count_text(max(kept) // top)} past its last digit")
-
-    def image(exps):  # tau_0 is what the other symbols leave of n
-        return (n - sum(exps), *exps) if kind == "complete" else exps
-
-    # the keyed digits, read off all keys at once: tau_1.. or the Hamming weight
-    digits = [[above // (n + 1) ** x % (n + 1) for above in kept] for x in range(tail)]
-    keyed = zip(zip(*digits) if digits else itertools.repeat(()), kept.values())
-    if not axes:
-        terms = {image(exps): count for exps, count in keyed if count}
-    else:
-        cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
-        for axis in range(axes):
-            cells = [(i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))]
-        terms = {}
-        for front, packed in keyed:
-            raw = packed.to_bytes(size * (n + 1) ** axes, "little")
-            for i, exps in cells:
-                count = int.from_bytes(raw[i * size : (i + 1) * size], "little")
-                if count:
-                    terms[image(front + exps)] = count
-    return MultiPoly(_variables(spec, kind), terms)
+    taus = space.decode(kept, len(cons))
+    if not axes:  # tau keyed, or at "hamming" its zero count tau_0
+        images = taus if kind == "complete" else [(n - zeros,) for zeros, in taus]
+        return MultiPoly(_variables(spec, kind), dict(zip(images, kept.values())))
+    cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
+    for axis in range(axes):
+        cells = [(i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))]
+    polys = {}
+    for packed in kept.values():
+        raw = packed.to_bytes(cell * (n + 1) ** axes, "little")
+        for i, exps in cells:
+            count = int.from_bytes(raw[i * cell : (i + 1) * cell], "little")
+            if count:  # tau_0 is what the other symbols leave of n
+                polys[(n - sum(exps), *exps) if kind == "complete" else exps] = count
+    return MultiPoly(_variables(spec, kind), polys)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
     v_0..v_(i-1) is shared by the whole group.  Each product by v_i is a
     pass of the one transfer kernel, `enumerators._transfer`, with no
     statistic: symbol k adds w_k's stride to the key of the w-exponents,
-    packed as by `_PackedSpace`, and rotates the group-ring element,
+    packed and decoded by `_PackedSpace`, and rotates the group-ring element,
     packed as the r cyclic digits of its count, by X^(ik).  Every
     coefficient is non-negative and all of them sum to sum(counts) * r^n,
     so no digit carries into the next."""
@@ -116,10 +116,10 @@ def _dual_at_characters(r: int, n: int, counts: dict) -> dict:
                 summed.append((tau, share, times_v(acc, i, t)))
                 acc = {}
         level = summed
-    digit = (1 << width) - 1
+    digit, summed = (1 << width) - 1, level[0][2]
     return {
-        space.unpack(key): tuple([vec >> p * width & digit for p in range(r)])
-        for key, vec in level[0][2].items()
+        exps: tuple([vec >> p * width & digit for p in range(r)])
+        for exps, vec in zip(space.decode(summed), summed.values())
     }
 
 

@@ -12,4 +12,3 @@ def forget_kept_passes():
     """Each test starts with no theorem 1 or residue pass kept from an
     earlier one."""
     enumerators._PASSES.clear()
-    enumerators._RESIDUE_PASSES.clear()

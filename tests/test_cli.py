@@ -671,11 +671,11 @@ LARGE_ALPHABET_LC = ("enum", "lc", "--n", "1", "--m", "2", "--r", "100000", "--h
             2**20 * (2**20 - 1) // 2,
         ),
         ((*LARGE_ALPHABET_LC, "extended"), 100000 * 99999 // 2),
-        ((*LARGE_ALPHABET_LC, "complete"), 99999 * 99998 // 2),
+        ((*LARGE_ALPHABET_LC, "complete"), 100000 * 99999 // 2),
     ],
 )
 def test_type_vector_strides_are_charged_before_they_are_built(capsys, monkeypatch, argv, digits):
-    # theorem 1 keys r tau digits and the residue pass r - 1 at "complete";
+    # theorem 1 and, at "complete", the residue pass key r tau digits;
     # tau_x's stride spans x digits, so their strides hold digits (digits - 1) / 2
     # digits, refused before either pass starts though the states fit the budget
     calls = []

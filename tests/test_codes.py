@@ -653,6 +653,11 @@ def test_split_scan_recheck_raises_integrality_error(monkeypatch, capsys):
     for kind in TALLY_KINDS:
         with pytest.raises(IntegralityError, match="non-codeword"):
             compute(spec, kind, "oracle")
+    # a statistic that reads the previous symbol alone: only the recheck of
+    # each whole word, at "extended" on the value the tally keys, can catch it
+    for kind in TALLY_KINDS:
+        with pytest.raises(IntegralityError, match="non-codeword"):
+            compute(CodeSpec(4, 3, ((GAMMA_GT, 4, 1),)), kind, "oracle")
     # two constraints: the multi-constraint recheck
     argv = ["tenengolts", "--n", "4", "--r", "3", "--a1", "0", "--a2", "0", "--method", "oracle"]
     for request in (["card", *argv], ["enum", *argv, "--kind", "hamming"]):
@@ -726,7 +731,8 @@ def test_lc_oracle_builds_no_word(monkeypatch):
 
 def test_tenengolts_oracle_evaluates_every_codeword_in_full(monkeypatch):
     # the descent statistic reads the previous symbol: its recheck and its
-    # value at "extended" still evaluate it on each whole codeword
+    # value at "extended" still evaluate it on each whole codeword, once a
+    # codeword: at "extended" the recheck's value is the one the tally keys
     spec = make_family("tenengolts", n=6, r=3, a1=2, a2=1)
     codewords = plain_scan(spec)
     evaluator, evaluated = ntcodes.codes.statistic_evaluator, []
@@ -744,8 +750,8 @@ def test_tenengolts_oracle_evaluates_every_codeword_in_full(monkeypatch):
     for kind in TALLY_KINDS:
         evaluated.clear()
         compute(spec, kind, "oracle")
-        assert {word for stat, word in evaluated if stat == "gamma_gt"} == set(codewords), kind
-        assert {word for stat, word in evaluated if stat == "sigma"} == (set(codewords) if kind == "extended" else set())
+        assert sorted(word for stat, word in evaluated if stat == "gamma_gt") == sorted(codewords), kind
+        assert sorted(word for stat, word in evaluated if stat == "sigma") == (sorted(codewords) if kind == "extended" else [])
 
 
 def test_codes_imports_nothing_from_enumerators():

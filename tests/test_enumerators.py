@@ -3,6 +3,7 @@ import contextlib
 import copy
 import inspect
 import itertools
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -298,11 +299,38 @@ def test_full_space_refuses_past_the_budget():
 def test_packed_key_round_trip_and_carry():
     space = _PackedSpace(("z1", "w0", "w1"), (3, 2, 2))
     assert space.strides == (1, 3, 6)
-    for exps in itertools.product(range(3), range(2), range(2)):
-        assert space.unpack(space.pack(exps)) == exps
+    exps = list(itertools.product(range(3), range(2), range(2)))
+    keys = [sum(map(operator.mul, e, space.strides)) for e in exps]
+    assert space.decode(keys) == exps
+    # from digit 1 on: each key given as key // strides[1]
+    assert space.decode([key // 3 for key in keys], 1) == [e[1:] for e in exps]
     # 3 * 2 * 2, the key of exponents (0, 0, 2), carries past the last digit
-    with pytest.raises(IntegralityError, match="past its last digit"):
-        space.unpack(space.pack((0, 0, 2)))
+    with pytest.raises(IntegralityError, match="^packed key carries 1 past its last digit$"):
+        space.decode([*keys, 12])
+
+
+@given(st.lists(st.integers(1, 40), max_size=8), st.data())
+def test_decode_matches_a_divmod_loop(radices, data):
+    # every key's digits from a start digit on, as a plain divmod loop reads
+    # them; a key with anything left past the last digit raises, naming it
+    space = _PackedSpace([f"x{i}" for i in range(len(radices))], radices)
+    start = data.draw(st.integers(0, len(radices)), label="start")
+    keys = data.draw(st.lists(st.integers(0, 3 * prod(radices[start:])), max_size=6), label="keys")
+
+    def reference(key):
+        digits = []
+        for radix in radices[start:]:
+            key, digit = divmod(key, radix)
+            digits.append(digit)
+        return tuple(digits), key
+
+    decoded = [reference(key) for key in keys]
+    carried = next((left for _, left in decoded if left), 0)
+    if carried:
+        with pytest.raises(IntegralityError, match=f"^packed key carries {carried} past its last digit$"):
+            space.decode(keys, start)
+    else:
+        assert space.decode(keys, start) == [digits for digits, _ in decoded]
 
 
 @pytest.mark.parametrize("r", range(1, 5))
@@ -413,7 +441,7 @@ def test_theorem1_rejects_negative_full_space_coefficient(monkeypatch):
         def run_negated(positions, states):
             out = run(positions, states)
             if positions == range(spec.n):
-                key = space.pack((0, 2, 0))
+                key = 2 * space.strides[1]
                 out[None][key] = -out[None][key]
             return out
 
@@ -1082,7 +1110,7 @@ def test_residue_pass_matches_theorem1_over_three_or_more_digit_axes(spec):
             mock.patch.object(enumerators, "_PACKED_EXCESS", excess),
             mock.patch.object(enumerators, "_digit_congruence", layout),
         ):
-            enumerators._RESIDUE_PASSES.clear()
+            enumerators._PASSES.clear()
             got = compute(spec, "complete")
         assert got.method == "transfer"
         assert got.poly.variables == expected.poly.variables
@@ -1208,11 +1236,18 @@ def test_kept_passes_refuse_as_fresh_ones(spec, warm, budget, refusal):
     assert not exact_pass.called and list(enumerators._PASSES) == kept
 
 
+def _bytes(counts) -> int:
+    """The bytes a kept entry of these counts is charged: 64 a term besides
+    each count's own."""
+    counts = list(counts)
+    return 64 * len(counts) + sum(map(int.bit_length, counts)) // 8
+
+
 def _sizes() -> dict:
     """The kept entries' sizes by key, least recently used first, each checked
-    to be the terms its passes hold."""
+    to be the bytes of the terms its passes hold."""
     for size, _, _, left, right in enumerators._PASSES.values():
-        assert size == sum(len(terms) for half in (left, right) for terms in half.values())
+        assert size == _bytes(count for half in (left, right) for terms in half.values() for _, count in terms)
     return {key: entry[0] for key, entry in enumerators._PASSES.items()}
 
 
@@ -1222,27 +1257,28 @@ def test_kept_passes_stay_within_their_bound(monkeypatch):
     for n in (8, 9):
         compute(make_family("levenshtein", n=n, m=3, a=0), "extended", "theorem1")
     (eight, size), (nine, more) = _sizes().items()
-    monkeypatch.setattr(enumerators, "_PASSES_SIZE", size + more)
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", size + more)
     compute(make_family("levenshtein", n=8, m=5, a=1), "extended", "theorem1")
     compute(make_family("levenshtein", n=7, m=3, a=0), "extended", "theorem1")
     kept = list(_sizes())
     assert len(kept) == 2 and kept[0] == eight and nine not in kept
     # an entry larger than the bound is not kept, and drops none; the size
-    # counts terms alone, so one of few terms over a wide alphabet is kept:
-    # at n = 1, the empty left half and the right half's 100 words
+    # counts terms and counts, so one of few terms over a wide alphabet is
+    # kept: at n = 1, the empty left half and the right half's 100 words,
+    # each of count 1
     before = _sizes()
     compute(make_family("levenshtein", n=24, m=3, a=0), "extended", "theorem1")
     assert _sizes() == before
-    monkeypatch.setattr(enumerators, "_PASSES_SIZE", 8192)
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 1 << 18)
     compute(make_family("tenengolts", n=1, r=100, a1=0, a2=0), "extended", "theorem1")
-    assert list(_sizes().values()) == [*before.values(), 101]
+    assert list(_sizes().values()) == [*before.values(), 64 * 101 + 101 // 8]
     # any sequence: the sizes never add up past the bound
-    monkeypatch.setattr(enumerators, "_PASSES_SIZE", 300)
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 20_000)
     enumerators._PASSES.clear()
     for n in range(1, 13):
         for family in (make_family("levenshtein", n=n, m=3, a=0), make_family("tenengolts", n=n, r=3, a1=0, a2=0)):
             compute(family, "extended", "theorem1")
-            assert sum(_sizes().values()) <= 300
+            assert sum(_sizes().values()) <= 20_000
 
 
 def test_mutating_an_answer_leaves_the_kept_passes_alone():
@@ -1273,14 +1309,15 @@ def test_theorem1_keeps_the_single_pass_where_the_join_overflows(monkeypatch):
 def test_the_single_pass_of_an_overflowing_join_is_the_full_space():
     # levenshtein n=24 m=7 a=0 overflows its join at k = 12 and keeps the
     # single pass, built from position 0, as the entry at k = n: the full
-    # space over omega is that entry and runs no pass, and the single
-    # pass's 2325 terms are held there alone, not under k = 12 as well
+    # space over omega is that entry and runs no pass, and the bytes of the
+    # single pass's 2325 terms are held there alone, not under k = 12 as well
     compute(make_family("levenshtein", n=24, m=7, a=0), "extended", "theorem1")
     with mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass:
         full = full_space_enumerator(24, 2, [OMEGA])
     assert not exact_pass.called
     sizes = {key[3]: entry[0] for key, entry in enumerators._PASSES.items()}
-    assert list(sizes) == [12, 24] and sizes[24] == len(full.terms) + 1 and sizes[12] < len(full.terms)
+    single = _bytes([*full.terms.values(), 1])  # and the empty right half's word
+    assert list(sizes) == [12, 24] and sizes[24] == single and sizes[12] < _bytes(full.terms.values())
 
 
 def test_the_single_pass_where_the_halves_do_not_fit_is_the_full_space():
@@ -1325,9 +1362,9 @@ def test_a_cold_overflowing_join_falls_back_to_the_single_pass(spec):
 def test_kept_passes_are_plain_terms():
     # split, overflowing, unsplit and full-space entries alike: each key is
     # (n, r, statistics, k), each value an immutable tuple of no callable,
-    # its size the terms it holds, and each term a (key, count) pair of
-    # integers in a tuple filed under the class number of its start and its
-    # statistic residues mod the entry's moduli
+    # its size the bytes of the terms it holds, and each term a (key,
+    # count) pair of integers in a tuple filed under the class number of its
+    # start and its statistic residues mod the entry's moduli
     compute(make_family("levenshtein", n=24, m=7, a=0), "extended", "theorem1")
     compute(CodeSpec(5, 6, ((DELTA, 3, 1),)), "extended", "theorem1", budget=1270)
     compute(make_family("tenengolts", n=6, r=3, a1=1, a2=2), "extended", "theorem1")
@@ -1399,19 +1436,23 @@ def test_residue_pass_keeps_tau_in_the_keys_where_packing_does_not_pay(n, r, key
 
 def test_residue_pass_decodes_keyed_type_vectors_without_unpack(monkeypatch):
     # r = 40, n = 2: 3^39 packed digits are past the budget, so tau stays in
-    # the keys, and the read-out decodes the 39 digits of radix n + 1 = 3 of
-    # each of the C(41, 2) type vectors itself, with no `_PackedSpace`
-    spec = lc(2, 7, 40, [1, 3], 2)
-    expected = compute(spec, "complete", "theorem1").poly
+    # the keys, and the read-out decodes the 40 digits of radix n + 1 = 3 of
+    # each of the C(41, 2) type vectors in one `decode` call, not one a key
+    spec, other = lc(2, 7, 40, [1, 3], 2), lc(2, 7, 40, [1, 3], 5)
+    expected = compute(spec, "complete", "theorem1").poly, compute(other, "complete", "oracle").poly
+    decode, calls = enumerators._PackedSpace.decode, []
 
-    def refuse(*_args):
-        raise AssertionError("the read-out built a packed space")
+    def spy(space, keys, start=0):
+        calls.append(len(keys))
+        return decode(space, keys, start)
 
-    monkeypatch.setattr(enumerators, "_PackedSpace", refuse)
-    enum = compute(spec, "complete")
-    assert (enum.method, enum.poly) == ("transfer", expected)
-    # a kept entry is read the same way at another residue
-    assert compute(lc(2, 7, 40, [1, 3], 5), "complete").poly == compute(lc(2, 7, 40, [1, 3], 5), "complete", "oracle").poly
+    monkeypatch.setattr(enumerators._PackedSpace, "decode", spy)
+    for code, poly in zip((spec, other), expected):
+        calls.clear()
+        enum = compute(code, "complete")
+        assert (enum.method, enum.poly) == ("transfer", poly)
+        # a kept entry is read the same way at another residue
+        assert calls == [comb(41, 2)]
 
 
 def _digit_congruences(monkeypatch) -> list:
@@ -1557,7 +1598,7 @@ def test_no_transfer_run_outgrows_its_states(spec):
 
             patch, runs = _stepped_runs()
             # each forced layout runs its own pass, none kept by an earlier one
-            enumerators._RESIDUE_PASSES.clear()
+            enumerators._PASSES.clear()
             with (
                 patch,
                 mock.patch.object(enumerators, "_digit_congruence", layout),
@@ -1632,9 +1673,9 @@ def test_kept_residue_pass_reads_as_a_fresh_one(spec, kind, layout, data):
     with patches[0], patches[1]:
         fresh = []
         for code in codes_at:
-            enumerators._RESIDUE_PASSES.clear()
+            enumerators._PASSES.clear()
             fresh.append(enumerators._residue_pass(code, kind, None))
-        enumerators._RESIDUE_PASSES.clear()
+        enumerators._PASSES.clear()
         passes, transfer = [], enumerators._transfer
 
         def copied(*args):
@@ -1644,11 +1685,11 @@ def test_kept_residue_pass_reads_as_a_fresh_one(spec, kind, layout, data):
 
         with mock.patch.object(enumerators, "_transfer", copied):
             enumerators._residue_pass(codes_at[-1], kind, None)
-        [(_, states, *_)] = enumerators._RESIDUE_PASSES.values()
+        [(_, terms, *_)] = enumerators._PASSES.values()
         with mock.patch.object(enumerators, "_transfer", wraps=transfer) as spy:
             warm = [enumerators._residue_pass(code, kind, None) for code in codes_at]
     assert not spy.called
-    assert warm == fresh and [states] == passes
+    assert warm == fresh and [{None: terms}] == passes
     for code, got in zip(codes_at, warm):
         expected = compute(code, kind, "oracle")
         assert got == (expected if kind == "cardinality" else expected.poly), name
@@ -1691,26 +1732,25 @@ def test_every_residue_from_one_kept_pass_adds_up_to_the_whole_space(spec, kind,
     assert dict(total) == _whole_space(n, r, kind)
 
 
-def _residue_entries() -> dict:
-    """The residue pass's kept entries' byte sizes by key, least recently
-    used first."""
-    return {key: entry[0] for key, entry in enumerators._RESIDUE_PASSES.items()}
+def _kept_bytes() -> dict:
+    """The kept entries' byte sizes by key, least recently used first."""
+    return {key: entry[0] for key, entry in enumerators._PASSES.items()}
 
 
 def test_kept_residue_pass_refuses_as_a_fresh_one(monkeypatch):
     # nonbinary_svt n=40 m=13 at "hamming": 41 * 234 = 9594 terms.  Entries
     # for its congruences at other residues and budgets are kept, none at
     # 9593, so the request there runs every check and is refused as cold
-    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 1 << 20)
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 1 << 20)
     spec = make_family("nonbinary_svt", n=40, r=3, m=13, a=0, b=0, c=0)
     refusal = "^residue transfer pass of up to 9594 terms exceeds the budget 9593$"
     with pytest.raises(BudgetExceededError, match=refusal):
         enumerators._residue_pass(spec, "hamming", 9593)
-    assert enumerators._RESIDUE_PASSES == {}
+    assert enumerators._PASSES == {}
     other = make_family("nonbinary_svt", n=40, r=3, m=13, a=5, b=1, c=2)
     for budget in (None, 9594, 10**5):
         enumerators._residue_pass(other, "hamming", budget)
-    kept = _residue_entries()
+    kept = _kept_bytes()
     assert [key[-1] for key in kept] == [10**7, 9594, 10**5]
     for code in (spec, other):
         with (
@@ -1718,7 +1758,7 @@ def test_kept_residue_pass_refuses_as_a_fresh_one(monkeypatch):
             pytest.raises(BudgetExceededError, match=refusal),
         ):
             enumerators._residue_pass(code, "hamming", 9593)
-        assert not transfer.called and _residue_entries() == kept
+        assert not transfer.called and _kept_bytes() == kept
 
 
 def test_kept_residue_pass_is_read_at_its_own_budget_only():
@@ -1731,7 +1771,7 @@ def test_kept_residue_pass_is_read_at_its_own_budget_only():
         assert not transfer.called
         assert enumerators._residue_pass(spec, "complete", 10**6) == expected
         assert transfer.call_count == 1
-    assert [key[-1] for key in _residue_entries()] == [10**7, 10**6]
+    assert [key[-1] for key in _kept_bytes()] == [10**7, 10**6]
 
 
 def test_a_residue_pass_hit_builds_no_table_and_runs_no_pass():
@@ -1753,24 +1793,66 @@ def test_kept_residue_passes_stay_within_their_bytes(monkeypatch):
     specs = [make_family("nonbinary_svt", n=n, r=3, m=7, a=0, b=0, c=0) for n in (7, 8, 6)]
     for spec in specs[:2]:
         enumerators._residue_pass(spec, "complete", None)
-    (seven, size), (eight, more) = _residue_entries().items()
-    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", size + more)
+    (seven, size), (eight, more) = _kept_bytes().items()
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", size + more)
     enumerators._residue_pass(_at(specs[0], (1, 1, 1)), "complete", None)
     enumerators._residue_pass(specs[2], "complete", None)
-    kept = _residue_entries()
+    kept = _kept_bytes()
     assert len(kept) == 2 and list(kept)[0] == seven and eight not in kept
     # an entry larger than the cap is not kept, and drops none, though it answers
-    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 1000)
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 1000)
     big = make_family("nonbinary_svt", n=9, r=3, m=7, a=0, b=0, c=0)
     assert enumerators._residue_pass(big, "complete", None) == compute(big, "complete", "oracle").poly
-    assert _residue_entries() == kept
+    assert _kept_bytes() == kept
     # any sequence: the bytes never add up past the cap
-    monkeypatch.setattr(enumerators, "_RESIDUE_PASSES_BYTES", 20_000)
-    enumerators._RESIDUE_PASSES.clear()
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 20_000)
+    enumerators._PASSES.clear()
     for n in range(1, 10):
         for kind in ("cardinality", "hamming", "complete"):
             enumerators._residue_pass(make_family("nonbinary_svt", n=n, r=3, m=7, a=0, b=0, c=0), kind, None)
-            assert sum(_residue_entries().values()) <= 20_000
+            assert sum(_kept_bytes().values()) <= 20_000
+
+
+def test_one_store_keeps_both_passes_within_its_bytes(monkeypatch):
+    # theorem 1's entries and the residue pass's share one map and one byte
+    # bound, least recently used out first, whichever pass built them
+    residue = make_family("nonbinary_svt", n=7, r=3, m=7, a=0, b=0, c=0)
+    compute(make_family("levenshtein", n=8, m=3, a=0), "extended", "theorem1")
+    enumerators._residue_pass(residue, "complete", None)
+    (theorem1, size), (first, more) = _kept_bytes().items()
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", size + more)
+    # a theorem-1 hit, then a residue entry of as many bytes, kept at another
+    # budget: the older residue entry goes
+    compute(make_family("levenshtein", n=8, m=5, a=1), "extended", "theorem1")
+    enumerators._residue_pass(residue, "complete", 10**6)
+    (kept, second) = _kept_bytes()
+    assert kept == theorem1 and first not in _kept_bytes()
+    # then a smaller theorem-1 entry: the older theorem-1 entry goes
+    compute(make_family("levenshtein", n=7, m=3, a=0), "extended", "theorem1")
+    (kept, third) = _kept_bytes()
+    assert kept == second and third[:2] == (7, 2)
+    # a request refused before its pass keeps nothing, in either pass
+    held = dict(enumerators._PASSES)
+    with pytest.raises(BudgetExceededError):
+        compute(make_family("levenshtein", n=12, m=3, a=0), "extended", "theorem1", 10)
+    with pytest.raises(BudgetExceededError):
+        enumerators._residue_pass(make_family("nonbinary_svt", n=12, r=3, m=7, a=0, b=0, c=0), "complete", 10)
+    assert enumerators._PASSES == held
+    # any mixed sequence: the bytes never add up past the bound
+    monkeypatch.setattr(enumerators, "_PASSES_BYTES", 20_000)
+    enumerators._PASSES.clear()
+    for n in range(1, 10):
+        compute(make_family("levenshtein", n=n, m=3, a=0), "extended", "theorem1")
+        assert sum(_kept_bytes().values()) <= 20_000
+        for kind in ("cardinality", "hamming", "complete"):
+            enumerators._residue_pass(make_family("nonbinary_svt", n=n, r=3, m=7, a=0, b=0, c=0), kind, None)
+            assert sum(_kept_bytes().values()) <= 20_000
+
+
+def test_carry_message_has_one_home():
+    # one decoder, `_PackedSpace.decode`, reads every packed key of the
+    # passes, so one carry check raises the one message
+    assert inspect.getsource(enumerators).count("past its last digit") == 1
 
 
 def test_tenengolts_hamming_paper_example():
