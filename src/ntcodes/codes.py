@@ -31,7 +31,9 @@ same way, the Hamming weight, the type vector or the values, so where
 no statistic reads the previous symbol a codeword costs O(1) and no
 word is built.  Words are built for `enumerate_codewords`, for
 statistics that read the previous symbol, and by the plain scan
-(custom statistics, n < 2).
+(custom statistics, n < 2), all on one path, `_words`, which tests each
+built word once (`_membership_test`) and evaluates each statistic on it
+at most once.
 """
 
 from __future__ import annotations
@@ -296,32 +298,28 @@ class CodeSpec(FrozenRecord):
         return len(self.constraints)
 
 
-def _membership_test(spec: CodeSpec) -> Callable:
-    """Whether a length-n word satisfies every congruence of the spec: one
-    closure per constraint evaluates the statistic from its definition and
-    compares its residue, and a spec of one constraint is tested by that
-    closure alone, so a word pays one call per constraint and no dispatch."""
-    checks = [_congruence_test(c, spec.n) for c in spec.constraints]
-    if len(checks) == 1:
-        return checks[0]
+def _membership_test(spec: CodeSpec, valued: bool = False) -> Callable:
+    """The test of a length-n word against every congruence of the spec,
+    one call a word: each statistic is evaluated from its definition
+    (`statistic_evaluator`) at most once, in the spec's order, up to the
+    first congruence the word fails.  The test says whether the word
+    passes them all, or with `valued` gives its statistics' values where
+    it does and None where not.  One congruence without `valued` is one
+    closure, so a word pays no loop."""
+    checks = [(statistic_evaluator(c.stat, spec.n), c.m, c.a) for c in spec.constraints]
+    if len(checks) == 1 and not valued:
+        [(value, m, a)] = checks
+        return lambda word: value(word) % m == a
 
-    def test(word) -> bool:
-        for check in checks:
-            if not check(word):
-                return False
-        return True
+    def test(word):
+        found = []
+        for value, m, a in checks:
+            found.append(value(word))
+            if found[-1] % m != a:
+                return None
+        return tuple(found)
 
-    return test
-
-
-def _congruence_test(c: Constraint, n: int) -> Callable:
-    """The test of whether a length-n word satisfies the one congruence c."""
-    m, a, form = c.m, c.a, c.stat.form
-    if form is not None and not form.reads:
-        h = form.weights(n)
-        return lambda word: sum(map(operator.mul, h, word)) % m == a
-    value = statistic_evaluator(c.stat, n)
-    return lambda word: value(word) % m == a
+    return test if valued else lambda word: test(word) is not None
 
 
 def is_member(spec: CodeSpec, word) -> bool:
@@ -347,17 +345,35 @@ def _splits(spec: CodeSpec) -> bool:
 
 
 def _words(spec: CodeSpec, valued: bool = False):
-    """The codewords of the spec in lexicographic order, from the split
-    scan, or from every word filtered by the membership test; with
-    `valued`, each as (word, its statistics' values)."""
-    if _splits(spec):
-        return _split_words(spec, _split_scan(spec), valued)
-    test = _membership_test(spec)
-    words = (word for word in itertools.product(range(spec.r), repeat=spec.n) if test(word))
-    if not valued:
-        return words
-    values = [statistic_evaluator(c.stat, spec.n) for c in spec.constraints]
-    return ((word, tuple([value(word) for value in values])) for word in words)
+    """The codewords of the spec in lexicographic order, or with `valued`
+    each as (word, its statistics' values): the one place a built word is
+    tested, by one `_membership_test` call.  Under `_splits` the words are
+    the split scan's, whose sum compare rechecks each congruence whose
+    statistic reads no previous symbol, so a word is tested on the others,
+    or on all with `valued`, and a failed test raises IntegralityError.
+    Otherwise every word of [0, r)^n is tested and kept where it passes."""
+    n, r, split = spec.n, spec.r, _splits(spec)
+    tested = spec.constraints
+    if split:
+        scan = _split_scan(spec)
+        if not valued:
+            tested = tuple(c for c in tested if c.stat.form.reads)
+            if not tested:
+                return itertools.chain.from_iterable(map(head.__add__, tails) for head, _, tails in scan)
+    else:  # one part: the empty prefix, every word a suffix
+        scan = [((), None, itertools.product(range(r), repeat=n))]
+
+    def words(test):
+        for head, _, tails in scan:
+            for tail in tails:
+                word = head + tail
+                found = test(word)
+                if found:
+                    yield (word, found) if valued else word
+                elif split:
+                    raise IntegralityError(f"split scan matched the non-codeword {word}")
+
+    return words(_membership_test(CodeSpec(n, r, tested), valued))
 
 
 def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
@@ -373,10 +389,11 @@ def enumerate_codewords(spec: CodeSpec, budget: int | None = None):
     symbol costs O(1) a word: one compare of the prefix's weighted sum
     plus the suffix's with a, each built from `Form.weights` alone and so
     independent of `Form.split` and the table key.  Any other is evaluated
-    on the whole word.  This generator builds every word it yields; the
-    oracle's tally (`tally_codewords`) builds none where no statistic
-    reads the previous symbol.  Custom statistics and shorter words take
-    the plain scan of all r^n words.
+    on the whole word.  Custom statistics and shorter words take the
+    plain scan of all r^n words.  Either way the words come from `_words`,
+    each built and tested once, each statistic evaluated at most once;
+    the oracle's tally (`tally_codewords`) builds none where no statistic
+    reads the previous symbol.
     """
     _check_scan(spec, budget)
     return _words(spec)
@@ -395,8 +412,8 @@ def tally_codewords(spec: CodeSpec, kind: str, budget: int | None = None):
     one integer (`_packing`), besides their weighted sums: a codeword costs
     one residue compare for its recheck and one key addition for its
     tally, and builds no word.  Otherwise, and on the plain scan, every
-    codeword is built and keyed from its symbols, its statistics
-    evaluated from their definitions (`_word_tally`)."""
+    codeword is built by `_words` and keyed from its symbols, and at
+    "extended" from the statistic values its one test evaluated."""
     _check_scan(spec, budget)
     if not _splits(spec) or any(c.stat.form.reads for c in spec.constraints):
         return _word_tally(_words(spec, kind == "extended"), spec, kind)
@@ -541,39 +558,6 @@ def _part_sums(rows) -> list:
     for row in rows:
         sums = [s + step for s in sums for step in row]
     return sums
-
-
-def _split_words(spec: CodeSpec, scan, valued: bool = False):
-    """The codewords of the split scan `scan`, each built from its prefix
-    and suffix; each congruence whose statistic reads the previous symbol
-    rechecks every word by evaluating the statistic on it in full.  With
-    `valued`, each comes as (word, its statistics' values), each statistic
-    evaluated once a word: a recheck compares the value it yields."""
-    n, cons = spec.n, spec.constraints
-    if valued:
-        values = [statistic_evaluator(c.stat, n) for c in cons]
-        checks = [(i, c.m, c.a) for i, c in enumerate(cons) if c.stat.form.reads]
-        for head, _, tails in scan:
-            for tail in tails:
-                word = head + tail
-                found = tuple([value(word) for value in values])
-                for i, m, a in checks:
-                    if found[i] % m != a:
-                        raise IntegralityError(f"split scan matched the non-codeword {word}")
-                yield word, found
-        return
-    reading = tuple(c for c in cons if c.stat.form.reads)
-    if not reading:
-        for head, _, tails in scan:
-            yield from map(head.__add__, tails)
-        return
-    test = _membership_test(CodeSpec(n, spec.r, reading))
-    for head, _, tails in scan:
-        for tail in tails:
-            word = head + tail
-            if not test(word):
-                raise IntegralityError(f"split scan matched the non-codeword {word}")
-            yield word
 
 
 def weight_sequence(t: int, r: int, length: int) -> list[int]:

@@ -477,14 +477,17 @@ def _keep(key, states, *value) -> tuple:
     entry of _PASSES, `size` the bytes charged for the {key: count} dicts
     `states`: 64 a term besides each count's own.  The least recently used
     are dropped until the sizes add up to at most _PASSES_BYTES; an entry
-    larger than that on its own is not kept, and drops none.
+    larger than that on its own is not kept, and drops none, and one whose
+    terms alone pass it is sized by them, no count's bit length read.
 
     With its dicts, tuples and int objects an entry measured 1.1 to 4.5
     times its size (`sys.getsizeof` summed over them, Python 3.11, each
     benchmark workload's entries at one seed): theorem 1's grouped halves
     1.8 to 4.5 times, the residue pass's states 1.1 to 3.2 times.  So the
     map's resident size stays under about 4.5 times _PASSES_BYTES."""
-    size = 64 * sum(map(len, states)) + sum(sum(map(int.bit_length, terms.values())) for terms in states) // 8
+    size = 64 * sum(map(len, states))
+    if size <= _PASSES_BYTES:
+        size += sum(sum(map(int.bit_length, terms.values())) for terms in states) // 8
     entry = (size, *value)
     if size <= _PASSES_BYTES:
         total = size + sum(held[0] for held in _PASSES.values())
@@ -698,25 +701,22 @@ def _residue_pass(spec: CodeSpec, kind: str, budget: int | None):
 
 def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
     """The read-out of a residue pass's entry (`_residue_pass`) at the
-    spec's residues a_i: the counts of the keys whose residue digits are
-    the a_i, in the cyclic layout only their digit a* of `width` bits, by
-    the digits above the residues, which `decode` reads: tau_0..tau_(r-1),
-    or tau_0, or none where the counts pack `axes` digits of `cell` bytes
-    each, which are sliced out of their one count.  It reads the entry's
-    terms and never writes them."""
+    spec's residues a_i: the terms whose residue digits are the a_i, in the
+    cyclic layout only their counts' digit a* of `width` bits.
+    `_PackedSpace.read` reads them, by the digits above the residues (w0's
+    stride is the product of the residue radices): tau_0..tau_(r-1), or
+    tau_0, or none at "cardinality".  Where the counts pack `axes` digits
+    of `cell` bytes each, those are sliced out of their one count.  It
+    reads the entry's terms and never writes them."""
     n, cons = spec.n, spec.constraints
     _, terms, space, star, width, cell, axes = entry
     head = prod(space.radices[: len(cons)])
     # each residue a_i at its digit; m*'s digit, of radix 1, reads 0
     target = sum(c.a % radix * stride for c, radix, stride in zip(cons, space.radices, space.strides))
     offset, digit = (0, -1) if star is None else (cons[star].a * width, (1 << width) - 1)
-    kept = {key // head: count >> offset & digit for key, count in terms.items() if key % head == target}
-    if kind == "cardinality":
-        return sum(kept.values())
-    taus = space.decode(kept, len(cons))
-    if not axes:  # tau keyed, or at "hamming" its zero count tau_0
-        images = taus if kind == "complete" else [(n - zeros,) for zeros, in taus]
-        return MultiPoly(_variables(spec, kind), dict(zip(images, kept.values())))
+    kept = {key: count >> offset & digit for key, count in terms.items() if key % head == target}
+    if not axes:  # the cardinality, or tau keyed, or at "hamming" its zero count tau_0
+        return space.read(kept, kind)
     cells = [(0, ())]  # (digit index, exponents on its axes), of total at most n
     for axis in range(axes):
         cells = [(i + t * (n + 1) ** axis, e + (t,)) for i, e in cells for t in range(n + 1 - sum(e))]

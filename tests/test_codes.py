@@ -722,7 +722,7 @@ def test_lc_oracle_builds_no_word(monkeypatch):
         raise AssertionError("a whole word was built or tested")
 
     monkeypatch.setattr(itertools, "product", recording_product)
-    for name in ("_membership_test", "_congruence_test", "statistic_evaluator", "_split_words", "_word_tally"):
+    for name in ("_words", "_membership_test", "statistic_evaluator", "_word_tally"):
         monkeypatch.setattr(ntcodes.codes, name, refuse)
     assert compute(spec, "cardinality", "oracle") == expected["cardinality"]
     assert compute(spec, "hamming", "oracle").poly == expected["hamming"].poly
@@ -752,6 +752,24 @@ def test_tenengolts_oracle_evaluates_every_codeword_in_full(monkeypatch):
         compute(spec, kind, "oracle")
         assert sorted(word for stat, word in evaluated if stat == "gamma_gt") == sorted(codewords), kind
         assert sorted(word for stat, word in evaluated if stat == "sigma") == (sorted(codewords) if kind == "extended" else [])
+
+
+def test_plain_scan_evaluates_each_statistic_once_a_word():
+    # a custom statistic takes the plain scan: each word of [0, r)^n is
+    # tested once, and at "extended" the tally keys the values that test
+    # evaluated, so the counting statistic runs once a word at every kind
+    calls = []
+
+    def repeats(word):
+        calls.append(word)
+        return sum(x == y for x, y in zip(word, word[1:]))
+
+    spec = CodeSpec(6, 3, ((custom(repeats), 3, 1), (SIGMA, 3, 0)))
+    assert plain_scan(spec)
+    for kind in TALLY_KINDS:
+        calls.clear()
+        compute(spec, kind, "oracle")
+        assert sorted(calls) == list(itertools.product(range(3), repeat=6)), kind
 
 
 def test_codes_imports_nothing_from_enumerators():
