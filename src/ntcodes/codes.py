@@ -602,16 +602,9 @@ def tenengolts(n: int, r: int, a1: int, a2: int, variant: str = ">") -> CodeSpec
     statistic mod n and the symbol sum mod r.
 
     `variant` picks the comparison in the descent statistic; the plain code
-    uses ">".
+    uses ">".  The parameters are checked in order, n and r, then a1, then
+    a2, then the variant; the first to fail raises ValueError.
     """
-    stat = _check_tenengolts(n, r, a1, a2, variant)
-    return CodeSpec(n, r, (Constraint(stat, n, a1), Constraint(SIGMA, r, a2)))
-
-
-def _check_tenengolts(n: int, r: int, a1: int, a2: int, variant: str) -> Statistic:
-    """The descent statistic of the descent/sum code's variant, once its
-    parameters pass their checks: n and r, then a1, then a2, then the
-    variant; the first to fail raises ValueError."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     _check_range(a1, n, "a1")
@@ -619,7 +612,7 @@ def _check_tenengolts(n: int, r: int, a1: int, a2: int, variant: str) -> Statist
     stat = _VARIANT_RECORDS.get(variant)
     if stat is None:
         raise ValueError(f"variant must be one of {sorted(VARIANT_STATS)}, got {variant!r}")
-    return stat
+    return CodeSpec(n, r, (Constraint(stat, n, a1), Constraint(SIGMA, r, a2)))
 
 
 def shifted_vt(n: int, m: int, a: int, parity: int) -> CodeSpec:

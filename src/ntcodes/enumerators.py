@@ -81,7 +81,6 @@ from .codes import (
     CodeSpec,
     Constraint,
     Record,
-    _check_tenengolts,
     budget_limit,
     capped_power,
     check_budget,
@@ -773,49 +772,48 @@ def _descent_sum(n: int, r: int, a1: int, a2: int, variant: str):
             yield d, n // d, p, (cd * r if a2 == 0 else 0) - p
 
 
-def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> Enumerator:
-    """Hamming weight enumerator of the r-ary descent/sum code: the one
-    divisor sum over d | n of `_descent_sum`, its weights folded by
-    sum_{e | g} c_e(a) = g [g | a], expanded in integers and divided by n r."""
-    spec = tenengolts_spec(n, r, a1, a2, variant)
-    return Enumerator("hamming", _descent_sum_hamming(spec, variant), "closed_form", spec)
+def _descent_sum_closed(spec: CodeSpec, kind: str):
+    """The closed form of a checked descent/sum spec (`_is_descent_sum`) read
+    off `_descent_sum`: its cardinality at kind "cardinality", else its
+    Hamming polynomial, each divided by n r exactly.
 
-
-def _descent_sum_hamming(spec: CodeSpec, variant: str) -> MultiPoly:
-    """The polynomial of `tenengolts_hamming` of a checked descent/sum spec:
-    a descent statistic of `variant` mod n, then sigma mod r."""
-    n, r, a1, a2 = spec.n, spec.r, spec.constraints[0].a, spec.constraints[1].a
+    The cardinality is the sum at w = 1, (1/nr) sum_{d | n} p r^(n/d).  Its
+    terms are added smallest power first (largest d first), so each
+    addition copies a total about the size of its own term, not of r^n;
+    and r^k is odd^k shifted left by e k bits, r = odd 2^e, since r**k
+    squares its way up even when r is a power of two.  The polynomial
+    expands each term by a running binomial."""
+    n, r, (descent, total) = spec.n, spec.r, spec.constraints
+    terms = _descent_sum(n, r, descent.a, total.a, _VARIANT_OF_STAT[descent.stat.kind])
+    if kind == "cardinality":
+        e = (r & -r).bit_length() - 1
+        odd = r >> e
+        count = sum(p * odd**k << e * k for _, k, p, _ in reversed(list(terms)))
+        return exact_quotient(count, n * r, "cardinality")
     coeffs = [0] * (n + 1)
-    for d, k, p, q in _descent_sum(n, r, a1, a2, variant):
+    for d, k, p, q in terms:
         # C(k, i), p (r-1)^i and q (-1)^i, each stepped from i to i + 1
         binomial, up, down = 1, p, q
         for i in range(k + 1):
             coeffs[d * i] += binomial * (up + down)
             binomial, up, down = binomial * (k - i) // (i + 1), up * (r - 1), -down
-    terms = {
-        (deg,): exact_quotient(c, n * r, f"weight-{deg} coefficient")
-        for deg, c in enumerate(coeffs)
-        if c
-    }
-    return MultiPoly(("w",), terms)
+    weights = {(deg,): exact_quotient(c, n * r, f"weight-{deg} coefficient") for deg, c in enumerate(coeffs) if c}
+    return MultiPoly(("w",), weights)
+
+
+def tenengolts_hamming(n: int, r: int, a1: int, a2: int, variant: str = ">") -> Enumerator:
+    """Hamming weight enumerator of the r-ary descent/sum code: the spec of
+    `codes.tenengolts`, which checks the parameters, read by
+    `_descent_sum_closed` under no budget."""
+    spec = tenengolts_spec(n, r, a1, a2, variant)
+    return Enumerator("hamming", _descent_sum_closed(spec, "hamming"), "closed_form", spec)
 
 
 def tenengolts_cardinality(n: int, r: int, a1: int, a2: int, variant: str = ">") -> int:
-    """Cardinality of the r-ary descent/sum code: the divisor sum of
-    `_descent_sum` at w = 1, (1/nr) sum_{d | n} c_d(a1') g [g | a2] r^(n/d)
-    with g = gcd(r, d), by sum_{e | g} c_e(a) = g [g | a].  The terms are
-    added smallest power first (largest d first), so each addition copies
-    a total about the size of its own term, not of r^n; and r^k is odd^k
-    shifted left by e k bits, r = odd 2^e, since r**k squares its way up
-    even when r is a power of two.  It checks the parameters as
-    `codes.tenengolts` does, with the same messages, and builds no spec."""
-    _check_tenengolts(n, r, a1, a2, variant)
-    e = (r & -r).bit_length() - 1
-    odd = r >> e
-    total = 0
-    for _, k, p, _ in reversed(list(_descent_sum(n, r, a1, a2, variant))):
-        total += p * odd**k << e * k
-    return exact_quotient(total, n * r, "cardinality")
+    """Cardinality of the r-ary descent/sum code: the spec of
+    `codes.tenengolts`, which checks the parameters, read by
+    `_descent_sum_closed` under no budget."""
+    return _descent_sum_closed(tenengolts_spec(n, r, a1, a2, variant), "cardinality")
 
 
 def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, int]]:
@@ -837,15 +835,16 @@ def argmax_cardinality(n: int, r: int, variant: str = ">") -> list[tuple[int, in
 
 def _nonnegative_weights(spec: CodeSpec) -> CodeSpec:
     """The same code with each linear statistic that has a negative weight
-    given its weights reduced mod the modulus.  The congruences are
-    unchanged; only the z-exponents differ."""
+    given its weights reduced mod the modulus, or the spec itself where no
+    weight is negative.  The congruences are unchanged; only the
+    z-exponents differ."""
     cons = tuple(
         Constraint(linear([x % c.m for x in c.stat.h]), c.m, c.a)
         if c.stat.kind == "linear" and min(c.stat.h, default=0) < 0
         else c
         for c in spec.constraints
     )
-    return CodeSpec(spec.n, spec.r, cons)
+    return spec if cons == spec.constraints else CodeSpec(spec.n, spec.r, cons)
 
 
 def _is_descent_sum(spec: CodeSpec) -> bool:
@@ -857,14 +856,10 @@ def _is_descent_sum(spec: CodeSpec) -> bool:
 
 
 def _divisor_sums(spec: CodeSpec, kind: str, budget: int | None):
-    """A descent/sum code's closed forms, once n fits the budget: the divisor
-    sums of `tenengolts_cardinality` and `tenengolts_hamming`."""
-    n, (descent, total) = spec.n, spec.constraints
-    check_budget(n, budget, f"descent/sum divisor sum over {count_text(n)} positions")
-    variant = _VARIANT_OF_STAT[descent.stat.kind]
-    if kind == "cardinality":
-        return tenengolts_cardinality(n, spec.r, descent.a, total.a, variant)
-    return _descent_sum_hamming(spec, variant)
+    """A descent/sum code's closed form, `_descent_sum_closed`, once n fits
+    the budget."""
+    check_budget(spec.n, budget, f"descent/sum divisor sum over {count_text(spec.n)} positions")
+    return _descent_sum_closed(spec, kind)
 
 
 def _is_linear_congruence(spec: CodeSpec) -> bool:

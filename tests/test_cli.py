@@ -25,7 +25,7 @@ import ntcodes.macwilliams
 import ntcodes.numtheory
 from ntcodes.cli import VARIANTS, _family_params, build_parser, main
 from ntcodes.codes import FAMILIES
-from ntcodes.enumerators import _descent_sum_hamming, enumerator_from_dict, tenengolts_cardinality, tenengolts_hamming
+from ntcodes.enumerators import _descent_sum_closed, enumerator_from_dict, tenengolts_cardinality, tenengolts_hamming
 
 
 def run(capsys, *argv):
@@ -96,13 +96,14 @@ def test_card_json_holds_the_text_cardinality(capsys):
     assert code == 0 and json.loads(out) == {"cardinality": text.strip()}
 
 
-def _wrong_hamming(spec, variant):
-    # the descent/sum Hamming polynomial that `compute` asks for, wrong at a1 = 0, a2 = 1
+def _wrong_hamming(spec, kind):
+    # the descent/sum closed form that `compute` asks for, its Hamming
+    # polynomial wrong at a1 = 0, a2 = 1
     from ntcodes.exactalg import MultiPoly
 
-    if tuple(c.a for c in spec.constraints) == (0, 1):
+    if kind == "hamming" and tuple(c.a for c in spec.constraints) == (0, 1):
         return MultiPoly(("w",), {(0,): 999})
-    return _descent_sum_hamming(spec, variant)
+    return _descent_sum_closed(spec, kind)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +116,7 @@ def _wrong_hamming(spec, variant):
 )
 def test_verify_json_lists_the_text_checks(capsys, monkeypatch, argv, wrong):
     if wrong:
-        monkeypatch.setattr("ntcodes.enumerators._descent_sum_hamming", _wrong_hamming)
+        monkeypatch.setattr("ntcodes.enumerators._descent_sum_closed", _wrong_hamming)
     text_code, text, _ = run(capsys, *argv)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == text_code == (1 if wrong else 0)
@@ -191,10 +192,10 @@ def test_verify_all_families_small(capsys):
 def test_verify_mismatch_exits_nonzero(capsys, monkeypatch):
     from ntcodes.exactalg import MultiPoly
 
-    def wrong(spec, variant):
-        return MultiPoly(("w",), {(0,): 999})
+    def wrong(spec, kind):
+        return 999 if kind == "cardinality" else MultiPoly(("w",), {(0,): 999})
 
-    monkeypatch.setattr("ntcodes.enumerators._descent_sum_hamming", wrong)
+    monkeypatch.setattr("ntcodes.enumerators._descent_sum_closed", wrong)
     code, out, _ = run(capsys, "verify", "--family", "tenengolts", "--max-n", "2", "--max-r", "2")
     assert code == 1
     assert "MISMATCH" in out
@@ -1243,21 +1244,33 @@ def counting_builds(monkeypatch, cls):
 
 def test_descent_sum_requests_build_one_spec_and_no_statistic(capsys, monkeypatch):
     # a descent/sum request takes its statistic from the shared records and
-    # its parameter checks from one helper, so nothing is built twice
+    # both closed forms read the spec that `compute` was given: nothing is
+    # built twice, and a1 and a2 are each range-checked once
     family = ("tenengolts", "--n", "12", "--r", "3", "--a1", "5", "--a2", "1", "--variant", "<")
     expected = f"{tenengolts_cardinality(12, 3, 5, 1, '<')}\n"
     statistics = counting_builds(monkeypatch, ntcodes.codes.Statistic)
     specs = counting_builds(monkeypatch, ntcodes.codes.CodeSpec)
-    with mock.patch.object(ntcodes.numtheory, "factorize", wraps=ntcodes.numtheory.factorize) as factorize:
-        assert run(capsys, "card", *family) == (0, expected, "")
-    assert (statistics, len(specs), factorize.call_count) == ([], 1, 1)
-    # the Hamming form takes the spec that `compute` read: it builds none
-    # and checks no parameter again
-    specs.clear()
-    with mock.patch.object(ntcodes.codes, "_check_tenengolts", wraps=ntcodes.codes._check_tenengolts) as checks:
-        code, out, _ = run(capsys, "enum", *family, "--kind", "hamming")
-    assert (code, statistics, len(specs), checks.call_count) == (0, [], 1, 1)
-    assert out == f"{tenengolts_hamming(12, 3, 5, 1, '<').poly}\n"
+    for argv, out in [
+        (("card", *family), expected),
+        (("enum", *family, "--kind", "hamming"), f"{tenengolts_hamming(12, 3, 5, 1, '<').poly}\n"),
+    ]:
+        specs.clear()
+        with (
+            mock.patch.object(ntcodes.numtheory, "factorize", wraps=ntcodes.numtheory.factorize) as factorize,
+            mock.patch.object(ntcodes.codes, "_check_range", wraps=ntcodes.codes._check_range) as checks,
+        ):
+            assert run(capsys, *argv) == (0, out, "")
+        assert (statistics, len(specs), factorize.call_count, checks.call_count) == ([], 1, 1, 2), argv[0]
+
+
+def test_theorem1_below_extended_builds_one_spec(capsys, monkeypatch):
+    # no linear weight is negative, so theorem 1 reads the spec it was given
+    specs = counting_builds(monkeypatch, ntcodes.codes.CodeSpec)
+    argv = ("enum", "shifted_vt", "--n", "6", "--m", "4", "--a", "1", "--parity", "0", "--method", "theorem1")
+    for kind in ("complete", "hamming"):
+        specs.clear()
+        code, _, _ = run(capsys, *argv, "--kind", kind)
+        assert (code, len(specs)) == (0, 1), kind
 
 
 def test_integrality_violation_exit_four(capsys, monkeypatch):
@@ -1266,7 +1279,7 @@ def test_integrality_violation_exit_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NonDivisibleError("simulated kernel bug")
 
-    monkeypatch.setattr("ntcodes.enumerators.tenengolts_cardinality", explode)
+    monkeypatch.setattr("ntcodes.enumerators._descent_sum_closed", explode)
     code, _, err = run(capsys, "card", "tenengolts", "--n", "3", "--r", "3", "--a1", "0", "--a2", "0")
     assert code == 4
     assert "integrality" in err

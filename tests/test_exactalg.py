@@ -306,8 +306,7 @@ def test_non_divisible_error_has_one_home():
     for module in (ntcodes.enumerators, ntcodes.macwilliams):
         assert module.exact_quotient is exact_quotient
     for func in (
-        ntcodes.enumerators._descent_sum_hamming,
-        ntcodes.enumerators.tenengolts_cardinality,
+        ntcodes.enumerators._descent_sum_closed,
         ntcodes.macwilliams.verify_macwilliams,
     ):
         assert "exact_quotient(" in inspect.getsource(func), func.__name__
