@@ -26,7 +26,7 @@ recheck is one compare, (prefix sum + suffix sum) = a (mod m), and a
 wrong split or table key hands a prefix a suffix whose sum does not
 complete it.  A statistic that reads the previous symbol is evaluated
 on the whole word.  The oracle's tally by kind (`tally_codewords`, read
-by `enumerators._scan_terms`) adds a prefix's key to a suffix's in the
+by `enumerators._oracle`) adds a prefix's key to a suffix's in the
 same way, the Hamming weight, the type vector or the values, so where
 no statistic reads the previous symbol a codeword costs O(1) and no
 word is built.  Words are built for `enumerate_codewords`, for

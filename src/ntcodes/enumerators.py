@@ -98,9 +98,6 @@ KINDS = ("extended", "complete", "hamming")
 #: bound of tau in the keys: up to here packing measured no more memory
 _PACKED_EXCESS = 16
 
-#: descent/sum variant keyed by the statistic kind of its first constraint
-_VARIANT_OF_STAT = {stat: variant for variant, stat in VARIANT_STATS.items()}
-
 
 def z_variables(s: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(1, s + 1))
@@ -132,24 +129,6 @@ def _variables(spec: CodeSpec, kind: str) -> tuple[str, ...]:
     if kind == "complete":
         return w_variables(spec.r)
     return z_variables(spec.s) + w_variables(spec.r)
-
-
-def _scan_terms(spec: CodeSpec, kind: str, budget: int | None):
-    """The oracle's one tally of the scanned codewords, `codes.tally_codewords`:
-    their number at kind "cardinality", else {key: count} with one key per
-    codeword, its Hamming weight at "hamming", its type vector at
-    "complete", and at "extended" its statistic values, then its type
-    vector; a negative statistic value raises ValueError there.  Where no
-    statistic reads the previous symbol, each codeword costs O(1): its
-    recheck compares a prefix's weighted sum plus a suffix's, from
-    `Form.weights` and so independent of the split and its table, and its
-    key is the prefix's key plus the suffix's, with no word built.  Specs
-    with a statistic that reads the previous symbol, custom statistics and
-    n < 2 still build each codeword and key it from its symbols."""
-    terms = tally_codewords(spec, kind, budget)
-    if kind == "extended" and any(v < 0 for key in terms for v in key[: spec.s]):
-        raise ValueError("a statistic took a negative value; enumerator exponents must be non-negative")
-    return terms
 
 
 def complete_weight_enumerator(words, r: int) -> MultiPoly:
@@ -733,38 +712,50 @@ def _residue_read(spec: CodeSpec, kind: str, entry: tuple):
 # closed forms for descent/sum codes
 
 
+#: each descent statistic's base code, (s, t, reverses): the code of its kind
+#: at a1 has the Hamming enumerator of the "gamma_gt" code at s a1 + t h mod n,
+#: h = n/2 for even n and 0 for odd n, and is that code's reversals if reverses
+_BASES = {"gamma_gt": (1, 0, False), "lambda_lt": (-1, 0, True), "lambda_le": (-1, 1, False), "gamma_ge": (1, 1, True)}
+
+
+def _base(kind: str, n: int, a1: int) -> tuple[int, bool]:
+    """The row of `_BASES` for the descent statistic's kind read at n and
+    a1: the base parameter and the reversal flag.  No check."""
+    s, t, reverses = _BASES[kind]
+    return (s * a1 + t * (0 if n % 2 else n // 2)) % n, reverses
+
+
 def tenengolts_variant_transform(variant: str, n: int, a1: int) -> tuple[int, bool]:
     """Base-code parameter with the same Hamming enumerator as the variant,
     plus whether the variant's codewords are the reversals of the base's.
     Mod n the parameter is a1, -a1, h - a1 and h + a1 for ">", "<", "<="
-    and ">=", where h is n/2 for even n and 0 for odd n."""
+    and ">=", where h is n/2 for even n and 0 for odd n: the row of
+    `_BASES` for the variant's statistic kind, `codes.VARIANT_STATS`, read
+    by `_base` once n and a1 are checked."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= a1 < n:
         raise ValueError(f"a1 must lie in [0, {n}), got {a1}")
-    h = 0 if n % 2 else n // 2
-    if variant == ">":
-        return a1, False
-    if variant == "<":
-        return -a1 % n, True
-    if variant == "<=":
-        return (h - a1) % n, False
-    if variant == ">=":
-        return (h + a1) % n, True
+    # compared by ==, so a variant that is no key, hashable or not, is unknown
+    for known, kind in VARIANT_STATS.items():
+        if variant == known:
+            return _base(kind, n, a1)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _descent_sum(n: int, r: int, a1: int, a2: int, variant: str):
+def _descent_sum(n: int, r: int, a1: int, a2: int, kind: str):
     """The one divisor sum of the descent/sum closed forms: n r times the
     Hamming enumerator is sum_{d | n} p (1 + (r-1) w^d)^(n/d) + q (1 - w^d)^(n/d).
-    Yields (d, n/d, p, q), d ascending, with g = gcd(r, d), a1' the
-    variant's base parameter, p = c_d(a1') g [g | a2] and
+    Yields (d, n/d, p, q), d ascending, with g = gcd(r, d), a1' the base
+    parameter of the descent statistic's kind (its row of `_BASES`, read
+    by `_base`), p = c_d(a1') g [g | a2] and
     q = c_d(a1') r [a2 = 0] - p: the sum over e | r of c_e(a2), split by
     e | d, by sum_{e | g} c_e(a) = g [g | a].  Every c_d(a1') comes from
     one table, `ramanujan_sums`, over one factorization of n; a d with
-    p = q = 0 (c_d(a1') = 0, or g not dividing a2) is skipped.  The callers
-    check the parameters."""
-    base_a1, _ = tenengolts_variant_transform(variant, n, a1)
+    p = q = 0 (c_d(a1') = 0, or g not dividing a2) is skipped.  It makes
+    no check: its one caller reads a spec that `codes.tenengolts` or
+    `_is_descent_sum` vouched for."""
+    base_a1, _ = _base(kind, n, a1)
     for d, cd in ramanujan_sums(n, base_a1).items():
         g = gcd(r, d)
         if cd and a2 % g == 0:
@@ -784,7 +775,7 @@ def _descent_sum_closed(spec: CodeSpec, kind: str):
     squares its way up even when r is a power of two.  The polynomial
     expands each term by a running binomial."""
     n, r, (descent, total) = spec.n, spec.r, spec.constraints
-    terms = _descent_sum(n, r, descent.a, total.a, _VARIANT_OF_STAT[descent.stat.kind])
+    terms = _descent_sum(n, r, descent.a, total.a, descent.stat.kind)
     if kind == "cardinality":
         e = (r & -r).bit_length() - 1
         odd = r >> e
@@ -851,7 +842,7 @@ def _is_descent_sum(spec: CodeSpec) -> bool:
     """Whether the spec is a descent/sum code, whatever family built it: a
     descent statistic mod n, then sigma mod r."""
     cons = spec.constraints
-    descent = len(cons) == 2 and cons[0].stat.kind in _VARIANT_OF_STAT and cons[0].m == spec.n
+    descent = len(cons) == 2 and cons[0].stat.kind in _BASES and cons[0].m == spec.n
     return descent and cons[1].stat.kind == "sigma" and cons[1].m == spec.r
 
 
@@ -887,8 +878,20 @@ def _theorem1(spec: CodeSpec, kind: str, budget: int | None):
 
 
 def _oracle(spec: CodeSpec, kind: str, budget: int | None):
-    """The oracle's tally of the scanned codewords, `_scan_terms`."""
-    terms = _scan_terms(spec, kind, budget)
+    """The oracle's one tally of the scanned codewords, `codes.tally_codewords`:
+    their number at kind "cardinality", else the polynomial of {key: count}
+    with one key per codeword, its Hamming weight at "hamming", its type
+    vector at "complete", and at "extended" its statistic values, then its
+    type vector; a negative statistic value raises ValueError there.
+    Where no statistic reads the previous symbol, each codeword costs O(1):
+    its recheck compares a prefix's weighted sum plus a suffix's, from
+    `Form.weights` and so independent of the split and its table, and its
+    key is the prefix's key plus the suffix's, with no word built.  Specs
+    with a statistic that reads the previous symbol, custom statistics and
+    n < 2 still build each codeword and key it from its symbols."""
+    terms = tally_codewords(spec, kind, budget)
+    if kind == "extended" and any(v < 0 for key in terms for v in key[: spec.s]):
+        raise ValueError("a statistic took a negative value; enumerator exponents must be non-negative")
     return terms if kind == "cardinality" else MultiPoly(_variables(spec, kind), terms)
 
 

@@ -268,7 +268,7 @@ def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
     from ntcodes import enumerators
 
     passes, scans = [], []
-    exact_pass, scan_terms = enumerators._exact_pass, enumerators._scan_terms
+    exact_pass, tally = enumerators._exact_pass, enumerators.tally_codewords
 
     def recording_pass(*args):
         passes.append(args[:2])
@@ -276,10 +276,10 @@ def test_verify_sc_builds_every_full_space_by_transfer(capsys, monkeypatch):
 
     def recording_scan(*args):
         scans.append(args[0])
-        return scan_terms(*args)
+        return tally(*args)
 
     monkeypatch.setattr(enumerators, "_exact_pass", recording_pass)
-    monkeypatch.setattr(enumerators, "_scan_terms", recording_scan)
+    monkeypatch.setattr(enumerators, "tally_codewords", recording_scan)
     code, out, _ = run(capsys, "verify", "--family", "sc")
     assert code == 0 and "summary: 10 checks, 0 mismatches" in out
     assert len(passes) == 10 and len(scans) == 10
@@ -1245,7 +1245,8 @@ def counting_builds(monkeypatch, cls):
 def test_descent_sum_requests_build_one_spec_and_no_statistic(capsys, monkeypatch):
     # a descent/sum request takes its statistic from the shared records and
     # both closed forms read the spec that `compute` was given: nothing is
-    # built twice, and a1 and a2 are each range-checked once
+    # built twice, a1 and a2 are each range-checked once, and the base
+    # parameter comes from the variant table, not the checked public transform
     family = ("tenengolts", "--n", "12", "--r", "3", "--a1", "5", "--a2", "1", "--variant", "<")
     expected = f"{tenengolts_cardinality(12, 3, 5, 1, '<')}\n"
     statistics = counting_builds(monkeypatch, ntcodes.codes.Statistic)
@@ -1258,9 +1259,15 @@ def test_descent_sum_requests_build_one_spec_and_no_statistic(capsys, monkeypatc
         with (
             mock.patch.object(ntcodes.numtheory, "factorize", wraps=ntcodes.numtheory.factorize) as factorize,
             mock.patch.object(ntcodes.codes, "_check_range", wraps=ntcodes.codes._check_range) as checks,
+            mock.patch.object(
+                ntcodes.enumerators,
+                "tenengolts_variant_transform",
+                wraps=ntcodes.enumerators.tenengolts_variant_transform,
+            ) as transforms,
         ):
             assert run(capsys, *argv) == (0, out, "")
-        assert (statistics, len(specs), factorize.call_count, checks.call_count) == ([], 1, 1, 2), argv[0]
+        counts = (statistics, len(specs), factorize.call_count, checks.call_count, transforms.call_count)
+        assert counts == ([], 1, 1, 2, 0), argv[0]
 
 
 def test_theorem1_below_extended_builds_one_spec(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cyclotomic_reference as cyc
 from statistic_reference import reference_statistic
-from tenengolts_reference import cardinality_reference
+from tenengolts_reference import base_reference, cardinality_reference
 from ntcodes import codes, enumerators
 from ntcodes.codes import (
     BudgetExceededError,
@@ -261,7 +261,7 @@ def test_transfer_full_space_matches_oracle_for_every_statistic(case):
     expected = compute(whole_space, "extended", "oracle").poly
     with (
         mock.patch.object(enumerators, "_exact_pass", wraps=enumerators._exact_pass) as exact_pass,
-        mock.patch.object(enumerators, "_scan_terms") as scan,
+        mock.patch.object(enumerators, "tally_codewords") as scan,
     ):
         # each call runs its pass afresh, not from the passes kept by the one before
         enumerators._PASSES.clear()
@@ -373,7 +373,7 @@ def test_custom_statistic_full_space_is_enumerated():
     # the full space is the oracle's one tally at moduli 1, with no exact pass
     with (
         mock.patch.object(enumerators, "_exact_pass") as exact_pass,
-        mock.patch.object(enumerators, "_scan_terms", wraps=enumerators._scan_terms) as scan,
+        mock.patch.object(enumerators, "tally_codewords", wraps=enumerators.tally_codewords) as scan,
     ):
         full = full_space_enumerator(4, 3, (repeats, SIGMA))
         # theorem 1 has no increments to run: it refuses the statistic
@@ -646,7 +646,6 @@ def test_theorem1_is_independent_of_the_oracle(spec):
 
     with_custom = CodeSpec(spec.n, spec.r, (*spec.constraints, (REPEATS, 2, 0)))
     with (
-        mock.patch.object(enumerators, "_scan_terms", refuse),
         mock.patch.object(codes, "enumerate_codewords", refuse),
         mock.patch.object(codes, "tally_codewords", refuse),
         mock.patch.object(enumerators, "tally_codewords", refuse),
@@ -1968,6 +1967,26 @@ def test_variant_transform_examples():
         tenengolts_variant_transform("<", 3, 3)
     with pytest.raises(ValueError):
         tenengolts_variant_transform("!=", 3, 0)
+
+
+def test_variant_transform_reads_the_written_rules():
+    # every variant at every a1 gives the reference's base parameter and
+    # reversal flag; n is checked first, then a1, then the variant, each
+    # with its own message, and a variant that is no key is unknown too
+    for n in range(1, 13):
+        for a1 in range(n):
+            for variant, reverses in ((">", False), ("<", True), ("<=", False), (">=", True)):
+                assert tenengolts_variant_transform(variant, n, a1) == (base_reference(variant, n, a1), reverses)
+    for args, message in [
+        ((">", 0, 0), "n must be positive"),
+        (("!=", 0, 5), "n must be positive"),
+        (("<", 3, 3), r"a1 must lie in \[0, 3\), got 3"),
+        (("!=", 3, -1), r"a1 must lie in \[0, 3\), got -1"),
+        (("!=", 3, 0), "unknown variant '!='"),
+        (([">"], 3, 0), r"unknown variant \['>'\]"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tenengolts_variant_transform(*args)
 
 
 def test_variant_transform_reversal_sets():
