@@ -53,7 +53,7 @@ from .enumerators import (
     specialize,
 )
 from .exactalg import IntegralityError
-from .macwilliams import build_code, row_span, verify_macwilliams
+from .macwilliams import _spanned, build_code, verify_macwilliams
 
 VARIANTS = tuple(VARIANT_STATS)
 
@@ -194,8 +194,10 @@ def _verify_macwilliams(checks, rng, args, budget):
         s = rng.randint(1, min(3, args.max_n))
         n = rng.randint(s, args.max_n)
         rows = [[rng.randrange(r) for _ in range(n)] for _ in range(s)]
-        # a rank-deficient draw is skipped before its kernel is scanned
-        if len(row_span(r, rows, budget)) != r**s:
+        # a rank-deficient draw is skipped before its kernel is scanned, and
+        # a kept draw's rows carry their span into `build_code`
+        rows = _spanned(r, rows, budget)
+        if len(rows.dual) != r**s:
             continue
         report = verify_macwilliams(build_code(r, rows, budget))
         checks.append((f"macwilliams i={made} r={r} n={n} s={s}", report.verified))
@@ -301,9 +303,11 @@ def _cmd_table(args) -> int:
 def _cmd_macwilliams(args) -> int:
     code = build_code(args.r, args.rows, _budget(args))
     report = verify_macwilliams(code)
+    left = str(report.left)
     payload = {
-        "left": str(report.left),
-        "right": None if report.right is None else str(report.right),
+        "left": left,
+        # a verified right side equals the left, so it prints the same
+        "right": left if report.verified else None if report.right is None else str(report.right),
         "verified": report.verified,
         "dual_size": report.dual_size,
     }

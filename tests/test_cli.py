@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import ntcodes.cli
 import ntcodes.codes
+import ntcodes.exactalg
 import ntcodes.macwilliams
 import ntcodes.numtheory
 from ntcodes.cli import VARIANTS, _family_params, build_parser, main
@@ -433,6 +434,29 @@ def test_macwilliams_report(capsys):
         "verified": True,
         "dual_size": 2,
     }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_macwilliams_formats_a_verified_polynomial_once(capsys, monkeypatch, fmt):
+    # a verified right side equals the left, so the left's text is printed
+    # for both; an unverified one is formatted on its own
+    formatted = []
+    real = ntcodes.exactalg.MultiPoly.__str__
+
+    def counting(poly):
+        formatted.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(ntcodes.exactalg.MultiPoly, "__str__", counting)
+    code, out, _ = run(capsys, "macwilliams", "--r", "3", "--H", "1,1", "--format", fmt)
+    assert code == 0 and out.count("w0^2 + 2*w1*w2") == 2 and len(formatted) == 1
+
+    left = ntcodes.macwilliams.complete_weight_enumerator([(0, 0)], 2)
+    right = ntcodes.macwilliams.complete_weight_enumerator([(1, 1)], 2)
+    report = ntcodes.macwilliams.MacWilliamsReport(left, right, False, True, 2)
+    monkeypatch.setattr(ntcodes.cli, "verify_macwilliams", lambda code: report)
+    code, out, _ = run(capsys, "macwilliams", "--r", "2", "--H", "1,1", "--format", fmt)
+    assert code == 1 and "w0^2" in out and "w1^2" in out and len(formatted) == 3
 
 
 def test_macwilliams_rank_deficient(capsys):
@@ -852,6 +876,24 @@ def test_verify_macwilliams_scans_only_full_rank_draws(capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", "--family", "macwilliams", "--count", "12", "--max-n", "3", "--seed", str(seed))
         assert code == 0 and "summary: 12 checks, 0 mismatches" in out
     assert built == [True] * 48
+
+
+def test_verify_macwilliams_spans_each_draw_once(capsys, monkeypatch):
+    # build_code takes the span that the rank check made, so each kept draw
+    # is spanned once
+    full_rank = []
+    real = ntcodes.macwilliams._spanned
+
+    def spanned(r, rows, budget=None):
+        result = real(r, rows, budget)
+        full_rank.append(len(result.dual) == r ** len(result))
+        return result
+
+    monkeypatch.setattr(ntcodes.macwilliams, "_spanned", spanned)
+    monkeypatch.setattr(ntcodes.cli, "_spanned", spanned)
+    code, out, _ = run(capsys, "verify", "--family", "macwilliams", "--count", "12", "--max-n", "3", "--seed", "0")
+    assert code == 0 and "summary: 12 checks, 0 mismatches" in out
+    assert full_rank.count(True) == 12
 
 
 def test_oracle_refuses_on_all_words_not_on_the_split(capsys):

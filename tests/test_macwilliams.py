@@ -1,12 +1,13 @@
 import functools
 import inspect
 import itertools
+import math
 import random
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ntcodes
@@ -14,9 +15,11 @@ import ntcodes.enumerators
 import ntcodes.macwilliams
 from ntcodes.codes import make_family, type_vector
 from ntcodes.enumerators import compute, specialize, w_variables
-from ntcodes.exactalg import MultiPoly
+from ntcodes.exactalg import CycElement, IntegralityError, MultiPoly, NonDivisibleError
 from ntcodes.macwilliams import (
+    ZrLinearCode,
     _dual_at_characters,
+    _unit_orbits,
     build_code,
     complete_weight_enumerator,
     row_span,
@@ -260,6 +263,124 @@ def test_single_type_vector_counts():
             exps: tuple(cnt * c for c in vec) for exps, vec in dual_term_expansion(r, tau).items()
         }
         assert _dual_at_characters(r, sum(tau), {tau: cnt}) == expected
+
+
+def unit_average(r, right):
+    """Digit q of each coefficient replaced by sum_u digit[uq mod r] / phi(r)
+    over the units u of Z_r, written out from the definition."""
+    units = [u for u in range(r) if math.gcd(u, r) == 1]
+    averaged = {}
+    for exps, vec in right.items():
+        sums = [sum(vec[u * q % r] for u in units) for q in range(r)]
+        assert all(total % len(units) == 0 for total in sums)
+        averaged[exps] = tuple(total // len(units) for total in sums)
+    return averaged
+
+
+@st.composite
+def full_rank_matrices(draw):
+    # phi(r) = 1, 2, 4, 6 and 10 all occur; the reference expands each type
+    # vector from scratch, so n shrinks as r grows
+    r = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 5 if r <= 6 else 3))
+    s = draw(st.integers(1, min(2, n)))
+    rows = draw(st.lists(st.lists(st.integers(0, r - 1), min_size=n, max_size=n), min_size=s, max_size=s))
+    assume(len(row_span(r, rows)) == r**s)
+    return r, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_matrices())
+def test_orbit_reduced_right_side_equals_per_type_vector_sum(case):
+    # one type vector per unit orbit, weighted by count times orbit size,
+    # and then the unit average of each coefficient: the full sum exactly
+    r, rows = case
+    code = build_code(r, rows)
+    counts = dual_counts(code)
+    if r > 2:
+        reduced = _dual_at_characters(r, code.n, _unit_orbits(r, counts))
+        assert unit_average(r, reduced) == per_type_vector_sum(r, counts)
+    report = verify_macwilliams(code)
+    assert report.verified and report.right == report.left
+
+
+def test_right_side_takes_one_type_vector_per_unit_orbit(monkeypatch):
+    # at r = 5 the units 1..4 permute tau_1..tau_4; each orbit comes in
+    # once, as its largest type vector, weighted by the dual words whose
+    # type vector lies in it
+    handed = []
+    real = ntcodes.macwilliams._dual_at_characters
+
+    def recording(r, n, counts):
+        handed.append(dict(counts))
+        return real(r, n, counts)
+
+    reductions = []
+    to_integer = CycElement.to_integer
+    monkeypatch.setattr(ntcodes.macwilliams, "_dual_at_characters", recording)
+    monkeypatch.setattr(CycElement, "to_integer", lambda self: reductions.append(self) or to_integer(self))
+    code = build_code(5, [[1, 2, 3, 4], [0, 1, 1, 2]])
+    report = verify_macwilliams(code)
+    assert report.verified
+    expected = Counter(max(type_vector([u * x % 5 for x in y], 5) for u in range(1, 5)) for y in code.dual)
+    assert handed == [dict(expected)]
+    assert len(expected) < len(dual_counts(code)) and sum(expected.values()) == len(code.dual) == 25
+    # every output term is still reduced by to_integer, once
+    assert len(reductions) == math.comb(code.n + 4, 4)
+
+
+def test_dual_off_its_unit_orbits_raises_before_any_pass(monkeypatch):
+    # {00, 11, 12} has 3^1 words, but 2 * 11 = 22 is not among them: type
+    # vector (0, 2, 0) has count 1 and its unit multiple (0, 0, 2) none
+    def no_pass(*args):
+        raise AssertionError("a transfer pass ran")
+
+    monkeypatch.setattr(ntcodes.macwilliams, "_transfer", no_pass)
+    code = ZrLinearCode(3, 2, 1, ((1, 2),), ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1), (1, 2)))
+    with pytest.raises(IntegralityError, match=r"type vector \(0, 2, 0\) has count 1 but its unit multiple \(0, 0, 2\) has 0") as info:
+        verify_macwilliams(code)
+    assert type(info.value) is IntegralityError
+    # both members of the orbit occur, but 11 twice and 22 once
+    dual = ((0, 0),) * 6 + ((1, 1), (1, 1), (2, 2))
+    code = ZrLinearCode(3, 2, 2, ((1, 2), (1, 1)), ((0, 0),), dual)
+    with pytest.raises(IntegralityError, match=r"\(0, 2, 0\) has count 2 but .* \(0, 0, 2\) has 1: the dual is not a Z_3-module"):
+        verify_macwilliams(code)
+
+
+@pytest.mark.parametrize(
+    "vec, message",
+    [
+        # digits 1 and 2 of Z_3 form one unit orbit: their sum 1 is odd
+        ((1, 1, 0), r"dual term \(2, 0, 0\): unit average: total 1 not divisible by 2"),
+        ((2, 0, 0), r"dual term \(2, 0, 0\): division by r\^s: total 2 not divisible by 3"),
+    ],
+)
+def test_right_side_sentinels_name_the_dual_term(monkeypatch, vec, message):
+    monkeypatch.setattr(ntcodes.macwilliams, "_dual_at_characters", lambda r, n, counts: {(2, 0, 0): vec})
+    with pytest.raises(NonDivisibleError, match=message):
+        verify_macwilliams(build_code(3, [[1, 1]]))
+
+
+def test_innermost_powers_of_the_last_character_are_built_once(monkeypatch):
+    # four lone type vectors with tau_2 = 2 ask for v_2^2 at the innermost
+    # level: it is built once, one step after v_2, and scaled by each count
+    steps = []
+    real = ntcodes.enumerators._transfer
+
+    def recording(n, r, digits, unit, shifts, span):
+        run, i = real(n, r, digits, unit, shifts, span), shifts[1] // (span // r)
+
+        def counted(positions, states):
+            positions = list(positions)
+            steps.append((i, len(positions)))
+            return run(positions, states)
+
+        return counted
+
+    monkeypatch.setattr(ntcodes.macwilliams, "_transfer", recording)
+    counts = {(3, 0, 2): 1, (2, 1, 2): 2, (1, 2, 2): 3, (0, 3, 2): 4, (4, 1, 0): 5}
+    assert _dual_at_characters(3, 5, counts) == per_type_vector_sum(3, counts)
+    assert [k for i, k in steps if i == 2] == [1, 1]
 
 
 def test_right_side_keeps_no_cache():
